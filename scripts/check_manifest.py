@@ -25,7 +25,8 @@ cksumlab/faultlab); with a NAME, the recorded kernel must match it.
 --require-dist fails unless the manifest was produced by a distributed
 run (`cksumlab splice --serve`, docs/DIST.md): the "dist" member must
 be present and complete, every per-worker sub-manifest it lists must
-exist and validate, and — the accounting check — every deterministic
+exist, validate, and name the job it served (its "jobs" list and its
+corpus), and — the accounting check — every deterministic
 counter in the top-level metrics must equal the sum of the per-worker
 contributions recorded in "dist.per_worker[].metrics". A shard merged
 twice (or dropped) breaks that equality.
@@ -245,6 +246,20 @@ def check_dist_job(job, who, manifest_path):
             continue
         for p in check_manifest(subdoc, []):
             problems.append(f"{wwho}: sub-manifest {sub!r}: {p}")
+        # It must name the job it served: its "jobs" list carries this
+        # job's id and name, and its corpus is the served jobs' names.
+        served = subdoc.get("jobs")
+        if not isinstance(served, list) or not any(
+                isinstance(e, dict) and e.get("job") == job.get("job")
+                and e.get("name") == name for e in served):
+            problems.append(f"{wwho}: sub-manifest {sub!r} does not list "
+                            f"job {job.get('job')!r} {name!r} among the "
+                            "jobs it served")
+        elif subdoc.get("corpus") != ", ".join(
+                str(e.get("name")) for e in served if isinstance(e, dict)):
+            problems.append(f"{wwho}: sub-manifest {sub!r} corpus "
+                            f"{subdoc.get('corpus')!r} does not name the "
+                            "jobs it served")
 
     # Per-job accounting identity: the job's counters are exactly the
     # sum of the accepted per-worker contributions — for every job,

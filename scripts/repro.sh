@@ -9,7 +9,7 @@
 # `--bench`, also run scripts/bench.sh at the end to append a
 # splice-evaluator entry to BENCH_splice.json. With `--dist N`, also
 # run the distributed-service parity stage: the reference corpus
-# evaluated by a coordinator + N worker processes must reproduce the
+# served to N worker processes by the job service must reproduce the
 # single-process report bit for bit (docs/DIST.md).
 set -eu
 cd "$(dirname "$0")/.."

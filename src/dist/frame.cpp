@@ -66,11 +66,9 @@ FrameMetrics& frame_metrics() {
 std::string_view name(MsgType t) noexcept {
   switch (t) {
     case MsgType::kHello: return "hello";
-    case MsgType::kConfig: return "config";
     case MsgType::kLeaseGrant: return "lease_grant";
     case MsgType::kLeaseResult: return "lease_result";
     case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kIdle: return "idle";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kGoodbye: return "goodbye";
     case MsgType::kNack: return "nack";
@@ -235,7 +233,7 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
     std::uint32_t payload_len = 0;
     if (!decode_frame_header(hdr, &type, &seq, &payload_len)) {
       // Corrupted header: the length field can no longer be trusted,
-      // so framing is lost. Abort; the coordinator's lease layer
+      // so framing is lost. Abort; the service's lease layer
       // re-runs whatever this connection was carrying.
       broken_ = true;
       return false;

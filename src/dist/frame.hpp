@@ -14,7 +14,7 @@
 // every buffered frame from there, so a corrupted result can never be
 // merged into the run. Unrecoverable corruption (a mangled header, a
 // replay gap past the resend window, or an exhausted NACK budget)
-// aborts the connection instead, degrading to the coordinator's
+// aborts the connection instead, degrading to the service's
 // lease-reassignment path.
 #pragma once
 
@@ -27,18 +27,18 @@
 
 namespace cksum::dist {
 
-/// Protocol frame types (payload encodings in protocol.hpp).
+/// Protocol frame types (payload encodings in protocol.hpp). Values 2
+/// and 6 belonged to retired messages and stay unassigned, so no live
+/// type's wire value ever moves.
 enum class MsgType : std::uint8_t {
-  kHello = 1,        ///< worker -> coordinator: identity
-  kConfig = 2,       ///< coordinator -> worker: corpus + run config
-  kLeaseGrant = 3,   ///< coordinator -> worker: shard lease
-  kLeaseResult = 4,  ///< worker -> coordinator: stats + metric deltas
-  kHeartbeat = 5,    ///< worker -> coordinator: liveness + progress
-  kIdle = 6,         ///< coordinator -> worker: no shard available yet
-  kShutdown = 7,     ///< coordinator -> worker: run complete, finish up
-  kGoodbye = 8,      ///< worker -> coordinator: clean exit (+ manifest)
+  kHello = 1,        ///< worker -> service: identity
+  kLeaseGrant = 3,   ///< service -> worker: shard lease
+  kLeaseResult = 4,  ///< worker -> service: stats + metric deltas
+  kHeartbeat = 5,    ///< worker -> service: liveness + progress
+  kShutdown = 7,     ///< service -> worker: pool draining, finish up
+  kGoodbye = 8,      ///< worker -> service: clean exit (+ manifest)
   kNack = 9,         ///< either: CRC reject, resend from carried seq
-  kJobConfig = 10,   ///< coordinator -> worker: a named job's config
+  kJobConfig = 10,   ///< service -> worker: a named job's config
 };
 
 std::string_view name(MsgType t) noexcept;

@@ -1,4 +1,4 @@
-// Shard lease bookkeeping for the coordinator — pure logic, no I/O,
+// Shard lease bookkeeping for the job service — pure logic, no I/O,
 // so the whole fault-tolerance state machine is unit-testable.
 //
 // A shard is a contiguous file range [begin, end) of the corpus. Its
@@ -30,7 +30,7 @@ struct Shard {
   State state = State::kPending;
   std::uint64_t epoch = 0;      ///< bumped on every (re)grant
   std::uint64_t holder = 0;     ///< worker id while kLeased
-  std::uint64_t deadline = 0;   ///< lease expiry, coordinator clock (ms)
+  std::uint64_t deadline = 0;   ///< lease expiry, service clock (ms)
   std::uint32_t grants = 0;     ///< times this shard has been granted
 };
 

@@ -307,7 +307,7 @@ void register_dist_metrics() {
   reg.counter("dist.bytes_received", obs::Tag::kScheduling);
   reg.counter("dist.frame_crc_rejects", obs::Tag::kScheduling);
   reg.counter("dist.frame_resends", obs::Tag::kScheduling);
-  // Lease lifecycle (recorded by the coordinator).
+  // Lease lifecycle (recorded by the service).
   reg.counter("dist.workers_connected", obs::Tag::kScheduling);
   reg.counter("dist.workers_lost", obs::Tag::kScheduling);
   reg.counter("dist.leases_granted", obs::Tag::kScheduling);

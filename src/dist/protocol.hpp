@@ -19,9 +19,10 @@
 
 namespace cksum::dist {
 
-/// v2: lease/heartbeat/result frames carry a job id (multi-tenant
-/// JobService, service.hpp) and ConfigMsg may name a corpus store.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// v3: no frame answers Hello; the service's first frame to a worker
+/// is a JobConfig (or Shutdown). v2 added the job id to
+/// lease/heartbeat/result frames and corpus stores.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// How ConfigMsg::corpus names the corpus.
 enum class CorpusKind : std::uint8_t {
@@ -33,15 +34,15 @@ enum class CorpusKind : std::uint8_t {
                    ///< run flow FROM the store, not from this message
 };
 
-/// worker -> coordinator, first frame on the connection.
+/// worker -> service, first frame on the connection.
 struct HelloMsg {
   std::uint32_t proto = kProtocolVersion;
   std::uint64_t worker_id = 0;
   std::uint64_t pid = 0;
 };
 
-/// coordinator -> worker, answer to Hello: everything needed to
-/// reconstruct the exact single-process run configuration.
+/// One job's run configuration (carried inside JobConfigMsg):
+/// everything needed to reconstruct the exact single-process run.
 struct ConfigMsg {
   CorpusKind corpus_kind = CorpusKind::kProfile;
   std::string corpus;
@@ -54,21 +55,19 @@ struct ConfigMsg {
   std::uint32_t heartbeat_ms = 1000;
 };
 
-/// coordinator -> worker: a named job's run configuration. The
-/// multi-tenant JobService sends one of these before the first lease
-/// it grants a connection for that job; the single-job Coordinator
-/// never sends it (its lone Config is job 0).
+/// service -> worker: a named job's run configuration, sent once per
+/// (connection, job) right before the first lease for that job.
 struct JobConfigMsg {
   std::uint64_t job = 0;
-  std::string name;  ///< display name (informational)
+  std::string name;  ///< job name; the worker's sub-manifest corpus
   ConfigMsg run;
 };
 
-/// coordinator -> worker: lease on files [begin, end) of shard
-/// `shard`. `epoch` is the at-most-once token — it increments on every
+/// service -> worker: lease on files [begin, end) of shard `shard`.
+/// `epoch` is the at-most-once token — it increments on every
 /// (re)grant of the shard, and results carrying a stale epoch are
-/// discarded by the coordinator. `job` scopes the shard space: shard
-/// indices are per-job (0 for the single-job Coordinator).
+/// discarded by the service. `job` scopes the shard space: shard
+/// indices are per-job.
 struct LeaseGrantMsg {
   std::uint64_t shard = 0;
   std::uint64_t epoch = 0;
@@ -77,10 +76,10 @@ struct LeaseGrantMsg {
   std::uint64_t job = 0;
 };
 
-/// worker -> coordinator: the completed shard's statistics plus the
+/// worker -> service: the completed shard's statistics plus the
 /// deterministic-counter growth its evaluation caused in the worker's
-/// registry (obs::counter_deltas), so the coordinator can reproduce
-/// the single-process aggregate exactly.
+/// registry (obs::counter_deltas), so the service can reproduce the
+/// single-process aggregate exactly.
 struct LeaseResultMsg {
   std::uint64_t shard = 0;
   std::uint64_t epoch = 0;
@@ -89,14 +88,14 @@ struct LeaseResultMsg {
   std::uint64_t job = 0;
 };
 
-/// worker -> coordinator while evaluating (extends the lease deadline).
+/// worker -> service while evaluating (extends the lease deadline).
 struct HeartbeatMsg {
   std::uint64_t shard = 0;
   std::uint64_t epoch = 0;
   std::uint64_t job = 0;
 };
 
-/// worker -> coordinator on clean shutdown; `manifest_path` is the
+/// worker -> service on clean shutdown; `manifest_path` is the
 /// worker's own sub-manifest ("" when metrics export is off).
 struct GoodbyeMsg {
   std::string manifest_path;

@@ -33,14 +33,24 @@ std::uint64_t now_ms() {
           .count());
 }
 
-/// The handshake Config every connection receives as job 0: an empty
-/// manifest corpus, so the worker's mandatory job-0 load is a no-op.
-/// Every real job arrives later as a JobConfig frame.
-ConfigMsg placeholder_config() {
-  ConfigMsg m;
-  m.corpus_kind = CorpusKind::kManifest;
-  m.corpus = "";
-  return m;
+/// Files per shard for `spec`; see job_shard_count().
+std::size_t job_shard_files(const JobSpec& spec, unsigned expected_workers) {
+  if (spec.shard_files != 0) return spec.shard_files;
+  const std::size_t target_shards =
+      std::max<std::size_t>(8, 4 * std::max(1u, expected_workers));
+  return std::max<std::size_t>(1, spec.nfiles / target_shards);
+}
+
+std::string json_u64_map(const std::map<std::string, std::uint64_t>& m) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [k, v] : m) {
+    if (!first) out += ", ";
+    first = false;
+    out += "\"" + obs::json_escape(k) + "\": " + std::to_string(v);
+  }
+  out += "}";
+  return out;
 }
 
 struct ServiceMetrics {
@@ -82,21 +92,50 @@ std::string_view name(JobState s) noexcept {
   return "unknown";
 }
 
+std::size_t job_shard_count(const JobSpec& spec, unsigned expected_workers) {
+  const std::size_t shard_files = job_shard_files(spec, expected_workers);
+  return (spec.nfiles + shard_files - 1) / shard_files;
+}
+
 std::string JobReport::json() const {
-  // Splice the job identity into the DistReport object: dist_json()
-  // always renders "{...}", so insert after the opening brace.
-  std::string inner = report.dist_json();
-  std::string head = "{\"job\": " + std::to_string(job) + ", \"name\": \"" +
-                     obs::json_escape(name) + "\", \"state\": \"" +
-                     std::string(dist::name(state)) + "\", ";
-  return head + inner.substr(1);
+  std::string out = "{\"job\": " + std::to_string(job);
+  out += ", \"name\": \"" + obs::json_escape(name) + "\"";
+  out += ", \"state\": \"" + std::string(dist::name(state)) + "\"";
+  out += ", \"workers\": " + std::to_string(report.workers.size());
+  out += ", \"shards\": " + std::to_string(report.shards);
+  out += ", \"reassigned\": " + std::to_string(report.reassigned);
+  out += ", \"stale_results\": " + std::to_string(report.stale_results);
+  out += ", \"complete\": " + std::string(report.complete ? "true" : "false");
+  // The job's own deterministic totals: the sum of the accepted
+  // per-worker contributions. check_manifest.py asserts both this
+  // per-job identity and that the jobs sum to the aggregate metrics.
+  std::map<std::string, std::uint64_t> totals;
+  for (const DistReport::WorkerInfo& w : report.workers)
+    for (const auto& [metric, v] : w.metrics) totals[metric] += v;
+  out += ", \"metrics\": " + json_u64_map(totals);
+  out += ", \"per_worker\": [";
+  bool first = true;
+  for (const DistReport::WorkerInfo& w : report.workers) {
+    if (!first) out += ", ";
+    first = false;
+    out += "{\"worker\": " + std::to_string(w.worker_id);
+    out += ", \"pid\": " + std::to_string(w.pid);
+    out += ", \"shards\": " + std::to_string(w.shards_accepted);
+    out += ", \"clean_exit\": " + std::string(w.clean_exit ? "true" : "false");
+    if (!w.manifest.empty())
+      out += ", \"manifest\": \"" + obs::json_escape(w.manifest) + "\"";
+    out += ", \"metrics\": " + json_u64_map(w.metrics);
+    out += "}";
+  }
+  out += "]}";
+  return out;
 }
 
 /// One worker connection and its service-side state.
 struct SConn {
   std::unique_ptr<FrameChannel> ch;
   BoundedWriteQueue out;
-  bool configured = false;
+  bool greeted = false;  ///< Hello received
   bool shutting_down = false;
   std::uint64_t worker_id = 0;
   std::uint64_t pid = 0;
@@ -130,7 +169,7 @@ struct JobService::Impl {
   std::vector<std::unique_ptr<SConn>> conns;
   std::uint64_t next_job = 1;
   std::uint64_t rr_cursor = 1;  ///< round-robin fairness over jobs
-  std::size_t configured = 0;
+  std::size_t greeted = 0;  ///< connections past Hello
   bool started = false;  ///< start barrier latched open (one-shot)
   std::size_t queued_shards = 0;  ///< not-yet-done shards, all jobs
   std::size_t write_hwm = 0;
@@ -202,24 +241,25 @@ std::optional<std::uint64_t> JobService::submit(const JobSpec& spec) {
   std::size_t running = 0;
   for (const auto& [id, j] : impl_->jobs)
     if (j.rep.state == JobState::kRunning) ++running;
-  std::size_t shard_files = spec.shard_files;
-  if (shard_files == 0) {
-    const std::size_t target_shards =
-        std::max<std::size_t>(8, 4 * std::max(1u, cfg_.expected_workers));
-    shard_files = std::max<std::size_t>(1, spec.nfiles / target_shards);
-  }
-  const std::size_t new_shards =
-      shard_files == 0 ? 0 : (spec.nfiles + shard_files - 1) / shard_files;
+  const std::size_t shard_files = job_shard_files(spec, cfg_.expected_workers);
+  const std::size_t new_shards = job_shard_count(spec, cfg_.expected_workers);
   if (impl_->draining || running >= cfg_.limits.max_jobs ||
       impl_->queued_shards + new_shards > cfg_.limits.max_queued_shards) {
     impl_->met.jobs_rejected.add(1);
     return std::nullopt;
   }
   const std::uint64_t id = impl_->next_job++;
-  impl_->jobs.emplace(std::piecewise_construct, std::forward_as_tuple(id),
-                      std::forward_as_tuple(id, spec, shard_files));
-  impl_->queued_shards += impl_->jobs.at(id).table.shard_count();
+  SJob& j = impl_->jobs
+                .emplace(std::piecewise_construct, std::forward_as_tuple(id),
+                         std::forward_as_tuple(id, spec, shard_files))
+                .first->second;
+  impl_->queued_shards += new_shards;
   impl_->met.jobs_submitted.add(1);
+  if (j.table.complete()) {  // nothing to lease: done on admission
+    j.rep.state = JobState::kDone;
+    j.rep.report.complete = true;
+    impl_->met.jobs_completed.add(1);
+  }
   lk.unlock();
   const char b = 1;
   (void)!::write(wake_wr_, &b, 1);
@@ -351,7 +391,7 @@ void JobService::loop() {
 
   auto drop_conn = [&](std::size_t i, bool lost) {
     SConn& c = *im.conns[i];
-    if (lost && c.configured && !c.shutting_down) {
+    if (lost && c.greeted && !c.shutting_down) {
       for (auto& [id, j] : im.jobs)
         if (j.rep.state == JobState::kRunning)
           j.table.revoke_worker(c.worker_id);
@@ -359,7 +399,7 @@ void JobService::loop() {
       emit(ServiceEvent::Kind::kWorkerLost, c,
            c.has_shard ? c.shard : 0, c.has_shard ? c.shard_job : 0);
     }
-    if (c.configured) im.configured--;
+    if (c.greeted) im.greeted--;
     im.conns.erase(im.conns.begin() + static_cast<std::ptrdiff_t>(i));
   };
 
@@ -378,15 +418,15 @@ void JobService::loop() {
     im.cv.notify_all();
   };
 
-  // Grant the next pending shard to an idle configured connection,
+  // Grant the next pending shard to an idle greeted connection,
   // round-robin over running jobs for cross-job fairness.  The start
   // barrier is a one-shot latch: once the expected pool has checked in
   // it stays open, so a worker death mid-run never re-arms it (which
   // would starve the survivors until their recv timeout).
   const bool barrier = cfg_.expected_workers > 0;
   auto try_grant = [&](SConn& c) {
-    if (!c.configured || c.has_shard || c.shutting_down) return;
-    if (im.configured >= cfg_.expected_workers) im.started = true;
+    if (!c.greeted || c.has_shard || c.shutting_down) return;
+    if (im.greeted >= cfg_.expected_workers) im.started = true;
     if (barrier && !im.started) return;
     if (im.jobs.empty()) return;
     // A grant may need two frames (JobConfig + LeaseGrant); defer the
@@ -443,7 +483,7 @@ void JobService::loop() {
         im.shutdown_sent = true;
         im.shutdown_deadline = now_ms() + 5000;
         for (auto& c : im.conns) {
-          if (c->configured && !c->shutting_down) {
+          if (c->greeted && !c->shutting_down) {
             enqueue(*c, MsgType::kShutdown, {});
             c->shutting_down = true;
           }
@@ -526,9 +566,8 @@ void JobService::loop() {
           }
           c.worker_id = m->worker_id;
           c.pid = m->pid;
-          enqueue(c, MsgType::kConfig, encode(placeholder_config()));
-          c.configured = true;
-          im.configured++;
+          c.greeted = true;
+          im.greeted++;
           im.met.connected.add(1);
           emit(ServiceEvent::Kind::kWorkerConnected, c, 0, 0);
           if (im.draining && im.shutdown_sent) {
@@ -596,7 +635,7 @@ void JobService::loop() {
         }
         case MsgType::kGoodbye: {
           const auto m = decode_goodbye(util::ByteView(f.payload));
-          if (m && c.configured) {
+          if (m && c.greeted) {
             for (auto& [id, j] : im.jobs) {
               for (auto& w : j.rep.report.workers) {
                 if (w.worker_id != c.worker_id) continue;

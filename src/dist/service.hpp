@@ -1,13 +1,12 @@
-// Multi-tenant distributed splice service (docs/DIST.md).
+// The distributed splice service (docs/DIST.md).
 //
-// Where the single-job Coordinator drives exactly one run to
-// completion and returns, the JobService is long-lived: one
-// epoll-driven thread owns the listening socket and a pool of worker
-// connections shared across many concurrent named jobs. Each job keeps
-// the Coordinator's guarantees — an epoch-guarded lease table, a
-// deterministic bitwise merge, at-most-once accounting across worker
-// loss — but jobs are admitted, scheduled round-robin over the pool,
-// cancelled, and reported independently.
+// One long-lived, epoll-driven thread owns the listening socket and a
+// pool of worker connections shared across any number of concurrent
+// named jobs. Each job keeps its own epoch-guarded lease table, a
+// deterministic bitwise merge and at-most-once accounting across
+// worker loss; jobs are admitted, scheduled round-robin over the pool,
+// cancelled, and reported independently. A single-job run (`cksumlab
+// splice --serve`) is just a service with one submitted job.
 //
 // Admission control bounds the service: at most `max_jobs` concurrent
 // jobs and `max_queued_shards` not-yet-done shards across them; a
@@ -28,13 +27,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "dist/protocol.hpp"
 
@@ -49,6 +50,13 @@ struct JobSpec {
   std::size_t shard_files = 0;  ///< files per shard; 0 = auto
 };
 
+/// Shards `spec` splits into on a service provisioned for
+/// `expected_workers` — what submit() charges against
+/// max_queued_shards. With shard_files = 0 the service picks a few
+/// shards per worker, so reassignment after a loss has somewhere to
+/// go without shattering small corpora.
+std::size_t job_shard_count(const JobSpec& spec, unsigned expected_workers);
+
 enum class JobState : std::uint8_t {
   kRunning,    ///< admitted, shards outstanding
   kDone,       ///< every shard delivered and merged
@@ -57,9 +65,30 @@ enum class JobState : std::uint8_t {
 };
 std::string_view name(JobState) noexcept;
 
-/// A job's terminal (or in-flight) view: the same per-worker
-/// decomposition the single-job Coordinator reports, scoped to one
-/// job.
+/// One job's merged result and its per-worker decomposition.
+struct DistReport {
+  core::SpliceStats stats;  ///< merged over all accepted shard results
+  bool complete = false;    ///< every shard delivered
+  std::size_t shards = 0;
+  std::size_t reassigned = 0;    ///< re-grants after loss/expiry
+  std::size_t stale_results = 0; ///< superseded-epoch deliveries dropped
+
+  /// A worker that delivered at least one of the job's shards.
+  struct WorkerInfo {
+    std::uint64_t worker_id = 0;
+    std::uint64_t pid = 0;
+    std::size_t shards_accepted = 0;
+    bool clean_exit = false;   ///< sent Goodbye
+    std::string manifest;      ///< worker's sub-manifest path ("" = none)
+    /// Sum of accepted deterministic-counter deltas, keyed by metric
+    /// name — the per-worker decomposition the aggregate manifest
+    /// embeds (checked by scripts/check_manifest.py --require-dist).
+    std::map<std::string, std::uint64_t> metrics;
+  };
+  std::vector<WorkerInfo> workers;
+};
+
+/// A job's terminal (or in-flight) view.
 struct JobReport {
   std::uint64_t job = 0;
   std::string name;
@@ -79,9 +108,9 @@ struct ServiceLimits {
 
 struct ServiceConfig {
   std::uint16_t port = 0;  ///< listen port; 0 = ephemeral
-  /// Hold every grant until this many workers are configured — the
-  /// same start barrier the Coordinator uses, which is what lets the
-  /// fault drills kill a worker that provably holds a lease. 0 = off.
+  /// Hold every grant until this many workers have said Hello — the
+  /// start barrier that lets the fault drills kill a worker that
+  /// provably holds a lease. 0 = off.
   unsigned expected_workers = 0;
   std::uint64_t lease_timeout_ms = 15000;
   /// Abort every running job when no worker is connected and none has
@@ -160,8 +189,8 @@ class JobService {
   void set_event_hook(std::function<void(const ServiceEvent&)> hook);
 
   /// Admit a job, or reject it (nullopt + dist.jobs_rejected) when the
-  /// job or queued-shard limit would be exceeded. Job ids start at 1
-  /// (id 0 is the protocol's handshake placeholder).
+  /// job or queued-shard limit would be exceeded. Job ids start at 1.
+  /// A job with no shards is done on admission.
   std::optional<std::uint64_t> submit(const JobSpec& spec);
 
   /// Cancel a running job: no further grants, in-flight results are

@@ -1,4 +1,4 @@
-// Local worker process management: the coordinator CLI's --workers N
+// Local worker process management: the serving CLI's --workers N
 // mode self-spawns N copies of the running binary as --connect
 // workers, and the fault drills SIGKILL one mid-lease.
 #pragma once
@@ -15,7 +15,7 @@ std::string self_exe_path();
 
 /// fork+execv. Returns the child pid, or -1 on failure. The child's
 /// stdout is left alone (workers write only to stderr), so the
-/// coordinator's report stream stays clean.
+/// serving process's report stream stays clean.
 pid_t spawn_process(const std::vector<std::string>& argv);
 
 /// Non-blocking reap. Returns true when the child has exited, storing

@@ -35,11 +35,11 @@ namespace {
 
 /// Connect with exponential backoff and seeded jitter: 50ms doubling
 /// to a 2s ceiling, each wait stretched by up to a quarter so a fleet
-/// of workers spawned together does not hammer the coordinator in
+/// of workers spawned together does not hammer the service in
 /// lockstep. Gives up after ~12s of cumulative waiting (same overall
 /// patience as the old fixed 40x250ms schedule).
-int connect_coordinator(const std::string& host, std::uint16_t port,
-                        std::uint64_t seed) {
+int connect_service(const std::string& host, std::uint16_t port,
+                    std::uint64_t seed) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -123,14 +123,13 @@ core::SpliceStats evaluate_range(const core::SpliceRunConfig& run,
 }
 
 /// Heartbeats for the lease under evaluation, sent from a side thread
-/// while the main thread is busy inside the evaluator.
+/// while the main thread is busy inside the evaluator. The first one
+/// goes out one (jittered) period after the lease begins; the period
+/// comes from the lease's job.
 class HeartbeatPump {
  public:
-  HeartbeatPump(FrameChannel& ch, std::uint32_t interval_ms,
-                std::uint64_t seed)
-      : ch_(ch),
-        interval_ms_(std::max(50u, interval_ms)),
-        jitter_(util::Rng(seed).child(0xBEA7)) {
+  HeartbeatPump(FrameChannel& ch, std::uint64_t seed)
+      : ch_(ch), jitter_(util::Rng(seed).child(0xBEA7)) {
     thread_ = std::thread([this] { loop(); });
   }
   ~HeartbeatPump() {
@@ -142,13 +141,15 @@ class HeartbeatPump {
     thread_.join();
   }
 
-  void begin_lease(std::uint64_t shard, std::uint64_t epoch,
-                   std::uint64_t job) {
-    std::lock_guard<std::mutex> lk(mu_);
-    shard_ = shard;
-    epoch_ = epoch;
-    job_ = job;
-    active_ = true;
+  void begin_lease(const HeartbeatMsg& hb, std::uint32_t interval_ms) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      hb_ = hb;
+      interval_ms_ = std::max(50u, interval_ms);
+      active_ = true;
+      ++lease_;
+    }
+    cv_.notify_all();
   }
   void end_lease() {
     std::lock_guard<std::mutex> lk(mu_);
@@ -159,14 +160,22 @@ class HeartbeatPump {
   void loop() {
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_) {
+      if (!active_) {
+        cv_.wait(lk);
+        continue;
+      }
       // Uniform in [0.75, 1.25] of the nominal interval (mean exactly
       // the interval, so lease-expiry math is unchanged) to keep a
       // worker fleet's heartbeats from arriving in synchronized waves.
-      const std::uint64_t wait =
-          interval_ms_ - interval_ms_ / 4 + jitter_.below(interval_ms_ / 2 + 1);
-      cv_.wait_for(lk, std::chrono::milliseconds(wait));
-      if (stop_ || !active_) continue;
-      const HeartbeatMsg hb{shard_, epoch_, job_};
+      const std::uint64_t wait = interval_ms_ - interval_ms_ / 4 +
+                                 jitter_.below(interval_ms_ / 2 + 1);
+      const std::uint64_t lease = lease_;
+      // A new lease restarts the period.
+      if (cv_.wait_for(lk, std::chrono::milliseconds(wait),
+                       [&] { return stop_ || lease_ != lease; }))
+        continue;
+      if (!active_) continue;
+      const HeartbeatMsg hb = hb_;
       lk.unlock();
       ch_.send(MsgType::kHeartbeat, encode(hb));
       lk.lock();
@@ -174,16 +183,15 @@ class HeartbeatPump {
   }
 
   FrameChannel& ch_;
-  const std::uint32_t interval_ms_;
   util::Rng jitter_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::thread thread_;
   bool stop_ = false;
   bool active_ = false;
-  std::uint64_t shard_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t job_ = 0;
+  std::uint64_t lease_ = 0;  ///< bumped by every begin_lease
+  std::uint32_t interval_ms_ = 0;
+  HeartbeatMsg hb_;
 };
 
 /// Reconstruct the exact run configuration for one job. A corpus
@@ -207,12 +215,33 @@ core::SpliceRunConfig make_run_config(const ConfigMsg& cfg,
   return run;
 }
 
-/// One job's worker-side state: config, corpus, and run configuration.
+/// One job's worker-side state.
 struct WorkerJob {
-  ConfigMsg cfg;
+  std::string name;
   WorkerCorpus corpus;
   core::SpliceRunConfig run;
+  std::uint32_t heartbeat_ms = 0;
 };
+
+/// The sub-manifest's run identity: the jobs this worker served, as a
+/// "jobs" list and as the corpus (their names, comma-joined), with the
+/// widest job's thread count.
+void describe_jobs(const std::map<std::uint64_t, WorkerJob>& jobs,
+                   obs::RunInfo* info) {
+  info->threads = 1;
+  std::string list;
+  for (const auto& [id, j] : jobs) {
+    if (!list.empty()) {
+      info->corpus += ", ";
+      list += ", ";
+    }
+    info->corpus += j.name;
+    info->threads = std::max(info->threads, j.run.threads);
+    list += "{\"job\": " + std::to_string(id) + ", \"name\": \"" +
+            obs::json_escape(j.name) + "\"}";
+  }
+  info->extra_json += ", \"jobs\": [" + list + "]";
+}
 
 }  // namespace
 
@@ -225,7 +254,7 @@ int run_worker(const WorkerOptions& opts) {
   alg::kern::register_kernel_metrics();
   register_dist_metrics();
 
-  const int fd = connect_coordinator(opts.host, opts.port, opts.worker_id);
+  const int fd = connect_service(opts.host, opts.port, opts.worker_id);
   if (fd < 0) {
     std::fprintf(stderr, "dist worker %llu: cannot connect to %s:%u\n",
                  static_cast<unsigned long long>(opts.worker_id),
@@ -239,44 +268,38 @@ int run_worker(const WorkerOptions& opts) {
   hello.pid = static_cast<std::uint64_t>(::getpid());
   if (!ch.send(MsgType::kHello, encode(hello))) return 1;
 
-  Frame f;
-  if (!ch.recv(&f, 15000) || f.type != MsgType::kConfig) return 1;
-  const auto cfg = decode_config(util::ByteView(f.payload));
-  if (!cfg) return 1;
-
-  // Job table: the single-job Coordinator's lone Config is job 0; the
-  // multi-tenant JobService adds further jobs with JobConfig frames
-  // before the first lease it grants this connection for each.
+  // Job table, filled by the JobConfig the service sends before the
+  // first lease it grants this connection for each job.
   std::map<std::uint64_t, WorkerJob> jobs;
-  auto add_job = [&](std::uint64_t id, const ConfigMsg& jc) -> bool {
+  auto add_job = [&](const JobConfigMsg& m) -> bool {
     WorkerJob j;
-    j.cfg = jc;
+    j.name = m.name;
+    j.heartbeat_ms = m.run.heartbeat_ms;
     try {
-      j.corpus = load_corpus(jc);
+      j.corpus = load_corpus(m.run);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "dist worker %llu: bad corpus config: %s\n",
                    static_cast<unsigned long long>(opts.worker_id), e.what());
       return false;
     }
-    j.run = make_run_config(jc, j.corpus);
-    jobs.erase(id);
-    jobs.emplace(id, std::move(j));
+    j.run = make_run_config(m.run, j.corpus);
+    jobs.insert_or_assign(m.job, std::move(j));
     return true;
   };
-  if (!add_job(0, *cfg)) return 1;
 
   obs::Registry& reg = obs::Registry::global();
   const auto start = std::chrono::steady_clock::now();
-  HeartbeatPump pump(ch, cfg->heartbeat_ms, opts.worker_id);
+  HeartbeatPump pump(ch, opts.worker_id);
 
+  Frame f;
   while (true) {
-    // Generous wait: the coordinator may hold grants back until the
-    // whole fleet has connected (the start barrier).
+    // Generous wait: the service may hold grants back until the whole
+    // fleet has connected (the start barrier).
     if (!ch.recv(&f, 60000)) return 1;
     switch (f.type) {
       case MsgType::kJobConfig: {
         const auto m = decode_job_config(util::ByteView(f.payload));
-        if (!m || !add_job(m->job, m->run)) return 1;
+        if (!m || !add_job(*m)) return 1;
         break;
       }
       case MsgType::kLeaseGrant: {
@@ -285,7 +308,8 @@ int run_worker(const WorkerOptions& opts) {
         const auto it = jobs.find(g->job);
         if (it == jobs.end()) return 1;  // grant before JobConfig: bug
         const WorkerJob& job = it->second;
-        pump.begin_lease(g->shard, g->epoch, g->job);
+        pump.begin_lease(HeartbeatMsg{g->shard, g->epoch, g->job},
+                         job.heartbeat_ms);
         const obs::Snapshot before = reg.snapshot();
         LeaseResultMsg res;
         res.shard = g->shard;
@@ -297,18 +321,12 @@ int run_worker(const WorkerOptions& opts) {
         if (!ch.send(MsgType::kLeaseResult, encode(res))) return 1;
         break;
       }
-      case MsgType::kIdle:
-        break;
       case MsgType::kShutdown: {
         GoodbyeMsg bye;
         if (!opts.metrics_out.empty()) {
           obs::RunInfo info;
           info.tool = opts.tool;
-          info.corpus = cfg->corpus_kind == CorpusKind::kManifest
-                            ? "<manifest>"
-                            : cfg->corpus;
           info.seed = 0;
-          info.threads = jobs.count(0) ? jobs.at(0).run.threads : 1;
           info.wall_seconds =
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
@@ -318,6 +336,7 @@ int run_worker(const WorkerOptions& opts) {
               "\", \"kernel_reason\": \"" +
               obs::json_escape(alg::kern::kernel_selection_reason()) +
               "\", \"worker\": " + std::to_string(opts.worker_id);
+          describe_jobs(jobs, &info);
           if (obs::write_manifest(opts.metrics_out, info, reg.snapshot()))
             bye.manifest_path = opts.metrics_out;
         }

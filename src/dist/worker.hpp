@@ -1,5 +1,6 @@
-// The worker side of the distributed splice service: connect, receive
-// the run configuration, then evaluate shard leases with the same
+// The worker side of the distributed splice service: connect, say
+// Hello, then evaluate shard leases of each job whose JobConfig
+// arrives, with the same
 // prefix-sharing DFS evaluator a single-process run uses, streaming
 // each shard's SpliceStats and deterministic-counter deltas back.
 //
@@ -18,7 +19,7 @@ struct WorkerOptions {
   std::uint16_t port = 0;
   std::uint64_t worker_id = 0;
   /// Write this worker's own run manifest here on clean shutdown (""
-  /// = off). The path travels back in Goodbye so the coordinator's
+  /// = off). The path travels back in Goodbye so the service's
   /// aggregate manifest can list its sub-manifests.
   std::string metrics_out;
   /// RunInfo.tool recorded in the sub-manifest.

@@ -6,13 +6,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "core/experiments.hpp"
 #include "core/splice_sim.hpp"
-#include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "dist/lease.hpp"
 #include "dist/protocol.hpp"
@@ -473,7 +474,7 @@ TEST(DistJobService, ConcurrentJobsBitwiseEqualOracles) {
     ASSERT_TRUE(id.has_value());
     ids[j] = *id;
   }
-  EXPECT_EQ(ids[0], 1u);  // ids start at 1 (0 = handshake placeholder)
+  EXPECT_EQ(ids[0], 1u);  // ids start at 1
 
   int rcs[3] = {-1, -1, -1};
   std::thread workers[3];
@@ -585,6 +586,108 @@ TEST(DistJobService, CancelMidFlightLeavesSurvivorIntact) {
   svc.drain();
   w.join();
   EXPECT_EQ(rc, 0);
+}
+
+/// The manifest record renders every member in one pass, in the
+/// documented order (docs/DIST.md), with the job's metrics summed over
+/// its workers.
+TEST(DistJobReport, JsonRendersTheWholeRecord) {
+  dist::JobReport jr;
+  jr.job = 2;
+  jr.name = "a\"b";
+  jr.state = dist::JobState::kCancelled;
+  jr.report.shards = 5;
+  jr.report.reassigned = 1;
+  jr.report.stale_results = 3;
+  jr.report.workers.push_back({7, 70, 2, true, "w7.json", {{"x.n", 4}}});
+  jr.report.workers.push_back({8, 80, 1, false, "", {{"x.n", 1}, {"x.m", 2}}});
+  EXPECT_EQ(jr.json(),
+            "{\"job\": 2, \"name\": \"a\\\"b\", \"state\": \"cancelled\", "
+            "\"workers\": 2, \"shards\": 5, \"reassigned\": 1, "
+            "\"stale_results\": 3, \"complete\": false, "
+            "\"metrics\": {\"x.m\": 2, \"x.n\": 5}, \"per_worker\": ["
+            "{\"worker\": 7, \"pid\": 70, \"shards\": 2, \"clean_exit\": true, "
+            "\"manifest\": \"w7.json\", \"metrics\": {\"x.n\": 4}}, "
+            "{\"worker\": 8, \"pid\": 80, \"shards\": 1, \"clean_exit\": false, "
+            "\"metrics\": {\"x.m\": 2, \"x.n\": 1}}]}");
+}
+
+/// Admission charges exactly job_shard_count() shards, so a service
+/// sized from one job admits it; a job with no files is done at once.
+TEST(DistJobService, SizedFromItsOneJob) {
+  dist::register_dist_metrics();
+  dist::JobSpec wide = profile_job("wide", 0.08, 1);
+  EXPECT_EQ(dist::job_shard_count(wide, 2), wide.nfiles);
+  // Auto sizing aims at max(8, 4 * workers) shards of whole files.
+  dist::JobSpec autos;
+  autos.nfiles = 100;
+  EXPECT_EQ(dist::job_shard_count(autos, 2), 9u);   // 12 files a shard
+  EXPECT_EQ(dist::job_shard_count(autos, 3), 13u);  // 8 files a shard
+
+  dist::ServiceConfig sc;
+  sc.limits.max_jobs = 1;
+  sc.limits.max_queued_shards = dist::job_shard_count(wide, 0);
+  dist::JobService svc(sc);
+  const auto id = svc.submit(wide);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(svc.status(*id)->report.shards, wide.nfiles);
+  EXPECT_TRUE(svc.cancel(*id));
+  svc.drain();
+
+  dist::JobSpec empty = profile_job("empty", 0.08);
+  empty.nfiles = 0;
+  dist::ServiceConfig sc0;
+  sc0.limits.max_queued_shards = 0;
+  dist::JobService svc0(sc0);
+  const auto eid = svc0.submit(empty);
+  ASSERT_TRUE(eid.has_value());
+  const dist::JobReport rep = svc0.wait(*eid);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_TRUE(rep.report.complete);
+  EXPECT_EQ(rep.report.shards, 0u);
+  svc0.drain();
+}
+
+/// A worker's sub-manifest names the job it served — its corpus and
+/// its "jobs" list come from the JobConfig, its thread count from the
+/// job's run configuration.
+TEST(DistJobService, WorkerSubManifestNamesItsJob) {
+  dist::register_dist_metrics();
+  dist::ServiceConfig sc;
+  sc.expected_workers = 1;
+  sc.lease_timeout_ms = 60000;
+  dist::JobService svc(sc);
+  dist::JobSpec spec = profile_job("named-job", 0.04);
+  spec.run.threads = 2;
+  const auto id = svc.submit(spec);
+  ASSERT_TRUE(id.has_value());
+
+  const std::string path = testing::TempDir() + "dist_sub_manifest.json";
+  int rc = -1;
+  std::thread w([&] {
+    dist::WorkerOptions opts;
+    opts.port = svc.port();
+    opts.worker_id = 1;
+    opts.metrics_out = path;
+    rc = dist::run_worker(opts);
+  });
+  EXPECT_EQ(svc.wait(*id).state, dist::JobState::kDone);
+  const std::vector<dist::JobReport> all = svc.drain();
+  w.join();
+  ASSERT_EQ(rc, 0);
+  ASSERT_EQ(all.size(), 1u);
+  ASSERT_EQ(all[0].report.workers.size(), 1u);
+  EXPECT_EQ(all[0].report.workers[0].manifest, path);
+
+  std::ifstream in(path);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_NE(doc.find("\"corpus\": \"named-job\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"threads\": 2,"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"jobs\": [{\"job\": 1, \"name\": \"named-job\"}]"),
+            std::string::npos)
+      << doc;
 }
 
 }  // namespace

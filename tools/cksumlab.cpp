@@ -29,9 +29,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +44,6 @@
 #include "kernel_cli.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
-#include "dist/coordinator.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
 #include "dist/worker.hpp"
@@ -175,7 +174,7 @@ struct CommonOpts {
   bool verbose = false;  // evaluator internals (path mix, pair count)
   bool json = false;     // machine-readable report on stdout
   bool progress = false; // force the stderr ticker even without a tty
-  // Distributed coordinator mode (docs/DIST.md). --workers implies
+  // Distributed mode (docs/DIST.md). --workers implies
   // --serve; --serve alone waits for externally started workers.
   bool serve = false;
   unsigned workers = 0;        // workers to self-spawn (and barrier on)
@@ -618,7 +617,7 @@ std::string splice_ticker_line(const obs::Snapshot& snap, double elapsed) {
 }
 
 /// `cksumlab splice --connect host:port` — one worker of a distributed
-/// run. The coordinator ships the corpus and run configuration, so
+/// run. The service ships the corpus and run configuration, so
 /// only connection identity is parsed here.
 int cmd_splice_worker(const std::vector<std::string>& args) {
   dist::WorkerOptions w;
@@ -650,15 +649,16 @@ int cmd_splice_worker(const std::vector<std::string>& args) {
   return dist::run_worker(w);
 }
 
-/// Coordinator side of `cksumlab splice --serve`: shard the corpus,
-/// self-spawn `--workers` worker processes (0 = externally started),
-/// and merge their lease results. On success `st` and `dist_json` hold
-/// the merged stats and the manifest's "dist" member.
+/// Serving side of `cksumlab splice --serve`: submit the corpus as the
+/// one job of a JobService, self-spawn `--workers` worker processes
+/// (0 = externally started), and wait for the merge. On success `st`
+/// and `dist_json` hold the merged stats and the manifest's "dist"
+/// member.
 int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
                     std::string& corpus, core::SpliceStats& st,
                     std::string& dist_json) {
-  dist::DistConfig dc;
-  dist::ConfigMsg& run = dc.run;
+  dist::JobSpec spec;
+  dist::ConfigMsg& run = spec.run;
   run.scale = o.scale;
   run.segment = o.segment;
   run.transport = static_cast<std::uint8_t>(o.pkt.transport);
@@ -669,12 +669,12 @@ int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
     corpus = o.corpus;
     run.corpus_kind = dist::CorpusKind::kCorpusFile;
     run.corpus = o.corpus;
-    dc.nfiles = store->file_count();
+    spec.nfiles = store->file_count();
   } else if (!o.profile.empty()) {
     corpus = o.profile;
     run.corpus_kind = dist::CorpusKind::kProfile;
     run.corpus = o.profile;
-    dc.nfiles =
+    spec.nfiles =
         fsgen::Filesystem(fsgen::profile(o.profile), o.scale).file_count();
   } else if (!o.manifest.empty()) {
     // Ship the manifest text itself so workers need no shared fs.
@@ -682,26 +682,53 @@ int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
     const util::Bytes text = core::read_file_prefix(o.manifest, 1u << 24);
     run.corpus_kind = dist::CorpusKind::kManifest;
     run.corpus.assign(text.begin(), text.end());
-    dc.nfiles = fsgen::Filesystem::from_manifest(fsgen::profile("nsc05"),
-                                                 run.corpus)
-                    .file_count();
+    spec.nfiles = fsgen::Filesystem::from_manifest(fsgen::profile("nsc05"),
+                                                   run.corpus)
+                      .file_count();
   } else {
     corpus = o.dir;
     run.corpus_kind = dist::CorpusKind::kDirectory;
     run.corpus = o.dir;
-    dc.nfiles = core::list_corpus_files(o.dir).size();
+    spec.nfiles = core::list_corpus_files(o.dir).size();
   }
+  spec.name = corpus;
+  spec.shard_files = o.shard_files;
   // Split the machine across the fleet unless --threads pinned it.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   run.threads =
       o.threads != 0 ? o.threads
                      : std::max(1u, o.workers != 0 ? hw / o.workers : hw);
-  dc.expected_workers = o.workers;
-  dc.shard_files = o.shard_files;
-  dc.port = o.port;
-  dc.lease_timeout_ms = o.lease_timeout_ms;
 
-  dist::Coordinator coord(dc);
+  // Sized for exactly this one job, so no corpus is too wide to admit.
+  dist::ServiceConfig sc;
+  sc.port = o.port;
+  sc.expected_workers = o.workers;
+  sc.lease_timeout_ms = o.lease_timeout_ms;
+  sc.limits.max_jobs = 1;
+  sc.limits.max_queued_shards = dist::job_shard_count(spec, o.workers);
+  dist::JobService svc(sc);
+  if (o.verbose) {
+    svc.set_event_hook([](const dist::ServiceEvent& ev) {
+      const char* what = "";
+      switch (ev.kind) {
+        case dist::ServiceEvent::Kind::kWorkerConnected: what = "connected"; break;
+        case dist::ServiceEvent::Kind::kResultAccepted: what = "result"; break;
+        case dist::ServiceEvent::Kind::kLeaseReassigned: what = "reassigned"; break;
+        case dist::ServiceEvent::Kind::kWorkerLost: what = "lost"; break;
+        case dist::ServiceEvent::Kind::kJobDone: what = "finished"; break;
+        case dist::ServiceEvent::Kind::kJobCancelled: what = "cancelled"; break;
+      }
+      std::fprintf(stderr, "dist: worker %llu (pid %llu) %s shard %zu\n",
+                   static_cast<unsigned long long>(ev.worker_id),
+                   static_cast<unsigned long long>(ev.pid), what, ev.shard);
+    });
+  }
+  const std::optional<std::uint64_t> job = svc.submit(spec);
+  if (!job) {
+    std::fprintf(stderr, "cksumlab: the job service rejected the run\n");
+    return 1;
+  }
+
   std::vector<pid_t> pids;
   if (o.workers > 0) {
     const std::string exe = dist::self_exe_path();
@@ -714,7 +741,7 @@ int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
           exe,
           "splice",
           "--connect",
-          "127.0.0.1:" + std::to_string(coord.port()),
+          "127.0.0.1:" + std::to_string(svc.port()),
           "--worker-id",
           std::to_string(i + 1),
           "--kernel",
@@ -734,42 +761,21 @@ int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
   } else {
     std::fprintf(stderr, "cksumlab: serving on 127.0.0.1:%u, waiting for "
                          "workers (--connect)\n",
-                 coord.port());
+                 svc.port());
   }
 
-  std::function<void(const dist::DistEvent&)> hook;
-  if (o.verbose) {
-    hook = [](const dist::DistEvent& ev) {
-      const char* what = "";
-      switch (ev.kind) {
-        case dist::DistEvent::Kind::kWorkerConnected: what = "connected"; break;
-        case dist::DistEvent::Kind::kResultAccepted: what = "result"; break;
-        case dist::DistEvent::Kind::kLeaseReassigned: what = "reassigned"; break;
-        case dist::DistEvent::Kind::kWorkerLost: what = "lost"; break;
-      }
-      std::fprintf(stderr, "dist: worker %llu (pid %llu) %s shard %zu\n",
-                   static_cast<unsigned long long>(ev.worker_id),
-                   static_cast<unsigned long long>(ev.pid), what, ev.shard);
-    };
-  }
-  const dist::DistReport rep = coord.run(hook);
+  const dist::JobReport rep = svc.wait(*job);
+  svc.drain();
   for (const pid_t pid : pids) dist::wait_process(pid);
-  if (!rep.complete) {
+  if (rep.state != dist::JobState::kDone) {
     std::fprintf(stderr,
                  "cksumlab: distributed run aborted incomplete "
                  "(%zu shards, %zu reassigned)\n",
-                 rep.shards, rep.reassigned);
+                 rep.report.shards, rep.report.reassigned);
     return 1;
   }
-  st = rep.stats;
-  // The manifest's "dist" member is a per-job array even for this
-  // single-job path, so check_manifest validates one shape everywhere.
-  dist::JobReport jr;
-  jr.job = 1;
-  jr.name = corpus;
-  jr.state = dist::JobState::kDone;
-  jr.report = rep;
-  dist_json = "[" + jr.json() + "]";
+  st = rep.report.stats;
+  dist_json = svc.jobs_json();
   return 0;
 }
 

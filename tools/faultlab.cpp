@@ -7,7 +7,7 @@
 //   faultlab replay --seed S --scenario N [options]
 //                                  re-run exactly one scenario
 //   faultlab distkill [options]    distributed-run fault drill: spawn a
-//                                  coordinator + N workers, SIGKILL one
+//                                  job service + N workers, SIGKILL one
 //                                  worker mid-lease, and assert the
 //                                  merged report still equals the
 //                                  single-process run bit for bit
@@ -59,7 +59,6 @@
 #include "checksum/kernels/kernel.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
-#include "dist/coordinator.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
 #include "dist/worker.hpp"
@@ -797,8 +796,8 @@ int cmd_storage(const StorageOpts& o, std::string* extra_rows) {
 }
 
 /// Hidden subcommand: one worker process of a distkill drill (also
-/// usable against a `cksumlab splice --serve` coordinator — both
-/// drivers speak the same protocol).
+/// usable against `cksumlab splice --serve` — both serve through the
+/// same JobService).
 int cmd_distworker(const std::vector<std::string>& args) {
   dist::WorkerOptions w;
   w.tool = "faultlab distworker";
@@ -825,17 +824,56 @@ int cmd_distworker(const std::vector<std::string>& args) {
   return dist::run_worker(w);
 }
 
-/// Multi-tenant drill (--jobs >= 2, docs/DIST.md failure matrix): N
-/// named jobs run concurrently on one shared pool of worker
-/// processes; one worker is SIGKILLed the moment the first result
-/// lands anywhere, and the last job is cancelled after its first
-/// merged shard. Every surviving job must still merge bitwise equal
-/// to its own single-process oracle, the kill must be confirmed at
-/// reap time, and an over-limit submit must be rejected up front.
-int run_multitenant_drill(unsigned workers, unsigned jobs,
-                          const std::string& profile, double scale,
-                          std::size_t shard_files, bool verbose,
-                          const std::string& metrics_out) {
+/// The worker-loss drill (docs/DIST.md failure matrix): `--jobs` named
+/// jobs run on one shared pool of worker processes, and one worker is
+/// SIGKILLed the moment the first result lands anywhere. Every job
+/// must still merge bitwise equal to its own single-process oracle,
+/// and the kill must be confirmed at reap time. With --jobs >= 2 two
+/// probes arm: the last job is cancelled after its first merged shard,
+/// and an over-limit submit must be rejected up front.
+int cmd_distkill(const std::vector<std::string>& args) {
+  unsigned workers = 3;
+  unsigned jobs = 1;
+  std::string profile = "nsc05";
+  double scale = 0.1;
+  std::size_t shard_files = 1;  // one file per lease: everyone leases
+  bool verbose = false;
+  std::string metrics_out;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    auto next = [&]() -> std::string {
+      return i + 1 < args.size() ? args[++i] : std::string("0");
+    };
+    if (a == "--workers") {
+      workers = static_cast<unsigned>(std::stoul(next()));
+    } else if (a == "--jobs") {
+      jobs = static_cast<unsigned>(std::stoul(next()));
+    } else if (a == "--profile") {
+      profile = next();
+    } else if (a == "--scale") {
+      scale = std::stod(next());
+    } else if (a == "--shard-files") {
+      shard_files = std::stoull(next());
+    } else if (a == "--metrics-out") {
+      metrics_out = next();
+    } else if (a == "--quick") {
+      // defaults already are the quick corpus; accepted for symmetry
+    } else if (a == "--verbose") {
+      verbose = true;
+    } else {
+      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
+      return usage();
+    }
+  }
+  if (workers < 2) {
+    std::fprintf(stderr, "faultlab distkill: needs --workers >= 2\n");
+    return 2;
+  }
+  jobs = std::max(1u, jobs);
+  const bool probes = jobs >= 2;  // cancel + over-limit submit
+  faults::register_fault_metrics();
+  atm::register_atm_metrics();
+  alg::kern::register_kernel_metrics();
   core::register_splice_metrics();
   dist::register_dist_metrics();
 
@@ -891,17 +929,22 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
     }
     ids.push_back(*id);
   }
-  const std::uint64_t victim = ids.back();
+  // The cancel probe's victim; 0 (no job) when the probes are off.
+  const std::uint64_t victim = probes ? ids.back() : 0;
+  const unsigned survivors = probes ? jobs - 1 : jobs;
 
   // Admission probe: the table is full, so one more submit must be
   // rejected (observable as dist.jobs_rejected).
-  dist::JobSpec extra;
-  extra.name = "over-limit";
-  extra.run.corpus_kind = dist::CorpusKind::kProfile;
-  extra.run.corpus = profile;
-  extra.run.scale = scales[0];
-  extra.nfiles = nfiles[0];
-  const bool admission_rejected = !svc.submit(extra).has_value();
+  bool admission_rejected = true;
+  if (probes) {
+    dist::JobSpec extra;
+    extra.name = "over-limit";
+    extra.run.corpus_kind = dist::CorpusKind::kProfile;
+    extra.run.corpus = profile;
+    extra.run.scale = scales[0];
+    extra.nfiles = nfiles[0];
+    admission_rejected = !svc.submit(extra).has_value();
+  }
 
   std::atomic<pid_t> killed_pid{-1};
   std::atomic<bool> victim_started{false};
@@ -918,7 +961,9 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
     if (killed_pid.load() == -1) {
       // The expected_workers barrier held every grant until the whole
       // pool was connected, so any pid other than the deliverer
-      // provably holds a lease of SOME job right now.
+      // provably holds a lease of SOME job right now (modulo the
+      // benign race where its own result is already in flight — the
+      // epoch check makes that harmless either way).
       for (const pid_t p : pids) {
         if (static_cast<std::uint64_t>(p) == ev.pid) continue;
         dist::kill_process(p);
@@ -952,14 +997,18 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
   // Cancel the victim from this thread (the hook runs inside the
   // service loop) once one of its shards has merged — mid-flight by
   // construction unless the job already raced to done.
-  while (!victim_started.load() &&
-         svc.status(victim)->state == dist::JobState::kRunning) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  bool cancelled = false;
+  if (probes) {
+    while (!victim_started.load() &&
+           svc.status(victim)->state == dist::JobState::kRunning) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cancelled = svc.cancel(victim);
   }
-  const bool cancelled = svc.cancel(victim);
 
   bool survivors_ok = true;
-  for (unsigned j = 0; j + 1 < jobs; ++j) {
+  dist::DistReport first;  // job 1's report, for the single-job summary
+  for (unsigned j = 0; j < survivors; ++j) {
     const dist::JobReport rep = svc.wait(ids[j]);
     const bool ok = rep.state == dist::JobState::kDone &&
                     rep.report.complete && rep.report.stats == oracles[j];
@@ -968,12 +1017,15 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
                    static_cast<unsigned long long>(rep.job),
                    rep.name.c_str());
     survivors_ok = survivors_ok && ok;
+    if (j == 0) first = rep.report;
   }
-  const dist::JobReport vic = svc.wait(victim);
-  const bool victim_ok =
-      cancelled ? vic.state == dist::JobState::kCancelled
-                : (vic.state == dist::JobState::kDone &&
-                   vic.report.stats == oracles[jobs - 1]);
+  bool victim_ok = true;
+  if (probes) {
+    const dist::JobReport vic = svc.wait(victim);
+    victim_ok = cancelled ? vic.state == dist::JobState::kCancelled
+                          : (vic.state == dist::JobState::kDone &&
+                             vic.report.stats == oracles[jobs - 1]);
+  }
 
   svc.drain();
   bool killed_confirmed = false;
@@ -982,30 +1034,42 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
     if (p == killed_pid.load() && code == 128 + 9) killed_confirmed = true;
   }
 
-  const auto counter = [](std::string_view name) -> std::uint64_t {
-    const obs::Snapshot snap = obs::Registry::global().snapshot();
-    const obs::MetricValue* m = snap.find(name);
-    return m != nullptr ? m->value : 0;
-  };
-  std::printf("distkill: %u jobs on %u pooled workers\n", jobs, workers);
-  std::printf("survivor jobs bitwise-equal to oracles: %s\n",
-              survivors_ok ? "yes" : "NO");
-  std::printf("victim job %s: %s\n",
-              cancelled ? "cancelled mid-flight" : "raced to done",
-              victim_ok ? "ok" : "WRONG STATE");
-  std::printf("worker killed mid-run: %s\n",
-              killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
-  std::printf("over-limit submit rejected: %s\n",
-              admission_rejected ? "yes" : "NO");
-  std::printf("dist counters: submitted %llu, rejected %llu, cancelled "
-              "%llu, completed %llu, write-queue hwm %llu, grants "
-              "deferred %llu\n",
-              static_cast<unsigned long long>(counter("dist.jobs_submitted")),
-              static_cast<unsigned long long>(counter("dist.jobs_rejected")),
-              static_cast<unsigned long long>(counter("dist.jobs_cancelled")),
-              static_cast<unsigned long long>(counter("dist.jobs_completed")),
-              static_cast<unsigned long long>(counter("dist.write_queue_hwm")),
-              static_cast<unsigned long long>(counter("dist.grants_deferred")));
+  if (!probes) {
+    std::printf("distkill: %u workers, %zu shards, %zu reassigned, "
+                "%zu stale results\n",
+                workers, first.shards, first.reassigned, first.stale_results);
+    std::printf("worker killed mid-run: %s\n",
+                killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
+    std::printf("run complete: %s\n", first.complete ? "yes" : "NO");
+    std::printf("merged report identical to single-process run: %s\n",
+                first.stats == oracles[0] ? "yes" : "NO");
+  } else {
+    const auto counter = [](std::string_view name) -> std::uint64_t {
+      const obs::Snapshot snap = obs::Registry::global().snapshot();
+      const obs::MetricValue* m = snap.find(name);
+      return m != nullptr ? m->value : 0;
+    };
+    std::printf("distkill: %u jobs on %u pooled workers\n", jobs, workers);
+    std::printf("survivor jobs bitwise-equal to oracles: %s\n",
+                survivors_ok ? "yes" : "NO");
+    std::printf("victim job %s: %s\n",
+                cancelled ? "cancelled mid-flight" : "raced to done",
+                victim_ok ? "ok" : "WRONG STATE");
+    std::printf("worker killed mid-run: %s\n",
+                killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
+    std::printf("over-limit submit rejected: %s\n",
+                admission_rejected ? "yes" : "NO");
+    std::printf(
+        "dist counters: submitted %llu, rejected %llu, cancelled "
+        "%llu, completed %llu, write-queue hwm %llu, grants "
+        "deferred %llu\n",
+        static_cast<unsigned long long>(counter("dist.jobs_submitted")),
+        static_cast<unsigned long long>(counter("dist.jobs_rejected")),
+        static_cast<unsigned long long>(counter("dist.jobs_cancelled")),
+        static_cast<unsigned long long>(counter("dist.jobs_completed")),
+        static_cast<unsigned long long>(counter("dist.write_queue_hwm")),
+        static_cast<unsigned long long>(counter("dist.grants_deferred")));
+  }
 
   if (exporter) {
     obs::RunInfo info;
@@ -1025,132 +1089,6 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
           admission_rejected)
              ? 0
              : 1;
-}
-
-/// The worker-loss drill (satellite of docs/DIST.md's failure matrix):
-/// run the reference corpus single-process, re-run it distributed with
-/// one worker SIGKILLed the moment the first lease result lands, and
-/// require the merged report to be bitwise identical anyway.
-int cmd_distkill(const std::vector<std::string>& args) {
-  unsigned workers = 3;
-  unsigned jobs = 1;
-  std::string profile = "nsc05";
-  double scale = 0.1;
-  std::size_t shard_files = 1;  // one file per lease: everyone leases
-  bool verbose = false;
-  std::string metrics_out;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string("0");
-    };
-    if (a == "--workers") {
-      workers = static_cast<unsigned>(std::stoul(next()));
-    } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::stoul(next()));
-    } else if (a == "--profile") {
-      profile = next();
-    } else if (a == "--scale") {
-      scale = std::stod(next());
-    } else if (a == "--shard-files") {
-      shard_files = std::stoull(next());
-    } else if (a == "--metrics-out") {
-      metrics_out = next();
-    } else if (a == "--quick") {
-      // defaults already are the quick corpus; accepted for symmetry
-    } else if (a == "--verbose") {
-      verbose = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      return usage();
-    }
-  }
-  if (workers < 2) {
-    std::fprintf(stderr, "faultlab distkill: needs --workers >= 2\n");
-    return 2;
-  }
-  faults::register_fault_metrics();
-  atm::register_atm_metrics();
-  alg::kern::register_kernel_metrics();
-  if (jobs >= 2)
-    return run_multitenant_drill(workers, jobs, profile, scale, shard_files,
-                                 verbose, metrics_out);
-
-  // The oracle: the same corpus evaluated in-process.
-  core::SpliceRunConfig run;
-  run.flow = core::paper_flow_config();
-  run.threads = 1;
-  const fsgen::Filesystem fs(fsgen::profile(profile), scale);
-  const core::SpliceStats expected = core::run_filesystem(run, fs);
-
-  dist::DistConfig dc;
-  dc.run.corpus_kind = dist::CorpusKind::kProfile;
-  dc.run.corpus = profile;
-  dc.run.scale = scale;
-  dc.run.threads = 1;
-  dc.nfiles = fs.file_count();
-  dc.expected_workers = workers;
-  dc.shard_files = shard_files;
-  dist::Coordinator coord(dc);
-
-  const std::string exe = dist::self_exe_path();
-  if (exe.empty()) {
-    std::fprintf(stderr, "faultlab: cannot locate own executable\n");
-    return 1;
-  }
-  std::vector<pid_t> pids;
-  for (unsigned i = 0; i < workers; ++i) {
-    const pid_t pid = dist::spawn_process(
-        {exe, "distworker", "--connect",
-         "127.0.0.1:" + std::to_string(coord.port()), "--worker-id",
-         std::to_string(i + 1), "--kernel",
-         std::string(alg::kern::active_kernel().name)});
-    if (pid < 0) {
-      std::fprintf(stderr, "faultlab: cannot spawn worker %u\n", i + 1);
-      return 1;
-    }
-    pids.push_back(pid);
-  }
-
-  // The barrier guarantees every worker holds a lease before the first
-  // result is accepted, so killing any *other* worker kills a worker
-  // mid-lease (modulo the benign race where its own result is already
-  // in flight — the epoch check makes that harmless either way).
-  pid_t killed_pid = -1;
-  auto hook = [&](const dist::DistEvent& ev) {
-    if (verbose)
-      std::fprintf(stderr, "distkill: event %d worker %llu shard %zu\n",
-                   static_cast<int>(ev.kind),
-                   static_cast<unsigned long long>(ev.worker_id), ev.shard);
-    if (ev.kind != dist::DistEvent::Kind::kResultAccepted || killed_pid != -1)
-      return;
-    for (const pid_t p : pids) {
-      if (static_cast<std::uint64_t>(p) == ev.pid) continue;
-      dist::kill_process(p);
-      killed_pid = p;
-      std::fprintf(stderr, "distkill: SIGKILLed worker pid %d after first "
-                           "accepted result\n",
-                   static_cast<int>(p));
-      break;
-    }
-  };
-  const dist::DistReport rep = coord.run(hook);
-  bool killed_confirmed = false;
-  for (const pid_t p : pids) {
-    const int code = dist::wait_process(p);
-    if (p == killed_pid && code == 128 + 9) killed_confirmed = true;
-  }
-
-  const bool identical = rep.stats == expected;
-  std::printf("distkill: %u workers, %zu shards, %zu reassigned, "
-              "%zu stale results\n",
-              workers, rep.shards, rep.reassigned, rep.stale_results);
-  std::printf("worker killed mid-run: %s\n",
-              killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
-  std::printf("run complete: %s\n", rep.complete ? "yes" : "NO");
-  std::printf("merged report identical to single-process run: %s\n",
-              identical ? "yes" : "NO");
-  return (rep.complete && identical && killed_confirmed) ? 0 : 1;
 }
 
 }  // namespace
