@@ -23,9 +23,9 @@ int main() {
   const util::ByteView view(data.data(), data.size());
 
   const std::uint16_t tcp_good = alg::ones_canonical(alg::internet_sum(view));
-  const auto f255_good = alg::fletcher_block(view, alg::FletcherMod::kOnes255);
-  const auto f256_good = alg::fletcher_block(view, alg::FletcherMod::kTwos256);
-  const std::uint32_t crc_good = alg::crc32(view);
+  const auto f255_good = alg::kern::fletcher_block(view, alg::FletcherMod::kOnes255);
+  const auto f256_good = alg::kern::fletcher_block(view, alg::FletcherMod::kTwos256);
+  const std::uint32_t crc_good = alg::kern::crc32(view);
 
   std::printf(
       "== Burst-error detection rates (%% of %d random bursts missed, "
@@ -42,11 +42,11 @@ int main() {
       core::apply_burst(corrupted, core::random_burst(rng, 8 * kBufBytes, len));
       const util::ByteView cv(corrupted.data(), corrupted.size());
       if (alg::ones_canonical(alg::internet_sum(cv)) == tcp_good) ++miss_tcp;
-      if (alg::fletcher_block(cv, alg::FletcherMod::kOnes255) == f255_good)
+      if (alg::kern::fletcher_block(cv, alg::FletcherMod::kOnes255) == f255_good)
         ++miss_f255;
-      if (alg::fletcher_block(cv, alg::FletcherMod::kTwos256) == f256_good)
+      if (alg::kern::fletcher_block(cv, alg::FletcherMod::kTwos256) == f256_good)
         ++miss_f256;
-      if (alg::crc32(cv) == crc_good) ++miss_crc;
+      if (alg::kern::crc32(cv) == crc_good) ++miss_crc;
     }
     t.add_row({std::to_string(len), core::fmt_pct(miss_tcp, kTrials),
                core::fmt_pct(miss_f255, kTrials),

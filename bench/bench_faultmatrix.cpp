@@ -45,9 +45,9 @@ struct Values {
 
 Values measure(util::ByteView msg) {
   return {alg::ones_canonical(alg::internet_sum(msg)),
-          alg::fletcher_block(msg, alg::FletcherMod::kOnes255),
-          alg::fletcher_block(msg, alg::FletcherMod::kTwos256),
-          alg::crc32(msg),
+          alg::kern::fletcher_block(msg, alg::FletcherMod::kOnes255),
+          alg::kern::fletcher_block(msg, alg::FletcherMod::kTwos256),
+          alg::kern::crc32(msg),
           alg::koopman_dual_naive(msg),
           alg::koopman_single_naive(msg)};
 }

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "checksum/checksum.hpp"
 #include "checksum/kernels/kernel.hpp"
@@ -37,19 +39,12 @@ void BM_InternetChecksum(benchmark::State& state) {
                           state.range(0));
 }
 
-void BM_InternetChecksumWide(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::internet_sum_wide(data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
 void BM_Fletcher255(benchmark::State& state) {
   const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        cksum::alg::fletcher_block(data, cksum::alg::FletcherMod::kOnes255));
+        cksum::alg::kern::fletcher_block(data,
+                                         cksum::alg::FletcherMod::kOnes255));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
@@ -58,24 +53,8 @@ void BM_Fletcher256(benchmark::State& state) {
   const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        cksum::alg::fletcher_block(data, cksum::alg::FletcherMod::kTwos256));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Fletcher255Naive(benchmark::State& state) {
-  // Per-byte modulo, the implementation Nakassis warns against.
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::fletcher_block_naive(
-        data, cksum::alg::FletcherMod::kOnes255));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Adler32(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(cksum::alg::adler32(data));
+        cksum::alg::kern::fletcher_block(data,
+                                         cksum::alg::FletcherMod::kTwos256));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
@@ -84,22 +63,6 @@ void BM_Crc32Bitwise(benchmark::State& state) {
   const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(cksum::alg::crc32_bitwise(0, data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Crc32Table(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::crc32_table(0, data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Crc32Slice8(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::crc32_slice8(0, data));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
@@ -133,15 +96,16 @@ void BM_SpliceEvaluatePair(benchmark::State& state) {
                           923);  // splices per pair
 }
 
-// Per-kernel throughput rows (BM_Kernel_<alg>_<kernel>) over the
-// registry in src/checksum/kernels/. Registered at runtime so the row
-// set tracks the registry; bench_distill.py folds the 64 KiB rows into
-// the trajectory's kernel_throughput family.
+// Per-implementation throughput rows (BM_Kernel_<alg>_<impl>), one
+// per entry of each implementation list in src/checksum/kernels/.
+// Registered at runtime so the row set tracks the lists;
+// bench_distill.py folds the 64 KiB rows into the trajectory's
+// kernel_throughput family, and the 48-byte rows give the ATM-cell
+// rate packetisation pays.
 template <typename Fn>
-void register_kernel_bench(const cksum::alg::kern::Kernel& k,
-                           const char* alg, Fn fn) {
-  const std::string name =
-      std::string("BM_Kernel_") + alg + "_" + std::string(k.name);
+void register_impl_bench(const std::string& alg, std::string_view impl,
+                         Fn fn) {
+  const std::string name = "BM_Kernel_" + alg + "_" + std::string(impl);
   benchmark::RegisterBenchmark(
       name.c_str(),
       [fn](benchmark::State& state) {
@@ -151,60 +115,60 @@ void register_kernel_bench(const cksum::alg::kern::Kernel& k,
         state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                                 state.range(0));
       })
+      ->Arg(48)
       ->Arg(296)
       ->Arg(65536);
 }
 
 void register_kernel_benchmarks() {
-  for (const cksum::alg::kern::Kernel& k : cksum::alg::kern::kernels()) {
-    if (!cksum::alg::kern::kernel_available(k)) {
-      // An unavailable kernel answers through its safe fallback, so a
-      // row would time the wrong code. Skip loudly: bench_distill.py
-      // treats the missing row as skip-with-notice, not failure.
-      const char* why = cksum::alg::kern::kernel_unavailable_reason(k);
-      std::fprintf(stderr,
-                   "bench_speed: skipping BM_Kernel_*_%s (unavailable: %s)\n",
-                   std::string(k.name).c_str(), why != nullptr ? why : "?");
-      continue;
+  namespace kern = cksum::alg::kern;
+  kern::for_each_list([](const auto& list) {
+    for (const auto& impl : list.impls) {
+      if (const char* why = impl.unavailable_reason()) {
+        // An unavailable entry answers through its safe fallback, so a
+        // row would time the wrong code. Skip loudly: bench_distill.py
+        // treats the missing row as skip-with-notice, not failure.
+        std::fprintf(stderr,
+                     "bench_speed: skipping BM_Kernel_%s_%s (unavailable: "
+                     "%s)\n",
+                     std::string(list.name).c_str(),
+                     std::string(impl.name).c_str(), why);
+        continue;
+      }
+      auto* fn = impl.fn;
+      const std::string alg(list.name);
+      if constexpr (std::is_same_v<decltype(fn), kern::FletcherFn*>) {
+        // One list, two moduli: separate rows so the trajectory keeps
+        // its fletcher255/fletcher256 families.
+        register_impl_bench("fletcher255", impl.name, [fn](ByteView d) {
+          return fn(d, cksum::alg::FletcherMod::kOnes255);
+        });
+        register_impl_bench("fletcher256", impl.name, [fn](ByteView d) {
+          return fn(d, cksum::alg::FletcherMod::kTwos256);
+        });
+      } else if constexpr (std::is_same_v<decltype(fn), kern::StreamFn*>) {
+        const std::uint32_t init = list.alg == kern::Alg::kCrc32 ? 0u : 1u;
+        register_impl_bench(alg, impl.name,
+                            [fn, init](ByteView d) { return fn(init, d); });
+      } else {
+        register_impl_bench(alg, impl.name, fn);
+      }
     }
-    register_kernel_bench(k, "internet",
-                          [&k](ByteView d) { return k.internet_sum(d); });
-    register_kernel_bench(k, "fletcher255", [&k](ByteView d) {
-      return k.fletcher(d, cksum::alg::FletcherMod::kOnes255);
-    });
-    register_kernel_bench(k, "fletcher256", [&k](ByteView d) {
-      return k.fletcher(d, cksum::alg::FletcherMod::kTwos256);
-    });
-    register_kernel_bench(k, "fletcher32",
-                          [&k](ByteView d) { return k.fletcher32(d); });
-    register_kernel_bench(k, "adler32",
-                          [&k](ByteView d) { return k.adler32(1, d); });
-    register_kernel_bench(k, "crc32",
-                          [&k](ByteView d) { return k.crc32(0, d); });
-    register_kernel_bench(k, "koopmandual",
-                          [&k](ByteView d) { return k.koopman_dual(d); });
-    register_kernel_bench(k, "koopmansingle",
-                          [&k](ByteView d) { return k.koopman_single(d); });
-  }
+  });
 }
 
 }  // namespace
 
 // 48-byte ATM cell, 296-byte packet, 4KB page, 64KB bulk.
 BENCHMARK(BM_InternetChecksum)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_InternetChecksumWide)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_Fletcher255)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_Fletcher256)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Fletcher255Naive)->Arg(296)->Arg(65536);
-BENCHMARK(BM_Adler32)->Arg(296)->Arg(65536);
 BENCHMARK(BM_Crc32Bitwise)->Arg(296)->Arg(4096);
-BENCHMARK(BM_Crc32Table)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Crc32Slice8)->Arg(296)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_Crc32CellCombine);
 BENCHMARK(BM_SpliceEvaluatePair);
 
-// Custom main: the per-kernel rows are registered against the runtime
-// registry before the statically-declared benchmarks run.
+// Custom main: the per-implementation rows are registered from the
+// runtime lists before the statically-declared benchmarks run.
 int main(int argc, char** argv) {
   register_kernel_benchmarks();
   benchmark::Initialize(&argc, argv);

@@ -45,9 +45,9 @@ int main() {
       alg::internet_sum(util::ByteView(payload)) !=
       alg::internet_sum(util::ByteView(swapped));
   const bool fletcher_sees =
-      alg::fletcher_block(util::ByteView(payload),
+      alg::kern::fletcher_block(util::ByteView(payload),
                           alg::FletcherMod::kOnes255) !=
-      alg::fletcher_block(util::ByteView(swapped),
+      alg::kern::fletcher_block(util::ByteView(swapped),
                           alg::FletcherMod::kOnes255);
   std::printf("transpose words 5 and 25 of the payload:\n");
   std::printf("  Internet checksum notices: %s\n", tcp_sees ? "yes" : "NO");

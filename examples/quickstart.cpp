@@ -27,12 +27,12 @@ int main() {
               data.size());
   std::printf("Internet (TCP/IP) sum : 0x%04x  (check field: 0x%04x)\n",
               alg::internet_sum(data), alg::internet_checksum(data));
-  const auto f255 = alg::fletcher_block(data, alg::FletcherMod::kOnes255);
-  const auto f256 = alg::fletcher_block(data, alg::FletcherMod::kTwos256);
+  const auto f255 = alg::kern::fletcher_block(data, alg::FletcherMod::kOnes255);
+  const auto f256 = alg::kern::fletcher_block(data, alg::FletcherMod::kTwos256);
   std::printf("Fletcher mod 255      : A=0x%02x B=0x%02x\n", f255.a, f255.b);
   std::printf("Fletcher mod 256      : A=0x%02x B=0x%02x\n", f256.a, f256.b);
-  std::printf("CRC-32 (AAL5/IEEE)    : 0x%08x\n", alg::crc32(data));
-  std::printf("Adler-32              : 0x%08x\n", alg::adler32(data));
+  std::printf("CRC-32 (AAL5/IEEE)    : 0x%08x\n", alg::kern::crc32(data));
+  std::printf("Adler-32              : 0x%08x\n", alg::kern::adler32(1, data));
   const alg::GenericCrc crc10(10, alg::standard_poly(10));
   std::printf("CRC-10 (ATM OAM poly) : 0x%03x\n\n", crc10.compute(data));
 
@@ -53,12 +53,12 @@ int main() {
               combined == alg::internet_sum(data) ? "yes" : "NO");
 
   const std::uint32_t crc_combined = alg::crc32_combine(
-      alg::crc32(left), alg::crc32(right), right.size());
+      alg::kern::crc32(left), alg::kern::crc32(right), right.size());
   std::printf("combined CRC-32 matches         : %s\n",
-              crc_combined == alg::crc32(data) ? "yes" : "NO");
+              crc_combined == alg::kern::crc32(data) ? "yes" : "NO");
 
-  const auto fl = alg::fletcher_block(left, alg::FletcherMod::kTwos256);
-  const auto fr = alg::fletcher_block(right, alg::FletcherMod::kTwos256);
+  const auto fl = alg::kern::fletcher_block(left, alg::FletcherMod::kTwos256);
+  const auto fr = alg::kern::fletcher_block(right, alg::FletcherMod::kTwos256);
   const auto fc = alg::fletcher_combine(fl, fr, right.size(),
                                         alg::FletcherMod::kTwos256);
   std::printf("combined Fletcher matches       : %s\n",
@@ -76,10 +76,10 @@ int main() {
       alg::internet_sum(util::ByteView(swapped)) == alg::internet_sum(data)
           ? "yes"
           : "NO",
-      alg::fletcher_block(util::ByteView(swapped),
+      alg::kern::fletcher_block(util::ByteView(swapped),
                           alg::FletcherMod::kTwos256) != f256
           ? "yes"
           : "NO",
-      alg::crc32(util::ByteView(swapped)) != alg::crc32(data) ? "yes" : "NO");
+      alg::kern::crc32(util::ByteView(swapped)) != alg::kern::crc32(data) ? "yes" : "NO");
   return 0;
 }

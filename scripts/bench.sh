@@ -35,9 +35,9 @@ MIN_TIME=0.5
   --benchmark_out="$RAW" \
   --benchmark_out_format=json
 
-# Per-kernel checksum throughput (the BM_Kernel_<alg>_<kernel> rows of
-# bench_speed); distilled into the trajectory's kernel_throughput
-# family. See src/checksum/kernels/ and docs/PERF.md.
+# Per-implementation checksum throughput (the BM_Kernel_<alg>_<impl>
+# rows of bench_speed); distilled into the trajectory's
+# kernel_throughput family. See src/checksum/kernels/ and docs/PERF.md.
 RAWK="$BUILD/bench_kernels_raw.json"
 "$BUILD/bench/bench_speed" \
   --benchmark_filter='BM_Kernel_' \

@@ -17,7 +17,7 @@ The trajectory file is a JSON array, one entry per bench.sh run:
       "speedup_dfs_vs_reference": ...,
       "manifest": { ... },  # optional: telemetry run-manifest summary
       "kernel_throughput": {"crc32": {"scalar": ..., "slicing": ...,
-                                      "swar": ...}, ...}  # optional
+                                      "chorba": ...}, ...}  # optional
     }
 
 A missing, empty, or whitespace-only trajectory file starts a fresh
@@ -30,9 +30,10 @@ new entry aborts, malformed pre-existing entries only warn.
 `cksumlab splice --metrics-out`, see docs/OBSERVABILITY.md) and
 records its headline numbers under the entry's "manifest" key.
 
---speed ingests a bench_speed JSON dump (BM_Kernel_<alg>_<kernel>
-rows, see bench/bench_speed.cpp) and records the 64 KiB bulk
-throughput per algorithm per kernel under "kernel_throughput".
+--speed ingests a bench_speed JSON dump (BM_Kernel_<alg>_<impl>
+rows, one per implementation-list entry, see bench/bench_speed.cpp)
+and records the 64 KiB bulk throughput per algorithm per
+implementation under "kernel_throughput".
 
 --check exits non-zero if the new DFS rate fell below 1/5 of the
 previous entry's, if the DFS evaluator is slower than the flat one,
@@ -40,8 +41,8 @@ or (when --speed is given) if slicing-by-8 CRC-32 is less than 3x the
 scalar byte-table kernel — the locally recorded trajectory entries
 show >=4x, the gate is looser only to absorb CI-runner noise. The
 --speed gates also compare the block-at-a-time Koopman dual sum
-against byte-at-a-time Fletcher-256 (want >= 1.2x on the slicing
-tier; locally ~1.8x) — rows absent from the dump skip the gate with
+against byte-at-a-time Fletcher-256 (want >= 1.2x, both slicing
+implementations; locally ~1.8x) — rows absent from the dump skip the gate with
 a notice, matching the chorba/clmul pattern.
 
 The BM_RunCorpusStreamed rows (end-to-end splice run streamed from a
@@ -144,7 +145,7 @@ SPEED_BULK_ARG = "65536"
 def speed_throughput(path):
     """kernel_throughput family from a bench_speed JSON dump.
 
-    Rows are named BM_Kernel_<alg>_<kernel>/<bytes>; only the bulk
+    Rows are named BM_Kernel_<alg>_<impl>/<bytes>; only the bulk
     (64 KiB) rows are recorded. Returns (family, error).
     """
     try:
@@ -360,15 +361,13 @@ def main() -> int:
                 print(f"CHECK FAILED: slicing-by-8 CRC-32 only {ratio:.2f}x "
                       f"scalar (want >=3x)", file=sys.stderr)
                 ok = False
-        # Folding/tableless tier gates, against the slicing baseline.
-        # A missing row means bench_speed skipped the kernel as
-        # unavailable on this machine — notice, not failure (the CI
-        # clmul leg checks availability explicitly before relying on
-        # this gate).
+        # Folding/tableless CRC-32 gates, against the slicing baseline.
+        # A missing row means bench_speed skipped the implementation as
+        # unavailable on this machine — notice, not failure.
         for kern_name, floor in (("chorba", 1.5), ("clmul", 5.0)):
             if not crc.get(kern_name):
                 print(f"CHECK NOTICE: no crc32/{kern_name} row "
-                      f"(kernel unavailable on this machine); "
+                      f"(implementation unavailable on this machine); "
                       f"{kern_name} gate skipped", file=sys.stderr)
                 continue
             if not crc.get("slicing"):
@@ -380,7 +379,7 @@ def main() -> int:
                 ok = False
         # Large-block family gate: the Koopman dual sum digests 8
         # bytes per step, so it must clearly beat byte-at-a-time
-        # Fletcher-256 on the same tier. Rows are absent when
+        # Fletcher-256, both slicing. Rows are absent when
         # bench_speed ran with an older row set or a narrow filter —
         # notice, not failure.
         kt = entry.get("kernel_throughput", {})
@@ -394,7 +393,7 @@ def main() -> int:
             ratio = kdual / f256
             if ratio < 1.2:
                 print(f"CHECK FAILED: Koopman dual sum only {ratio:.2f}x "
-                      f"Fletcher-256 on the slicing tier (want >=1.2x)",
+                      f"Fletcher-256, both slicing (want >=1.2x)",
                       file=sys.stderr)
                 ok = False
         # Streaming-corpus gates: the store bakes packetisation in at

@@ -10,6 +10,7 @@
 #include "checksum/fletcher32.hpp"
 #include "checksum/generic_crc.hpp"
 #include "checksum/internet.hpp"
+#include "checksum/kernels/kernel.hpp"
 #include "checksum/koopman.hpp"
 
 namespace cksum::alg {

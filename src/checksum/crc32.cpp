@@ -2,33 +2,6 @@
 
 namespace cksum::alg {
 
-namespace {
-
-struct Tables {
-  // t[0] is the classic byte table; t[1..7] extend it for slice-by-8.
-  std::uint32_t t[8][256];
-
-  constexpr Tables() : t{} {
-    for (std::uint32_t n = 0; n < 256; ++n) {
-      std::uint32_t c = n;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? (kCrc32Poly ^ (c >> 1)) : (c >> 1);
-      t[0][n] = c;
-    }
-    for (std::uint32_t n = 0; n < 256; ++n) {
-      std::uint32_t c = t[0][n];
-      for (int s = 1; s < 8; ++s) {
-        c = t[0][c & 0xffu] ^ (c >> 8);
-        t[s][n] = c;
-      }
-    }
-  }
-};
-
-constexpr Tables kTables{};
-
-}  // namespace
-
 std::uint32_t crc32_bitwise(std::uint32_t crc, util::ByteView data) noexcept {
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
   for (std::uint8_t byte : data) {
@@ -38,43 +11,6 @@ std::uint32_t crc32_bitwise(std::uint32_t crc, util::ByteView data) noexcept {
   }
   return c ^ 0xFFFFFFFFu;
 }
-
-std::uint32_t crc32_table(std::uint32_t crc, util::ByteView data) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data)
-    c = kTables.t[0][(c ^ byte) & 0xffu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32_slice8(std::uint32_t crc, util::ByteView data) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  while (n >= 8) {
-    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
-                                  (static_cast<std::uint32_t>(p[1]) << 8) |
-                                  (static_cast<std::uint32_t>(p[2]) << 16) |
-                                  (static_cast<std::uint32_t>(p[3]) << 24));
-    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
-                             (static_cast<std::uint32_t>(p[5]) << 8) |
-                             (static_cast<std::uint32_t>(p[6]) << 16) |
-                             (static_cast<std::uint32_t>(p[7]) << 24);
-    c = kTables.t[7][lo & 0xffu] ^ kTables.t[6][(lo >> 8) & 0xffu] ^
-        kTables.t[5][(lo >> 16) & 0xffu] ^ kTables.t[4][lo >> 24] ^
-        kTables.t[3][hi & 0xffu] ^ kTables.t[2][(hi >> 8) & 0xffu] ^
-        kTables.t[1][(hi >> 16) & 0xffu] ^ kTables.t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) c = kTables.t[0][(c ^ *p++) & 0xffu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32(std::uint32_t crc, util::ByteView data) noexcept {
-  return crc32_slice8(crc, data);
-}
-
-std::uint32_t crc32(util::ByteView data) noexcept { return crc32(0, data); }
 
 Gf2Matrix Gf2Matrix::zero_byte_operator() noexcept {
   // Operator for one zero *bit*, squared three times -> one zero byte.

@@ -3,11 +3,12 @@
 // XOR = 0xFFFFFFFF — the exact CRC used by the AAL5 CPCS trailer the
 // paper's splice simulator checks.
 //
-// Three engines are provided (bitwise reference, byte-table, and
-// slice-by-8) plus an O(log n) `crc32_combine` in GF(2) and a
-// precomputed fixed-length combiner used by the splice simulator to
-// evaluate the CRC of a splice from per-cell CRCs in a handful of
-// 32x32 bit-matrix products.
+// The whole-buffer CRC lives in the implementation lists of
+// checksum/kernels/kernel.hpp (kern::crc32); this header keeps the
+// bitwise reference those implementations are checked against, an
+// O(log n) `crc32_combine` in GF(2), and a precomputed fixed-length
+// combiner used by the splice simulator to evaluate the CRC of a
+// splice from per-cell CRCs in a handful of 32x32 bit-matrix products.
 #pragma once
 
 #include <array>
@@ -25,21 +26,10 @@ inline constexpr std::uint32_t kCrc32Poly = 0xEDB88320u;
 /// standard pre/post conditioning yields this constant.
 inline constexpr std::uint32_t kCrc32Residue = 0xC704DD7Bu;
 
-/// Full conventional CRC-32 of a buffer (init/xorout = all ones).
-std::uint32_t crc32(util::ByteView data) noexcept;
-
-/// Streaming form: continue a CRC. `crc` is a *finalised* CRC value
-/// (as returned by crc32()); pass 0 to start. Mirrors zlib semantics.
-std::uint32_t crc32(std::uint32_t crc, util::ByteView data) noexcept;
-
-/// Bitwise reference implementation (for tests).
+/// Bitwise reference implementation: the independent oracle for the
+/// table-driven and folding implementations. `crc` is a *finalised*
+/// CRC value; pass 0 to start (zlib semantics).
 std::uint32_t crc32_bitwise(std::uint32_t crc, util::ByteView data) noexcept;
-
-/// Byte-at-a-time table implementation.
-std::uint32_t crc32_table(std::uint32_t crc, util::ByteView data) noexcept;
-
-/// Slice-by-8 implementation (fast path; used by crc32()).
-std::uint32_t crc32_slice8(std::uint32_t crc, util::ByteView data) noexcept;
 
 /// crc32(A ++ B) from crc32(A), crc32(B) and |B| — zlib-style GF(2)
 /// matrix combination, O(log |B|).

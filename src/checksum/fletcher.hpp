@@ -14,6 +14,10 @@
 // (a, b + E·a). This is what lets the splice simulator evaluate
 // Fletcher over a splice from per-cell partial sums, and is the source
 // of the "cell colouring" effect the paper analyses.
+//
+// The whole-block sums are kern::fletcher_block
+// (checksum/kernels/kernel.hpp); this header holds the vocabulary and
+// the composition and check-byte algebra on top of them.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +48,6 @@ constexpr std::uint16_t fletcher_value(FletcherPair p) noexcept {
   return static_cast<std::uint16_t>((p.a << 8) | p.b);
 }
 
-/// Compute (A, B) over a block, end-weighted within the block
-/// (i.e. the block's last byte has weight 1).
-FletcherPair fletcher_block(util::ByteView data, FletcherMod mod) noexcept;
-
-/// Textbook per-byte-modulo implementation. Identical results to
-/// fletcher_block(); kept as the baseline for the implementation-
-/// efficiency point of Nakassis and Sklower (the paper's [6], [11]):
-/// deferring the reduction is worth several-fold in throughput.
-FletcherPair fletcher_block_naive(util::ByteView data,
-                                  FletcherMod mod) noexcept;
-
 /// Sums of the concatenation X ++ Y from the blocks' own sums.
 /// Every byte of X gains |Y| extra weight in the B term.
 FletcherPair fletcher_combine(FletcherPair x, FletcherPair y,
@@ -64,21 +57,6 @@ FletcherPair fletcher_combine(FletcherPair x, FletcherPair y,
 /// follow the block: (a, b + tail_len·a).
 FletcherPair fletcher_shift(FletcherPair x, std::size_t tail_len,
                             FletcherMod mod) noexcept;
-
-/// Incremental whole-message computation (A += d; B += A).
-class FletcherSum {
- public:
-  explicit FletcherSum(FletcherMod mod) noexcept : mod_(mod) {}
-
-  void update(util::ByteView data) noexcept;
-  FletcherPair pair() const noexcept;
-  void reset() noexcept { a_ = b_ = 0; }
-
- private:
-  FletcherMod mod_;
-  std::uint64_t a_ = 0;
-  std::uint64_t b_ = 0;
-};
 
 /// Solve for the two check bytes X, Y to be stored at message indices
 /// p, p+1 (message length L) so that the full message sums to zero in

@@ -7,6 +7,8 @@
 // Included as the paper's mentioned-but-unmeasured extension point:
 // the survey example reports it beside the 16-bit sums, and the same
 // positional combination law applies with word (not byte) offsets.
+// The whole-block sums are kern::fletcher32_block
+// (checksum/kernels/kernel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -27,10 +29,6 @@ struct Fletcher32Pair {
 constexpr std::uint32_t fletcher32_value(Fletcher32Pair p) noexcept {
   return (p.a << 16) | p.b;
 }
-
-/// (A, B) over a block, end-weighted in 16-bit words within the block
-/// (last word weight 1).
-Fletcher32Pair fletcher32_block(util::ByteView data) noexcept;
 
 /// Sums of X ++ Y from block sums; `y_len_words` = number of 16-bit
 /// words in Y (ceil of bytes/2).

@@ -92,13 +92,6 @@ class GenericCrc {
   /// expected-miss-rate computations.
   double value_space() const noexcept;
 
-  /// The byte-at-a-time lookup table (reflected form). Exposed so the
-  /// kernel registry can derive its slice-by-8 tables from this
-  /// engine's generation instead of duplicating it.
-  const std::array<std::uint32_t, 256>& byte_table() const noexcept {
-    return table_;
-  }
-
  private:
   std::vector<std::uint32_t> zeros_rows(std::size_t len) const noexcept;
 

@@ -1,8 +1,5 @@
 #include "checksum/internet.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace cksum::alg {
 
 void InternetSum::update(util::ByteView data) noexcept {
@@ -47,51 +44,6 @@ std::uint16_t internet_sum(util::ByteView data) noexcept {
   InternetSum s;
   s.update(data);
   return s.fold();
-}
-
-std::uint16_t internet_sum_wide(util::ByteView data) noexcept {
-  // Ones-complement addition is commutative across any lane split, so
-  // accumulate four 16-bit lanes in one 64-bit register and fold the
-  // lanes at the end. Loading with memcpy keeps this portable; the
-  // per-lane byte order only matters at fold time because end-around
-  // carries commute with the byte swap (RFC 1071 §2).
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-
-  std::uint64_t acc = 0;
-  while (n >= 8) {
-    // Split into two 32-bit halves so lane carries cannot overflow
-    // between reductions: each addition adds at most 2^32-1, and we
-    // re-fold every iteration via the carry add below.
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    // acc += word with end-around carry into the low bit.
-    acc += word;
-    if (acc < word) ++acc;  // carry out of 64 bits wraps around
-    p += 8;
-    n -= 8;
-  }
-  // Fold 64 -> 32 -> 16 with end-around carries.
-  std::uint64_t sum = (acc & 0xffffffffu) + (acc >> 32);
-  sum = (sum & 0xffffu) + (sum >> 16);
-  sum = (sum & 0xffffu) + (sum >> 16);
-  std::uint16_t folded = static_cast<std::uint16_t>(sum);
-
-  // The 64-bit loop consumed native-endian 16-bit lanes; on a
-  // little-endian machine the lanes are byte-swapped relative to the
-  // network order the checksum is defined in. Swapping the folded sum
-  // once repairs every lane at once.
-  if constexpr (std::endian::native == std::endian::little) {
-    folded = ones_swap(folded);
-  }
-
-  // Tail bytes (fewer than 8) via the scalar path, composed with the
-  // standard block-combination rule (the wide prefix has even length).
-  if (n > 0) {
-    const std::uint16_t tail = internet_sum(util::ByteView(p, n));
-    folded = ones_add(folded, tail);
-  }
-  return folded;
 }
 
 }  // namespace cksum::alg

@@ -86,13 +86,6 @@ class InternetSum {
 /// One-shot ones-complement sum of a buffer (not inverted).
 std::uint16_t internet_sum(util::ByteView data) noexcept;
 
-/// Wide-word implementation: folds 8 input bytes per 64-bit addition,
-/// the "one or two additions per machine word" §2 of the paper credits
-/// for the TCP checksum's speed. Bit-identical to internet_sum();
-/// exposed separately so the speed bench can compare and the tests can
-/// cross-check.
-std::uint16_t internet_sum_wide(util::ByteView data) noexcept;
-
 /// One-shot checksum field value: ~internet_sum(data).
 inline std::uint16_t internet_checksum(util::ByteView data) noexcept {
   return ones_neg(internet_sum(data));

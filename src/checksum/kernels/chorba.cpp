@@ -1,5 +1,5 @@
 // Tableless CRC-32 via sparse polynomial convolution ("Chorba",
-// arXiv 2412.16398) — the fallback fast tier for machines without
+// arXiv 2412.16398) — best's CRC-32 on machines without
 // carry-less-multiply hardware.
 //
 // Adding any multiple of the generator G(x) = 0x104C11DB7 to the
@@ -30,9 +30,10 @@
 // carries) and any sub-word tail remain; they carry the entire
 // residue and are finished bitwise from state 0 (a zero prefix is
 // free: the zero state stays zero). Buffers shorter than the carry
-// window skip the convolution entirely and run the same bitwise
-// reference — honest about the tier's one weakness: it only beats
-// slicing once the window is in play.
+// window (the 48-byte ATM cell among them) skip the convolution and
+// run slicing-by-8: the convolution only beats slicing once the window
+// is in play, and a bitwise fallback there would be slower than the
+// scalar byte table.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -83,14 +84,12 @@ std::uint64_t load_le64(const std::uint8_t* p) noexcept {
 std::uint32_t chorba_crc32(std::uint32_t crc, util::ByteView data) noexcept {
   const std::uint8_t* p = data.data();
   const std::size_t n = data.size();
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   const std::size_t nw = n / 8;
-  if (nw < 8)  // shorter than the carry window: bitwise reference
-    return bitwise_bytes(p, n, c) ^ 0xFFFFFFFFu;
+  if (nw < 8) return slicing_crc32(crc, data);  // shorter than the window
 
   // Convolution. Burying the initial state in the stream (word 0's
   // low 32 bits) is the same as seeding the first carry word with it.
-  std::uint64_t c0 = c, c1 = 0, c2 = 0, c3 = 0, c4 = 0;
+  std::uint64_t c0 = crc ^ 0xFFFFFFFFu, c1 = 0, c2 = 0, c3 = 0, c4 = 0;
   std::size_t i = 0;
   for (; i + 6 <= nw; ++i) {
     const std::uint64_t w = load_le64(p + 8 * i) ^ c0;

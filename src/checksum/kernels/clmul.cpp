@@ -1,5 +1,5 @@
 // CRC-32 by carry-less-multiply folding (PCLMULQDQ on x86, PMULL on
-// AArch64) — the top kernel tier where the hardware has it.
+// AArch64) — best's CRC-32 where the hardware has it.
 //
 // Method (after "Fast CRC Computation for Generic Polynomials Using
 // PCLMULQDQ", arXiv 1009.5949): keep four 128-bit accumulators over a
@@ -31,13 +31,14 @@
 // (D) a Barrett step with mu = bit-reverse33(floor(x^64 / G)) yields
 // the 32-bit remainder.
 //
-// Lengths below 64 bytes (and sub-16-byte tails) go through the
-// slicing tier: the fold loop needs a full stripe, and this tier's
-// identity is speed, not table avoidance. If the binary has the
-// intrinsics but the CPU lacks them (registry callers never do this,
-// but tests and tools may call the function pointer directly), the
-// entry point quietly falls back to chorba instead of faulting;
-// clmul_unavailable() is how the registry reports that state.
+// Lengths below 64 bytes (and sub-16-byte tails) go through
+// slicing-by-8: the fold loop needs a full stripe, and this
+// implementation's identity is speed, not table avoidance. If the
+// binary has the intrinsics but the CPU lacks them (dispatch never
+// does this, but tests and tools may call the function pointer
+// directly), the entry point quietly falls back to chorba instead of
+// faulting; clmul_unavailable() is how the registry reports that
+// state.
 #include <bit>
 #include <cstddef>
 #include <cstdint>

@@ -1,9 +1,9 @@
-// Internal declarations for the kernel formulations themselves.
+// Internal declarations for the checksum implementations themselves.
 //
-// Each tier's raw entry points live here so the registry (kernel.cpp)
-// can assemble Kernel records from them and the conformance harness
-// can reach individual formulations if it ever needs to; everything
-// else should go through the dispatched entry points in kernel.hpp.
+// Every entry of the per-algorithm implementation lists in kernel.cpp
+// is declared here, once; the conformance harness reaches them through
+// those lists, and everything else should go through the dispatched
+// entry points in kernel.hpp.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +15,10 @@
 
 namespace cksum::alg::kern::impl {
 
-// --- scalar: the reference tier -------------------------------------
+// --- scalar: the reference implementations --------------------------
 // Byte/word-at-a-time with immediate modular reduction at every step.
 // Deliberately the dumbest correct formulation of each algorithm; the
-// other tiers are differentially tested against these.
+// other implementations are differentially tested against these.
 std::uint16_t scalar_internet_sum(util::ByteView data) noexcept;
 FletcherPair scalar_fletcher(util::ByteView data, FletcherMod mod) noexcept;
 Fletcher32Pair scalar_fletcher32(util::ByteView data) noexcept;
@@ -28,10 +28,10 @@ KoopmanDualPair scalar_koopman_dual(util::ByteView data) noexcept;
 std::uint64_t scalar_koopman_single(util::ByteView data) noexcept;
 
 // --- slicing: table-slicing CRC + blocked modular sums --------------
-// Slicing-by-8 CRC-32 over tables derived from GenericCrc; Fletcher /
-// Fletcher-32 / Adler-32 unrolled with modular reduction deferred to
-// overflow-safe block boundaries; word-at-a-time Internet sum with one
-// fold at the end.
+// Slicing-by-8 CRC-32 (arXiv 1009.5949); Fletcher / Fletcher-32 /
+// Adler-32 unrolled with modular reduction deferred to overflow-safe
+// block boundaries; word-at-a-time Internet sum with one fold at the
+// end.
 std::uint16_t slicing_internet_sum(util::ByteView data) noexcept;
 FletcherPair slicing_fletcher(util::ByteView data, FletcherMod mod) noexcept;
 Fletcher32Pair slicing_fletcher32(util::ByteView data) noexcept;
@@ -53,7 +53,7 @@ std::uint16_t swar_internet_sum(util::ByteView data) noexcept;
 // Sparse polynomial convolution (arXiv 2412.16398): message words are
 // eliminated by XOR-ing shifted copies of a weight-6 multiple of the
 // generator, five register-resident carry words, no lookup tables.
-// Runs anywhere; the fast fallback tier below clmul.
+// Runs anywhere; best's CRC-32 where clmul is unavailable.
 std::uint32_t chorba_crc32(std::uint32_t crc, util::ByteView data) noexcept;
 
 // --- clmul: carry-less-multiply folding CRC-32 ----------------------
@@ -63,19 +63,18 @@ std::uint32_t chorba_crc32(std::uint32_t crc, util::ByteView data) noexcept;
 // instructions (so a stale function pointer can never fault).
 std::uint32_t clmul_crc32(std::uint32_t crc, util::ByteView data) noexcept;
 
-/// nullptr when the clmul kernel genuinely runs on this machine, else
-/// a short human-readable reason ("CPU lacks carry-less multiply...",
+/// nullptr when clmul_crc32 genuinely runs on this machine, else a
+/// short human-readable reason ("CPU lacks carry-less multiply...",
 /// "binary built without carry-less-multiply support").
 const char* clmul_unavailable() noexcept;
 
-/// Slice-by-8 CRC-32 lookup tables. t[0] is the byte table taken from
-/// GenericCrc(32, standard_poly(32)); t[1..7] are the shifted tables
-/// the slicing loop combines eight-at-a-time.
-struct CrcSliceTables {
+/// The CRC-32 lookup tables (reflected IEEE polynomial). t[0] is the
+/// byte table the scalar loop walks; t[1..7] extend it one zero byte
+/// per slice for slicing-by-8. Built at compile time, the repo's one
+/// CRC-32 table builder.
+struct Crc32Tables {
   std::uint32_t t[8][256];
 };
-
-/// The process-wide slice tables, built on first use from GenericCrc.
-const CrcSliceTables& crc32_slice_tables() noexcept;
+extern const Crc32Tables kCrc32Tables;
 
 }  // namespace cksum::alg::kern::impl

@@ -1,50 +1,40 @@
-// Hardware-speed checksum kernels behind a runtime-selectable registry.
+// Hardware-speed checksum implementations behind one dispatch switch.
 //
 // Every algorithm the paper studies has one obviously-correct scalar
 // formulation (byte-at-a-time, reduce every step) and one or more
 // machine-width formulations that are several-fold faster but easy to
 // get subtly wrong: table-slicing CRCs, SWAR ones-complement sums with
 // deferred end-around carries, Fletcher/Adler loops with deferred
-// modular reduction. This registry packages each formulation tier as a
-// named *kernel* — a complete suite of entry points for all five
-// algorithms — and routes the pipeline's hot callers through one
-// process-wide selection:
+// modular reduction. Each algorithm keeps one ordered *implementation
+// list*: the scalar reference first, then the fast implementations
+// that actually differ, each written once:
 //
-//   scalar   the reference: byte/word-at-a-time, immediate reduction
-//   slicing  slicing-by-8 CRC-32 (tables derived from GenericCrc),
-//            blocked Fletcher/Fletcher-32/Adler-32 with deferred
-//            modular reduction, word-at-a-time Internet sum
-//   swar     slicing's integer kernels plus a 64-bit SWAR Internet
-//            sum with deferred end-around-carry folding
-//   chorba   tableless CRC-32 via sparse polynomial convolution
-//            (arXiv 2412.16398) over swar's integer kernels
-//   clmul    carry-less-multiply folding CRC-32 (PCLMULQDQ / PMULL)
-//            — only on hardware that has the instructions
-//   best     alias for the highest-tier kernel *available here*
+//   internet        scalar, slicing (word-at-a-time, one fold),
+//                   swar (64-bit SWAR, deferred end-around carries)
+//   crc32           scalar (byte table), slicing (slicing-by-8,
+//                   arXiv 1009.5949), chorba (tableless sparse
+//                   convolution, arXiv 2412.16398), clmul (PCLMULQDQ /
+//                   PMULL folding; only where the hardware has it)
+//   fletcher, fletcher32, adler32, koopmandual, koopmansingle
+//                   scalar, slicing (blocked, deferred reduction)
 //
-// Availability is a runtime property: every kernel is always listed,
-// but a kernel may report itself unavailable on this machine (clmul
-// without carry-less-multiply hardware). `best` resolves per machine
-// — clmul where supported, else chorba — and unavailable kernels are
-// not selectable; kernel_selection_reason() says why the active
-// kernel is what it is, and exported manifests record it.
+// An entry may carry an availability probe (clmul without
+// carry-less-multiply hardware is listed but unavailable). The process
+// runs one of two *selections*: `best`, each algorithm's last available
+// entry, or `scalar`, each algorithm's reference. select_kernel() (or
+// the CKSUM_KERNEL environment variable, or --kernel on
+// cksumlab/faultlab) picks one, so a whole splice run can be re-executed
+// on the reference code with one flag. All entries of a list are
+// bit-identical — the conformance harness in tests/test_kernels.cpp
+// differentially proves it — so results do not depend on the selection.
 //
-// Selection is a single process-wide switch: `select_kernel()` (or the
-// CKSUM_KERNEL environment variable, or --kernel on cksumlab/faultlab)
-// picks the kernel every dispatched call uses, so a whole splice run
-// can be re-executed under a different kernel with one flag. All
-// kernels are bit-identical — the conformance harness in
-// tests/test_kernels.cpp differentially proves it — so results are
-// bitwise-deterministic regardless of selection.
-//
-// The dispatched entry points record per-kernel obs counters
-// (`kernel.<name>.calls` / `kernel.<name>.bytes`) so an exported run
-// manifest shows which kernel did the work and how much of it. The
-// counts accumulate in plain thread-local cells — two relaxed stores
-// per dispatch, nothing shared — and merge into the obs registry only
-// at snapshot time via a snapshot source, so sub-64-byte frame floods
-// never contend on registry slots. `kernel.<name>.available` gauges
-// (0/1) record the availability picture the run saw.
+// The dispatched entry points record per-algorithm obs counters
+// (`kernel.<alg>.calls` / `kernel.<alg>.bytes`). The counts accumulate
+// in plain thread-local cells — two relaxed stores per dispatch,
+// nothing shared — and merge into the obs registry only at snapshot
+// time via a snapshot source, so sub-64-byte frame floods never contend
+// on registry slots. `kernel.<alg>.<impl>.available` gauges (0/1)
+// record the availability picture the run saw.
 #pragma once
 
 #include <cstdint>
@@ -59,92 +49,124 @@
 
 namespace cksum::alg::kern {
 
-/// One formulation tier: a complete, bit-identical suite of entry
-/// points for the seven algorithms. All function pointers are
-/// non-null.
-struct Kernel {
-  std::string_view name;         ///< registry key ("scalar", "slicing", ...)
-  std::string_view description;  ///< one-line technique summary
-  int tier = 0;                  ///< "best" picks the highest tier
+/// RFC 1071 ones-complement sum (not inverted), big-endian words.
+using InternetFn = std::uint16_t(util::ByteView data) noexcept;
+/// 8-bit Fletcher pair, end-weighted within the block.
+using FletcherFn = FletcherPair(util::ByteView data, FletcherMod mod) noexcept;
+/// 32-bit Fletcher pair (16-bit big-endian words mod 65535).
+using Fletcher32Fn = Fletcher32Pair(util::ByteView data) noexcept;
+/// Streaming continuation: Adler-32 (pass 1 to start) or CRC-32 over
+/// finalised values (pass 0 to start; zlib semantics).
+using StreamFn = std::uint32_t(std::uint32_t state,
+                               util::ByteView data) noexcept;
+/// Koopman large-block dual sum: 64-bit big-endian blocks feeding two
+/// Fletcher-style sums mod 65521 (arXiv 2302.13432).
+using KoopmanDualFn = KoopmanDualPair(util::ByteView data) noexcept;
+/// Koopman large-block single sum: 64-bit blocks mod 2^32 - 5.
+using KoopmanSingleFn = std::uint64_t(util::ByteView data) noexcept;
 
-  /// RFC 1071 ones-complement sum (not inverted), big-endian words.
-  std::uint16_t (*internet_sum)(util::ByteView data) noexcept = nullptr;
-  /// 8-bit Fletcher pair, end-weighted within the block.
-  FletcherPair (*fletcher)(util::ByteView data, FletcherMod mod) noexcept =
-      nullptr;
-  /// 32-bit Fletcher pair (16-bit big-endian words mod 65535).
-  Fletcher32Pair (*fletcher32)(util::ByteView data) noexcept = nullptr;
-  /// Adler-32 streaming continuation (pass 1 to start).
-  std::uint32_t (*adler32)(std::uint32_t adler, util::ByteView data) noexcept =
-      nullptr;
-  /// CRC-32 streaming continuation over finalised values (pass 0 to
-  /// start; zlib semantics, identical to alg::crc32).
-  std::uint32_t (*crc32)(std::uint32_t crc, util::ByteView data) noexcept =
-      nullptr;
-  /// Koopman large-block dual sum: 64-bit big-endian blocks feeding
-  /// two Fletcher-style sums mod 65521 (arXiv 2302.13432).
-  KoopmanDualPair (*koopman_dual)(util::ByteView data) noexcept = nullptr;
-  /// Koopman large-block single sum: 64-bit blocks mod 2^32 - 5.
-  std::uint64_t (*koopman_single)(util::ByteView data) noexcept = nullptr;
+/// The algorithms with an implementation list, in list order.
+enum class Alg : int {
+  kInternet,
+  kFletcher,
+  kFletcher32,
+  kAdler32,
+  kCrc32,
+  kKoopmanDual,
+  kKoopmanSingle,
+};
+inline constexpr int kNumAlgs = 7;
 
-  /// Runtime availability probe. nullptr for kernels that run on any
-  /// machine; otherwise returns nullptr when this machine can run the
-  /// kernel, else a short static reason it cannot ("CPU lacks
-  /// carry-less multiply ..."). Unavailable kernels stay listed in
-  /// kernels() but are never selectable and never picked by "best".
+/// One implementation of one algorithm.
+template <typename Fn>
+struct Impl {
+  std::string_view name;  ///< "scalar", "slicing", "swar", ...
+  Fn* fn = nullptr;
+  /// nullptr for implementations that run on any machine; otherwise
+  /// returns nullptr when this machine can run it, else a short static
+  /// reason it cannot ("CPU lacks carry-less multiply ...").
   const char* (*unavailable)() noexcept = nullptr;
+
+  const char* unavailable_reason() const noexcept {
+    return unavailable == nullptr ? nullptr : unavailable();
+  }
+  bool available() const noexcept { return unavailable_reason() == nullptr; }
 };
 
-/// True when `k` can actually run on this machine.
-bool kernel_available(const Kernel& k) noexcept;
+/// One algorithm's implementation list: the scalar reference first,
+/// then the fast implementations in the order `best` prefers them.
+template <typename Fn>
+struct ImplList {
+  Alg alg;
+  std::string_view name;  ///< metric/bench key: "internet", "crc32", ...
+  std::span<const Impl<Fn>> impls;
 
-/// nullptr when `k` is available here, else the human-readable reason
-/// it is not (static storage; never free it).
-const char* kernel_unavailable_reason(const Kernel& k) noexcept;
+  const Impl<Fn>& scalar() const noexcept { return impls.front(); }
+  /// The last available entry — what the `best` selection runs.
+  const Impl<Fn>& best() const noexcept {
+    for (auto it = impls.rbegin(); it != impls.rend(); ++it)
+      if (it->available()) return *it;
+    return impls.front();
+  }
+};
 
-/// Every registered kernel, in tier order (scalar first).
-std::span<const Kernel> kernels() noexcept;
+const ImplList<InternetFn>& internet_impls() noexcept;
+const ImplList<FletcherFn>& fletcher_impls() noexcept;
+const ImplList<Fletcher32Fn>& fletcher32_impls() noexcept;
+const ImplList<StreamFn>& adler32_impls() noexcept;
+const ImplList<StreamFn>& crc32_impls() noexcept;
+const ImplList<KoopmanDualFn>& koopman_dual_impls() noexcept;
+const ImplList<KoopmanSingleFn>& koopman_single_impls() noexcept;
 
-/// Look up a kernel by name; "best" resolves to the highest tier
-/// available on this machine. Returns nullptr for unknown names (an
-/// unavailable kernel is still found — callers that care distinguish
-/// with kernel_available()).
-const Kernel* find_kernel(std::string_view name) noexcept;
+/// Call f(list) for every implementation list, in Alg order.
+template <typename F>
+void for_each_list(F&& f) {
+  f(internet_impls());
+  f(fletcher_impls());
+  f(fletcher32_impls());
+  f(adler32_impls());
+  f(crc32_impls());
+  f(koopman_dual_impls());
+  f(koopman_single_impls());
+}
 
-/// The scalar reference kernel — what the conformance harness and the
-/// differential tests compare every other kernel against.
-const Kernel& scalar_kernel() noexcept;
+/// Index into `alg`'s list of the entry dispatched calls currently
+/// run. On first use the selection is initialised from the
+/// CKSUM_KERNEL environment variable when it names a selection, else
+/// to "best".
+std::size_t active_index(Alg alg) noexcept;
 
-/// The kernel dispatched calls currently use. On first use the
-/// selection is initialised from the CKSUM_KERNEL environment variable
-/// when it names a registered kernel (or "best") that is available on
-/// this machine, else to "best".
-const Kernel& active_kernel() noexcept;
+/// The active selection: "best" or "scalar".
+std::string_view selection_name() noexcept;
 
-/// Select the dispatch kernel by name ("best", "scalar", "slicing",
-/// "swar", "chorba", "clmul"). Returns false (selection unchanged)
-/// for unknown names and for kernels unavailable on this machine.
+/// Select the dispatch entries by selection name ("best" or
+/// "scalar"). Returns false (selection unchanged) for any other name.
 /// Intended for process startup; switching while other threads are
 /// dispatching is safe but the cutover point is unspecified.
 bool select_kernel(std::string_view name) noexcept;
 
-/// One sentence describing why active_kernel() is what it is:
-/// "best: highest available tier" (with per-kernel unavailability
-/// notes), an explicit selection, a CKSUM_KERNEL pick, or a fallback
-/// after CKSUM_KERNEL named something unusable. Exported manifests
-/// record this as the "kernel_reason" member next to "kernel".
+/// One sentence describing why the active selection is what it is —
+/// an explicit selection, a CKSUM_KERNEL pick, a fallback after
+/// CKSUM_KERNEL named something else, or the default `best`, with
+/// what `best` resolves to per algorithm and why any listed entry is
+/// unavailable here.
 std::string kernel_selection_reason();
+
+/// The manifest members recording which selection ran and why
+/// ("kernel" and "kernel_reason", docs/OBSERVABILITY.md), ready to
+/// splice into obs::RunInfo::extra_json.
+std::string kernel_manifest_json();
 
 /// Environment variable consulted on first dispatch (and by the CLI
 /// drivers, which reject unknown values loudly).
 inline constexpr const char* kKernelEnv = "CKSUM_KERNEL";
 
-/// Idempotently register the kernel.* metric families for every
-/// registered kernel with obs::Registry::global(), so exported
-/// manifests carry the full (zero-valued) family even before the first
-/// dispatched call. Tagged kScheduling: the split across kernels is a
-/// property of this run's configuration, not of the corpus, and must
-/// not participate in cross-configuration determinism diffs.
+/// Idempotently register the kernel.* metric families with
+/// obs::Registry::global(), so exported manifests carry the full
+/// (zero-valued) family even before the first dispatched call. Tagged
+/// kScheduling: which implementation served the run is a property of
+/// its configuration, not of the corpus, and must not participate in
+/// cross-configuration determinism diffs.
 void register_kernel_metrics();
 
 // --- Dispatched entry points (the hot callers' interface) -----------

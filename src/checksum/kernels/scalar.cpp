@@ -1,11 +1,10 @@
-// The scalar reference tier: one word or byte per step, modular
-// reduction applied immediately. These are the formulations whose
-// correctness is obvious from the RFC / paper definitions; every other
-// kernel is differentially tested against them.
+// The scalar reference implementations: one word or byte per step,
+// modular reduction applied immediately. These are the formulations
+// whose correctness is obvious from the RFC / paper definitions; every
+// other implementation is differentially tested against them.
 #include "checksum/kernels/impl.hpp"
 
 #include "checksum/adler32.hpp"
-#include "checksum/crc32.hpp"
 #include "checksum/internet.hpp"
 
 namespace cksum::alg::kern::impl {
@@ -14,7 +13,7 @@ std::uint16_t scalar_internet_sum(util::ByteView data) noexcept {
   // One end-around-carry add per big-endian word. Chained ones_add
   // yields the same representative as a deferred 64-bit fold: both are
   // 0 only when every summed byte is zero, 0xFFFF for any other sum
-  // congruent to zero mod 65535, so all tiers agree bitwise.
+  // congruent to zero mod 65535, so all implementations agree bitwise.
   std::uint16_t sum = 0;
   const std::size_t n = data.size();
   std::size_t i = 0;
@@ -64,7 +63,11 @@ std::uint32_t scalar_adler32(std::uint32_t adler,
 }
 
 std::uint32_t scalar_crc32(std::uint32_t crc, util::ByteView data) noexcept {
-  return crc32_table(crc, data);
+  // Byte-at-a-time table walk.
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (std::uint8_t byte : data)
+    c = kCrc32Tables.t[0][(c ^ byte) & 0xffu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
 }
 
 KoopmanDualPair scalar_koopman_dual(util::ByteView data) noexcept {

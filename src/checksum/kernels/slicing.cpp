@@ -1,9 +1,9 @@
-// The table-slicing / deferred-reduction tier.
+// The table-slicing / deferred-reduction implementations.
 //
 // CRC-32 runs slicing-by-8: eight message bytes are folded per step
-// through eight 256-entry tables derived from the GenericCrc byte
-// table, turning the byte-serial table walk into eight independent
-// loads XORed together (arXiv 1009.5949's "slicing-by-N").
+// through eight 256-entry tables, turning the byte-serial table walk
+// into eight independent loads XORed together (arXiv 1009.5949's
+// "slicing-by-N").
 //
 // The modular sums (Fletcher, Fletcher-32, Adler-32) are unrolled so
 // the inner loop does plain integer adds and the `% m` reductions run
@@ -22,14 +22,14 @@
 #include <algorithm>
 
 #include "checksum/adler32.hpp"
-#include "checksum/generic_crc.hpp"
+#include "checksum/crc32.hpp"
 
 namespace cksum::alg::kern::impl {
 
 namespace {
 
 /// Bytes between Fletcher reductions: A stays below 2^22 and B below
-/// 2^37 in the 64-bit accumulators (same bound as alg::FletcherSum).
+/// 2^37 in the 64-bit accumulators.
 constexpr std::size_t kFletcherChunk = std::size_t{1} << 14;
 
 /// 16-bit words between Fletcher-32 reductions: A < 2^31, B < 2^45.
@@ -50,30 +50,31 @@ constexpr std::size_t kKoopmanDualRun = 2048;
 /// accumulator below 2^32 + 2^27·2^35 = 2^62 + 2^32.
 constexpr std::size_t kKoopmanSingleRun = std::size_t{1} << 27;
 
-}  // namespace
-
-const CrcSliceTables& crc32_slice_tables() noexcept {
-  static const CrcSliceTables tables = [] {
-    CrcSliceTables tb{};
-    // t[0] is GenericCrc's byte table for the IEEE polynomial; the
-    // extension recurrence appends one more zero byte per slice.
-    const GenericCrc engine(32, standard_poly(32));
-    const auto& byte_table = engine.byte_table();
-    for (std::size_t n = 0; n < 256; ++n) tb.t[0][n] = byte_table[n];
-    for (std::size_t n = 0; n < 256; ++n) {
-      std::uint32_t c = tb.t[0][n];
-      for (int s = 1; s < 8; ++s) {
-        c = tb.t[0][c & 0xffu] ^ (c >> 8);
-        tb.t[s][n] = c;
-      }
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables tb{};
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    std::uint32_t c = n;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? (kCrc32Poly ^ (c >> 1)) : (c >> 1);
+    tb.t[0][n] = c;
+  }
+  // Each further slice appends one more zero byte.
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    std::uint32_t c = tb.t[0][n];
+    for (int s = 1; s < 8; ++s) {
+      c = tb.t[0][c & 0xffu] ^ (c >> 8);
+      tb.t[s][n] = c;
     }
-    return tb;
-  }();
-  return tables;
+  }
+  return tb;
 }
 
+}  // namespace
+
+constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
 std::uint32_t slicing_crc32(std::uint32_t crc, util::ByteView data) noexcept {
-  const auto& tb = crc32_slice_tables();
+  const auto& tb = kCrc32Tables;
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();

@@ -1,4 +1,4 @@
-// The SWAR tier's Internet checksum: eight message bytes per 64-bit
+// The SWAR Internet checksum: eight message bytes per 64-bit
 // load, treated as four 16-bit ones-complement lanes.
 //
 // Each loaded word is split into its 32-bit halves and both are added
@@ -10,8 +10,7 @@
 // accumulate losslessly in the accumulator's top bits — no per-
 // iteration carry fixup, one fold chain at the end. The fold produces
 // native-endian lanes; one byte swap of the folded 16-bit sum repairs
-// all lanes at once on little-endian machines (RFC 1071 §2, the same
-// trick alg::internet_sum_wide uses).
+// all lanes at once on little-endian machines (RFC 1071 §2).
 //
 // Misaligned heads and sub-word tails run through the word-at-a-time
 // path standalone and are composed with the RFC 1071 block rule: a

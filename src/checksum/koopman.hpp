@@ -74,8 +74,8 @@ constexpr std::uint32_t koopman_dual_value(KoopmanDualPair p) noexcept {
 }
 
 /// Reference dual sum: one 64-bit block per step, immediate reduction.
-/// The kernel registry's fast tiers are differentially tested against
-/// this formulation.
+/// The scalar entry of kern::koopman_dual_impls(); the faster entries
+/// are differentially tested against it.
 KoopmanDualPair koopman_dual_naive(util::ByteView data) noexcept;
 
 /// Reference single sum: one 64-bit block per step, immediate

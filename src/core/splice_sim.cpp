@@ -813,19 +813,26 @@ std::vector<SimPacket> prepare_file(const SpliceRunConfig& cfg,
   return packetize_file(cfg.flow, file);
 }
 
+/// One whole file into `st`: count it and its packets, then evaluate
+/// every adjacent pair — shared by run_file and the sequential path.
+void splice_file(const SpliceRunConfig& cfg,
+                 const std::vector<SimPacket>& pkts, SpliceStats& st) {
+  st.files += 1;
+  st.packets += pkts.size();
+  const SpliceMetrics& mx = smx();
+  mx.files.add(1);
+  mx.packets.add(pkts.size());
+  for (std::size_t i = 0; i + 1 < pkts.size(); ++i)
+    evaluate_pair(cfg.flow.packet, pkts[i], pkts[i + 1], st);
+}
+
 }  // namespace
 
 void register_splice_metrics() { (void)smx(); }
 
 SpliceStats run_file(const SpliceRunConfig& cfg, util::ByteView file) {
   SpliceStats st;
-  const std::vector<SimPacket> pkts = prepare_file(cfg, file);
-  st.files = 1;
-  st.packets = pkts.size();
-  smx().files.add(1);
-  smx().packets.add(pkts.size());
-  for (std::size_t i = 0; i + 1 < pkts.size(); ++i)
-    evaluate_pair(cfg.flow.packet, pkts[i], pkts[i + 1], st);
+  splice_file(cfg, prepare_file(cfg, file), st);
   return st;
 }
 
@@ -853,15 +860,7 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
 
   if (threads <= 1 || nfiles == 0) {
     SpliceStats st;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::vector<SimPacket> pkts = load(i);
-      st.files += 1;
-      st.packets += pkts.size();
-      mx.files.add(1);
-      mx.packets.add(pkts.size());
-      for (std::size_t j = 0; j + 1 < pkts.size(); ++j)
-        evaluate_pair(cfg.flow.packet, pkts[j], pkts[j + 1], st);
-    }
+    for (std::size_t i = begin; i < end; ++i) splice_file(cfg, load(i), st);
     return st;
   }
 

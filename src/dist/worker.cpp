@@ -331,11 +331,8 @@ int run_worker(const WorkerOptions& opts) {
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
                   .count();
-          info.extra_json =
-              "\"kernel\": \"" + std::string(alg::kern::active_kernel().name) +
-              "\", \"kernel_reason\": \"" +
-              obs::json_escape(alg::kern::kernel_selection_reason()) +
-              "\", \"worker\": " + std::to_string(opts.worker_id);
+          info.extra_json = alg::kern::kernel_manifest_json() +
+                            ", \"worker\": " + std::to_string(opts.worker_id);
           describe_jobs(jobs, &info);
           if (obs::write_manifest(opts.metrics_out, info, reg.snapshot()))
             bye.manifest_path = opts.metrics_out;

@@ -9,7 +9,7 @@
 //
 // Checksum numbers (RFC 1146): 0 = TCP checksum, 1 = 8-bit Fletcher,
 // 2 = 16-bit Fletcher, 3 = redundant checksum avoidance. Numbers 1/2
-// correspond to alg::fletcher_block and alg::fletcher32_block.
+// correspond to alg::kern::fletcher_block and alg::kern::fletcher32_block.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "checksum/kernels/kernel.hpp"
+
 namespace cksum::net {
 
 namespace {
@@ -28,7 +30,7 @@ util::Bytes build_tp4_dt(const Tp4Dt& dt, alg::FletcherMod mod) {
 
   // Solve the check octets over the whole TPDU (offset-from-end weight
   // of X: everything after it plus itself).
-  const alg::FletcherPair rest = alg::fletcher_block(util::ByteView(out), mod);
+  const alg::FletcherPair rest = alg::kern::fletcher_block(util::ByteView(out), mod);
   const std::size_t u = out.size() - 7;
   const auto [x, y] = alg::fletcher_check_bytes(rest, u, mod);
   out[7] = x;

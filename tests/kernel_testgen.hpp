@@ -79,11 +79,13 @@ class AlignedPool {
 
 /// Lengths for the alignment sweep: every boundary case of an 8-byte
 /// inner loop plus the sizes the pipeline actually feeds the kernels
-/// (48-byte cells, 296-byte paper packets, MTU, 64 KiB buffers).
+/// (48-byte cells, 296-byte paper packets, MTU, 64 KiB buffers, and
+/// 64 KiB plus an odd sub-word tail).
 inline std::vector<std::size_t> sweep_lengths() {
-  std::vector<std::size_t> lens = {0,  1,  2,  3,   7,    8,    9,    15,
-                                   16, 17, 47, 48,  63,   64,   65,   296,
-                                   1500, 4095, 4096, 65535, 65536};
+  std::vector<std::size_t> lens = {0,    1,    2,    3,     7,     8,
+                                   9,    15,   16,   17,    47,    48,
+                                   63,   64,   65,   296,   1500,  4095,
+                                   4096, 65535, 65536, 65543};
   if (long_mode()) {
     // Long mode: random lengths up to 1 MiB (the pool is grown to
     // match by the caller) on top of the fixed boundary set.

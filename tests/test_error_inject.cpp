@@ -112,12 +112,12 @@ class CrcBurstGuarantee : public ::testing::TestWithParam<unsigned> {};
 TEST_P(CrcBurstGuarantee, AllBurstsDetected) {
   const unsigned len = GetParam();
   const Bytes data = random_bytes(8, 128);
-  const std::uint32_t good = alg::crc32(ByteView(data));
+  const std::uint32_t good = alg::kern::crc32(ByteView(data));
   util::Rng rng(9 + len);
   for (int trial = 0; trial < 2000; ++trial) {
     Bytes corrupted = data;
     apply_burst(corrupted, random_burst(rng, 128 * 8, len));
-    EXPECT_NE(alg::crc32(ByteView(corrupted)), good);
+    EXPECT_NE(alg::kern::crc32(ByteView(corrupted)), good);
   }
 }
 
@@ -128,14 +128,14 @@ TEST(CrcDoubleBit, DetectedUpToLargeSeparations) {
   // "all 2-bit errors less than 2048 bits apart" — IEEE CRC-32's
   // actual guarantee window is far larger; verify a superset.
   const Bytes data = random_bytes(10, 1024);
-  const std::uint32_t good = alg::crc32(ByteView(data));
+  const std::uint32_t good = alg::kern::crc32(ByteView(data));
   util::Rng rng(11);
   for (int trial = 0; trial < 2000; ++trial) {
     Bytes corrupted = data;
     const std::size_t gap = 1 + rng.below(4000);
     const std::size_t first = rng.below(1024 * 8 - gap - 1);
     apply_double_bit(corrupted, first, gap);
-    EXPECT_NE(alg::crc32(ByteView(corrupted)), good);
+    EXPECT_NE(alg::kern::crc32(ByteView(corrupted)), good);
   }
 }
 
@@ -143,7 +143,7 @@ TEST(CrcOddErrors, AlwaysDetected) {
   // Odd numbers of bit errors are always caught (the generator has
   // the (x+1) factor).
   const Bytes data = random_bytes(12, 256);
-  const std::uint32_t good = alg::crc32(ByteView(data));
+  const std::uint32_t good = alg::kern::crc32(ByteView(data));
   util::Rng rng(13);
   for (int trial = 0; trial < 1000; ++trial) {
     Bytes corrupted = data;
@@ -159,7 +159,7 @@ TEST(CrcOddErrors, AlwaysDetected) {
       changed_bits += static_cast<std::size_t>(
           std::popcount(static_cast<unsigned>(data[i] ^ corrupted[i])));
     if (changed_bits % 2 == 0) continue;
-    EXPECT_NE(alg::crc32(ByteView(corrupted)), good);
+    EXPECT_NE(alg::kern::crc32(ByteView(corrupted)), good);
   }
 }
 
@@ -170,13 +170,13 @@ class FletcherBurstGuarantee : public ::testing::TestWithParam<unsigned> {};
 TEST_P(FletcherBurstGuarantee, AllBurstsDetected) {
   const unsigned len = GetParam();
   const Bytes data = random_bytes(14, 64);
-  const auto good = alg::fletcher_block(ByteView(data),
+  const auto good = alg::kern::fletcher_block(ByteView(data),
                                         alg::FletcherMod::kTwos256);
   util::Rng rng(15 + len);
   for (int trial = 0; trial < 2000; ++trial) {
     Bytes corrupted = data;
     apply_burst(corrupted, random_burst(rng, 64 * 8, len));
-    EXPECT_NE(alg::fletcher_block(ByteView(corrupted),
+    EXPECT_NE(alg::kern::fletcher_block(ByteView(corrupted),
                                   alg::FletcherMod::kTwos256),
               good);
   }

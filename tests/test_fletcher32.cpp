@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "checksum/fletcher32.hpp"
+#include "checksum/kernels/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace cksum::alg {
 namespace {
 
+using kern::fletcher32_block;
 using util::ByteView;
 using util::Bytes;
 

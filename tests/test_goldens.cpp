@@ -97,7 +97,7 @@ inline util::ByteView view_of(std::string_view s) {
                         s.size());
 }
 
-// Published check values. Every registered kernel must reproduce them
+// Published check values. Every implementation must reproduce them
 // exactly; together with the differential harness in test_kernels.cpp
 // this anchors the whole kernel family to the external definitions,
 // not merely to each other.
@@ -186,49 +186,72 @@ constexpr KoopmanGolden kKoopmanGoldens[] = {
      0x0ff0efb1ull},
 };
 
+/// Report an unavailable entry and say whether to skip it: it answers
+/// through its safe fallback, so the vectors would pass without
+/// exercising it — note it and move on rather than claim coverage.
+template <typename Fn>
+bool skip_unavailable(std::string_view alg, const Impl<Fn>& impl) {
+  const char* why = impl.unavailable_reason();
+  if (why != nullptr)
+    std::fprintf(stderr, "[ goldens ] skipping %s/%s (unavailable: %s)\n",
+                 std::string(alg).c_str(), std::string(impl.name).c_str(), why);
+  return why != nullptr;
+}
+
 TEST(KernelGoldens, EveryKernelReproducesPublishedVectors) {
-  for (const Kernel& k : kernels()) {
-    if (!kernel_available(k)) {
-      // Unavailable kernels answer through their safe fallback, so
-      // the vectors would pass without exercising this kernel — note
-      // it and move on rather than claim coverage.
-      const char* why = kernel_unavailable_reason(k);
-      std::fprintf(stderr, "[ goldens ] skipping %s (unavailable: %s)\n",
-                   std::string(k.name).c_str(), why != nullptr ? why : "?");
-      continue;
-    }
-    SCOPED_TRACE(std::string("kernel=") + std::string(k.name));
+  // Every entry of every implementation list, not just the ones a
+  // selection runs.
+  for (const Impl<StreamFn>& k : crc32_impls().impls) {
+    if (skip_unavailable("crc32", k)) continue;
     for (const CrcGolden& g : kCrc32Goldens)
-      EXPECT_EQ(k.crc32(0, view_of(g.text)), g.crc) << "crc32(\"" << g.text
-                                                    << "\")";
+      EXPECT_EQ(k.fn(0, view_of(g.text)), g.crc)
+          << k.name << " crc32(\"" << g.text << "\")";
+  }
+  for (const Impl<StreamFn>& k : adler32_impls().impls) {
+    if (skip_unavailable("adler32", k)) continue;
     for (const AdlerGolden& g : kAdler32Goldens)
-      EXPECT_EQ(k.adler32(1, view_of(g.text)), g.adler)
-          << "adler32(\"" << g.text << "\")";
+      EXPECT_EQ(k.fn(1, view_of(g.text)), g.adler)
+          << k.name << " adler32(\"" << g.text << "\")";
+  }
+  for (const Impl<InternetFn>& k : internet_impls().impls) {
+    if (skip_unavailable("internet", k)) continue;
     for (const InternetGolden& g : kInternetGoldens) {
       const util::Bytes data(g.bytes);
-      EXPECT_EQ(k.internet_sum(util::ByteView(data)), g.sum);
+      EXPECT_EQ(k.fn(util::ByteView(data)), g.sum) << k.name;
     }
+  }
+  for (const Impl<FletcherFn>& k : fletcher_impls().impls) {
+    if (skip_unavailable("fletcher", k)) continue;
     for (const FletcherGolden& g : kFletcher255Goldens) {
-      const FletcherPair p = k.fletcher(view_of(g.text), FletcherMod::kOnes255);
-      EXPECT_EQ(p.a, g.a) << "f255 A(\"" << g.text << "\")";
-      EXPECT_EQ(p.b, g.b) << "f255 B(\"" << g.text << "\")";
+      const FletcherPair p = k.fn(view_of(g.text), FletcherMod::kOnes255);
+      EXPECT_EQ(p.a, g.a) << k.name << " f255 A(\"" << g.text << "\")";
+      EXPECT_EQ(p.b, g.b) << k.name << " f255 B(\"" << g.text << "\")";
     }
     for (const FletcherGolden& g : kFletcher256Goldens) {
-      const FletcherPair p = k.fletcher(view_of(g.text), FletcherMod::kTwos256);
-      EXPECT_EQ(p.a, g.a) << "f256 A(\"" << g.text << "\")";
-      EXPECT_EQ(p.b, g.b) << "f256 B(\"" << g.text << "\")";
+      const FletcherPair p = k.fn(view_of(g.text), FletcherMod::kTwos256);
+      EXPECT_EQ(p.a, g.a) << k.name << " f256 A(\"" << g.text << "\")";
+      EXPECT_EQ(p.b, g.b) << k.name << " f256 B(\"" << g.text << "\")";
     }
+  }
+  for (const Impl<Fletcher32Fn>& k : fletcher32_impls().impls) {
+    if (skip_unavailable("fletcher32", k)) continue;
     for (const FletcherGolden& g : kFletcher32Goldens) {
-      const Fletcher32Pair p = k.fletcher32(view_of(g.text));
-      EXPECT_EQ(p.a, g.a) << "f32 A(\"" << g.text << "\")";
-      EXPECT_EQ(p.b, g.b) << "f32 B(\"" << g.text << "\")";
+      const Fletcher32Pair p = k.fn(view_of(g.text));
+      EXPECT_EQ(p.a, g.a) << k.name << " f32 A(\"" << g.text << "\")";
+      EXPECT_EQ(p.b, g.b) << k.name << " f32 B(\"" << g.text << "\")";
     }
-    for (const KoopmanGolden& g : kKoopmanGoldens) {
-      EXPECT_EQ(koopman_dual_value(k.koopman_dual(view_of(g.text))), g.dual)
-          << "kdual(\"" << g.text << "\")";
-      EXPECT_EQ(k.koopman_single(view_of(g.text)), g.single)
-          << "ksingle(\"" << g.text << "\")";
-    }
+  }
+  for (const Impl<KoopmanDualFn>& k : koopman_dual_impls().impls) {
+    if (skip_unavailable("koopmandual", k)) continue;
+    for (const KoopmanGolden& g : kKoopmanGoldens)
+      EXPECT_EQ(koopman_dual_value(k.fn(view_of(g.text))), g.dual)
+          << k.name << " kdual(\"" << g.text << "\")";
+  }
+  for (const Impl<KoopmanSingleFn>& k : koopman_single_impls().impls) {
+    if (skip_unavailable("koopmansingle", k)) continue;
+    for (const KoopmanGolden& g : kKoopmanGoldens)
+      EXPECT_EQ(k.fn(view_of(g.text)), g.single)
+          << k.name << " ksingle(\"" << g.text << "\")";
   }
 }
 

@@ -255,34 +255,6 @@ TEST(InternetSum, OddOffsetOddLengthBlockChain) {
   }
 }
 
-class InternetWide : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(InternetWide, MatchesScalarAtEveryLength) {
-  const std::size_t len = GetParam();
-  const Bytes data = random_bytes(len * 31 + 5, len);
-  EXPECT_EQ(internet_sum_wide(ByteView(data)), internet_sum(ByteView(data)))
-      << "len=" << len;
-}
-
-INSTANTIATE_TEST_SUITE_P(Lengths, InternetWide,
-                         ::testing::Values(0, 1, 7, 8, 9, 15, 16, 47, 48,
-                                           296, 1500, 65536, 65543));
-
-TEST(InternetWide, EdgePatternsMatchScalar) {
-  for (const std::uint8_t fill : {0x00, 0xff, 0x80, 0x01}) {
-    for (const std::size_t len : {8u, 24u, 296u}) {
-      const Bytes data(len, fill);
-      EXPECT_EQ(internet_sum_wide(ByteView(data)),
-                internet_sum(ByteView(data)))
-          << "fill=" << int(fill) << " len=" << len;
-    }
-  }
-  // The class-zero representative: nonzero content summing to 0xFFFF.
-  Bytes wrap = {0xff, 0xfe, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00};
-  EXPECT_EQ(internet_sum(ByteView(wrap)), 0xffff);
-  EXPECT_EQ(internet_sum_wide(ByteView(wrap)), 0xffff);
-}
-
 TEST(InternetSum, LargeBufferNoOverflow) {
   const Bytes data(1 << 20, 0xff);
   EXPECT_EQ(internet_sum(ByteView(data)), 0xffff);

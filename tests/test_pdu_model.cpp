@@ -2,6 +2,7 @@
 // the corresponding whole-message quantity computed directly.
 #include <gtest/gtest.h>
 
+#include "checksum/kernels/kernel.hpp"
 #include "core/pdu_model.hpp"
 #include "fsgen/generator.hpp"
 #include "util/rng.hpp"
@@ -28,10 +29,10 @@ TEST(PduModel, CellPartialsMatchDirectComputation) {
     const ByteView cell = sp.pdu.cell(i);
     EXPECT_EQ(sp.cells[i].inet, alg::internet_sum(cell));
     EXPECT_EQ(sp.cells[i].f255,
-              alg::fletcher_block(cell, alg::FletcherMod::kOnes255));
+              alg::kern::fletcher_block(cell, alg::FletcherMod::kOnes255));
     EXPECT_EQ(sp.cells[i].f256,
-              alg::fletcher_block(cell, alg::FletcherMod::kTwos256));
-    EXPECT_EQ(sp.cells[i].crc, alg::crc32(cell));
+              alg::kern::fletcher_block(cell, alg::FletcherMod::kTwos256));
+    EXPECT_EQ(sp.cells[i].crc, alg::kern::crc32(cell));
   }
 }
 

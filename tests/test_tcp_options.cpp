@@ -57,7 +57,7 @@ TEST(TcpOptions, AltChecksumDataCarriesWiderValues) {
   // bytes, which do not fit the 2-byte TCP checksum field — they ride
   // in the Alternate Checksum Data option instead.
   Bytes payload(100, 0x5a);
-  const auto pair = alg::fletcher32_block(ByteView(payload));
+  const auto pair = alg::kern::fletcher32_block(ByteView(payload));
   Bytes value(4);
   util::store_be32(value.data(), alg::fletcher32_value(pair));
 
@@ -80,12 +80,12 @@ TEST(TcpOptions, NegotiationNumbersMapToImplementations) {
   util::Rng rng(1);
   rng.fill(data);
   // number 1 = 8-bit Fletcher (two 8-bit sums).
-  const auto f8 = alg::fletcher_block(ByteView(data),
+  const auto f8 = alg::kern::fletcher_block(ByteView(data),
                                       alg::FletcherMod::kOnes255);
   EXPECT_LT(f8.a, 255u);
   EXPECT_LT(f8.b, 255u);
   // number 2 = 16-bit Fletcher (two 16-bit sums).
-  const auto f16 = alg::fletcher32_block(ByteView(data));
+  const auto f16 = alg::kern::fletcher32_block(ByteView(data));
   EXPECT_LT(f16.a, 65535u);
   EXPECT_LT(f16.b, 65535u);
 }

@@ -2,6 +2,7 @@
 // qualitative claims, run end-to-end through the library.
 #include <gtest/gtest.h>
 
+#include "checksum/kernels/kernel.hpp"
 #include "core/cellstats.hpp"
 #include "core/experiments.hpp"
 #include "core/splice_sim.hpp"
@@ -39,7 +40,7 @@ TEST(Theorem7, Fletcher256UniformOverRandomData) {
   for (int i = 0; i < 400000; ++i) {
     rng.fill(cell);
     h.add(alg::fletcher_value(
-        alg::fletcher_block(ByteView(cell), alg::FletcherMod::kTwos256)));
+        alg::kern::fletcher_block(ByteView(cell), alg::FletcherMod::kTwos256)));
   }
   EXPECT_GT(stats::uniformity_p_value(h), 1e-4);
 }
@@ -51,7 +52,7 @@ TEST(Theorem7, Fletcher255UniformOverItsValueSpace) {
   Bytes cell(48);
   for (int i = 0; i < 400000; ++i) {
     rng.fill(cell);
-    const auto p = alg::fletcher_block(ByteView(cell),
+    const auto p = alg::kern::fletcher_block(ByteView(cell),
                                        alg::FletcherMod::kOnes255);
     h.add(p.a * 255 + p.b);
   }

@@ -86,9 +86,9 @@ int usage() {
                "[--worker-id n] [--metrics-out <path>]    worker mode\n"
                "       cksumlab dist (--profile <name> | --dir <path>)\n"
                "options accepted by every subcommand:\n"
-               "       --kernel best|scalar|slicing|swar|chorba|clmul|list\n"
+               "       --kernel best|scalar|list\n"
                "       (or the CKSUM_KERNEL environment variable);\n"
-               "       `list` prints every kernel with tier and availability\n");
+               "       `list` prints every algorithm's implementations\n");
   return 2;
 }
 
@@ -305,7 +305,7 @@ void print_splice_stats(const core::SpliceStats& st,
               core::fmt_pct(alg::uniform_miss_rate(pkt.transport)).c_str());
   if (verbose) {
     std::printf("checksum kernel:    %s\n",
-                std::string(alg::kern::active_kernel().name).c_str());
+                std::string(alg::kern::selection_name()).c_str());
     std::printf("pairs evaluated:    %s\n", core::fmt_count(st.pairs).c_str());
     std::printf("evaluator path mix: %s\n",
                 core::fmt_path_mix(st.fast_path, st.slow_path).c_str());
@@ -541,7 +541,7 @@ int cmd_trace(const std::vector<std::string>& args) {
     info.corpus = capture;
     info.seed = 0;
     info.threads = 1;
-    info.extra_json = tools::kernel_manifest_json() + ", \"trace\": " + tj;
+    info.extra_json = alg::kern::kernel_manifest_json() + ", \"trace\": " + tj;
     if (!exporter->finish(std::move(info))) {
       std::fprintf(stderr, "cksumlab: cannot write manifest to %s\n",
                    metrics_out.c_str());
@@ -745,7 +745,7 @@ int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
           "--worker-id",
           std::to_string(i + 1),
           "--kernel",
-          std::string(alg::kern::active_kernel().name)};
+          std::string(alg::kern::selection_name())};
       if (!o.metrics_out.empty()) {
         argv.push_back("--metrics-out");
         argv.push_back(o.metrics_out + ".worker" + std::to_string(i + 1) +
@@ -871,7 +871,7 @@ int cmd_splice(const std::vector<std::string>& args) {
     info.seed = 0;  // splice corpora are pinned by profile/scale, not seed
     info.threads = resolved_threads;
     info.extra_json =
-        tools::kernel_manifest_json() + ", \"report\": " + report;
+        alg::kern::kernel_manifest_json() + ", \"report\": " + report;
     if (!dist_json.empty()) info.extra_json += ",\n  \"dist\": " + dist_json;
     if (!exporter->finish(std::move(info))) {
       std::fprintf(stderr, "cksumlab: cannot write manifest to %s\n",

@@ -92,9 +92,9 @@ int usage() {
       "       faultlab storage [--seed n] [--trials n] [--threads n]\n"
       "                        [--quick] [--json] [--metrics-out p]\n"
       "                        [--progress] [--quiet]\n"
-      "all accept --kernel best|scalar|slicing|swar|chorba|clmul|list\n"
+      "all accept --kernel best|scalar|list\n"
       "(or the CKSUM_KERNEL environment variable) to pick the checksum\n"
-      "kernel; `list` prints every kernel with tier and availability\n");
+      "kernels; `list` prints every algorithm's implementations\n");
   return 2;
 }
 
@@ -256,7 +256,7 @@ int with_metrics(const Opts& o, const char* tool, Run run) {
     info.corpus = "fsgen-random";  // scenario corpora are seed-derived
     info.seed = o.cfg.seed;
     info.threads = 1;
-    info.extra_json = tools::kernel_manifest_json();
+    info.extra_json = alg::kern::kernel_manifest_json();
     if (!exporter->finish(std::move(info))) {
       std::fprintf(stderr, "faultlab: cannot write manifest to %s\n",
                    o.metrics_out.c_str());
@@ -387,7 +387,7 @@ int with_arq_metrics(const ArqOpts& o, const char* tool,
     info.corpus = "arq-random";  // payloads are seed-derived
     info.seed = o.cfg.seed;
     info.threads = 1;
-    info.extra_json = tools::kernel_manifest_json();
+    info.extra_json = alg::kern::kernel_manifest_json();
     if (extra_rows != nullptr && !extra_rows->empty())
       info.extra_json += ", \"arq\": " + *extra_rows;
     if (!exporter->finish(std::move(info))) {
@@ -710,7 +710,7 @@ int with_storage_metrics(const StorageOpts& o, const char* tool,
     info.corpus = "fsgen-storage";  // payload pairs are seed-derived
     info.seed = o.seed;
     info.threads = o.threads;
-    info.extra_json = tools::kernel_manifest_json();
+    info.extra_json = alg::kern::kernel_manifest_json();
     if (extra_rows != nullptr && !extra_rows->empty())
       info.extra_json += ", \"storage\": " + *extra_rows;
     if (!exporter->finish(std::move(info))) {
@@ -986,7 +986,7 @@ int cmd_distkill(const std::vector<std::string>& args) {
         {exe, "distworker", "--connect",
          "127.0.0.1:" + std::to_string(svc.port()), "--worker-id",
          std::to_string(i + 1), "--kernel",
-         std::string(alg::kern::active_kernel().name)});
+         std::string(alg::kern::selection_name())});
     if (pid < 0) {
       std::fprintf(stderr, "faultlab: cannot spawn worker %u\n", i + 1);
       return 1;
@@ -1078,7 +1078,7 @@ int cmd_distkill(const std::vector<std::string>& args) {
     info.seed = 0;
     info.threads = 1;
     info.extra_json =
-        tools::kernel_manifest_json() + ",\n  \"dist\": " + svc.jobs_json();
+        alg::kern::kernel_manifest_json() + ",\n  \"dist\": " + svc.jobs_json();
     if (!exporter->finish(std::move(info))) {
       std::fprintf(stderr, "faultlab: cannot write manifest to %s\n",
                    metrics_out.c_str());

@@ -1,17 +1,16 @@
 // Shared --kernel / CKSUM_KERNEL handling for the CLI drivers.
 //
-// Both cksumlab and faultlab accept `--kernel <name>` on every
-// subcommand (and the CKSUM_KERNEL environment variable as the
+// Both cksumlab and faultlab accept `--kernel best|scalar|list` on
+// every subcommand (and the CKSUM_KERNEL environment variable as the
 // fallback). This header centralises the contract:
 //
-//   * `--kernel list` (or CKSUM_KERNEL=list) prints every registered
-//     kernel with its tier, availability on this machine, and the
-//     unavailability reason, plus what "best" resolves to — then the
-//     tool exits successfully without running a subcommand.
-//   * An unknown name is a loud error listing the valid names.
-//   * A known-but-unavailable kernel is a clean, distinct error
-//     naming the reason (e.g. "CPU lacks carry-less multiply") —
-//     never a crash, never a silent fall-through to "best".
+//   * `best` (the default) runs each algorithm's last available
+//     implementation; `scalar` runs each algorithm's reference.
+//   * `--kernel list` (or CKSUM_KERNEL=list) prints every algorithm's
+//     implementation list with availability on this machine and what
+//     `best` runs — then the tool exits successfully without running a
+//     subcommand.
+//   * Any other name is a loud error listing the valid names.
 #pragma once
 
 #include <cstdio>
@@ -20,31 +19,35 @@
 #include <vector>
 
 #include "checksum/kernels/kernel.hpp"
-#include "obs/snapshot.hpp"
 
 namespace cksum::tools {
 
-/// One row per registered kernel: name, tier, availability (with the
-/// reason when unavailable), description; headed by the machine's
-/// "best" resolution. Scripts parse the first line's "resolves to".
+/// One row per (algorithm, implementation), in list order; `*` marks
+/// the entry `best` runs on this machine, and unavailable entries say
+/// why.
 inline void print_kernel_list(std::FILE* out) {
-  const alg::kern::Kernel* best = alg::kern::find_kernel("best");
-  std::fprintf(out, "kernels (best resolves to %s):\n",
-               best != nullptr ? std::string(best->name).c_str() : "?");
-  for (const alg::kern::Kernel& k : alg::kern::kernels()) {
-    const char* why = alg::kern::kernel_unavailable_reason(k);
-    std::fprintf(out, "  %-8s tier %d  %-11s %s%s%s%s\n",
-                 std::string(k.name).c_str(), k.tier,
-                 why == nullptr ? "available" : "unavailable",
-                 std::string(k.description).c_str(), why == nullptr ? "" : " (",
-                 why == nullptr ? "" : why, why == nullptr ? "" : ")");
-  }
+  std::fprintf(out,
+               "kernel selections: best (default), scalar; "
+               "* marks what best runs here\n");
+  alg::kern::for_each_list([out](const auto& list) {
+    const auto* best = &list.best();
+    for (const auto& entry : list.impls) {
+      const char* why = entry.unavailable_reason();
+      std::string line = "  " + std::string(list.name);
+      line.resize(17, ' ');
+      line += entry.name;
+      if (&entry == best || why != nullptr) line.resize(26, ' ');
+      if (&entry == best) line += "*";
+      if (why != nullptr) line += std::string("unavailable: ") + why;
+      std::fprintf(out, "%s\n", line.c_str());
+    }
+  });
 }
 
 /// Strip every `--kernel <name>` from `args` (last occurrence wins,
 /// CKSUM_KERNEL is the fallback) and act on the choice. Returns
-///   0  continue with the subcommand (kernel selected, or left to the
-///      lazy "best" resolution when nothing was asked),
+///   0  continue with the subcommand (selection made, or left to the
+///      lazy "best" default when nothing was asked),
 ///   1  `list` was requested and printed — exit 0 without running,
 ///   2  bad choice (message already printed) — exit 2.
 inline int apply_kernel_args(std::vector<std::string>& args,
@@ -72,37 +75,12 @@ inline int apply_kernel_args(std::vector<std::string>& args,
     print_kernel_list(stdout);
     return 1;
   }
-  const alg::kern::Kernel* k = alg::kern::find_kernel(choice);
-  if (k == nullptr) {
-    std::fprintf(stderr, "%s: unknown kernel '%s'; available: best list",
-                 tool, choice.c_str());
-    for (const alg::kern::Kernel& each : alg::kern::kernels())
-      std::fprintf(stderr, " %s", std::string(each.name).c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
-  if (!alg::kern::kernel_available(*k)) {
-    const char* why = alg::kern::kernel_unavailable_reason(*k);
-    std::fprintf(stderr,
-                 "%s: kernel '%s' is unavailable on this machine: %s\n",
-                 tool, choice.c_str(), why != nullptr ? why : "?");
-    return 2;
-  }
   if (!alg::kern::select_kernel(choice)) {
-    std::fprintf(stderr, "%s: cannot select kernel '%s'\n", tool,
-                 choice.c_str());
+    std::fprintf(stderr, "%s: unknown kernel '%s'; valid: best scalar list\n",
+                 tool, choice.c_str());
     return 2;
   }
   return 0;
-}
-
-/// The manifest members recording which kernel ran and why — spliced
-/// into RunInfo::extra_json by every exporting subcommand
-/// (docs/OBSERVABILITY.md documents both).
-inline std::string kernel_manifest_json() {
-  return "\"kernel\": \"" + std::string(alg::kern::active_kernel().name) +
-         "\", \"kernel_reason\": \"" +
-         obs::json_escape(alg::kern::kernel_selection_reason()) + "\"";
 }
 
 }  // namespace cksum::tools
