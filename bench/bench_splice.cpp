@@ -1,12 +1,10 @@
 // Splice-evaluator performance trajectory (feeds BENCH_splice.json
 // via scripts/bench.sh).
 //
-// Three evaluators over the same seeded corpus, measured in
+// Two evaluators over the same seeded corpus, measured in
 // splices/sec (items_per_second) with pairs/sec as a counter:
 //
 //   BM_SpliceDfs        prefix-sharing DFS (the production path)
-//   BM_SpliceFlat       flat enumeration + per-splice refold (the
-//                       previous evaluator, kept as baseline)
 //   BM_SpliceReference  full materialise-and-verify oracle
 //
 // plus an end-to-end run_filesystem rate at 1 and 4 worker threads to
@@ -72,11 +70,6 @@ void BM_SpliceDfs(benchmark::State& state) {
   run_pair_bench(state, core::evaluate_pair, 1u << 20);
 }
 BENCHMARK(BM_SpliceDfs);
-
-void BM_SpliceFlat(benchmark::State& state) {
-  run_pair_bench(state, core::evaluate_pair_flat, 1u << 20);
-}
-BENCHMARK(BM_SpliceFlat);
 
 void BM_SpliceReference(benchmark::State& state) {
   // 4 pairs only — materialising every splice is ~3 orders of
@@ -157,7 +150,8 @@ void BM_RunCorpusStreamed(benchmark::State& state) {
   cfg.threads = static_cast<unsigned>(state.range(0));
   std::uint64_t splices = 0;
   for (auto _ : state) {
-    const core::SpliceStats st = core::run_corpus(cfg, store);
+    const core::SpliceStats st =
+        core::run_corpus_range(cfg, store, 0, store.file_count());
     benchmark::DoNotOptimize(st);
     splices += st.total;
   }

@@ -6,7 +6,7 @@
 #   sh scripts/bench.sh --quick   short measurement window (CI smoke)
 #   sh scripts/bench.sh --check   also fail on gross regressions:
 #                                 DFS rate < 1/5 of the previous entry,
-#                                 DFS slower than the flat evaluator,
+#                                 DFS < 12.5x the reference oracle,
 #                                 or slicing-by-8 CRC-32 < 3x scalar
 set -eu
 

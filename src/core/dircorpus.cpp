@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <stdexcept>
 
 namespace cksum::core {
 
@@ -49,15 +50,46 @@ util::Bytes read_file_prefix(const fs::path& path, std::size_t max_bytes) {
   return out;
 }
 
-SpliceStats run_directory(const SpliceRunConfig& cfg, const fs::path& root,
-                          const DirLimits& limits) {
-  SpliceStats st;
-  for (const auto& path : list_corpus_files(root, limits)) {
-    const util::Bytes file = read_file_prefix(path, limits.max_file_bytes);
-    if (file.empty()) continue;
-    st.merge(run_file(cfg, util::ByteView(file)));
+SpliceCorpus::SpliceCorpus(const CorpusSource& src) {
+  switch (src.kind) {
+    case CorpusKind::kProfile:
+      fs_.emplace(fsgen::profile(src.corpus), src.scale);
+      break;
+    case CorpusKind::kManifest:
+      fs_.emplace(fsgen::Filesystem::from_manifest(fsgen::profile("nsc05"),
+                                                   src.corpus));
+      break;
+    case CorpusKind::kDirectory:
+      files_ = list_corpus_files(src.corpus);
+      break;
+    case CorpusKind::kCorpusFile: {
+      std::string err;
+      store_ = fsgen::CorpusReader::open(src.corpus, &err);
+      if (!store_)
+        throw std::runtime_error("corpus store " + src.corpus + ": " + err);
+      break;
+    }
   }
-  return st;
+}
+
+std::size_t SpliceCorpus::file_count() const {
+  if (store_) return store_->file_count();
+  return fs_ ? fs_->file_count() : files_.size();
+}
+
+SpliceRunConfig SpliceCorpus::run_config(SpliceRunConfig requested) const {
+  if (store_) {
+    requested.flow = store_->info().params.flow;
+    requested.compress_files = false;
+  }
+  return requested;
+}
+
+SpliceStats SpliceCorpus::run_range(const SpliceRunConfig& cfg,
+                                    std::size_t begin, std::size_t end) const {
+  if (store_) return run_corpus_range(cfg, *store_, begin, end);
+  if (fs_) return run_filesystem_range(cfg, *fs_, begin, end);
+  return run_files_range(cfg, files_, begin, end);
 }
 
 CellStatsCollector collect_directory_stats(const fs::path& root,

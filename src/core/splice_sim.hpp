@@ -18,6 +18,8 @@
 
 #include <array>
 #include <cstdint>
+#include <filesystem>
+#include <span>
 
 #include "atm/splice.hpp"
 #include "core/pdu_model.hpp"
@@ -110,12 +112,6 @@ struct SpliceStats {
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats);
 
-/// The pre-DFS evaluator: flat enumeration with a per-splice O(cells)
-/// refold. Kept as the benchmark baseline and as a differential-test
-/// oracle — it must produce bitwise-identical SpliceStats.
-void evaluate_pair_flat(const net::PacketConfig& cfg, const SimPacket& p1,
-                        const SimPacket& p2, SpliceStats& stats);
-
 /// Outcome of one splice under the receiver's checks.
 struct SpliceOutcome {
   bool caught_by_header = false;
@@ -149,30 +145,32 @@ SpliceStats run_file(const SpliceRunConfig& cfg, util::ByteView file);
 SpliceStats run_filesystem(const SpliceRunConfig& cfg,
                            const fsgen::Filesystem& fs);
 
-/// Evaluate only files [begin, end) of the filesystem — the lease unit
-/// of the distributed service (src/dist/). `end` is clamped to the
-/// file count. Every counter is additive, so summing the results of a
-/// disjoint cover of [0, file_count) over any shard boundaries, in any
-/// order, is bitwise identical to one run_filesystem call.
+/// The per-source loaders behind SpliceCorpus (core/dircorpus.hpp):
+/// each evaluates files [begin, end), `end` clamped to the file count,
+/// through one pair-granular scheduler. Every counter is additive, so
+/// summing the results of a disjoint cover of the files, over any
+/// boundaries, in any order, is bitwise identical to the whole run.
+///
+/// A filesystem's files are generated and packetised.
 SpliceStats run_filesystem_range(const SpliceRunConfig& cfg,
                                  const fsgen::Filesystem& fs,
                                  std::size_t begin, std::size_t end);
 
-/// Evaluate a precomputed corpus store (src/fsgen/corpus_store.hpp)
-/// instead of re-packetising. cfg.flow MUST be the corpus's recorded
-/// flow (take it from CorpusReader::info().params — the transport
-/// checksum is baked into the stored packet bytes); cfg.threads and
-/// cfg.compress_files behave as for run_filesystem (compression
-/// already happened at build time, so compress_files is ignored).
-/// Bitwise identical to run_filesystem over the source filesystem —
-/// the corpus-format conformance contract (tests/test_corpus_store).
-SpliceStats run_corpus(const SpliceRunConfig& cfg,
-                       const fsgen::CorpusReader& corpus);
-
-/// Corpus-store analogue of run_filesystem_range — the lease unit of
-/// the distributed service's corpus-file jobs.
+/// A corpus store's packets are reconstructed, not re-packetised, so
+/// cfg.flow MUST be the store's recorded flow (SpliceCorpus::run_config
+/// takes it from the store) and compress_files is ignored. Bitwise
+/// identical to run_filesystem over the source filesystem — the
+/// corpus-format conformance contract (tests/test_corpus_store).
 SpliceStats run_corpus_range(const SpliceRunConfig& cfg,
                              const fsgen::CorpusReader& corpus,
                              std::size_t begin, std::size_t end);
+
+/// A directory's files (a sorted list_corpus_files result) are read up
+/// to DirLimits::max_file_bytes and packetised; one that reads back
+/// empty (emptied or unreadable since it was listed) is skipped
+/// uncounted.
+SpliceStats run_files_range(const SpliceRunConfig& cfg,
+                            std::span<const std::filesystem::path> files,
+                            std::size_t begin, std::size_t end);
 
 }  // namespace cksum::core

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dircorpus.hpp"
 #include "core/splice_sim.hpp"
 #include "obs/snapshot.hpp"
 #include "util/bytes.hpp"
@@ -24,15 +25,9 @@ namespace cksum::dist {
 /// lease/heartbeat/result frames and corpus stores.
 inline constexpr std::uint32_t kProtocolVersion = 3;
 
-/// How ConfigMsg::corpus names the corpus.
-enum class CorpusKind : std::uint8_t {
-  kProfile = 0,    ///< corpus = profile name, scaled by `scale`
-  kDirectory = 1,  ///< corpus = directory path (must exist on the worker)
-  kManifest = 2,   ///< corpus = the manifest *text* itself (no shared fs)
-  kCorpusFile = 3, ///< corpus = path to a prebuilt corpus store
-                   ///< (`cksumlab corpus build`); the worker takes the
-                   ///< run flow FROM the store, not from this message
-};
+/// How ConfigMsg::corpus names the corpus; a worker opens it with
+/// core::SpliceCorpus, as a single-process run does.
+using CorpusKind = core::CorpusKind;
 
 /// worker -> service, first frame on the connection.
 struct HelloMsg {

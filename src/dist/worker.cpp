@@ -11,9 +11,8 @@
 #include <condition_variable>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <stdexcept>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -25,8 +24,6 @@
 #include "dist/frame.hpp"
 #include "dist/protocol.hpp"
 #include "faults/channel.hpp"
-#include "fsgen/corpus_store.hpp"
-#include "fsgen/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "util/rng.hpp"
 
@@ -61,65 +58,6 @@ int connect_service(const std::string& host, std::uint16_t port,
     delay_ms = std::min<std::uint64_t>(delay_ms * 2, 2000);
   }
   return -1;
-}
-
-/// The corpus as the worker sees it: either a synthetic filesystem or
-/// a sorted real-file list. Shard indices address the same sequence a
-/// single-process run walks, so shard evaluation reproduces exactly
-/// the per-file stats that run would have merged.
-struct WorkerCorpus {
-  std::unique_ptr<fsgen::Filesystem> fs;
-  std::vector<std::filesystem::path> files;  // directory mode
-  std::unique_ptr<fsgen::CorpusReader> store;  // corpus-file mode
-
-  std::size_t size() const {
-    if (store) return store->file_count();
-    return fs ? fs->file_count() : files.size();
-  }
-};
-
-WorkerCorpus load_corpus(const ConfigMsg& cfg) {
-  WorkerCorpus c;
-  switch (cfg.corpus_kind) {
-    case CorpusKind::kProfile:
-      c.fs = std::make_unique<fsgen::Filesystem>(fsgen::profile(cfg.corpus),
-                                                 cfg.scale);
-      break;
-    case CorpusKind::kManifest:
-      c.fs = std::make_unique<fsgen::Filesystem>(fsgen::Filesystem::from_manifest(
-          fsgen::profile("nsc05"), cfg.corpus));
-      break;
-    case CorpusKind::kDirectory:
-      c.files = core::list_corpus_files(cfg.corpus);
-      break;
-    case CorpusKind::kCorpusFile: {
-      std::string err;
-      c.store = fsgen::CorpusReader::open(cfg.corpus, &err);
-      if (!c.store)
-        throw std::runtime_error("corpus store " + cfg.corpus + ": " + err);
-      break;
-    }
-  }
-  return c;
-}
-
-core::SpliceStats evaluate_range(const core::SpliceRunConfig& run,
-                                 const WorkerCorpus& corpus,
-                                 std::size_t begin, std::size_t end) {
-  if (corpus.store) return core::run_corpus_range(run, *corpus.store, begin, end);
-  if (corpus.fs) return core::run_filesystem_range(run, *corpus.fs, begin, end);
-  // Directory mode: same skip-empty walk as core::run_directory, over
-  // the lease's slice of the sorted file list.
-  core::SpliceStats st;
-  const core::DirLimits limits;
-  end = std::min(end, corpus.files.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    const util::Bytes file =
-        core::read_file_prefix(corpus.files[i], limits.max_file_bytes);
-    if (file.empty()) continue;
-    st.merge(core::run_file(run, util::ByteView(file)));
-  }
-  return st;
 }
 
 /// Heartbeats for the lease under evaluation, sent from a side thread
@@ -194,31 +132,10 @@ class HeartbeatPump {
   HeartbeatMsg hb_;
 };
 
-/// Reconstruct the exact run configuration for one job. A corpus
-/// store's flow is authoritative (the transport checksum is baked into
-/// its packet bytes), so kCorpusFile jobs take it from the store.
-core::SpliceRunConfig make_run_config(const ConfigMsg& cfg,
-                                      const WorkerCorpus& corpus) {
-  core::SpliceRunConfig run;
-  if (corpus.store) {
-    run.flow = corpus.store->info().params.flow;
-    run.compress_files = false;  // compression happened at build time
-  } else {
-    run.flow = core::paper_flow_config();
-    run.flow.segment_size = cfg.segment;
-    run.flow.packet.transport = static_cast<alg::Algorithm>(cfg.transport);
-    run.flow.packet.placement = cfg.trailer ? net::ChecksumPlacement::kTrailer
-                                            : net::ChecksumPlacement::kHeader;
-    run.compress_files = cfg.compress;
-  }
-  run.threads = std::max(1u, cfg.threads);
-  return run;
-}
-
 /// One job's worker-side state.
 struct WorkerJob {
   std::string name;
-  WorkerCorpus corpus;
+  std::optional<core::SpliceCorpus> corpus;
   core::SpliceRunConfig run;
   std::uint32_t heartbeat_ms = 0;
 };
@@ -276,13 +193,23 @@ int run_worker(const WorkerOptions& opts) {
     j.name = m.name;
     j.heartbeat_ms = m.run.heartbeat_ms;
     try {
-      j.corpus = load_corpus(m.run);
+      j.corpus.emplace(
+          core::CorpusSource{m.run.corpus_kind, m.run.corpus, m.run.scale});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "dist worker %llu: bad corpus config: %s\n",
                    static_cast<unsigned long long>(opts.worker_id), e.what());
       return false;
     }
-    j.run = make_run_config(m.run, j.corpus);
+    core::SpliceRunConfig run;  // a store's own flow wins in run_config
+    run.flow = core::paper_flow_config();
+    run.flow.segment_size = m.run.segment;
+    run.flow.packet.transport = static_cast<alg::Algorithm>(m.run.transport);
+    run.flow.packet.placement = m.run.trailer
+                                    ? net::ChecksumPlacement::kTrailer
+                                    : net::ChecksumPlacement::kHeader;
+    run.compress_files = m.run.compress;
+    run.threads = std::max(1u, m.run.threads);
+    j.run = j.corpus->run_config(run);
     jobs.insert_or_assign(m.job, std::move(j));
     return true;
   };
@@ -315,7 +242,7 @@ int run_worker(const WorkerOptions& opts) {
         res.shard = g->shard;
         res.epoch = g->epoch;
         res.job = g->job;
-        res.stats = evaluate_range(job.run, job.corpus, g->begin, g->end);
+        res.stats = job.corpus->run_range(job.run, g->begin, g->end);
         res.deltas = obs::counter_deltas(before, reg.snapshot());
         pump.end_lease();
         if (!ch.send(MsgType::kLeaseResult, encode(res))) return 1;

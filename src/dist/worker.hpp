@@ -1,8 +1,9 @@
 // The worker side of the distributed splice service: connect, say
 // Hello, then evaluate shard leases of each job whose JobConfig
-// arrives, with the same
-// prefix-sharing DFS evaluator a single-process run uses, streaming
-// each shard's SpliceStats and deterministic-counter deltas back.
+// arrives, opening the corpus and running it through the same
+// core::SpliceCorpus and scheduler a single-process run uses, and
+// stream each shard's SpliceStats and deterministic-counter deltas
+// back.
 //
 // A heartbeat thread keeps the current lease alive while the (possibly
 // long) evaluation runs on the main thread; both threads share the

@@ -87,8 +87,10 @@ util::Bytes build_udp_datagram(std::uint32_t src_addr, std::uint32_t dst_addr,
 
 UdpCheckResult verify_udp_datagram(util::ByteView ip_datagram) {
   const auto ip = Ipv4Header::parse(ip_datagram);
+  // The claimed length must cover both headers and fit the buffer.
   if (!ip || ip->protocol != 17 ||
-      ip_datagram.size() < kIpv4HeaderLen + kUdpHeaderLen)
+      ip->total_length < kIpv4HeaderLen + kUdpHeaderLen ||
+      ip->total_length > ip_datagram.size())
     return UdpCheckResult::kInvalid;
   const util::ByteView segment = ip_datagram.subspan(
       kIpv4HeaderLen, ip->total_length - kIpv4HeaderLen);

@@ -1,7 +1,7 @@
 // Corpus-store conformance tier (docs/CORPUS.md): a store built by
-// build_corpus and streamed back through run_corpus must be bitwise
-// indistinguishable from re-packetising the source filesystem — for
-// every transport checksum in the registry, both placements, and
+// build_corpus and streamed back through run_corpus_range must be
+// bitwise indistinguishable from re-packetising the source filesystem
+// — for every transport checksum in the registry, both placements, and
 // compressed transfers — and a corrupted store must be rejected at
 // open() with an explicit reason, never by faulting.
 #include <cstdio>
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "checksum/kernels/kernel.hpp"
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "core/splice_sim.hpp"
@@ -121,10 +122,17 @@ TEST(CorpusStore, RoundTripEveryTransportAndPlacement) {
       EXPECT_EQ(rd->info().params.flow.packet.transport, tr);
       EXPECT_EQ(rd->info().params.flow.packet.placement, pl);
 
-      core::SpliceRunConfig cfg;
-      cfg.flow = rd->info().params.flow;
-      cfg.threads = 2;
-      const core::SpliceStats streamed = core::run_corpus(cfg, *rd);
+      // Opened as a splice source, the store's flow wins over the
+      // (default) flow asked for.
+      const core::SpliceCorpus corpus({core::CorpusKind::kCorpusFile, path});
+      core::SpliceRunConfig asked;
+      asked.flow = core::paper_flow_config();
+      asked.threads = 2;
+      const core::SpliceRunConfig cfg = corpus.run_config(asked);
+      EXPECT_EQ(cfg.flow.packet.transport, tr);
+      EXPECT_EQ(cfg.flow.packet.placement, pl);
+      const core::SpliceStats streamed =
+          corpus.run_range(cfg, 0, corpus.file_count());
 
       core::SpliceRunConfig ref = cfg;
       ref.flow = flow;
@@ -146,7 +154,8 @@ TEST(CorpusStore, CompressedRoundTrip) {
 
   core::SpliceRunConfig cfg;
   cfg.flow = rd->info().params.flow;
-  const core::SpliceStats streamed = core::run_corpus(cfg, *rd);
+  const core::SpliceStats streamed =
+      core::run_corpus_range(cfg, *rd, 0, rd->file_count());
 
   core::SpliceRunConfig ref = cfg;
   ref.compress_files = true;  // build-time compression == run-time
@@ -164,7 +173,8 @@ TEST(CorpusStore, RangeDecompositionMatchesWholeRun) {
 
   core::SpliceRunConfig cfg;
   cfg.flow = rd->info().params.flow;
-  const core::SpliceStats whole = core::run_corpus(cfg, *rd);
+  const core::SpliceStats whole =
+      core::run_corpus_range(cfg, *rd, 0, rd->file_count());
 
   // Any shard partition must merge back to the whole-run stats — the
   // property the distributed service's corpus jobs lean on.

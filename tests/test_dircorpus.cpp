@@ -77,13 +77,37 @@ TEST_F(DirCorpus, ReadMissingFileReturnsEmpty) {
 }
 
 TEST_F(DirCorpus, RunDirectoryEndToEnd) {
+  const SpliceCorpus corpus({CorpusKind::kDirectory, root_.string()});
+  ASSERT_EQ(corpus.file_count(), 4u);
   SpliceRunConfig cfg;
   cfg.flow = paper_flow_config();
-  const SpliceStats st = run_directory(cfg, root_);
+  cfg = corpus.run_config(cfg);
+  const SpliceStats st = corpus.run_range(cfg, 0, corpus.file_count());
   EXPECT_EQ(st.files, 4u);
   EXPECT_GT(st.packets, 30u);
   EXPECT_GT(st.total, 0u);
   EXPECT_EQ(st.total, st.caught_by_header + st.identical + st.remaining);
+
+  // Same scheduler as every other source: any thread count and any
+  // split into ranges reproduce the run bit for bit.
+  SpliceRunConfig par = cfg;
+  par.threads = 4;
+  EXPECT_TRUE(corpus.run_range(par, 0, 4) == st);
+  SpliceStats halves = corpus.run_range(cfg, 0, 2);
+  halves.merge(corpus.run_range(par, 2, 99));
+  EXPECT_TRUE(halves == st);
+}
+
+TEST_F(DirCorpus, FileEmptiedAfterListingIsSkipped) {
+  const SpliceCorpus corpus({CorpusKind::kDirectory, root_.string()});
+  ASSERT_EQ(corpus.file_count(), 4u);
+  write(root_ / "b.txt", {});
+  SpliceRunConfig cfg;
+  cfg.flow = paper_flow_config();
+  for (const unsigned threads : {1u, 4u}) {
+    cfg.threads = threads;
+    EXPECT_EQ(corpus.run_range(cfg, 0, 4).files, 3u) << threads;
+  }
 }
 
 TEST_F(DirCorpus, CollectDirectoryStats) {

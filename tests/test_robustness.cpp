@@ -84,6 +84,24 @@ TEST(Robustness, UdpVerifierRandomGarbage) {
   }
 }
 
+TEST(Robustness, UdpVerifierRejectsLengthPastBuffer) {
+  // A well-formed 28-byte datagram whose IP and UDP length fields
+  // claim 1000 and 980 bytes: the verifier must reject it without
+  // summing past the end of the buffer.
+  Bytes dgram = net::build_udp_datagram(0x0a000001, 0x0a000002, 1, 2, {});
+  ASSERT_EQ(dgram.size(), 28u);
+  ASSERT_EQ(net::verify_udp_datagram(ByteView(dgram)),
+            net::UdpCheckResult::kValid);
+  util::store_be16(dgram.data() + 2, 1000);
+  util::store_be16(dgram.data() + 24, 980);
+  EXPECT_EQ(net::verify_udp_datagram(ByteView(dgram)),
+            net::UdpCheckResult::kInvalid);
+  // A claimed length shorter than the two headers is rejected too.
+  util::store_be16(dgram.data() + 2, 8);
+  EXPECT_EQ(net::verify_udp_datagram(ByteView(dgram)),
+            net::UdpCheckResult::kInvalid);
+}
+
 TEST(Robustness, CellParserRejectsBadHec) {
   util::Rng rng(7);
   int accepted = 0;

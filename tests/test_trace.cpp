@@ -424,7 +424,8 @@ TEST(Ingest, SpliceReportParity) {
   cfg.flow = flow;
   cfg.threads = 1;
   const core::SpliceStats mem = core::run_filesystem(cfg, fs);
-  const core::SpliceStats streamed = core::run_corpus(cfg, *store);
+  const core::SpliceStats streamed =
+      core::run_corpus_range(cfg, *store, 0, store->file_count());
   std::remove(path.c_str());
   EXPECT_EQ(core::splice_stats_json(mem, "tcp"),
             core::splice_stats_json(streamed, "tcp"));

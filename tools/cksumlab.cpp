@@ -649,49 +649,42 @@ int cmd_splice_worker(const std::vector<std::string>& args) {
   return dist::run_worker(w);
 }
 
+/// The corpus source the splice options name (a manifest as its text,
+/// so dist workers need no shared filesystem).
+core::CorpusSource corpus_source(const CommonOpts& o) {
+  core::CorpusSource src;
+  if (!o.corpus.empty()) {
+    src = {core::CorpusKind::kCorpusFile, o.corpus};
+  } else if (!o.profile.empty()) {
+    src = {core::CorpusKind::kProfile, o.profile, o.scale};
+  } else if (!o.manifest.empty()) {
+    const util::Bytes text = core::read_file_prefix(o.manifest, 1u << 24);
+    src = {core::CorpusKind::kManifest, std::string(text.begin(), text.end())};
+  } else {
+    src = {core::CorpusKind::kDirectory, o.dir};
+  }
+  return src;
+}
+
 /// Serving side of `cksumlab splice --serve`: submit the corpus as the
 /// one job of a JobService, self-spawn `--workers` worker processes
 /// (0 = externally started), and wait for the merge. On success `st`
 /// and `dist_json` hold the merged stats and the manifest's "dist"
 /// member.
-int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
-                    std::string& corpus, core::SpliceStats& st,
+int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
+                    const std::string& name, const core::SpliceRunConfig& cfg,
+                    std::size_t nfiles, core::SpliceStats& st,
                     std::string& dist_json) {
   dist::JobSpec spec;
   dist::ConfigMsg& run = spec.run;
-  run.scale = o.scale;
-  run.segment = o.segment;
-  run.transport = static_cast<std::uint8_t>(o.pkt.transport);
-  run.trailer = o.pkt.placement == net::ChecksumPlacement::kTrailer;
-  if (store != nullptr) {
-    // Workers mmap the store themselves and take the run flow FROM it,
-    // so only the path crosses the wire.
-    corpus = o.corpus;
-    run.corpus_kind = dist::CorpusKind::kCorpusFile;
-    run.corpus = o.corpus;
-    spec.nfiles = store->file_count();
-  } else if (!o.profile.empty()) {
-    corpus = o.profile;
-    run.corpus_kind = dist::CorpusKind::kProfile;
-    run.corpus = o.profile;
-    spec.nfiles =
-        fsgen::Filesystem(fsgen::profile(o.profile), o.scale).file_count();
-  } else if (!o.manifest.empty()) {
-    // Ship the manifest text itself so workers need no shared fs.
-    corpus = o.manifest;
-    const util::Bytes text = core::read_file_prefix(o.manifest, 1u << 24);
-    run.corpus_kind = dist::CorpusKind::kManifest;
-    run.corpus.assign(text.begin(), text.end());
-    spec.nfiles = fsgen::Filesystem::from_manifest(fsgen::profile("nsc05"),
-                                                   run.corpus)
-                      .file_count();
-  } else {
-    corpus = o.dir;
-    run.corpus_kind = dist::CorpusKind::kDirectory;
-    run.corpus = o.dir;
-    spec.nfiles = core::list_corpus_files(o.dir).size();
-  }
-  spec.name = corpus;
+  run.corpus_kind = src.kind;
+  run.corpus = src.corpus;
+  run.scale = src.scale;
+  run.segment = cfg.flow.segment_size;
+  run.transport = static_cast<std::uint8_t>(cfg.flow.packet.transport);
+  run.trailer = cfg.flow.packet.placement == net::ChecksumPlacement::kTrailer;
+  spec.nfiles = nfiles;
+  spec.name = name;
   spec.shard_files = o.shard_files;
   // Split the machine across the fleet unless --threads pinned it.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -782,7 +775,7 @@ int run_distributed(const CommonOpts& o, const fsgen::CorpusReader* store,
 int cmd_splice(const std::vector<std::string>& args) {
   for (const std::string& a : args)
     if (a == "--connect") return cmd_splice_worker(args);
-  CommonOpts o = parse_common(args);
+  const CommonOpts o = parse_common(args);
   if (!o.ok) return usage();
   if (!o.from_pcap.empty()) {
     std::fprintf(stderr,
@@ -799,29 +792,15 @@ int cmd_splice(const std::vector<std::string>& args) {
   alg::kern::register_kernel_metrics();
   dist::register_dist_metrics();
 
-  // A prebuilt store is authoritative for the flow it was packetised
-  // under (the transport checksum is baked into the packet bytes), so
-  // its parameters override the command line for reporting too.
-  std::unique_ptr<fsgen::CorpusReader> store;
-  if (!o.corpus.empty()) {
-    std::string err;
-    store = fsgen::CorpusReader::open(o.corpus, &err);
-    if (!store) {
-      std::fprintf(stderr, "cksumlab: corpus store %s: %s\n",
-                   o.corpus.c_str(), err.c_str());
-      return 1;
-    }
-    o.pkt = store->info().params.flow.packet;
-    o.segment = store->info().params.flow.segment_size;
-    o.scale = store->info().params.scale;
-  }
-
-  core::SpliceRunConfig cfg;
-  cfg.flow = core::paper_flow_config();
-  cfg.flow.segment_size = o.segment;
-  cfg.flow.packet = o.pkt;
-  if (store) cfg.flow = store->info().params.flow;
-  cfg.threads = o.threads;
+  const core::CorpusSource src = corpus_source(o);
+  const std::string corpus_name = o.manifest.empty() ? src.corpus : o.manifest;
+  const core::SpliceCorpus corpus(src);
+  core::SpliceRunConfig requested;
+  requested.flow = core::paper_flow_config();
+  requested.flow.segment_size = o.segment;
+  requested.flow.packet = o.pkt;
+  requested.threads = o.threads;
+  const core::SpliceRunConfig cfg = corpus.run_config(requested);
   const unsigned resolved_threads =
       o.threads != 0 ? o.threads
                      : std::max(1u, std::thread::hardware_concurrency());
@@ -837,37 +816,21 @@ int cmd_splice(const std::vector<std::string>& args) {
   }
 
   core::SpliceStats st;
-  std::string corpus;
   std::string dist_json;  // "dist" manifest member for --serve runs
   if (o.serve) {
-    const int rc = run_distributed(o, store.get(), corpus, st, dist_json);
+    const int rc = run_distributed(o, src, corpus_name, cfg,
+                                   corpus.file_count(), st, dist_json);
     if (rc != 0) return rc;
-  } else if (store) {
-    corpus = o.corpus;
-    st = core::run_corpus(cfg, *store);
-  } else if (!o.profile.empty()) {
-    corpus = o.profile;
-    const fsgen::Filesystem fs(fsgen::profile(o.profile), o.scale);
-    st = core::run_filesystem(cfg, fs);
-  } else if (!o.manifest.empty()) {
-    corpus = o.manifest;
-    const util::Bytes text = core::read_file_prefix(o.manifest, 1u << 24);
-    const fsgen::Filesystem fs = fsgen::Filesystem::from_manifest(
-        fsgen::profile("nsc05"),
-        std::string_view(reinterpret_cast<const char*>(text.data()),
-                         text.size()));
-    st = core::run_filesystem(cfg, fs);
   } else {
-    corpus = o.dir;
-    st = core::run_directory(cfg, o.dir);
+    st = corpus.run_range(cfg, 0, corpus.file_count());
   }
 
   const std::string report =
-      core::splice_stats_json(st, alg::name(o.pkt.transport));
+      core::splice_stats_json(st, alg::name(cfg.flow.packet.transport));
   if (exporter) {
     obs::RunInfo info;
     info.tool = "cksumlab splice";
-    info.corpus = corpus;
+    info.corpus = corpus_name;
     info.seed = 0;  // splice corpora are pinned by profile/scale, not seed
     info.threads = resolved_threads;
     info.extra_json =
@@ -883,7 +846,7 @@ int cmd_splice(const std::vector<std::string>& args) {
   if (o.json) {
     std::printf("%s\n", report.c_str());
   } else {
-    print_splice_stats(st, o.pkt, o.verbose);
+    print_splice_stats(st, cfg.flow.packet, o.verbose);
   }
   return 0;
 }

@@ -57,6 +57,7 @@
 #include "atm/demux.hpp"
 #include "checksum/checksum.hpp"
 #include "checksum/kernels/kernel.hpp"
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "dist/service.hpp"
@@ -64,7 +65,6 @@
 #include "dist/worker.hpp"
 #include "faults/channel.hpp"
 #include "faults/soak.hpp"
-#include "fsgen/profile.hpp"
 #include "kernel_cli.hpp"
 #include "obs/exporter.hpp"
 #include "storage/frontier.hpp"
@@ -888,9 +888,10 @@ int cmd_distkill(const std::vector<std::string>& args) {
     core::SpliceRunConfig run;
     run.flow = core::paper_flow_config();
     run.threads = 1;
-    const fsgen::Filesystem fs(fsgen::profile(profile), scales[j]);
-    nfiles[j] = fs.file_count();
-    oracles[j] = core::run_filesystem(run, fs);
+    const core::SpliceCorpus corpus(
+        {core::CorpusKind::kProfile, profile, scales[j]});
+    nfiles[j] = corpus.file_count();
+    oracles[j] = corpus.run_range(run, 0, nfiles[j]);
   }
   // The oracle runs above bumped the same global splice counters the
   // service run is about to use; re-baseline so the exported manifest
