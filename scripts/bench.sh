@@ -4,10 +4,12 @@
 #
 #   sh scripts/bench.sh           full run (Release build)
 #   sh scripts/bench.sh --quick   short measurement window (CI smoke)
-#   sh scripts/bench.sh --check   also fail on gross regressions:
-#                                 DFS rate < 1/5 of the previous entry,
-#                                 DFS < 12.5x the reference oracle,
-#                                 or slicing-by-8 CRC-32 < 3x scalar
+#   sh scripts/bench.sh --check   also fail on regressions: DFS rate
+#                                 < 85% of the recent median on this
+#                                 machine fingerprint, DFS < 12.5x the
+#                                 reference oracle, or slicing-by-8
+#                                 CRC-32 < 3x scalar (every gate's
+#                                 verdict lands in the entry's "gates")
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -59,4 +61,4 @@ DISTILL_ARGS=""
 [ "$CHECK" -eq 1 ] && DISTILL_ARGS="$DISTILL_ARGS --check"
 # shellcheck disable=SC2086
 python3 scripts/bench_distill.py "$RAW" BENCH_splice.json \
-  --manifest "$MANIFEST" --speed "$RAWK" $DISTILL_ARGS
+  --manifest "$MANIFEST" --speed "$RAWK" --build-dir "$BUILD" $DISTILL_ARGS

@@ -3,7 +3,7 @@
 trajectory at the repo root.
 
 Usage: bench_distill.py RAW_JSON TRAJECTORY_JSON [--quick] [--check]
-                        [--manifest PATH] [--speed PATH]
+                        [--manifest PATH] [--speed PATH] [--build-dir DIR]
 
 The trajectory file is a JSON array, one entry per bench.sh run:
 
@@ -14,6 +14,9 @@ The trajectory file is a JSON array, one entry per bench.sh run:
       "splices_per_sec": {"dfs": ..., "reference": ...},
       "pairs_per_sec":   {"dfs": ..., "reference": ...},
       "speedup_dfs_vs_reference": ...,
+      "fingerprint": {"cpu": ..., "hw_threads": ..., "kernel": ...,
+                      "compiler": ..., "build_type": ...},
+      "gates": {"dfs_rate": {"status": "pass", ...}, ...},  # --check
       "manifest": { ... },  # optional: telemetry run-manifest summary
       "kernel_throughput": {"crc32": {"scalar": ..., "slicing": ...,
                                       "chorba": ...}, ...}  # optional
@@ -36,8 +39,15 @@ rows, one per implementation-list entry, see bench/bench_speed.cpp)
 and records the 64 KiB bulk throughput per algorithm per
 implementation under "kernel_throughput".
 
---check exits non-zero if the new DFS rate fell below 1/5 of the
-previous entry's, if the DFS evaluator is less than 12.5x the
+Every entry carries a machine "fingerprint": CPU model, hardware
+threads, the kernel implementations `best` resolved to (from the
+--manifest), and the compiler and build type (from --build-dir's
+CMake cache). Fields that cannot be read are recorded as "unknown".
+
+--check exits non-zero if the new DFS rate is below 85% of the median
+of the last 5 entries with the same fingerprint (rates from another
+machine or build say nothing about this one; with no such entry the
+gate records a skip), if the DFS evaluator is less than 12.5x the
 byte-level reference oracle (the recorded entries show 44-57x; the
 retired flat evaluator never ran above 12.5x, so the gate is no
 looser than the old "DFS >= flat" one), or (when --speed is given) if slicing-by-8 CRC-32 is less than 3x the
@@ -53,12 +63,21 @@ sealed corpus store, see docs/CORPUS.md) ride along under the entry's
 "streaming" key, and --check holds streaming to >=0.95x the in-memory
 BM_RunFilesystem rate per worker. The 8-thread aggregate gate
 (>=4x the 1-thread streamed rate) only arms when the recorded
-hw_threads is >=8 — on smaller machines it skips with a notice.
+hw_threads is >=8 — on smaller machines it skips.
+
+With --check, each gate's verdict is recorded in the new entry under
+"gates": {name: {"status": "pass" | "fail" | "skip", "reason": ...}},
+so a skipped gate is visible in the trajectory, not only on stderr.
 """
 
 import argparse
 import datetime
+import glob
 import json
+import os
+import platform
+import re
+import statistics
 import subprocess
 import sys
 
@@ -73,6 +92,109 @@ MANIFEST_SCHEMA = "cksum-metrics/1"
 # BENCH_splice.json (7.9-12.5x), so this floor on the DFS is never
 # looser than the "DFS >= flat" gate it replaces.
 DFS_VS_REFERENCE_FLOOR = 12.5
+
+
+# The DFS rate gate: fail below this fraction of the median rate of
+# the last DFS_RATE_WINDOW entries recorded with the same fingerprint.
+DFS_RATE_FLOOR = 0.85
+DFS_RATE_WINDOW = 5
+
+UNKNOWN = "unknown"
+
+
+def cpu_model():
+    """The CPU model string, from /proc/cpuinfo where there is one."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                key, _, value = line.partition(":")
+                if key.strip() in ("model name", "Model", "cpu model"):
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or UNKNOWN
+
+
+def build_info(build_dir):
+    """(compiler, build type) from a CMake build directory's cache."""
+    if not build_dir:
+        return UNKNOWN, UNKNOWN
+    build_type = UNKNOWN
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    build_type = line.partition("=")[2].strip() or UNKNOWN
+    except OSError:
+        pass
+    compiler = UNKNOWN
+    for path in sorted(glob.glob(os.path.join(
+            build_dir, "CMakeFiles", "*", "CMakeCXXCompiler.cmake"))):
+        ident = {}
+        with open(path) as f:
+            for line in f:
+                m = re.match(r'set\((CMAKE_CXX_COMPILER_(?:ID|VERSION)) '
+                             r'"([^"]*)"\)', line)
+                if m:
+                    ident[m.group(1)] = m.group(2)
+        if ident:
+            compiler = " ".join(ident.get(k, "?") for k in (
+                "CMAKE_CXX_COMPILER_ID", "CMAKE_CXX_COMPILER_VERSION"))
+    return compiler, build_type
+
+
+def resolved_kernel(manifest_path):
+    """What the manifest's kernel selection resolved to on this machine:
+    the per-algorithm implementation list in its kernel_reason."""
+    if not manifest_path:
+        return UNKNOWN
+    try:
+        with open(manifest_path) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return UNKNOWN
+    reason = doc.get("kernel_reason") if isinstance(doc, dict) else None
+    if not isinstance(reason, str):
+        return UNKNOWN
+    m = re.search(r"\(([^()]*)\)\s*$", reason)
+    return m.group(1) if m else reason
+
+
+def fingerprint(build_dir, manifest_path):
+    compiler, build_type = build_info(build_dir)
+    return {
+        "cpu": cpu_model(),
+        "hw_threads": os.cpu_count() or 0,
+        "kernel": resolved_kernel(manifest_path),
+        "compiler": compiler,
+        "build_type": build_type,
+    }
+
+
+def dfs_rate_gate(entry, trajectory):
+    """The fingerprinted DFS rate gate's verdict for `entry`. Entries
+    that failed this gate are not a baseline, so a regression cannot
+    lower the bar by being recorded."""
+    rates = [e["splices_per_sec"]["dfs"] for e in trajectory
+             if isinstance(e, dict)
+             and e.get("fingerprint") == entry["fingerprint"]
+             and e.get("gates", {}).get("dfs_rate", {}).get("status")
+             != "fail"
+             and isinstance(e.get("splices_per_sec"), dict)
+             and isinstance(e["splices_per_sec"].get("dfs"), (int, float))]
+    rates = rates[-DFS_RATE_WINDOW:]
+    rate = entry["splices_per_sec"]["dfs"]
+    if not rates:
+        return {"status": "skip", "rate": rate,
+                "reason": "no earlier entry with this fingerprint"}
+    baseline = statistics.median(rates)
+    floor = DFS_RATE_FLOOR * baseline
+    return {"status": "pass" if rate >= floor else "fail", "rate": rate,
+            "baseline_median": baseline, "baseline_entries": len(rates),
+            "floor": floor,
+            "reason": f"{rate:.3e} splices/sec vs floor {floor:.3e} "
+                      f"({DFS_RATE_FLOOR:.0%} of the median of "
+                      f"{len(rates)} matching entries)"}
 
 
 def load_trajectory(path):
@@ -113,6 +235,12 @@ def validate_entry(entry):
                 problems.append(f"{key!r}[{bench!r}] missing or not a number")
     if not isinstance(entry.get("speedup_dfs_vs_reference"), (int, float)):
         problems.append("'speedup_dfs_vs_reference' missing or not a number")
+    if "fingerprint" in entry:
+        fp = entry["fingerprint"]
+        if not isinstance(fp, dict) or set(fp) != {
+                "cpu", "hw_threads", "kernel", "compiler", "build_type"}:
+            problems.append("'fingerprint' present but not an object with "
+                            "cpu/hw_threads/kernel/compiler/build_type")
     if "manifest" in entry and not isinstance(entry["manifest"], dict):
         problems.append("'manifest' present but not an object")
     if "streaming" in entry:
@@ -223,13 +351,88 @@ def manifest_summary(path):
 
 
 def git_commit() -> str:
+    """HEAD's hash, suffixed "-dirty" when the tracked tree has
+    uncommitted changes (the measured code is then not HEAD's)."""
     try:
-        return subprocess.run(
+        head = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return head + "-dirty" if dirty else head
+
+
+def run_gates(entry, trajectory):
+    """Every --check gate's verdict for `entry`, by name."""
+    gates = {"dfs_rate": dfs_rate_gate(entry, trajectory)}
+
+    def ratio_gate(name, num, den, floor, what, missing):
+        if not num or not den:
+            gates[name] = {"status": "skip", "reason": missing}
+            return
+        ratio = num / den
+        gates[name] = {"status": "pass" if ratio >= floor else "fail",
+                       "ratio": ratio, "floor": floor,
+                       "reason": f"{what} {ratio:.2f}x (want >={floor}x)"}
+
+    ratio = entry["speedup_dfs_vs_reference"]
+    gates["dfs_vs_reference"] = {
+        "status": "pass" if ratio >= DFS_VS_REFERENCE_FLOOR else "fail",
+        "ratio": ratio, "floor": DFS_VS_REFERENCE_FLOOR,
+        "reason": f"DFS evaluator {ratio:.1f}x the reference oracle "
+                  f"(want >={DFS_VS_REFERENCE_FLOOR}x)"}
+
+    kt = entry.get("kernel_throughput", {})
+    crc = kt.get("crc32", {})
+    ratio_gate("crc32_slicing", crc.get("slicing"), crc.get("scalar"), 3.0,
+               "slicing-by-8 CRC-32 vs scalar",
+               "no crc32 scalar/slicing rows (run without --speed?)")
+    # Folding/tableless CRC-32 against the slicing baseline. A missing
+    # row means bench_speed skipped the implementation as unavailable
+    # on this machine.
+    for kern_name, floor in (("chorba", 1.5), ("clmul", 5.0)):
+        ratio_gate(f"crc32_{kern_name}", crc.get(kern_name),
+                   crc.get("slicing"), floor,
+                   f"{kern_name} CRC-32 vs slicing",
+                   f"no crc32/{kern_name} row (implementation "
+                   f"unavailable on this machine)")
+    # Large-block family: the Koopman dual sum digests 8 bytes per
+    # step, so it must clearly beat byte-at-a-time Fletcher-256, both
+    # slicing.
+    ratio_gate("koopman_vs_fletcher",
+               kt.get("koopmandual", {}).get("slicing"),
+               kt.get("fletcher256", {}).get("slicing"), 1.2,
+               "Koopman dual sum vs Fletcher-256, both slicing",
+               "no koopmandual/fletcher256 slicing rows in the speed dump")
+    # Streaming corpus: the store bakes packetisation in at build time,
+    # so streaming must not lose more than noise per worker, and must
+    # actually scale when the machine can.
+    s = entry.get("streaming")
+    if not s:
+        for name in ("streaming_vs_memory", "streaming_scaling"):
+            gates[name] = {"status": "skip",
+                           "reason": "no BM_RunCorpusStreamed rows"}
+    else:
+        ratio_gate("streaming_vs_memory", s["streamed_per_sec"].get("1"),
+                   s["in_memory_per_sec"].get("1"), 0.95,
+                   "corpus-streamed run vs in-memory at 1 thread",
+                   "no 1-thread streamed/in-memory rows")
+        if s["hw_threads"] < 8:
+            gates["streaming_scaling"] = {
+                "status": "skip",
+                "reason": f"machine has {s['hw_threads']} hw thread(s); "
+                          f"the 8-worker aggregate needs >= 8"}
+        else:
+            ratio_gate("streaming_scaling", s["streamed_per_sec"].get("8"),
+                       s["streamed_per_sec"].get("1"), 4.0,
+                       "streamed aggregate at 8 workers vs 1 thread",
+                       "no 1- and 8-thread streamed rows")
+    return gates
 
 
 def main() -> int:
@@ -241,6 +444,10 @@ def main() -> int:
     ap.add_argument("--manifest", metavar="PATH",
                     help="cksum-metrics/1 run manifest to summarize "
                          "into the entry")
+    ap.add_argument("--build-dir", metavar="DIR",
+                    help="CMake build directory the benches came from; "
+                         "its cache supplies the fingerprint's compiler "
+                         "and build type")
     ap.add_argument("--speed", metavar="PATH",
                     help="bench_speed JSON dump whose BM_Kernel_* rows "
                          "become the entry's kernel_throughput family")
@@ -289,6 +496,7 @@ def main() -> int:
         "splices_per_sec": splices,
         "pairs_per_sec": pairs,
         "speedup_dfs_vs_reference": splices["dfs"] / splices["reference"],
+        "fingerprint": fingerprint(args.build_dir, args.manifest),
     }
 
     if streaming["streamed_per_sec"] and hw_threads is not None:
@@ -323,7 +531,8 @@ def main() -> int:
             print(f"bench_distill: warning: {args.trajectory} entry "
                   f"#{i + 1}: {p}", file=sys.stderr)
 
-    previous = trajectory[-1] if trajectory else None
+    if args.check:
+        entry["gates"] = run_gates(entry, trajectory)
     trajectory.append(entry)
     with open(args.trajectory, "w") as f:
         json.dump(trajectory, f, indent=2)
@@ -355,95 +564,13 @@ def main() -> int:
                   f"({str1 / mem1:.2f}x, {s['hw_threads']} hw threads)")
     print(f"appended entry #{len(trajectory)} to {args.trajectory}")
 
-    if args.check:
-        ok = True
-        crc = entry.get("kernel_throughput", {}).get("crc32", {})
-        if crc.get("scalar") and crc.get("slicing"):
-            ratio = crc["slicing"] / crc["scalar"]
-            if ratio < 3.0:
-                print(f"CHECK FAILED: slicing-by-8 CRC-32 only {ratio:.2f}x "
-                      f"scalar (want >=3x)", file=sys.stderr)
-                ok = False
-        # Folding/tableless CRC-32 gates, against the slicing baseline.
-        # A missing row means bench_speed skipped the implementation as
-        # unavailable on this machine — notice, not failure.
-        for kern_name, floor in (("chorba", 1.5), ("clmul", 5.0)):
-            if not crc.get(kern_name):
-                print(f"CHECK NOTICE: no crc32/{kern_name} row "
-                      f"(implementation unavailable on this machine); "
-                      f"{kern_name} gate skipped", file=sys.stderr)
-                continue
-            if not crc.get("slicing"):
-                continue
-            ratio = crc[kern_name] / crc["slicing"]
-            if ratio < floor:
-                print(f"CHECK FAILED: {kern_name} CRC-32 only {ratio:.2f}x "
-                      f"slicing (want >={floor}x)", file=sys.stderr)
-                ok = False
-        # Large-block family gate: the Koopman dual sum digests 8
-        # bytes per step, so it must clearly beat byte-at-a-time
-        # Fletcher-256, both slicing. Rows are absent when
-        # bench_speed ran with an older row set or a narrow filter —
-        # notice, not failure.
-        kt = entry.get("kernel_throughput", {})
-        kdual = kt.get("koopmandual", {}).get("slicing")
-        f256 = kt.get("fletcher256", {}).get("slicing")
-        if not kdual or not f256:
-            print("CHECK NOTICE: no koopmandual/fletcher256 slicing rows "
-                  "in the speed dump; Koopman-vs-Fletcher gate skipped",
-                  file=sys.stderr)
-        else:
-            ratio = kdual / f256
-            if ratio < 1.2:
-                print(f"CHECK FAILED: Koopman dual sum only {ratio:.2f}x "
-                      f"Fletcher-256, both slicing (want >=1.2x)",
-                      file=sys.stderr)
-                ok = False
-        # Streaming-corpus gates: the store bakes packetisation in at
-        # build time, so streaming must not lose more than noise per
-        # worker, and must actually scale when the machine can.
-        s = entry.get("streaming")
-        if not s:
-            print("CHECK NOTICE: no BM_RunCorpusStreamed rows in the "
-                  "dump; streaming gates skipped", file=sys.stderr)
-        else:
-            mem1 = s["in_memory_per_sec"].get("1")
-            str1 = s["streamed_per_sec"].get("1")
-            str8 = s["streamed_per_sec"].get("8")
-            if mem1 and str1:
-                ratio = str1 / mem1
-                if ratio < 0.95:
-                    print(f"CHECK FAILED: corpus-streamed run only "
-                          f"{ratio:.2f}x the in-memory rate at 1 thread "
-                          f"(want >=0.95x)", file=sys.stderr)
-                    ok = False
-            if str1 and str8:
-                if s["hw_threads"] < 8:
-                    print(f"CHECK NOTICE: machine has "
-                          f"{s['hw_threads']} hw thread(s); 8-worker "
-                          f"aggregate gate skipped", file=sys.stderr)
-                else:
-                    ratio = str8 / str1
-                    if ratio < 4.0:
-                        print(f"CHECK FAILED: streamed aggregate only "
-                              f"{ratio:.2f}x the 1-thread rate at 8 "
-                              f"workers (want >=4x)", file=sys.stderr)
-                        ok = False
-        if entry["speedup_dfs_vs_reference"] < DFS_VS_REFERENCE_FLOOR:
-            print(f"CHECK FAILED: DFS evaluator only "
-                  f"{entry['speedup_dfs_vs_reference']:.1f}x the reference "
-                  f"oracle (want >={DFS_VS_REFERENCE_FLOOR}x)",
-                  file=sys.stderr)
-            ok = False
-        if previous is not None:
-            prev_dfs = previous.get("splices_per_sec", {}).get("dfs")
-            if prev_dfs and splices["dfs"] < prev_dfs / 5.0:
-                print(f"CHECK FAILED: DFS rate {splices['dfs']:.3e} is >5x "
-                      f"below previous {prev_dfs:.3e}", file=sys.stderr)
-                ok = False
-        if not ok:
-            return 1
-    return 0
+    failed = [name for name, g in entry.get("gates", {}).items()
+              if g["status"] == "fail"]
+    for name, g in entry.get("gates", {}).items():
+        print(f"gate {name}: {g['status']} ({g['reason']})")
+        if g["status"] == "fail":
+            print(f"CHECK FAILED: {name}: {g['reason']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

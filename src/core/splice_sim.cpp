@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -149,7 +150,6 @@ struct PairContext {
   const net::PacketConfig* cfg = nullptr;
   const SimPacket* p1 = nullptr;
   const SimPacket* p2 = nullptr;
-  bool fletcher = false;  ///< transport is a Fletcher sum
   bool mod255 = false;
   bool header_placement = true;
   /// Per p1 non-EOM cell: would these 48 bytes pass the header checks
@@ -179,44 +179,8 @@ const std::uint8_t* pair_hdr_ok(const net::PacketConfig& cfg,
   return scratch.data();
 }
 
-/// Forced inline: left to its heuristics GCC 12 splits it out of
-/// dfs_leaf, which costs the DFS ~15% of its splice rate.
-[[gnu::always_inline]] inline void classify(
-    const PairContext& ctx, unsigned k1, bool hdr2, bool identical,
-    bool transport_pass, bool crc_pass, bool kd_pass, bool ks_pass,
-    SpliceStats& st) {
-  if (identical) {
-    ++st.identical;
-    if (transport_pass) {
-      ++st.pass_identical;
-    } else {
-      ++st.fail_identical;
-    }
-    return;
-  }
-  ++st.remaining;
-  if (transport_pass) {
-    ++st.missed_transport;
-    ++st.pass_changed;
-  } else {
-    ++st.fail_changed;
-  }
-  if (crc_pass) ++st.missed_crc;
-  if (crc_pass && transport_pass) ++st.missed_both;
-  if (kd_pass) ++st.missed_koopman_dual;
-  if (ks_pass) ++st.missed_koopman_single;
-
-  const std::size_t n2 = ctx.p2->cells.size();
-  const std::size_t k = std::min<std::size_t>(n2 - k1, kMaxTrackedK - 1);
-  ++st.remaining_by_k[k];
-  if (transport_pass) ++st.missed_by_k[k];
-
-  if (hdr2) {  // packet 2's header cell is in the splice
-    ++st.remaining_with_hdr2;
-    if (transport_pass) ++st.missed_with_hdr2;
-  }
-}
-
+/// Materialise one splice and classify it through the byte-level
+/// oracle — for splices the partial sums cannot express.
 void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
                SpliceStats& st) {
   ++st.slow_path;
@@ -226,8 +190,36 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
     ++st.caught_by_header;
     return;
   }
-  classify(ctx, s.k1, (s.mask2 & 1u) != 0, o.identical, o.transport_pass,
-           o.crc_pass, o.koopman_dual_pass, o.koopman_single_pass, st);
+  if (o.identical) {
+    ++st.identical;
+    if (o.transport_pass) {
+      ++st.pass_identical;
+    } else {
+      ++st.fail_identical;
+    }
+    return;
+  }
+  ++st.remaining;
+  if (o.transport_pass) {
+    ++st.missed_transport;
+    ++st.pass_changed;
+  } else {
+    ++st.fail_changed;
+  }
+  if (o.crc_pass) ++st.missed_crc;
+  if (o.crc_pass && o.transport_pass) ++st.missed_both;
+  if (o.koopman_dual_pass) ++st.missed_koopman_dual;
+  if (o.koopman_single_pass) ++st.missed_koopman_single;
+
+  const std::size_t n2 = ctx.p2->cells.size();
+  const std::size_t k = std::min<std::size_t>(n2 - s.k1, kMaxTrackedK - 1);
+  ++st.remaining_by_k[k];
+  if (o.transport_pass) ++st.missed_by_k[k];
+
+  if ((s.mask2 & 1u) != 0) {  // packet 2's header cell is in the splice
+    ++st.remaining_with_hdr2;
+    if (o.transport_pass) ++st.missed_with_hdr2;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -240,6 +232,8 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 //   Internet   position-independent cell sum
 //   Fletcher   a, and b + (48*d + eom_len) * a   (unrolling the
 //              classic B += |block| * A recurrence over the suffix)
+//   Koopman    the same recurrence at 8-byte block grain (dual), or a
+//              position-independent block sum (single)
 //   CRC-32     suffix_comb(d).advance(cell crc)  (advance past the d
 //              trailing cells + 44 EOM bytes; XOR-combines because
 //              the zeros-operator is linear over GF(2))
@@ -253,8 +247,16 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 // a subset's fold independent of k1 — one pool of 2^e2 - 1 combos,
 // bucketed by size, serves every phase-1 branch. Phase 1 walks p1's
 // kept subsets (after the mandatory first cell) in ascending order and
-// joins each node against the bucket with the matching k2. Leaves cost
-// a handful of adds; each pool/walk edge folds one cell.
+// joins each node against the bucket with the matching k2.
+//
+// Every pass test is one congruence per family, const + prefix +
+// suffix == target in that family's residue ring (XOR for the CRC).
+// So a pool entry is reduced once, when it is pooled, into SoA arrays,
+// and each phase-1 node moves its constant, prefix and target to one
+// side: the residue it needs from the suffix. A leaf is then four u32
+// equality compares and an identity-flag test, eight suffixes per
+// vector step; a bucket with no hit in any lane — nearly all of them —
+// is counted wholesale. Each pool/walk edge folds one cell.
 // ---------------------------------------------------------------------------
 
 /// Accumulated contributions of the cells a DFS branch has chosen so
@@ -271,25 +273,36 @@ struct Agg {
   bool eq2 = true;        ///< chosen cells match p2's at their position
 };
 
-struct SuffixCombo {
-  Agg agg;
-  bool hdr2 = false;  ///< combo includes p2's header cell (cell 0)
-};
+/// A pooled suffix's flag byte.
+constexpr std::uint8_t kEq1 = 1;   ///< Agg::eq1
+constexpr std::uint8_t kEq2 = 2;   ///< Agg::eq2
+constexpr std::uint8_t kHdr2 = 4;  ///< includes p2's header cell (cell 0)
+
+/// The need of a Koopman family whose target lies outside its residue
+/// ring. No reduced suffix equals it (dual residues pack two values
+/// below 65521, single ones are below 2^32 - 5), just as the reduced
+/// sum never equalled the target.
+constexpr std::uint32_t kNeverMatches = 0xffffffffu;
 
 /// Constants of one pair's DFS.
 struct DfsPair {
-  const PairContext* ctx = nullptr;
   const CellPartial* c1 = nullptr;
   const CellPartial* c2 = nullptr;
   unsigned e1 = 0, e2 = 0;
   std::uint64_t eom_len = 0;
+  bool fletcher = false;     ///< transport is a Fletcher sum
   bool mod255 = false;
   bool track1 = false;       ///< n1 == n2: identical-to-p1 is possible
   bool ident1_base = false;  ///< track1 and EOM coverage matches p1's
   bool ident2_head = false;  ///< first cell's hash matches p2's cell 0
+  bool pooled = false;       ///< suffixes come from the pool, not regrown
   // Pair constants: first cell at position 0 plus the EOM cell.
   std::uint64_t iconst = 0;
   std::uint64_t fconst_a = 0, fconst_b = 0;
+  /// The content sum's residue mod 65535 that passes: the stored field
+  /// itself, or its negation when the field holds the complement.
+  /// Canonicalising first keeps the ones-complement ±0 exact.
+  std::uint32_t inet_target = 0;
   // Koopman pair constants and targets: same two mandatory fragments,
   // with B weighted by trailing *block* count (6 per cell, 6 for the
   // EOM cell's 44 covered bytes). Targets are p2's whole-PDU sums.
@@ -297,7 +310,6 @@ struct DfsPair {
   alg::KoopmanDualPair kd_target{};
   std::uint64_t ks_target = 0;
   std::uint32_t crc_target = 0;
-  std::uint16_t stored_canon = 0;
   SpliceStats* st = nullptr;
   /// Fold count for splice.dfs_nodes, flushed per pair. The pooled
   /// paths never touch it per fold — their counts are derived in
@@ -358,36 +370,222 @@ inline void fold(const DfsPair& fs, Agg& a, const CellPartial& c,
   if (fs.track1) a.eq1 = a.eq1 && c.hash == fs.c1[pos].hash;
 }
 
-void dfs_leaf(const DfsPair& fs, const Agg& a1, const SuffixCombo& c2,
-              unsigned k1) {
-  const PairContext& ctx = *fs.ctx;
-  const bool identical = (fs.ident1_base && a1.eq1 && c2.agg.eq1) ||
-                         (fs.ident2_head && a1.eq2 && c2.agg.eq2);
-  bool transport_pass;
-  if (ctx.fletcher) {
-    const std::uint32_t m = fs.mod255 ? 255u : 256u;
-    const std::uint64_t fa = fs.fconst_a + a1.fa + c2.agg.fa;
-    const std::uint64_t fb = fs.fconst_b + a1.fb + c2.agg.fb;
-    transport_pass = (fa % m == 0) && (fb % m == 0);
+/// One residue per family: transport (Internet mod 65535, or Fletcher
+/// a | b << 16 mod 255/256), CRC, Koopman dual (a | b << 16 mod 65521)
+/// and Koopman single (mod 2^32 - 5).
+struct Residues {
+  std::uint32_t tr = 0, crc = 0, kd = 0, ks = 0;
+};
+
+/// x mod M, and (t - x) mod M for a reduced target t < M.
+template <std::uint64_t M>
+std::uint32_t mod(std::uint64_t x) {
+  return static_cast<std::uint32_t>(x % M);
+}
+template <std::uint64_t M>
+std::uint32_t mod_sub(std::uint64_t t, std::uint64_t x) {
+  const std::uint64_t d = t + M - x % M;  // in [1, 2M)
+  return static_cast<std::uint32_t>(d >= M ? d - M : d);
+}
+
+/// What a suffix contributes, reduced once when it is pooled.
+Residues suffix_residues(const DfsPair& fs, const Agg& a) {
+  Residues r;
+  if (!fs.fletcher) {
+    r.tr = mod<65535>(a.inet);
+  } else if (fs.mod255) {
+    r.tr = mod<255>(a.fa) | mod<255>(a.fb) << 16;
   } else {
-    std::uint64_t sum = fs.iconst + a1.inet + c2.agg.inet;
-    while (sum >> 16) sum = (sum & 0xffffu) + (sum >> 16);
-    const std::uint16_t content = static_cast<std::uint16_t>(sum);
-    const std::uint16_t expect =
-        ctx.cfg->invert_checksum ? alg::ones_neg(content) : content;
-    transport_pass = fs.stored_canon == alg::ones_canonical(expect);
+    r.tr = mod<256>(a.fa) | mod<256>(a.fb) << 16;
   }
-  const bool crc_pass = (a1.crc ^ c2.agg.crc) == fs.crc_target;
-  const bool kd_pass =
-      (fs.kconst_a + a1.ka + c2.agg.ka) % alg::kKoopmanDualMod ==
-          fs.kd_target.a &&
-      (fs.kconst_b + a1.kb + c2.agg.kb) % alg::kKoopmanDualMod ==
-          fs.kd_target.b;
-  const bool ks_pass =
-      (fs.ksconst + a1.ks + c2.agg.ks) % alg::kKoopmanSingleMod ==
-      fs.ks_target;
-  classify(ctx, k1, c2.hdr2, identical, transport_pass, crc_pass, kd_pass,
-           ks_pass, *fs.st);
+  r.crc = a.crc;
+  r.kd = mod<alg::kKoopmanDualMod>(a.ka) |
+         mod<alg::kKoopmanDualMod>(a.kb) << 16;
+  r.ks = mod<alg::kKoopmanSingleMod>(a.ks);
+  return r;
+}
+
+/// A phase-1 node, hoisted out of its leaves: what each family needs
+/// from the suffix, need = (target - const - prefix) mod m (the CRC
+/// XORs instead), so a leaf passes a family iff its residue equals the
+/// need. `ident` holds the suffix flags that make a splice identical;
+/// k is the substitution-length histogram slot, fixed by k2.
+struct Node {
+  Residues need;
+  std::uint8_t ident = 0;
+  std::size_t k = 0;
+};
+
+Node make_node(const DfsPair& fs, const Agg& a1, unsigned k2) {
+  Node n;
+  if (!fs.fletcher) {
+    n.need.tr = mod_sub<65535>(fs.inet_target, fs.iconst + a1.inet);
+  } else if (fs.mod255) {
+    n.need.tr = mod_sub<255>(0, fs.fconst_a + a1.fa) |
+                mod_sub<255>(0, fs.fconst_b + a1.fb) << 16;
+  } else {
+    n.need.tr = mod_sub<256>(0, fs.fconst_a + a1.fa) |
+                mod_sub<256>(0, fs.fconst_b + a1.fb) << 16;
+  }
+  n.need.crc = a1.crc ^ fs.crc_target;
+  constexpr std::uint64_t kd_mod = alg::kKoopmanDualMod;
+  n.need.kd = fs.kd_target.a < kd_mod && fs.kd_target.b < kd_mod
+                  ? mod_sub<kd_mod>(fs.kd_target.a, fs.kconst_a + a1.ka) |
+                        mod_sub<kd_mod>(fs.kd_target.b, fs.kconst_b + a1.kb)
+                            << 16
+                  : kNeverMatches;
+  n.need.ks = fs.ks_target < alg::kKoopmanSingleMod
+                  ? mod_sub<alg::kKoopmanSingleMod>(fs.ks_target,
+                                                    fs.ksconst + a1.ks)
+                  : kNeverMatches;
+  n.ident = static_cast<std::uint8_t>((fs.ident1_base && a1.eq1 ? kEq1 : 0) |
+                                      (fs.ident2_head && a1.eq2 ? kEq2 : 0));
+  // The splice keeps k2 of p2's non-EOM cells plus its EOM cell.
+  n.k = std::min<std::size_t>(k2 + 1, kMaxTrackedK - 1);
+  return n;
+}
+
+/// Suffixes per join step: eight u32 lanes, as two 128-bit vectors —
+/// the width x86-64 (SSE2) and AArch64 (NEON) compare natively. Wider
+/// GCC vectors are lowered lane by lane unless the build targets AVX2.
+constexpr std::uint32_t kLanes = 8;
+
+/// Suffixes in SoA form, each reduced into its families' residue
+/// rings; bucket r is [begin[r], begin[r+1]) and, while it is being
+/// filled, [begin[r], cursor[r]). Thread-local scratch, reused by
+/// every pair a thread evaluates.
+struct SuffixPool {
+  std::vector<std::uint32_t> tr, crc, kd, ks;  ///< Residues, by field
+  std::vector<std::uint8_t> flags;             ///< kEq1 | kEq2 | kHdr2
+  std::vector<std::uint32_t> begin, cursor;
+  std::vector<std::uint32_t> hdr2;  ///< entries flagged kHdr2, per bucket
+
+  /// Empty buckets 0..nb-1 with room for size(r) entries each.
+  template <typename Size>
+  void layout(unsigned nb, Size size) {
+    begin.assign(nb + 1, 0);
+    for (unsigned r = 0; r < nb; ++r)
+      begin[r + 1] = begin[r] + static_cast<std::uint32_t>(size(r));
+    cursor.assign(begin.begin(), begin.end() - 1);
+    hdr2.assign(nb, 0);
+    // A join step reads whole vectors, up to kLanes - 1 slots past a
+    // bucket's end; those lanes are masked off.
+    const std::size_t cap = begin[nb] + kLanes;
+    for (auto* v : {&tr, &crc, &kd, &ks}) v->resize(cap);
+    flags.resize(cap);
+  }
+
+  void put(const DfsPair& fs, unsigned bucket, const Agg& a, bool has_hdr2) {
+    const std::uint32_t i = cursor[bucket]++;
+    const Residues r = suffix_residues(fs, a);
+    tr[i] = r.tr;
+    crc[i] = r.crc;
+    kd[i] = r.kd;
+    ks[i] = r.ks;
+    flags[i] = static_cast<std::uint8_t>((a.eq1 ? kEq1 : 0) |
+                                         (a.eq2 ? kEq2 : 0) |
+                                         (has_hdr2 ? kHdr2 : 0));
+    hdr2[bucket] += has_hdr2 ? 1 : 0;
+  }
+};
+
+/// The leaf rule: classify the splices joining `node` to suffixes
+/// [lo, hi) of `p`, `hdr2` of which include p2's header cell. When no
+/// lane hits any family or the identity test, the range is counted
+/// wholesale as changed and caught by every check; otherwise a second
+/// pass counts each counter's lanes.
+void join(const DfsPair& fs, const SuffixPool& p, std::uint32_t lo,
+          std::uint32_t hi, std::uint32_t hdr2, const Node& node) {
+  using u32x4 = std::uint32_t __attribute__((vector_size(16)));
+  using i32x4 = std::int32_t __attribute__((vector_size(16)));
+  using u8x4 = std::uint8_t __attribute__((vector_size(4)));
+  /// Lane masks (all ones where true) of four suffixes.
+  struct Quad {
+    i32x4 tr, crc, kd, ks, ident, hdr2, valid;
+  };
+  const auto quad = [&](std::uint32_t i, Quad& q) {
+    u32x4 tr, crc, kd, ks;
+    u8x4 f8;
+    std::memcpy(&tr, p.tr.data() + i, sizeof tr);
+    std::memcpy(&crc, p.crc.data() + i, sizeof crc);
+    std::memcpy(&kd, p.kd.data() + i, sizeof kd);
+    std::memcpy(&ks, p.ks.data() + i, sizeof ks);
+    std::memcpy(&f8, p.flags.data() + i, sizeof f8);
+    const u32x4 fl = __builtin_convertvector(f8, u32x4);
+    q.tr = tr == node.need.tr;
+    q.crc = crc == node.need.crc;
+    q.kd = kd == node.need.kd;
+    q.ks = ks == node.need.ks;
+    q.ident = (fl & node.ident) != 0;
+    q.hdr2 = (fl & kHdr2) != 0;
+    // Lanes at or past `hi` read a neighbour's (or padding) slots.
+    q.valid = i32x4{0, 1, 2, 3} < static_cast<std::int32_t>(hi - i);
+  };
+
+  Quad q0, q1;
+  i32x4 any = {};
+  for (std::uint32_t i = lo; i < hi; i += kLanes) {
+    quad(i, q0);
+    quad(i + 4, q1);
+    any |= (q0.tr | q0.crc | q0.kd | q0.ks | q0.ident) & q0.valid;
+    any |= (q1.tr | q1.crc | q1.kd | q1.ks | q1.ident) & q1.valid;
+  }
+  SpliceStats& st = *fs.st;
+  if ((any[0] | any[1] | any[2] | any[3]) == 0) {
+    const std::uint32_t n = hi - lo;
+    st.remaining += n;
+    st.fail_changed += n;
+    st.remaining_by_k[node.k] += n;
+    st.remaining_with_hdr2 += hdr2;
+    return;
+  }
+
+  // Per-lane counts: a true lane is -1, so subtracting a mask counts it.
+  enum { kSame, kSameT, kChanged, kChangedT, kCrc, kCrcT, kKd, kKs, kHdr,
+         kHdrT, kCounts };
+  i32x4 n[kCounts] = {};
+  const auto tally = [&](const Quad& q) {
+    const i32x4 same = q.ident & q.valid;
+    const i32x4 changed = q.valid & ~q.ident;
+    const i32x4 crc = changed & q.crc;
+    const i32x4 hdr = changed & q.hdr2;
+    n[kSame] -= same;
+    n[kSameT] -= same & q.tr;
+    n[kChanged] -= changed;
+    n[kChangedT] -= changed & q.tr;
+    n[kCrc] -= crc;
+    n[kCrcT] -= crc & q.tr;
+    n[kKd] -= changed & q.kd;
+    n[kKs] -= changed & q.ks;
+    n[kHdr] -= hdr;
+    n[kHdrT] -= hdr & q.tr;
+  };
+  for (std::uint32_t i = lo; i < hi; i += kLanes) {
+    quad(i, q0);
+    quad(i + 4, q1);
+    tally(q0);
+    tally(q1);
+  }
+  const auto total = [&](int c) {
+    return static_cast<std::uint64_t>(n[c][0] + n[c][1] + n[c][2] + n[c][3]);
+  };
+  const std::uint64_t same = total(kSame), same_t = total(kSameT);
+  const std::uint64_t changed = total(kChanged), changed_t = total(kChangedT);
+  st.identical += same;
+  st.pass_identical += same_t;
+  st.fail_identical += same - same_t;
+  st.remaining += changed;
+  st.missed_transport += changed_t;
+  st.pass_changed += changed_t;
+  st.fail_changed += changed - changed_t;
+  st.missed_crc += total(kCrc);
+  st.missed_both += total(kCrcT);
+  st.missed_koopman_dual += total(kKd);
+  st.missed_koopman_single += total(kKs);
+  st.remaining_by_k[node.k] += changed;
+  st.missed_by_k[node.k] += changed_t;
+  st.remaining_with_hdr2 += total(kHdr);
+  st.missed_with_hdr2 += total(kHdrT);
 }
 
 /// Phase 2: pool every way p2's non-EOM cells can fill the LAST r
@@ -398,23 +596,36 @@ void dfs_leaf(const DfsPair& fs, const Agg& a1, const SuffixCombo& c2,
 /// nonempty subset is emitted exactly once, on the edge that adds its
 /// smallest-index cell last.
 void suffix_pool(const DfsPair& fs, int from, unsigned r, const Agg& agg,
-                 std::vector<std::vector<SuffixCombo>>& buckets) {
+                 SuffixPool& pool) {
   const unsigned pos = fs.e2 - 1 - r;
   for (int idx = from; idx >= 0; --idx) {
     Agg a = agg;
     fold(fs, a, fs.c2[idx], pos);
-    buckets[r + 1].push_back({a, idx == 0});
+    pool.put(fs, r + 1, a, idx == 0);
     if (r + 2 <= fs.e2 - 1 && idx > 0)
-      suffix_pool(fs, idx - 1, r + 1, a, buckets);
+      suffix_pool(fs, idx - 1, r + 1, a, pool);
   }
 }
 
+/// Suffixes suffix_exact stages before joining them: one bucket.
+constexpr std::uint32_t kExactChunk = 64;
+
+/// Join and empty suffix_exact's staged bucket.
+void flush_exact(const DfsPair& fs, SuffixPool& chunk, const Node& node) {
+  join(fs, chunk, 0, chunk.cursor[0], chunk.hdr2[0], node);
+  chunk.cursor[0] = 0;
+  chunk.hdr2[0] = 0;
+}
+
 /// Exact-size variant for packets too large to pool (2^e2 combos):
-/// regrow the suffix per phase-1 node, still prefix-shared within it.
+/// regrow the suffix per phase-1 node, still prefix-shared within it,
+/// staging each complete one in `chunk` for the same join.
 void suffix_exact(const DfsPair& fs, int from, unsigned need, unsigned r,
-                  const Agg& a2, bool hdr2, const Agg& a1, unsigned k1) {
+                  const Agg& a2, bool hdr2, const Node& node,
+                  SuffixPool& chunk) {
   if (r == need) {
-    dfs_leaf(fs, a1, {a2, hdr2}, k1);
+    chunk.put(fs, 0, a2, hdr2);
+    if (chunk.cursor[0] == kExactChunk) flush_exact(fs, chunk, node);
     return;
   }
   const unsigned pos = fs.e2 - 1 - r;
@@ -426,37 +637,59 @@ void suffix_exact(const DfsPair& fs, int from, unsigned need, unsigned r,
 #ifndef OBS_DISABLE
     ++*fs.dfs_nodes;  // cold path: no closed form with the pruning
 #endif
-    suffix_exact(fs, idx - 1, need, r + 1, a, hdr2 || idx == 0, a1, k1);
+    suffix_exact(fs, idx - 1, need, r + 1, a, hdr2 || idx == 0, node, chunk);
   }
 }
 
 /// Packets whose suffix pool stays comfortably small (2^14 combos,
-/// well under a megabyte of thread-local scratch). Larger packets —
-/// none exist under the default MTUs — fall back to suffix_exact.
+/// under 300 KiB of thread-local scratch). Larger packets — none exist
+/// under the default MTUs — fall back to suffix_exact.
 constexpr unsigned kMaxPooledSuffixCells = 14;
 
 /// Phase 1: DFS over p1's kept cells after the mandatory first cell.
 /// The node reached after choosing t cells (k1 = t+1) joins every
-/// pooled suffix of size e2-k1, then extends by each later cell; a
-/// subset's fold happens once, on the edge adding its largest index.
+/// suffix of size e2-k1, then extends by each later cell; a subset's
+/// fold happens once, on the edge adding its largest index.
 void prefix_walk(const DfsPair& fs, unsigned from, unsigned t, const Agg& agg,
-                 const std::vector<std::vector<SuffixCombo>>* buckets) {
+                 SuffixPool& pool) {
   const unsigned k1 = t + 1;
   const unsigned k2 = fs.e2 - k1;
-  if (buckets != nullptr) {
-    for (const SuffixCombo& c2 : (*buckets)[k2]) dfs_leaf(fs, agg, c2, k1);
-  } else if (k2 == 0) {
-    dfs_leaf(fs, agg, SuffixCombo{}, k1);
+  const Node node = make_node(fs, agg, k2);
+  if (fs.pooled) {
+    join(fs, pool, pool.begin[k2], pool.begin[k2 + 1], pool.hdr2[k2], node);
   } else {
-    suffix_exact(fs, static_cast<int>(fs.e2) - 1, k2, 0, Agg{}, false, agg,
-                 k1);
+    suffix_exact(fs, static_cast<int>(fs.e2) - 1, k2, 0, Agg{}, false, node,
+                 pool);
+    flush_exact(fs, pool, node);
   }
   if (k1 + 1 > fs.e2) return;  // a longer prefix would force k2 < 0
   for (unsigned idx = from; idx < fs.e1; ++idx) {
     Agg a = agg;
     fold(fs, a, fs.c1[idx], t + 1);
-    prefix_walk(fs, idx + 1, t + 1, a, buckets);
+    prefix_walk(fs, idx + 1, t + 1, a, pool);
   }
+}
+
+/// splice_count and its split by first kept cell for one packet
+/// shape. Adjacent pairs nearly always share a shape, and the binomial
+/// sums cost more than a pair's DFS setup, so each thread memoises the
+/// last shape it saw.
+struct ShapeCounts {
+  std::size_t n1 = 0, n2 = 0;
+  std::uint64_t total = 0;
+  std::array<std::uint64_t, atm::kMaxSpliceCells> first{};
+};
+
+const ShapeCounts& shape_counts(std::size_t n1, std::size_t n2) {
+  thread_local ShapeCounts c;
+  if (c.n1 != n1 || c.n2 != n2) {
+    c.total = atm::splice_count(n1, n2);  // throws on an oversized shape
+    for (std::size_t i = 0; i + 1 < n1; ++i)
+      c.first[i] = atm::splice_count_first_cell(n1, n2, i);
+    c.n1 = n1;
+    c.n2 = n2;
+  }
+  return c;
 }
 
 PairContext make_pair_context(const net::PacketConfig& cfg, const SimPacket& p1,
@@ -466,7 +699,6 @@ PairContext make_pair_context(const net::PacketConfig& cfg, const SimPacket& p1,
   ctx.cfg = &cfg;
   ctx.p1 = &p1;
   ctx.p2 = &p2;
-  ctx.fletcher = cfg.transport != alg::Algorithm::kInternet;
   ctx.mod255 = cfg.transport == alg::Algorithm::kFletcher255;
   ctx.header_placement = cfg.placement == net::ChecksumPlacement::kHeader;
   ctx.hdr_ok = pair_hdr_ok(cfg, p1, p2, hdr_scratch);
@@ -557,15 +789,21 @@ void SpliceStats::merge(const SpliceStats& o) {
   fast_path += o.fast_path;
 }
 
-void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
-                   const SimPacket& p2, SpliceStats& stats) {
+namespace {
+
+/// evaluate_pair, pooling p2's suffixes when it has at most
+/// `max_pooled_cells` non-EOM cells.
+void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
+                        const SimPacket& p2, SpliceStats& stats,
+                        unsigned max_pooled_cells) {
   SpliceObsFlush obs_flush(stats);
   ++stats.pairs;
   const std::size_t n1 = p1.pdu.num_cells();
   const std::size_t n2 = p2.pdu.num_cells();
   if (n1 < 2 || n2 < 1) return;
 
-  const std::uint64_t total_pair = atm::splice_count(n1, n2);
+  const ShapeCounts& counts = shape_counts(n1, n2);
+  const std::uint64_t total_pair = counts.total;
   if (total_pair == 0) return;
   stats.total += total_pair;
 
@@ -585,7 +823,7 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   const std::size_t e1 = n1 - 1;
   bool any_slow = false;
   for (std::size_t i = 0; i < e1; ++i) {
-    const std::uint64_t sub = atm::splice_count_first_cell(n1, n2, i);
+    const std::uint64_t sub = counts.first[i];
     if (!ctx.hdr_ok[i]) {
       stats.caught_by_header += sub;
       stats.fast_path += sub;
@@ -604,12 +842,12 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   if (!ctx.hdr_ok[0]) return;  // the whole DFS subtree was bulk-counted
 
   DfsPair fs;
-  fs.ctx = &ctx;
   fs.c1 = p1.cells.data();
   fs.c2 = p2.cells.data();
   fs.e1 = static_cast<unsigned>(e1);
   fs.e2 = static_cast<unsigned>(n2 - 1);
   fs.eom_len = p2.tp.eom_len;
+  fs.fletcher = cfg.transport != alg::Algorithm::kInternet;
   fs.mod255 = ctx.mod255;
   fs.track1 = n1 == n2;
   fs.ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
@@ -639,33 +877,51 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.ksconst = p1.cells[0].ks + p2.eom_ks;
   fs.kd_target = p2.kd_pdu;
   fs.ks_target = p2.ks_pdu;
-  fs.stored_canon = alg::ones_canonical(ctx.header_placement ? p1.tp.stored
-                                                             : p2.tp.stored);
+  const std::uint16_t stored_canon = alg::ones_canonical(
+      ctx.header_placement ? p1.tp.stored : p2.tp.stored);
+  fs.inet_target = cfg.invert_checksum ? (65535u - stored_canon) % 65535u
+                                       : stored_canon;
   fs.st = &stats;
   fs.dfs_nodes = &obs_flush.dfs_nodes;
+  fs.pooled = fs.e2 <= max_pooled_cells;
 
-  if (fs.e2 <= kMaxPooledSuffixCells) {
-    thread_local std::vector<std::vector<SuffixCombo>> buckets;
-    if (buckets.size() < fs.e2) buckets.resize(fs.e2);
-    for (auto& b : buckets) b.clear();
-    buckets[0].push_back(SuffixCombo{});  // k2 = 0: only p2's EOM
+  thread_local SuffixPool pool;
+  if (fs.pooled) {
+    // Bucket r holds the C(e2, r) r-cell subsets (r = 0: only p2's
+    // EOM); r = e2 would force k1 = 0.
+    std::array<std::uint32_t, kMaxPooledSuffixCells> binom{};
+    binom[0] = 1;
+    for (unsigned r = 1; r < fs.e2; ++r)
+      binom[r] = binom[r - 1] * (fs.e2 - r + 1) / r;
+    pool.layout(fs.e2, [&](unsigned r) { return binom[r]; });
+    pool.put(fs, 0, Agg{}, false);
     if (fs.e2 >= 2)
-      suffix_pool(fs, static_cast<int>(fs.e2) - 1, 0, Agg{}, buckets);
+      suffix_pool(fs, static_cast<int>(fs.e2) - 1, 0, Agg{}, pool);
 #ifndef OBS_DISABLE
     // Every pool entry past the seeded k2 = 0 one cost exactly one
     // fold; the prefix side has a closed form. Summing here keeps the
     // DFS itself free of telemetry.
-    for (std::size_t r = 1; r < buckets.size(); ++r)
-      obs_flush.dfs_nodes += buckets[r].size();
-    obs_flush.dfs_nodes += prefix_fold_count(fs.e1, fs.e2);
+    obs_flush.dfs_nodes += pool.begin[fs.e2] - pool.begin[1];
 #endif
-    prefix_walk(fs, 1, 0, Agg{}, &buckets);
   } else {
-#ifndef OBS_DISABLE
-    obs_flush.dfs_nodes += prefix_fold_count(fs.e1, fs.e2);
-#endif
-    prefix_walk(fs, 1, 0, Agg{}, nullptr);
+    pool.layout(1, [](unsigned) { return kExactChunk; });
   }
+#ifndef OBS_DISABLE
+  obs_flush.dfs_nodes += prefix_fold_count(fs.e1, fs.e2);
+#endif
+  prefix_walk(fs, 1, 0, Agg{}, pool);
+}
+
+}  // namespace
+
+void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
+                   const SimPacket& p2, SpliceStats& stats) {
+  evaluate_pair_impl(cfg, p1, p2, stats, kMaxPooledSuffixCells);
+}
+
+void evaluate_pair_unpooled(const net::PacketConfig& cfg, const SimPacket& p1,
+                            const SimPacket& p2, SpliceStats& stats) {
+  evaluate_pair_impl(cfg, p1, p2, stats, 0);
 }
 
 namespace {

@@ -106,11 +106,22 @@ struct SpliceStats {
 /// each DFS edge folds one cell's partial sums into an accumulator
 /// (combined CRC, unreduced Internet/Fletcher sums, identical-to-p1/p2
 /// hash state) shared by every splice extending that prefix, so the
-/// amortised cost per splice is O(1) instead of O(cells). Subtrees
-/// whose first cell fails the header checks are bulk-accounted
-/// combinatorially without being enumerated.
+/// amortised cost per splice is O(1) instead of O(cells). A splice
+/// itself costs only equality compares: each prefix node hoists the
+/// residue every check needs from the suffix, and p2's suffixes are
+/// reduced once. Subtrees whose first cell fails the header checks
+/// are bulk-accounted combinatorially without being enumerated.
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats);
+
+/// evaluate_pair with p2's suffixes regrown under every prefix node
+/// instead of pooled once per pair: the path packets with more than
+/// 14 non-EOM cells take (none under the default MTUs). Both paths
+/// share one leaf rule and produce identical stats; the differential
+/// tests hold this one to the byte oracle on shapes the oracle can
+/// afford.
+void evaluate_pair_unpooled(const net::PacketConfig& cfg, const SimPacket& p1,
+                            const SimPacket& p2, SpliceStats& stats);
 
 /// Outcome of one splice under the receiver's checks.
 struct SpliceOutcome {

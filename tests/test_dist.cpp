@@ -343,9 +343,13 @@ TEST(DistDeltas, CounterDeltasCaptureDeterministicGrowthOnly) {
   sched.add(100);  // non-deterministic: excluded
   idle.add(0);     // no growth: excluded
   const auto deltas = obs::counter_deltas(before, reg.snapshot());
+#ifndef OBS_DISABLE
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].name, "fam.det");
   EXPECT_EQ(deltas[0].delta, 37u);
+#else
+  EXPECT_TRUE(deltas.empty());  // counters compile to no-ops
+#endif
 }
 
 // --- The merge algebra the whole design rests on --------------------
@@ -504,15 +508,18 @@ TEST(DistJobService, ConcurrentJobsBitwiseEqualOracles) {
 }
 
 /// Admission control: beyond max_jobs the submit is rejected up front
-/// and the rejection is observable in the dist.* counters.
+/// and the rejection is observable in the dist.* counters (when the
+/// build has telemetry).
 TEST(DistJobService, AdmissionRejectsBeyondLimits) {
   dist::register_dist_metrics();
+#ifndef OBS_DISABLE
   const auto counter = [](std::string_view name) -> std::uint64_t {
     const obs::Snapshot snap = obs::Registry::global().snapshot();
     const obs::MetricValue* m = snap.find(name);
     return m != nullptr ? m->value : 0;
   };
   const std::uint64_t rejected0 = counter("dist.jobs_rejected");
+#endif
 
   dist::ServiceConfig sc;
   sc.limits.max_jobs = 1;
@@ -520,7 +527,9 @@ TEST(DistJobService, AdmissionRejectsBeyondLimits) {
   const auto first = svc.submit(profile_job("only", 0.04));
   ASSERT_TRUE(first.has_value());
   EXPECT_FALSE(svc.submit(profile_job("rejected", 0.04)).has_value());
+#ifndef OBS_DISABLE
   EXPECT_EQ(counter("dist.jobs_rejected"), rejected0 + 1);
+#endif
 
   // Queued-shard budget: a job whose shard count alone exceeds the
   // limit is rejected even when the job table has room.
@@ -528,7 +537,9 @@ TEST(DistJobService, AdmissionRejectsBeyondLimits) {
   sc2.limits.max_queued_shards = 2;
   dist::JobService svc2(sc2);
   EXPECT_FALSE(svc2.submit(profile_job("too-wide", 0.08, 1)).has_value());
+#ifndef OBS_DISABLE
   EXPECT_EQ(counter("dist.jobs_rejected"), rejected0 + 2);
+#endif
 
   EXPECT_TRUE(svc.cancel(*first));
   svc.drain();

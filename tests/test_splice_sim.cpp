@@ -328,6 +328,196 @@ TEST(FastVsReference, DfsBitwiseEqualsOracleOnCraftedPairs) {
   }
 }
 
+TEST(FastVsReference, RandomShapesMatchOracle) {
+  // Differential test of the DFS on random shapes, against the byte
+  // oracle mirror with ==. Every transport x placement x invert x
+  // fill_ip x legacy95 configuration gets two trials:
+  //
+  //  * two equal-length pairs of 2..8 cells (9 for three trials, so a
+  //    regrown bucket outgrows its 64-entry staging chunk). Only these
+  //    reach the DFS: p1's header cell passes the header gate only
+  //    when it declares p2's length. Each runs pooled and regrown
+  //    (evaluate_pair_unpooled, the path packets with n2 >= 16 take);
+  //    the regrown path cannot be reached through n2 >= 16 itself on
+  //    the oracle's budget, as n1 == n2 == 16 has C(30, 15) splices.
+  //    In the second pair an Internet check field is forced to ±0;
+  //  * n2 in 16..32 with n1 under the budget, so large shapes'
+  //    header-gate accounting is checked too.
+  //
+  // Cell content is uniform, run-heavy, all-0x00 or all-0xFF: with the
+  // ±0 fields, the fills that produce Internet ±0 sums, the
+  // Fletcher-255 0x00/0xFF residues and identical splices, where a
+  // hoisted compare could disagree with reducing the whole sum. Each
+  // trial seeds its own stream, so the printed seed and trial replay
+  // it alone.
+  constexpr std::uint64_t kSeed = 0x5eed15;
+  constexpr std::uint64_t kBudget = 4000;  // oracle splices per trial
+  const auto fill_payload = [](util::Rng& rng, std::size_t len,
+                               std::string& label) {
+    Bytes payload(len);
+    switch (rng.below(4)) {
+      case 0:
+        label += "uniform";
+        rng.fill(payload);
+        break;
+      case 1: {
+        label += "runs";
+        for (std::size_t i = 0; i < len;) {
+          const std::uint8_t v =
+              std::array<std::uint8_t, 3>{0x00, 0xFF,
+                                          static_cast<std::uint8_t>(
+                                              rng.next())}[rng.below(3)];
+          const std::size_t run = std::min<std::size_t>(1 + rng.below(64),
+                                                        len - i);
+          std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(i), run,
+                      v);
+          i += run;
+        }
+        break;
+      }
+      case 2:
+        label += "zeros";
+        break;
+      default:
+        label += "ones";
+        std::fill(payload.begin(), payload.end(), std::uint8_t{0xFF});
+        break;
+    }
+    return payload;
+  };
+  // Payload lengths that frame into exactly n cells in either
+  // placement (trailer placement appends 2 check bytes).
+  const auto payload_len = [](util::Rng& rng, std::size_t n) {
+    return 48 * (n - 2) + 1 + rng.below(46);
+  };
+
+  // A packet whose Internet check field is 0x0000 or 0xFFFF, by
+  // choosing its first payload word (at an even coverage offset).
+  const auto zero_field_packet = [](const net::PacketConfig& cfg,
+                                    std::uint32_t seq, std::uint16_t id,
+                                    Bytes payload) {
+    payload[0] = payload[1] = 0;
+    const std::uint16_t s0 =
+        make_sim_packet(cfg, net::build_packet(cfg, seq, id, ByteView(payload)))
+            .tp.stored;
+    // The field is -sum (inverted) or sum, mod 65535: a word of s0 or
+    // ~s0 brings the sum to a multiple of 65535.
+    const std::uint16_t w =
+        cfg.invert_checksum ? s0 : static_cast<std::uint16_t>(~s0);
+    payload[0] = static_cast<std::uint8_t>(w >> 8);
+    payload[1] = static_cast<std::uint8_t>(w);
+    return make_sim_packet(cfg,
+                           net::build_packet(cfg, seq, id, ByteView(payload)));
+  };
+
+  SpliceStats dfs_seen;  // summed over the equal-length trials
+  int zero_fields = 0;
+  int trial = 0;
+  for (const auto transport :
+       {alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+        alg::Algorithm::kFletcher256}) {
+    for (const auto placement :
+         {net::ChecksumPlacement::kHeader, net::ChecksumPlacement::kTrailer}) {
+      for (const bool invert : {true, false}) {
+        for (const bool fill_ip : {true, false}) {
+          for (const bool legacy95 : {false, true}) {
+            for (const int shape : {0, 1, 2}) {
+              const bool equal = shape < 2;
+              const bool zero_field =
+                  shape == 1 && transport == alg::Algorithm::kInternet;
+              util::Rng rng(kSeed + 0x9e3779b97f4a7c15ull *
+                                        static_cast<std::uint64_t>(trial));
+              net::FlowConfig flow = flow_with(transport, placement, invert,
+                                               fill_ip);
+              flow.packet.legacy95_headers = legacy95;
+              std::size_t n1 = 0, n2 = 0;
+              if (equal) {
+                const bool chunked =
+                    shape == 0 &&
+                    placement == net::ChecksumPlacement::kHeader && invert &&
+                    fill_ip && !legacy95;
+                n1 = n2 = chunked ? 9 : 2 + rng.below(7);
+              } else {
+                do {
+                  n2 = 16 + rng.below(atm::kMaxSpliceCells - 15);
+                  n1 = 2 + rng.below(atm::kMaxSpliceCells - 1);
+                } while (atm::splice_count(n1, n2) > kBudget);
+              }
+              std::string fills;
+              const std::size_t len1 = payload_len(rng, n1);
+              const Bytes pay1 = fill_payload(rng, len1, fills);
+              fills += "/";
+              Bytes pay2;
+              if (equal && rng.chance(0.25)) {
+                fills += "copy";
+                pay2 = pay1;
+              } else {
+                pay2 = fill_payload(rng, equal ? len1 : payload_len(rng, n2),
+                                    fills);
+              }
+              const std::uint32_t seq2 =
+                  flow.initial_seq + static_cast<std::uint32_t>(pay1.size());
+              // The field that decides the transport verdict: p1's in
+              // header placement, p2's in trailer placement.
+              const bool zero1 = zero_field && pay1.size() >= 2 &&
+                                 placement == net::ChecksumPlacement::kHeader;
+              const bool zero2 = zero_field && pay2.size() >= 2 &&
+                                 placement == net::ChecksumPlacement::kTrailer;
+              const SimPacket p1 =
+                  zero1 ? zero_field_packet(flow.packet, flow.initial_seq, 1,
+                                            pay1)
+                        : make_sim_packet(flow.packet,
+                                          net::build_packet(flow.packet,
+                                                            flow.initial_seq,
+                                                            1, ByteView(pay1)));
+              const SimPacket p2 =
+                  zero2 ? zero_field_packet(flow.packet, seq2, 2, pay2)
+                        : make_sim_packet(flow.packet,
+                                          net::build_packet(flow.packet, seq2,
+                                                            2, ByteView(pay2)));
+              if (zero1) fills += " p1 field ±0";
+              if (zero2) fills += " p2 field ±0";
+              const std::string where =
+                  "seed " + std::to_string(kSeed) + " trial " +
+                  std::to_string(trial) + ": " +
+                  std::string(alg::name(transport)) +
+                  (placement == net::ChecksumPlacement::kHeader ? " header"
+                                                                : " trailer") +
+                  " invert=" + std::to_string(invert) +
+                  " fill_ip=" + std::to_string(fill_ip) +
+                  " legacy95=" + std::to_string(legacy95) +
+                  " n1=" + std::to_string(n1) + " n2=" + std::to_string(n2) +
+                  " fills=" + fills;
+              ASSERT_EQ(p1.pdu.num_cells(), n1) << where;
+              ASSERT_EQ(p2.pdu.num_cells(), n2) << where;
+              if (zero1 || zero2) {
+                const std::uint16_t field = (zero1 ? p1 : p2).tp.stored;
+                ASSERT_TRUE(field == 0 || field == 0xFFFF) << where;
+                ++zero_fields;
+              }
+
+              SpliceStats pooled, regrown;
+              evaluate_pair(flow.packet, p1, p2, pooled);
+              evaluate_pair_unpooled(flow.packet, p1, p2, regrown);
+              const SpliceStats ref = reference_pair_stats(flow.packet, p1, p2);
+              EXPECT_TRUE(pooled == ref) << where;
+              EXPECT_TRUE(regrown == ref) << where << " (regrown)";
+              if (equal) dfs_seen.merge(pooled);
+              ++trial;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The fills must actually produce the cases the test is aimed at.
+  EXPECT_GT(dfs_seen.identical, 0u);
+  EXPECT_GT(dfs_seen.pass_identical, 0u);
+  EXPECT_GT(dfs_seen.missed_transport, 0u);
+  EXPECT_GT(dfs_seen.remaining, dfs_seen.missed_transport);
+  EXPECT_GE(zero_fields, 12);
+}
+
 TEST(SpliceSim, ReferenceCorpusStaysFastPath) {
   // The partial-sums evaluator only materialises splices whose first
   // kept cell passes the header checks but isn't pkt1's cell 0 — on
