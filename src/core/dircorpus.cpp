@@ -50,25 +50,29 @@ util::Bytes read_file_prefix(const fs::path& path, std::size_t max_bytes) {
   return out;
 }
 
-SpliceCorpus::SpliceCorpus(const CorpusSource& src) {
+std::optional<fsgen::Filesystem> open_filesystem(const CorpusSource& src) {
   switch (src.kind) {
     case CorpusKind::kProfile:
-      fs_.emplace(fsgen::profile(src.corpus), src.scale);
-      break;
+      return fsgen::Filesystem(fsgen::profile(src.corpus), src.scale);
     case CorpusKind::kManifest:
-      fs_.emplace(fsgen::Filesystem::from_manifest(fsgen::profile("nsc05"),
-                                                   src.corpus));
-      break;
+      return fsgen::Filesystem::from_manifest(fsgen::profile("nsc05"),
+                                              src.corpus);
     case CorpusKind::kDirectory:
-      files_ = list_corpus_files(src.corpus);
+    case CorpusKind::kCorpusFile:
       break;
-    case CorpusKind::kCorpusFile: {
-      std::string err;
-      store_ = fsgen::CorpusReader::open(src.corpus, &err);
-      if (!store_)
-        throw std::runtime_error("corpus store " + src.corpus + ": " + err);
-      break;
-    }
+  }
+  return std::nullopt;
+}
+
+SpliceCorpus::SpliceCorpus(const CorpusSource& src)
+    : fs_(open_filesystem(src)) {
+  if (src.kind == CorpusKind::kDirectory) {
+    files_ = list_corpus_files(src.corpus);
+  } else if (src.kind == CorpusKind::kCorpusFile) {
+    std::string err;
+    store_ = fsgen::CorpusReader::open(src.corpus, &err);
+    if (!store_)
+      throw std::runtime_error("corpus store " + src.corpus + ": " + err);
   }
 }
 

@@ -52,6 +52,11 @@ struct CorpusSource {
   double scale = 1.0;  ///< kProfile only
 };
 
+/// The synthetic filesystem a profile or manifest source expands to;
+/// std::nullopt for a directory or a store. Throws a std::exception on
+/// an unknown profile or a malformed manifest.
+std::optional<fsgen::Filesystem> open_filesystem(const CorpusSource& src);
+
 /// One opened corpus source, whatever its kind, run through the one
 /// pair-granular scheduler. The stats of any disjoint cover of
 /// [0, file_count()) by run_range calls merge to the whole run's, bit

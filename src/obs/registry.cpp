@@ -28,6 +28,11 @@ const MetricValue* Snapshot::find(std::string_view metric_name) const noexcept {
   return nullptr;
 }
 
+std::uint64_t Snapshot::value(std::string_view metric_name) const noexcept {
+  const MetricValue* m = find(metric_name);
+  return m != nullptr ? m->value : 0;
+}
+
 namespace {
 std::atomic<std::uint64_t> g_registry_serial{1};
 }  // namespace

@@ -78,6 +78,8 @@ struct Snapshot {
   std::vector<MetricValue> metrics;
 
   const MetricValue* find(std::string_view metric_name) const noexcept;
+  /// The named metric's value, or 0 when it is absent.
+  std::uint64_t value(std::string_view metric_name) const noexcept;
 };
 
 class Registry;

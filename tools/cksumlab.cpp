@@ -24,13 +24,10 @@
 //                               telemetry export is active)
 //   --quick                     CI shorthand: nsc05 profile at scale 0.1
 //                               when no corpus source is given
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -40,16 +37,15 @@
 
 #include "atm/demux.hpp"
 #include "checksum/kernels/kernel.hpp"
+#include "cli.hpp"
 #include "core/dircorpus.hpp"
 #include "kernel_cli.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
-#include "dist/worker.hpp"
 #include "faults/channel.hpp"
 #include "fsgen/corpus_store.hpp"
-#include "obs/exporter.hpp"
 #include "stats/uniformity.hpp"
 #include "trace/ingest.hpp"
 #include "trace/pcap_reader.hpp"
@@ -153,8 +149,12 @@ int cmd_gen(const std::vector<std::string>& args) {
     std::fprintf(stderr, "\n");
     return 2;
   }
-  const std::size_t size = std::stoull(args[1]);
-  const std::uint64_t seed = args.size() > 2 ? std::stoull(args[2]) : 1;
+  std::size_t size = 0;
+  std::uint64_t seed = 1;
+  if (!tools::read_number("cksumlab", "gen <bytes>", args[1], size) ||
+      (args.size() > 2 &&
+       !tools::read_number("cksumlab", "gen [seed]", args[2], seed)))
+    return usage();
   const util::Bytes out = fsgen::generate_file(*kind, seed, size);
   std::fwrite(out.data(), 1, out.size(), stdout);
   return 0;
@@ -181,92 +181,43 @@ struct CommonOpts {
   std::uint16_t port = 0;      // 0 = ephemeral
   std::uint64_t lease_timeout_ms = 15000;
   std::size_t shard_files = 0; // files per lease; 0 = auto
-  bool ok = true;
 };
 
-CommonOpts parse_common(const std::vector<std::string>& args) {
-  CommonOpts o;
+/// The options splice, corpus build and dist share, plus `extra`
+/// (corpus build's own). False on a usage error, including anything
+/// but exactly one corpus source.
+bool parse_common(std::span<const std::string> args, CommonOpts& o,
+                  std::vector<tools::Opt> extra = {}) {
   bool quick = false;
   bool scale_set = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        o.ok = false;
-        return {};
-      }
-      return args[++i];
-    };
-    if (a == "--profile") {
-      o.profile = next();
-    } else if (a == "--manifest") {
-      o.manifest = next();
-    } else if (a == "--dir") {
-      o.dir = next();
-    } else if (a == "--corpus") {
-      o.corpus = next();
-    } else if (a == "--from-pcap") {
-      o.from_pcap = next();
-    } else if (a == "--scale") {
-      o.scale = std::stod(next());
-      scale_set = true;
-    } else if (a == "--segment") {
-      o.segment = std::stoull(next());
-    } else if (a == "--threads") {
-      o.threads = static_cast<unsigned>(std::stoul(next()));
-    } else if (a == "--trailer") {
-      o.pkt.placement = net::ChecksumPlacement::kTrailer;
-    } else if (a == "--verbose") {
-      o.verbose = true;
-    } else if (a == "--json") {
-      o.json = true;
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--metrics-out") {
-      o.metrics_out = next();
-    } else if (a == "--serve") {
-      o.serve = true;
-    } else if (a == "--workers") {
-      o.workers = static_cast<unsigned>(std::stoul(next()));
-      o.serve = true;
-    } else if (a == "--port") {
-      // Reject rather than silently truncate to 16 bits: a port of 0
-      // or >= 65536 would otherwise bind somewhere unrelated.
-      const unsigned long v = std::stoul(next());
-      if (v == 0 || v > 65535) {
-        std::fprintf(stderr,
-                     "cksumlab: --port must be in 1..65535 (got %lu)\n", v);
-        o.ok = false;
-      } else {
-        o.port = static_cast<std::uint16_t>(v);
-      }
-    } else if (a == "--lease-timeout") {
-      o.lease_timeout_ms = std::stoull(next());
-      if (o.lease_timeout_ms == 0) {
-        std::fprintf(stderr,
-                     "cksumlab: --lease-timeout must be a positive "
-                     "millisecond count\n");
-        o.ok = false;
-      }
-    } else if (a == "--shard-files") {
-      o.shard_files = std::stoull(next());
-    } else if (a == "--quick") {
-      quick = true;
-    } else if (a == "--transport") {
-      const std::string v = next();
-      if (v == "tcp") {
-        o.pkt.transport = alg::Algorithm::kInternet;
-      } else if (v == "f255") {
-        o.pkt.transport = alg::Algorithm::kFletcher255;
-      } else if (v == "f256") {
-        o.pkt.transport = alg::Algorithm::kFletcher256;
-      } else {
-        o.ok = false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      o.ok = false;
-    }
+  std::vector<tools::Opt> table = {
+      {"--profile", &o.profile},
+      {"--manifest", &o.manifest},
+      {"--dir", &o.dir},
+      {"--corpus", &o.corpus},
+      {"--from-pcap", &o.from_pcap},
+      {"--scale", &o.scale, 10, &scale_set},
+      {"--segment", &o.segment},
+      {"--threads", &o.threads},
+      {"--trailer", &o.pkt.placement},
+      {"--transport", &o.pkt.transport},
+      {"--verbose", &o.verbose},
+      {"--json", &o.json},
+      {"--progress", &o.progress},
+      {"--metrics-out", &o.metrics_out},
+      {"--serve", &o.serve},
+      {"--workers", &o.workers, 10, &o.serve},
+      {"--port", &o.port},
+      {"--lease-timeout", &o.lease_timeout_ms},
+      {"--shard-files", &o.shard_files},
+      {"--quick", &quick}};
+  table.insert(table.end(), extra.begin(), extra.end());
+  if (!tools::parse_options(args, table, "cksumlab")) return false;
+  if (o.lease_timeout_ms == 0) {
+    std::fprintf(stderr,
+                 "cksumlab: --lease-timeout must be a positive "
+                 "millisecond count\n");
+    return false;
   }
   int sources = (!o.profile.empty() ? 1 : 0) + (!o.dir.empty() ? 1 : 0) +
                 (!o.manifest.empty() ? 1 : 0) + (!o.corpus.empty() ? 1 : 0) +
@@ -277,8 +228,7 @@ CommonOpts parse_common(const std::vector<std::string>& args) {
     if (!scale_set) o.scale = 0.1;
     sources = 1;
   }
-  if (sources != 1) o.ok = false;  // exactly one corpus source
-  return o;
+  return sources == 1;  // exactly one corpus source
 }
 
 void print_splice_stats(const core::SpliceStats& st,
@@ -314,8 +264,11 @@ void print_splice_stats(const core::SpliceStats& st,
 
 int cmd_manifest(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  const fsgen::Filesystem fs(fsgen::profile(args[0]),
-                             args.size() > 1 ? std::stod(args[1]) : 1.0);
+  double scale = 1.0;
+  if (args.size() > 1 &&
+      !tools::read_number("cksumlab", "manifest [scale]", args[1], scale))
+    return usage();
+  const fsgen::Filesystem fs(fsgen::profile(args[0]), scale);
   std::fputs(fs.to_manifest().c_str(), stdout);
   return 0;
 }
@@ -327,51 +280,28 @@ int cmd_pcap(const std::vector<std::string>& args) {
   // Writes a synthetic capture whose datagrams carry the configured
   // flow — the fixture generator for the trace lab (docs/TRACE.md).
   std::vector<std::string> pos;
-  util::PcapLink link = util::PcapLink::kRaw;
+  std::string link_name = "raw";
   double scale = 0.2;
+  std::size_t max_pkts = 200;
   net::FlowConfig flow = core::paper_flow_config();
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string();
-    };
-    if (a == "--link") {
-      const std::string v = next();
-      if (v == "raw") {
-        link = util::PcapLink::kRaw;
-      } else if (v == "eth") {
-        link = util::PcapLink::kEthernet;
-      } else {
-        std::fprintf(stderr, "cksumlab: --link wants raw or eth\n");
-        return usage();
-      }
-    } else if (a == "--scale") {
-      scale = std::stod(next());
-    } else if (a == "--segment") {
-      flow.segment_size = std::stoull(next());
-    } else if (a == "--trailer") {
-      flow.packet.placement = net::ChecksumPlacement::kTrailer;
-    } else if (a == "--transport") {
-      const std::string v = next();
-      if (v == "tcp") {
-        flow.packet.transport = alg::Algorithm::kInternet;
-      } else if (v == "f255") {
-        flow.packet.transport = alg::Algorithm::kFletcher255;
-      } else if (v == "f256") {
-        flow.packet.transport = alg::Algorithm::kFletcher256;
-      } else {
-        return usage();
-      }
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown pcap option '%s'\n", a.c_str());
-      return usage();
-    } else {
-      pos.push_back(a);
-    }
+  if (!tools::parse_options(args,
+                            {{"--link", &link_name},
+                             {"--scale", &scale},
+                             {"--segment", &flow.segment_size},
+                             {"--trailer", &flow.packet.placement},
+                             {"--transport", &flow.packet.transport}},
+                            "cksumlab", &pos) ||
+      pos.empty() ||
+      (pos.size() > 2 && !tools::read_number("cksumlab", "pcap [max-packets]",
+                                             pos[2], max_pkts)))
+    return usage();
+  if (link_name != "raw" && link_name != "eth") {
+    std::fprintf(stderr, "cksumlab: --link wants raw or eth\n");
+    return usage();
   }
-  if (pos.empty()) return usage();
+  const util::PcapLink link =
+      link_name == "raw" ? util::PcapLink::kRaw : util::PcapLink::kEthernet;
   const std::string prof_name = pos.size() > 1 ? pos[1] : "sics.se:/opt";
-  const std::size_t max_pkts = pos.size() > 2 ? std::stoull(pos[2]) : 200;
   const fsgen::Filesystem fs(fsgen::profile(prof_name), scale);
 
   std::ofstream out(pos[0], std::ios::binary);
@@ -399,16 +329,6 @@ int cmd_pcap(const std::vector<std::string>& args) {
   return 0;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// The manifest's "trace" member: capture shape, the full ingest
 /// accounting (records == accepted + rejected; rejected == sum of the
 /// reject classes — identities check_manifest.py --require-trace
@@ -417,7 +337,7 @@ std::string trace_json(const std::string& capture, const trace::PcapInfo& pi,
                        const trace::IngestCounts& c, std::size_t files,
                        const trace::DataProfile& prof) {
   const auto b = [](bool v) { return v ? "true" : "false"; };
-  std::string j = "{\"capture\": \"" + json_escape(capture) + "\"";
+  std::string j = "{\"capture\": \"" + obs::json_escape(capture) + "\"";
   j += ", \"linktype\": " + std::to_string(pi.linktype);
   j += ", \"swapped\": " + std::string(b(pi.swapped));
   j += ", \"nanos\": " + std::string(b(pi.nanos));
@@ -459,47 +379,18 @@ int cmd_trace(const std::vector<std::string>& args) {
   net::FlowConfig flow = core::paper_flow_config();
   bool json = false;
   std::string metrics_out;
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string();
-    };
-    if (a == "--segment") {
-      flow.segment_size = std::stoull(next());
-    } else if (a == "--trailer") {
-      flow.packet.placement = net::ChecksumPlacement::kTrailer;
-    } else if (a == "--transport") {
-      const std::string v = next();
-      if (v == "tcp") {
-        flow.packet.transport = alg::Algorithm::kInternet;
-      } else if (v == "f255") {
-        flow.packet.transport = alg::Algorithm::kFletcher255;
-      } else if (v == "f256") {
-        flow.packet.transport = alg::Algorithm::kFletcher256;
-      } else {
-        return usage();
-      }
-    } else if (a == "--json") {
-      json = true;
-    } else if (a == "--metrics-out") {
-      metrics_out = next();
-    } else {
-      std::fprintf(stderr, "unknown trace option '%s'\n", a.c_str());
-      return usage();
-    }
-  }
+  if (!tools::parse_options(std::span(args).subspan(2),
+                            {{"--segment", &flow.segment_size},
+                             {"--trailer", &flow.packet.placement},
+                             {"--transport", &flow.packet.transport},
+                             {"--json", &json},
+                             {"--metrics-out", &metrics_out}},
+                            "cksumlab"))
+    return usage();
 
   trace::register_trace_metrics();
   alg::kern::register_kernel_metrics();
-
-  std::unique_ptr<obs::MetricsExporter> exporter;
-  if (!metrics_out.empty()) {
-    obs::MetricsExporter::Options eo;
-    eo.manifest_path = metrics_out;
-    eo.ticker = false;
-    exporter = std::make_unique<obs::MetricsExporter>(obs::Registry::global(),
-                                                      std::move(eo));
-  }
+  tools::RunManifest manifest(metrics_out, false);
 
   std::string err;
   const auto pcap = trace::PcapReader::open(capture, &err);
@@ -535,19 +426,8 @@ int cmd_trace(const std::vector<std::string>& args) {
   const std::string tj =
       trace_json(capture, pi, res.counts, res.files.size(), prof);
 
-  if (exporter) {
-    obs::RunInfo info;
-    info.tool = "cksumlab trace";
-    info.corpus = capture;
-    info.seed = 0;
-    info.threads = 1;
-    info.extra_json = alg::kern::kernel_manifest_json() + ", \"trace\": " + tj;
-    if (!exporter->finish(std::move(info))) {
-      std::fprintf(stderr, "cksumlab: cannot write manifest to %s\n",
-                   metrics_out.c_str());
-      return 1;
-    }
-  }
+  if (!manifest.finish("cksumlab trace", capture, 0, 1, ", \"trace\": " + tj))
+    return 1;
 
   if (json) {
     std::printf("%s\n", tj.c_str());
@@ -595,58 +475,21 @@ int cmd_trace(const std::vector<std::string>& args) {
 /// Live one-line view of a splice run, built from the same snapshot
 /// the JSONL progress stream is written from.
 std::string splice_ticker_line(const obs::Snapshot& snap, double elapsed) {
-  const auto get = [&](std::string_view name) -> std::uint64_t {
-    const obs::MetricValue* m = snap.find(name);
-    return m != nullptr ? m->value : 0;
-  };
-  const std::uint64_t fast = get("splice.fast_path");
-  const std::uint64_t slow = get("splice.slow_path");
+  const std::uint64_t fast = snap.value("splice.fast_path");
+  const std::uint64_t slow = snap.value("splice.slow_path");
   const std::uint64_t evaluated = fast + slow;
   char buf[160];
   std::snprintf(
       buf, sizeof buf,
       "splice: %llu files  %llu pairs  %llu splices  %.2f%% fast  %.1fs",
-      static_cast<unsigned long long>(get("splice.files")),
-      static_cast<unsigned long long>(get("splice.pairs")),
-      static_cast<unsigned long long>(get("splice.total")),
+      static_cast<unsigned long long>(snap.value("splice.files")),
+      static_cast<unsigned long long>(snap.value("splice.pairs")),
+      static_cast<unsigned long long>(snap.value("splice.total")),
       evaluated == 0 ? 0.0
                      : 100.0 * static_cast<double>(fast) /
                            static_cast<double>(evaluated),
       elapsed);
   return buf;
-}
-
-/// `cksumlab splice --connect host:port` — one worker of a distributed
-/// run. The service ships the corpus and run configuration, so
-/// only connection identity is parsed here.
-int cmd_splice_worker(const std::vector<std::string>& args) {
-  dist::WorkerOptions w;
-  w.tool = "cksumlab splice-worker";
-  std::string hostport;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string();
-    };
-    if (a == "--connect") {
-      hostport = next();
-    } else if (a == "--worker-id") {
-      w.worker_id = std::stoull(next());
-    } else if (a == "--metrics-out") {
-      w.metrics_out = next();
-    } else {
-      std::fprintf(stderr, "unknown worker option '%s'\n", a.c_str());
-      return usage();
-    }
-  }
-  const std::size_t colon = hostport.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "--connect wants host:port\n");
-    return usage();
-  }
-  w.host = hostport.substr(0, colon);
-  w.port = static_cast<std::uint16_t>(std::stoul(hostport.substr(colon + 1)));
-  return dist::run_worker(w);
 }
 
 /// The corpus source the splice options name (a manifest as its text,
@@ -773,10 +616,13 @@ int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
 }
 
 int cmd_splice(const std::vector<std::string>& args) {
-  for (const std::string& a : args)
-    if (a == "--connect") return cmd_splice_worker(args);
-  const CommonOpts o = parse_common(args);
-  if (!o.ok) return usage();
+  if (std::find(args.begin(), args.end(), "--connect") != args.end()) {
+    const auto w = tools::parse_worker(args, "cksumlab",
+                                       "cksumlab splice-worker");
+    return w ? dist::run_worker(*w) : usage();
+  }
+  CommonOpts o;
+  if (!parse_common(args, o)) return usage();
   if (!o.from_pcap.empty()) {
     std::fprintf(stderr,
                  "cksumlab: splice does not read captures directly; seal one "
@@ -805,15 +651,7 @@ int cmd_splice(const std::vector<std::string>& args) {
       o.threads != 0 ? o.threads
                      : std::max(1u, std::thread::hardware_concurrency());
 
-  std::unique_ptr<obs::MetricsExporter> exporter;
-  if (!o.metrics_out.empty() || o.progress) {
-    obs::MetricsExporter::Options eo;
-    eo.manifest_path = o.metrics_out;
-    eo.ticker = o.progress || isatty(2) != 0;
-    eo.ticker_line = splice_ticker_line;
-    exporter = std::make_unique<obs::MetricsExporter>(obs::Registry::global(),
-                                                      std::move(eo));
-  }
+  tools::RunManifest manifest(o.metrics_out, o.progress, splice_ticker_line);
 
   core::SpliceStats st;
   std::string dist_json;  // "dist" manifest member for --serve runs
@@ -827,21 +665,12 @@ int cmd_splice(const std::vector<std::string>& args) {
 
   const std::string report =
       core::splice_stats_json(st, alg::name(cfg.flow.packet.transport));
-  if (exporter) {
-    obs::RunInfo info;
-    info.tool = "cksumlab splice";
-    info.corpus = corpus_name;
-    info.seed = 0;  // splice corpora are pinned by profile/scale, not seed
-    info.threads = resolved_threads;
-    info.extra_json =
-        alg::kern::kernel_manifest_json() + ", \"report\": " + report;
-    if (!dist_json.empty()) info.extra_json += ",\n  \"dist\": " + dist_json;
-    if (!exporter->finish(std::move(info))) {
-      std::fprintf(stderr, "cksumlab: cannot write manifest to %s\n",
-                   o.metrics_out.c_str());
-      return 1;
-    }
-  }
+  std::string members = ", \"report\": " + report;
+  if (!dist_json.empty()) members += ",\n  \"dist\": " + dist_json;
+  // Splice corpora are pinned by profile/scale, not seed.
+  if (!manifest.finish("cksumlab splice", corpus_name, 0, resolved_threads,
+                       members))
+    return 1;
 
   if (o.json) {
     std::printf("%s\n", report.c_str());
@@ -896,25 +725,18 @@ int cmd_corpus(const std::vector<std::string>& args) {
     std::fprintf(stderr, "unknown corpus verb '%s'\n", verb.c_str());
     return usage();
   }
-  // --out and --compress belong to build, not to parse_common.
   std::string out_path;
   bool compress = false;
-  std::vector<std::string> common;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (args[i] == "--compress") {
-      compress = true;
-    } else {
-      common.push_back(args[i]);
-    }
-  }
-  const CommonOpts o = parse_common(common);
-  if (!o.ok || out_path.empty()) return usage();
-  if (!o.dir.empty()) {
+  CommonOpts o;
+  if (!parse_common(std::span(args).subspan(1), o,
+                    {{"--out", &out_path}, {"--compress", &compress}}) ||
+      out_path.empty())
+    return usage();
+  if (!o.dir.empty() || !o.corpus.empty()) {
     std::fprintf(stderr,
                  "cksumlab: corpus build wants a reproducible synthetic "
-                 "source (--profile/--manifest/--from-pcap), not --dir\n");
+                 "source (--profile/--manifest/--from-pcap), not --dir or "
+                 "--corpus\n");
     return 2;
   }
   if (!o.from_pcap.empty() && compress) {
@@ -969,18 +791,10 @@ int cmd_corpus(const std::vector<std::string>& args) {
                  static_cast<unsigned long long>(res.counts.accepted),
                  static_cast<unsigned long long>(res.counts.rejected));
     built = fsgen::build_corpus(params, res.files, out_path, &err);
-  } else if (!o.profile.empty()) {
-    params.profile = o.profile;
-    const fsgen::Filesystem fs(fsgen::profile(o.profile), o.scale);
-    built = fsgen::build_corpus(params, fs, out_path, &err);
   } else {
-    params.profile = o.manifest;
-    const util::Bytes text = core::read_file_prefix(o.manifest, 1u << 24);
-    const fsgen::Filesystem fs = fsgen::Filesystem::from_manifest(
-        fsgen::profile("nsc05"),
-        std::string_view(reinterpret_cast<const char*>(text.data()),
-                         text.size()));
-    built = fsgen::build_corpus(params, fs, out_path, &err);
+    params.profile = o.profile.empty() ? o.manifest : o.profile;
+    built = fsgen::build_corpus(
+        params, *core::open_filesystem(corpus_source(o)), out_path, &err);
   }
   if (!built) {
     std::fprintf(stderr, "cksumlab: corpus build failed: %s\n", err.c_str());
@@ -1006,8 +820,8 @@ int cmd_corpus(const std::vector<std::string>& args) {
 }
 
 int cmd_dist(const std::vector<std::string>& args) {
-  const CommonOpts o = parse_common(args);
-  if (!o.ok || !o.from_pcap.empty()) return usage();
+  CommonOpts o;
+  if (!parse_common(args, o) || !o.from_pcap.empty()) return usage();
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 4};
   cfg.segment_size = o.segment;

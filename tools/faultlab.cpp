@@ -37,15 +37,12 @@
 // Invariants checked (see docs/FAULTS.md): no crash, demux memory
 // bounded by its budget, and no undetected corruption — every PDU
 // passing length+CRC must match a payload that was actually sent.
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,16 +54,15 @@
 #include "atm/demux.hpp"
 #include "checksum/checksum.hpp"
 #include "checksum/kernels/kernel.hpp"
+#include "cli.hpp"
 #include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
-#include "dist/worker.hpp"
 #include "faults/channel.hpp"
 #include "faults/soak.hpp"
 #include "kernel_cli.hpp"
-#include "obs/exporter.hpp"
 #include "storage/frontier.hpp"
 
 using namespace cksum;
@@ -98,55 +94,31 @@ int usage() {
   return 2;
 }
 
-struct Opts {
-  faults::SoakConfig cfg;
-  std::uint64_t scenario = 0;
-  bool have_scenario = false;
+/// What a soak or frontier prints and exports, beside its config.
+struct RunFlags {
   std::string repro_file;
   std::string metrics_out;
   bool progress = false;
   bool quiet = false;
-  bool ok = true;
+  bool quick = false;
+  bool json = false;
 };
 
-Opts parse(const std::vector<std::string>& args) {
-  Opts o;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        o.ok = false;
-        return "0";
-      }
-      return args[++i];
-    };
-    if (a == "--seed") {
-      o.cfg.seed = std::stoull(next(), nullptr, 0);
-    } else if (a == "--faults") {
-      o.cfg.target_faults = std::stoull(next());
-    } else if (a == "--max-scenarios") {
-      o.cfg.max_scenarios = std::stoull(next());
-    } else if (a == "--channels") {
-      o.cfg.max_channels = std::stoull(next());
-    } else if (a == "--budget") {
-      o.cfg.max_pending_cells = std::stoull(next());
-    } else if (a == "--scenario") {
-      o.scenario = std::stoull(next(), nullptr, 0);
-      o.have_scenario = true;
-    } else if (a == "--repro-file") {
-      o.repro_file = next();
-    } else if (a == "--metrics-out") {
-      o.metrics_out = next();
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      o.ok = false;
-    }
+/// The closing lines every soak prints: `summary`, then on a violation
+/// its detail and reproducer line, also written to `--repro-file`.
+/// Returns the exit code.
+int soak_verdict(bool ok, const std::string& summary,
+                 const std::string& detail, const std::string& reproducer,
+                 const std::string& repro_file) {
+  std::printf("%s\n", summary.c_str());
+  if (ok) return 0;
+  std::printf("  %s\n  reproduce with: %s\n", detail.c_str(),
+              reproducer.c_str());
+  if (!repro_file.empty()) {
+    std::ofstream out(repro_file);
+    out << reproducer << "\n";
   }
-  return o;
+  return 1;
 }
 
 void print_totals(const faults::ScenarioResult& t) {
@@ -182,31 +154,6 @@ void print_totals(const faults::ScenarioResult& t) {
   rx.print(std::cout);
 }
 
-int report(const faults::SoakConfig& cfg, const faults::SoakResult& res,
-           const Opts& o) {
-  if (!o.quiet) {
-    print_totals(res.totals);
-    std::printf("\n");
-  }
-  std::printf("%llu scenarios, %s fault events, %s cells: %s\n",
-              static_cast<unsigned long long>(res.scenarios),
-              core::fmt_count(res.totals.faults.total_faults()).c_str(),
-              core::fmt_count(res.totals.faults.cells_in).c_str(),
-              res.ok() ? "all invariants held" : "INVARIANT VIOLATED");
-  if (!res.ok()) {
-    std::printf("  %s\n  reproduce with: %s\n",
-                res.totals.violation_detail.c_str(),
-                res.reproducer.c_str());
-    if (!o.repro_file.empty()) {
-      std::ofstream f(o.repro_file);
-      f << res.reproducer << "\n";
-    }
-    return 1;
-  }
-  (void)cfg;
-  return 0;
-}
-
 /// Live one-line view of a soak run. Fault events are summed over the
 /// per-class `faults.*.injected` counters — the same definition as
 /// FaultStats::total_faults().
@@ -217,186 +164,96 @@ std::string soak_ticker_line(const obs::Snapshot& snap, double elapsed) {
         m.name.compare(m.name.size() - 9, 9, ".injected") == 0)
       events += m.value;
   }
-  const auto get = [&](std::string_view name) -> std::uint64_t {
-    const obs::MetricValue* m = snap.find(name);
-    return m != nullptr ? m->value : 0;
-  };
   char buf[160];
   std::snprintf(
       buf, sizeof buf,
       "soak: %llu scenarios  %llu fault events  %llu cells  "
       "%llu violations  %.1fs",
-      static_cast<unsigned long long>(get("soak.scenarios")),
+      static_cast<unsigned long long>(snap.value("soak.scenarios")),
       static_cast<unsigned long long>(events),
-      static_cast<unsigned long long>(get("faults.cells_in")),
-      static_cast<unsigned long long>(get("soak.violations")), elapsed);
+      static_cast<unsigned long long>(snap.value("faults.cells_in")),
+      static_cast<unsigned long long>(snap.value("soak.violations")),
+      elapsed);
   return buf;
 }
 
-/// Starts the exporter (when asked for) around `run`, finishing with a
-/// manifest identifying this soak/replay configuration.
-template <typename Run>
-int with_metrics(const Opts& o, const char* tool, Run run) {
+/// `faultlab soak`, or with `replay` exactly one scenario of it.
+int cmd_soak(const std::vector<std::string>& args, bool replay) {
+  faults::SoakConfig cfg;
+  RunFlags f;
+  std::uint64_t scenario = 0;
+  bool have_scenario = false;
+  std::vector<tools::Opt> table = {
+      {"--seed", &cfg.seed, 0},
+      {"--faults", &cfg.target_faults},
+      {"--max-scenarios", &cfg.max_scenarios},
+      {"--channels", &cfg.max_channels},
+      {"--budget", &cfg.max_pending_cells},
+      {"--repro-file", &f.repro_file},
+      {"--metrics-out", &f.metrics_out},
+      {"--progress", &f.progress},
+      {"--quiet", &f.quiet}};
+  if (replay) table.push_back({"--scenario", &scenario, 0, &have_scenario});
+  if (!tools::parse_options(args, table, "faultlab") ||
+      (replay && !have_scenario))
+    return usage();
+
   faults::register_fault_metrics();
   atm::register_atm_metrics();
   alg::kern::register_kernel_metrics();
-  std::unique_ptr<obs::MetricsExporter> exporter;
-  if (!o.metrics_out.empty() || o.progress) {
-    obs::MetricsExporter::Options eo;
-    eo.manifest_path = o.metrics_out;
-    eo.ticker = o.progress || isatty(2) != 0;
-    eo.ticker_line = soak_ticker_line;
-    exporter = std::make_unique<obs::MetricsExporter>(obs::Registry::global(),
-                                                      std::move(eo));
-  }
-  const int rc = run();
-  if (exporter) {
-    obs::RunInfo info;
-    info.tool = tool;
-    info.corpus = "fsgen-random";  // scenario corpora are seed-derived
-    info.seed = o.cfg.seed;
-    info.threads = 1;
-    info.extra_json = alg::kern::kernel_manifest_json();
-    if (!exporter->finish(std::move(info))) {
-      std::fprintf(stderr, "faultlab: cannot write manifest to %s\n",
-                   o.metrics_out.c_str());
-      return 1;
-    }
-  }
-  return rc;
-}
-
-int cmd_soak(const Opts& o) {
-  return with_metrics(o, "faultlab soak", [&] {
-    const faults::SoakResult res = faults::run_soak(o.cfg);
-    return report(o.cfg, res, o);
-  });
-}
-
-int cmd_replay(const Opts& o) {
-  if (!o.have_scenario) return usage();
-  return with_metrics(o, "faultlab replay", [&] {
-    const faults::ScenarioResult r = faults::run_scenario(o.cfg, o.scenario);
-    faults::SoakResult res;
+  tools::RunManifest manifest(f.metrics_out, f.progress, soak_ticker_line);
+  faults::SoakResult res;
+  if (replay) {
     res.scenarios = 1;
-    res.totals = r;
-    if (r.violations > 0)
-      res.reproducer = faults::reproducer_line(o.cfg, o.scenario);
-    return report(o.cfg, res, o);
-  });
+    res.totals = faults::run_scenario(cfg, scenario);
+    if (res.totals.violations > 0)
+      res.reproducer = faults::reproducer_line(cfg, scenario);
+  } else {
+    res = faults::run_soak(cfg);
+  }
+  if (!f.quiet) {
+    print_totals(res.totals);
+    std::printf("\n");
+  }
+  const int rc = soak_verdict(
+      res.ok(),
+      std::to_string(res.scenarios) + " scenarios, " +
+          core::fmt_count(res.totals.faults.total_faults()) +
+          " fault events, " + core::fmt_count(res.totals.faults.cells_in) +
+          " cells: " +
+          (res.ok() ? "all invariants held" : "INVARIANT VIOLATED"),
+      res.totals.violation_detail, res.reproducer, f.repro_file);
+  // Scenario corpora are seed-derived.
+  return manifest.finish(replay ? "faultlab replay" : "faultlab soak",
+                         "fsgen-random", cfg.seed, 1)
+             ? rc
+             : 1;
 }
 
 // --- faultlab arq / arqsoak -----------------------------------------
 
+/// `faultlab arq` and `faultlab arqsoak` share one option table.
 struct ArqOpts {
   arq::ArqSoakConfig cfg;
   std::uint64_t scenario = 0;
   bool have_scenario = false;
   std::size_t payloads = 48;
-  std::string repro_file;
-  std::string metrics_out;
-  bool progress = false;
-  bool quiet = false;
-  bool quick = false;
-  bool json = false;
-  bool ok = true;
+  RunFlags f;
 };
 
-ArqOpts parse_arq(const std::vector<std::string>& args) {
-  ArqOpts o;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        o.ok = false;
-        return "0";
-      }
-      return args[++i];
-    };
-    if (a == "--seed") {
-      o.cfg.seed = std::stoull(next(), nullptr, 0);
-    } else if (a == "--faults") {
-      o.cfg.target_faults = std::stoull(next());
-    } else if (a == "--max-scenarios") {
-      o.cfg.max_scenarios = std::stoull(next());
-    } else if (a == "--scenario") {
-      o.scenario = std::stoull(next(), nullptr, 0);
-      o.have_scenario = true;
-    } else if (a == "--payloads") {
-      o.payloads = std::stoull(next());
-    } else if (a == "--repro-file") {
-      o.repro_file = next();
-    } else if (a == "--metrics-out") {
-      o.metrics_out = next();
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else if (a == "--quick") {
-      o.quick = true;
-    } else if (a == "--json") {
-      o.json = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      o.ok = false;
-    }
-  }
-  return o;
-}
-
 std::string arq_ticker_line(const obs::Snapshot& snap, double elapsed) {
-  const auto get = [&](std::string_view name) -> std::uint64_t {
-    const obs::MetricValue* m = snap.find(name);
-    return m != nullptr ? m->value : 0;
-  };
   char buf[160];
   std::snprintf(
       buf, sizeof buf,
       "arq: %llu runs  %llu delivered  %llu retransmits  "
       "%llu residual  %llu gave up  %.1fs",
-      static_cast<unsigned long long>(get("arq.runs")),
-      static_cast<unsigned long long>(get("arq.delivered_ok")),
-      static_cast<unsigned long long>(get("arq.retransmits")),
-      static_cast<unsigned long long>(get("arq.residual_undetected") +
-                                      get("arq.residual_lost")),
-      static_cast<unsigned long long>(get("arq.gave_up")), elapsed);
+      static_cast<unsigned long long>(snap.value("arq.runs")),
+      static_cast<unsigned long long>(snap.value("arq.delivered_ok")),
+      static_cast<unsigned long long>(snap.value("arq.retransmits")),
+      static_cast<unsigned long long>(snap.value("arq.residual_undetected") +
+                                      snap.value("arq.residual_lost")),
+      static_cast<unsigned long long>(snap.value("arq.gave_up")), elapsed);
   return buf;
-}
-
-/// Exporter wrapper for the arq subcommands. `extra_rows`, when
-/// non-empty after run(), is spliced into the manifest as the "arq"
-/// top-level member (docs/OBSERVABILITY.md).
-template <typename Run>
-int with_arq_metrics(const ArqOpts& o, const char* tool,
-                     const std::string* extra_rows, Run run) {
-  arq::register_arq_metrics();
-  alg::kern::register_kernel_metrics();
-  std::unique_ptr<obs::MetricsExporter> exporter;
-  if (!o.metrics_out.empty() || o.progress) {
-    obs::MetricsExporter::Options eo;
-    eo.manifest_path = o.metrics_out;
-    eo.ticker = o.progress || isatty(2) != 0;
-    eo.ticker_line = arq_ticker_line;
-    exporter = std::make_unique<obs::MetricsExporter>(obs::Registry::global(),
-                                                      std::move(eo));
-  }
-  const int rc = run();
-  if (exporter) {
-    obs::RunInfo info;
-    info.tool = tool;
-    info.corpus = "arq-random";  // payloads are seed-derived
-    info.seed = o.cfg.seed;
-    info.threads = 1;
-    info.extra_json = alg::kern::kernel_manifest_json();
-    if (extra_rows != nullptr && !extra_rows->empty())
-      info.extra_json += ", \"arq\": " + *extra_rows;
-    if (!exporter->finish(std::move(info))) {
-      std::fprintf(stderr, "faultlab: cannot write manifest to %s\n",
-                   o.metrics_out.c_str());
-      return 1;
-    }
-  }
-  return rc;
 }
 
 /// One cell of the frontier: (policy, checksum) at a link fault rate.
@@ -460,12 +317,12 @@ std::string arq_cell_json(const ArqCell& c) {
 /// The frontier the paper's data motivates one layer up: how much
 /// retransmission each policy spends, and what residual error each
 /// checksum leaks, as the link degrades.
-int cmd_arq(const ArqOpts& o, std::string* extra_rows) {
+int arq_frontier(const ArqOpts& o, std::string& rows) {
   const std::vector<double> rates =
-      o.quick ? std::vector<double>{0.0, 0.05}
+      o.f.quick ? std::vector<double>{0.0, 0.05}
               : std::vector<double>{0.0, 0.01, 0.02, 0.05, 0.10};
   const std::vector<alg::Algorithm> checks =
-      o.quick ? std::vector<alg::Algorithm>{alg::Algorithm::kCrc32,
+      o.f.quick ? std::vector<alg::Algorithm>{alg::Algorithm::kCrc32,
                                             alg::Algorithm::kInternet}
               : std::vector<alg::Algorithm>{alg::Algorithm::kCrc32,
                                             alg::Algorithm::kInternet,
@@ -475,7 +332,7 @@ int cmd_arq(const ArqOpts& o, std::string* extra_rows) {
                                        arq::Policy::kSelectiveRepeat};
 
   // One shared payload set so every cell moves identical data.
-  const std::size_t n = o.quick ? std::min<std::size_t>(o.payloads, 16)
+  const std::size_t n = o.f.quick ? std::min<std::size_t>(o.payloads, 16)
                                 : o.payloads;
   util::Rng prng = util::Rng(o.cfg.seed).child(0xFEED);
   std::vector<util::Bytes> payloads;
@@ -526,7 +383,7 @@ int cmd_arq(const ArqOpts& o, std::string* extra_rows) {
            "residual error under CRC-32");
   }
 
-  if (!o.quiet) {
+  if (!o.f.quiet) {
     core::TextTable t({"policy", "check", "rate", "ok", "resid", "lost",
                        "gaveup", "rexmit", "goodput", "latency"});
     for (const ArqCell& c : cells) {
@@ -546,14 +403,13 @@ int cmd_arq(const ArqOpts& o, std::string* extra_rows) {
     std::printf("\n");
   }
 
-  std::string rows = "[";
+  rows = "[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i != 0) rows += ", ";
     rows += arq_cell_json(cells[i]);
   }
   rows += "]";
-  if (o.json) std::printf("%s\n", rows.c_str());
-  if (extra_rows != nullptr) *extra_rows = rows;
+  if (o.f.json) std::printf("%s\n", rows.c_str());
 
   std::printf("arq frontier: %zu cells, %zu payloads each: %s\n",
               cells.size(), payloads.size(),
@@ -565,8 +421,26 @@ int cmd_arq(const ArqOpts& o, std::string* extra_rows) {
   return 0;
 }
 
-int arq_soak_report(const arq::ArqSoakResult& res, const ArqOpts& o) {
-  if (!o.quiet) {
+int arq_soak(const ArqOpts& o) {
+  arq::ArqSoakResult res;
+  if (o.have_scenario) {
+    const arq::ArqScenarioResult r = arq::run_arq_scenario(o.cfg, o.scenario);
+    res.scenarios = 1;
+    res.faults_injected = r.faults_injected;
+    res.payloads_offered = r.sim.payloads_offered;
+    res.delivered_ok = r.sim.delivered_ok;
+    res.residual_undetected = r.sim.residual_undetected;
+    res.residual_lost = r.sim.residual_lost;
+    res.gave_up = r.sim.gave_up;
+    res.retransmits = r.sim.sender.retransmits;
+    res.violations = r.violations;
+    res.violation_detail = r.violation_detail;
+    if (r.violations > 0)
+      res.reproducer = arq::arq_reproducer_line(o.cfg, o.scenario);
+  } else {
+    res = arq::run_arq_soak(o.cfg);
+  }
+  if (!o.f.quiet) {
     core::TextTable t({"arq soak", "count"});
     t.add_row({"scenarios", core::fmt_count(res.scenarios)});
     t.add_row({"link faults injected", core::fmt_count(res.faults_injected)});
@@ -580,156 +454,64 @@ int arq_soak_report(const arq::ArqSoakResult& res, const ArqOpts& o) {
     t.print(std::cout);
     std::printf("\n");
   }
-  std::printf("%llu scenarios, %s link faults: %s\n",
-              static_cast<unsigned long long>(res.scenarios),
-              core::fmt_count(res.faults_injected).c_str(),
-              res.ok() ? "all guarantees held" : "GUARANTEE VIOLATED");
-  if (!res.ok()) {
-    std::printf("  %s\n  reproduce with: %s\n", res.violation_detail.c_str(),
-                res.reproducer.c_str());
-    if (!o.repro_file.empty()) {
-      std::ofstream f(o.repro_file);
-      f << res.reproducer << "\n";
-    }
-    return 1;
-  }
-  return 0;
+  return soak_verdict(
+      res.ok(),
+      std::to_string(res.scenarios) + " scenarios, " +
+          core::fmt_count(res.faults_injected) + " link faults: " +
+          (res.ok() ? "all guarantees held" : "GUARANTEE VIOLATED"),
+      res.violation_detail, res.reproducer, o.f.repro_file);
 }
 
-int cmd_arqsoak(const ArqOpts& o) {
-  return with_arq_metrics(o, o.have_scenario ? "faultlab arqsoak replay"
-                                             : "faultlab arqsoak",
-                          nullptr, [&] {
-    if (o.have_scenario) {
-      const arq::ArqScenarioResult r =
-          arq::run_arq_scenario(o.cfg, o.scenario);
-      arq::ArqSoakResult res;
-      res.scenarios = 1;
-      res.faults_injected = r.faults_injected;
-      res.payloads_offered = r.sim.payloads_offered;
-      res.delivered_ok = r.sim.delivered_ok;
-      res.residual_undetected = r.sim.residual_undetected;
-      res.residual_lost = r.sim.residual_lost;
-      res.gave_up = r.sim.gave_up;
-      res.retransmits = r.sim.sender.retransmits;
-      res.violations = r.violations;
-      res.violation_detail = r.violation_detail;
-      if (r.violations > 0)
-        res.reproducer = arq::arq_reproducer_line(o.cfg, o.scenario);
-      return arq_soak_report(res, o);
-    }
-    return arq_soak_report(arq::run_arq_soak(o.cfg), o);
-  });
-}
-
-struct StorageOpts {
-  std::uint64_t seed = 0xC0FFEE;
-  std::size_t trials = 0;  ///< per cell, both block sizes (0 = defaults)
-  unsigned threads = 1;
-  bool quick = false;
-  bool json = false;
-  std::string metrics_out;
-  bool progress = false;
-  bool quiet = false;
-  bool ok = true;
-};
-
-StorageOpts parse_storage(const std::vector<std::string>& args) {
-  StorageOpts o;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        o.ok = false;
-        return "0";
-      }
-      return args[++i];
-    };
-    if (a == "--seed") {
-      o.seed = std::stoull(next(), nullptr, 0);
-    } else if (a == "--trials") {
-      o.trials = std::stoull(next());
-    } else if (a == "--threads") {
-      o.threads = static_cast<unsigned>(std::stoul(next()));
-    } else if (a == "--quick") {
-      o.quick = true;
-    } else if (a == "--json") {
-      o.json = true;
-    } else if (a == "--metrics-out") {
-      o.metrics_out = next();
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      o.ok = false;
-    }
-  }
-  return o;
+/// `faultlab arq` (the frontier), or with `soak` the ARQ soak.
+int cmd_arq(const std::vector<std::string>& args, bool soak) {
+  ArqOpts o;
+  if (!tools::parse_options(args,
+                            {{"--seed", &o.cfg.seed, 0},
+                             {"--faults", &o.cfg.target_faults},
+                             {"--max-scenarios", &o.cfg.max_scenarios},
+                             {"--scenario", &o.scenario, 0, &o.have_scenario},
+                             {"--payloads", &o.payloads},
+                             {"--repro-file", &o.f.repro_file},
+                             {"--metrics-out", &o.f.metrics_out},
+                             {"--progress", &o.f.progress},
+                             {"--quiet", &o.f.quiet},
+                             {"--quick", &o.f.quick},
+                             {"--json", &o.f.json}},
+                            "faultlab"))
+    return usage();
+  arq::register_arq_metrics();
+  alg::kern::register_kernel_metrics();
+  tools::RunManifest manifest(o.f.metrics_out, o.f.progress, arq_ticker_line);
+  std::string rows;  // the frontier's manifest member
+  const int rc = soak ? arq_soak(o) : arq_frontier(o, rows);
+  const char* tool = !soak              ? "faultlab arq"
+                     : o.have_scenario ? "faultlab arqsoak replay"
+                                       : "faultlab arqsoak";
+  // Payloads are seed-derived.
+  return manifest.finish(tool, "arq-random", o.cfg.seed, 1,
+                         rows.empty() ? "" : ", \"arq\": " + rows)
+             ? rc
+             : 1;
 }
 
 std::string storage_ticker_line(const obs::Snapshot& snap, double elapsed) {
-  const auto get = [&](std::string_view name) -> std::uint64_t {
-    const obs::MetricValue* m = snap.find(name);
-    return m != nullptr ? m->value : 0;
-  };
   char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "storage: %llu trials  %llu detected  %llu undetected  "
-                "%llu violations  %.1fs",
-                static_cast<unsigned long long>(get("storage.trials")),
-                static_cast<unsigned long long>(get("storage.detected")),
-                static_cast<unsigned long long>(get("storage.undetected")),
-                static_cast<unsigned long long>(get("storage.violations")),
-                elapsed);
+  std::snprintf(
+      buf, sizeof buf,
+      "storage: %llu trials  %llu detected  %llu undetected  "
+      "%llu violations  %.1fs",
+      static_cast<unsigned long long>(snap.value("storage.trials")),
+      static_cast<unsigned long long>(snap.value("storage.detected")),
+      static_cast<unsigned long long>(snap.value("storage.undetected")),
+      static_cast<unsigned long long>(snap.value("storage.violations")),
+      elapsed);
   return buf;
-}
-
-/// Exporter wrapper for the storage frontier. `extra_rows`, when
-/// non-empty after run(), is spliced into the manifest as the
-/// "storage" top-level member (docs/OBSERVABILITY.md).
-template <typename Run>
-int with_storage_metrics(const StorageOpts& o, const char* tool,
-                         const std::string* extra_rows, Run run) {
-  storage::register_storage_metrics();
-  alg::kern::register_kernel_metrics();
-  std::unique_ptr<obs::MetricsExporter> exporter;
-  if (!o.metrics_out.empty() || o.progress) {
-    obs::MetricsExporter::Options eo;
-    eo.manifest_path = o.metrics_out;
-    eo.ticker = o.progress || isatty(2) != 0;
-    eo.ticker_line = storage_ticker_line;
-    exporter = std::make_unique<obs::MetricsExporter>(obs::Registry::global(),
-                                                      std::move(eo));
-  }
-  const int rc = run();
-  if (exporter) {
-    obs::RunInfo info;
-    info.tool = tool;
-    info.corpus = "fsgen-storage";  // payload pairs are seed-derived
-    info.seed = o.seed;
-    info.threads = o.threads;
-    info.extra_json = alg::kern::kernel_manifest_json();
-    if (extra_rows != nullptr && !extra_rows->empty())
-      info.extra_json += ", \"storage\": " + *extra_rows;
-    if (!exporter->finish(std::move(info))) {
-      std::fprintf(stderr, "faultlab: cannot write manifest to %s\n",
-                   o.metrics_out.c_str());
-      return 1;
-    }
-  }
-  return rc;
 }
 
 /// The paper's question asked of commit blocks: which checksums leak
 /// which storage faults, on real file contents (docs/STORAGE.md).
-int cmd_storage(const StorageOpts& o, std::string* extra_rows) {
-  storage::FrontierConfig cfg;
-  cfg.seed = o.seed;
-  cfg.trials = {o.trials, o.trials};
-  cfg.threads = o.threads;
-  cfg.quick = o.quick;
+int storage_frontier(const storage::FrontierConfig& cfg, const RunFlags& f,
+                     std::string& rows) {
   const storage::FrontierResult res = storage::run_frontier(cfg);
 
   bool failed = res.violations != 0;
@@ -745,7 +527,7 @@ int cmd_storage(const StorageOpts& o, std::string* extra_rows) {
     }
   }
 
-  if (!o.quiet) {
+  if (!f.quiet) {
     core::TextTable t({"block", "fault", "check", "trials", "benign", "det",
                        "undet", "miss", "runheavy miss"});
     std::size_t last_block = 0;
@@ -778,9 +560,8 @@ int cmd_storage(const StorageOpts& o, std::string* extra_rows) {
     std::printf("\n");
   }
 
-  const std::string rows = storage::frontier_json(cfg, res);
-  if (o.json) std::printf("%s\n", rows.c_str());
-  if (extra_rows != nullptr) *extra_rows = rows;
+  rows = storage::frontier_json(cfg, res);
+  if (f.json) std::printf("%s\n", rows.c_str());
 
   std::printf("storage frontier: %zu cells, %llu trials, %llu undetected: "
               "%s\n",
@@ -795,33 +576,32 @@ int cmd_storage(const StorageOpts& o, std::string* extra_rows) {
   return 0;
 }
 
-/// Hidden subcommand: one worker process of a distkill drill (also
-/// usable against `cksumlab splice --serve` — both serve through the
-/// same JobService).
-int cmd_distworker(const std::vector<std::string>& args) {
-  dist::WorkerOptions w;
-  w.tool = "faultlab distworker";
-  std::string hostport;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string();
-    };
-    if (a == "--connect") {
-      hostport = next();
-    } else if (a == "--worker-id") {
-      w.worker_id = std::stoull(next());
-    } else if (a == "--metrics-out") {
-      w.metrics_out = next();
-    } else {
-      return usage();
-    }
-  }
-  const std::size_t colon = hostport.rfind(':');
-  if (colon == std::string::npos) return usage();
-  w.host = hostport.substr(0, colon);
-  w.port = static_cast<std::uint16_t>(std::stoul(hostport.substr(colon + 1)));
-  return dist::run_worker(w);
+int cmd_storage(const std::vector<std::string>& args) {
+  storage::FrontierConfig cfg;
+  std::size_t trials = 0;  // per cell, both block sizes (0 = defaults)
+  RunFlags f;
+  if (!tools::parse_options(args,
+                            {{"--seed", &cfg.seed, 0},
+                             {"--trials", &trials},
+                             {"--threads", &cfg.threads},
+                             {"--quick", &cfg.quick},
+                             {"--json", &f.json},
+                             {"--metrics-out", &f.metrics_out},
+                             {"--progress", &f.progress},
+                             {"--quiet", &f.quiet}},
+                            "faultlab"))
+    return usage();
+  cfg.trials = {trials, trials};
+  storage::register_storage_metrics();
+  alg::kern::register_kernel_metrics();
+  tools::RunManifest manifest(f.metrics_out, f.progress, storage_ticker_line);
+  std::string rows;
+  const int rc = storage_frontier(cfg, f, rows);
+  // Payload pairs are seed-derived.
+  return manifest.finish("faultlab storage", "fsgen-storage", cfg.seed,
+                         cfg.threads, ", \"storage\": " + rows)
+             ? rc
+             : 1;
 }
 
 /// The worker-loss drill (docs/DIST.md failure matrix): `--jobs` named
@@ -838,33 +618,19 @@ int cmd_distkill(const std::vector<std::string>& args) {
   double scale = 0.1;
   std::size_t shard_files = 1;  // one file per lease: everyone leases
   bool verbose = false;
+  bool quick = false;  // the defaults already are the quick corpus
   std::string metrics_out;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string("0");
-    };
-    if (a == "--workers") {
-      workers = static_cast<unsigned>(std::stoul(next()));
-    } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::stoul(next()));
-    } else if (a == "--profile") {
-      profile = next();
-    } else if (a == "--scale") {
-      scale = std::stod(next());
-    } else if (a == "--shard-files") {
-      shard_files = std::stoull(next());
-    } else if (a == "--metrics-out") {
-      metrics_out = next();
-    } else if (a == "--quick") {
-      // defaults already are the quick corpus; accepted for symmetry
-    } else if (a == "--verbose") {
-      verbose = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-      return usage();
-    }
-  }
+  if (!tools::parse_options(args,
+                            {{"--workers", &workers},
+                             {"--jobs", &jobs},
+                             {"--profile", &profile},
+                             {"--scale", &scale},
+                             {"--shard-files", &shard_files},
+                             {"--metrics-out", &metrics_out},
+                             {"--quick", &quick},
+                             {"--verbose", &verbose}},
+                            "faultlab"))
+    return usage();
   if (workers < 2) {
     std::fprintf(stderr, "faultlab distkill: needs --workers >= 2\n");
     return 2;
@@ -899,14 +665,7 @@ int cmd_distkill(const std::vector<std::string>& args) {
   // (check_manifest --require-dist enforces it).
   obs::Registry::global().reset();
 
-  std::unique_ptr<obs::MetricsExporter> exporter;
-  if (!metrics_out.empty()) {
-    obs::MetricsExporter::Options eo;
-    eo.manifest_path = metrics_out;
-    eo.ticker = false;
-    exporter = std::make_unique<obs::MetricsExporter>(obs::Registry::global(),
-                                                      std::move(eo));
-  }
+  tools::RunManifest manifest(metrics_out, false);
 
   dist::ServiceConfig sc;
   sc.expected_workers = workers;
@@ -1045,11 +804,7 @@ int cmd_distkill(const std::vector<std::string>& args) {
     std::printf("merged report identical to single-process run: %s\n",
                 first.stats == oracles[0] ? "yes" : "NO");
   } else {
-    const auto counter = [](std::string_view name) -> std::uint64_t {
-      const obs::Snapshot snap = obs::Registry::global().snapshot();
-      const obs::MetricValue* m = snap.find(name);
-      return m != nullptr ? m->value : 0;
-    };
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
     std::printf("distkill: %u jobs on %u pooled workers\n", jobs, workers);
     std::printf("survivor jobs bitwise-equal to oracles: %s\n",
                 survivors_ok ? "yes" : "NO");
@@ -1064,28 +819,17 @@ int cmd_distkill(const std::vector<std::string>& args) {
         "dist counters: submitted %llu, rejected %llu, cancelled "
         "%llu, completed %llu, write-queue hwm %llu, grants "
         "deferred %llu\n",
-        static_cast<unsigned long long>(counter("dist.jobs_submitted")),
-        static_cast<unsigned long long>(counter("dist.jobs_rejected")),
-        static_cast<unsigned long long>(counter("dist.jobs_cancelled")),
-        static_cast<unsigned long long>(counter("dist.jobs_completed")),
-        static_cast<unsigned long long>(counter("dist.write_queue_hwm")),
-        static_cast<unsigned long long>(counter("dist.grants_deferred")));
+        static_cast<unsigned long long>(snap.value("dist.jobs_submitted")),
+        static_cast<unsigned long long>(snap.value("dist.jobs_rejected")),
+        static_cast<unsigned long long>(snap.value("dist.jobs_cancelled")),
+        static_cast<unsigned long long>(snap.value("dist.jobs_completed")),
+        static_cast<unsigned long long>(snap.value("dist.write_queue_hwm")),
+        static_cast<unsigned long long>(snap.value("dist.grants_deferred")));
   }
 
-  if (exporter) {
-    obs::RunInfo info;
-    info.tool = "faultlab distkill";
-    info.corpus = profile;
-    info.seed = 0;
-    info.threads = 1;
-    info.extra_json =
-        alg::kern::kernel_manifest_json() + ",\n  \"dist\": " + svc.jobs_json();
-    if (!exporter->finish(std::move(info))) {
-      std::fprintf(stderr, "faultlab: cannot write manifest to %s\n",
-                   metrics_out.c_str());
-      return 1;
-    }
-  }
+  if (!manifest.finish("faultlab distkill", profile, 0, 1,
+                       ",\n  \"dist\": " + svc.jobs_json()))
+    return 1;
   return (survivors_ok && victim_ok && killed_confirmed &&
           admission_rejected)
              ? 0
@@ -1104,65 +848,21 @@ int main(int argc, char** argv) {
   if (krc != 0) return krc == 1 ? 0 : 2;
   if (all_args.empty()) return usage();
   const std::string cmd = all_args.front();
-  std::vector<std::string> args(all_args.begin() + 1, all_args.end());
-  if (cmd == "distworker" || cmd == "distkill") {
-    try {
-      return cmd == "distworker" ? cmd_distworker(args) : cmd_distkill(args);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "faultlab: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (cmd == "storage") {
-    StorageOpts so;
-    try {
-      so = parse_storage(args);
-    } catch (const std::exception&) {
-      std::fprintf(stderr,
-                   "faultlab: expected a number after the last option\n");
-      return usage();
-    }
-    if (!so.ok) return usage();
-    try {
-      std::string rows;
-      return with_storage_metrics(so, "faultlab storage", &rows,
-                                  [&] { return cmd_storage(so, &rows); });
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "faultlab: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (cmd == "arq" || cmd == "arqsoak") {
-    ArqOpts ao;
-    try {
-      ao = parse_arq(args);
-    } catch (const std::exception&) {
-      std::fprintf(stderr,
-                   "faultlab: expected a number after the last option\n");
-      return usage();
-    }
-    if (!ao.ok) return usage();
-    try {
-      if (cmd == "arqsoak") return cmd_arqsoak(ao);
-      std::string rows;
-      return with_arq_metrics(ao, "faultlab arq", &rows,
-                              [&] { return cmd_arq(ao, &rows); });
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "faultlab: %s\n", e.what());
-      return 1;
-    }
-  }
-  Opts o;
+  const std::vector<std::string> args(all_args.begin() + 1, all_args.end());
   try {
-    o = parse(args);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "faultlab: expected a number after the last option\n");
-    return usage();
-  }
-  if (!o.ok) return usage();
-  try {
-    if (cmd == "soak") return cmd_soak(o);
-    if (cmd == "replay") return cmd_replay(o);
+    if (cmd == "soak" || cmd == "replay")
+      return cmd_soak(args, cmd == "replay");
+    if (cmd == "arq" || cmd == "arqsoak")
+      return cmd_arq(args, cmd == "arqsoak");
+    if (cmd == "storage") return cmd_storage(args);
+    if (cmd == "distkill") return cmd_distkill(args);
+    if (cmd == "distworker") {
+      // Hidden: one worker of a distkill drill (or of `cksumlab splice
+      // --serve`; both serve through the same JobService).
+      const auto w = tools::parse_worker(args, "faultlab",
+                                         "faultlab distworker");
+      return w ? dist::run_worker(*w) : usage();
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "faultlab: %s\n", e.what());
     return 1;
