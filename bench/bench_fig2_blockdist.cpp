@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 4, 8};
   const auto stats = core::collect_cell_stats(
-      fsgen::profile("smeg.stanford.edu:/u1"), scale, cfg);
+      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
 
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
   const auto predict2 = d1.self_convolve(2);

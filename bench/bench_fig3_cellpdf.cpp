@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   core::CellStatsConfig cfg;
   cfg.ks = {1};
   const auto stats = core::collect_cell_stats(
-      fsgen::profile("smeg.stanford.edu:/u1"), scale, cfg);
+      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
 
   const auto tcp = stats.tcp_cells().sorted_pdf();
   const auto f255 = stats.f255_cells().sorted_pdf();

@@ -15,7 +15,7 @@ int main() {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 3, 4, 5};
   const auto stats = core::collect_cell_stats(
-      fsgen::profile("smeg.stanford.edu:/u1"), scale, cfg);
+      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
 
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
 

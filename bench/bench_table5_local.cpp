@@ -15,7 +15,7 @@ int main() {
   cfg.ks = {1, 2, 3, 4, 5};
   cfg.local_window_bytes = 512;
   const auto stats = core::collect_cell_stats(
-      fsgen::profile("smeg.stanford.edu:/u1"), scale, cfg);
+      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
 
   std::printf(
       "== Table 5: P[checksum match] (%%) for k-cell substitutions, local "

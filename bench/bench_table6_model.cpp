@@ -19,7 +19,8 @@ namespace {
 void one_filesystem(const fsgen::FsProfile& prof, double scale) {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 3, 4, 5};
-  const auto stats = core::collect_cell_stats(prof, scale, cfg);
+  const auto stats =
+      core::collect_cell_stats(fsgen::Filesystem(prof, scale), cfg);
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
 
   const net::PacketConfig pkt_cfg;

@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
   // --- Distribution skew (Figure 2's headline numbers). ---
   core::CellStatsConfig ccfg;
   ccfg.ks = {1, 2, 4};
-  const auto stats = core::collect_cell_stats(*prof, scale, ccfg);
+  const auto stats =
+      core::collect_cell_stats(fsgen::Filesystem(*prof, scale), ccfg);
   const auto& h = stats.tcp_cells();
   std::printf(
       "\nchecksum-value distribution over 48-byte cells:\n"

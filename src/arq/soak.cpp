@@ -154,6 +154,20 @@ ArqScenarioResult run_arq_scenario(const ArqSoakConfig& cfg,
   return res;
 }
 
+void ArqSoakResult::add(const ArqScenarioResult& r) {
+  ++scenarios;
+  faults_injected += r.faults_injected;
+  payloads_offered += r.sim.payloads_offered;
+  delivered_ok += r.sim.delivered_ok;
+  residual_undetected += r.sim.residual_undetected;
+  residual_lost += r.sim.residual_lost;
+  gave_up += r.sim.gave_up;
+  retransmits += r.sim.sender.retransmits;
+  violations += r.violations;
+  if (r.violations > 0 && violation_detail.empty())
+    violation_detail = r.violation_detail;
+}
+
 ArqSoakResult run_arq_soak(const ArqSoakConfig& cfg) {
   ArqSoakResult out;
   for (std::uint64_t i = 0; i < cfg.max_scenarios; ++i) {
@@ -170,18 +184,8 @@ ArqSoakResult run_arq_soak(const ArqSoakConfig& cfg) {
       }
     }
 
-    ++out.scenarios;
-    out.faults_injected += r.faults_injected;
-    out.payloads_offered += r.sim.payloads_offered;
-    out.delivered_ok += r.sim.delivered_ok;
-    out.residual_undetected += r.sim.residual_undetected;
-    out.residual_lost += r.sim.residual_lost;
-    out.gave_up += r.sim.gave_up;
-    out.retransmits += r.sim.sender.retransmits;
-    out.violations += r.violations;
+    out.add(r);
     if (r.violations > 0) {
-      if (out.violation_detail.empty())
-        out.violation_detail = r.violation_detail;
       if (out.reproducer.empty()) out.reproducer = arq_reproducer_line(cfg, i);
       if (cfg.stop_on_violation) break;
     }

@@ -62,6 +62,8 @@ struct ArqSoakResult {
   std::string reproducer;
 
   bool ok() const noexcept { return violations == 0; }
+  /// Count one scenario in; the first violation's detail is kept.
+  void add(const ArqScenarioResult& r);
 };
 
 /// Run one indexed scenario. Fully deterministic in (cfg.seed, index).

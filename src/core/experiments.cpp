@@ -27,9 +27,8 @@ SpliceStats run_profile(const fsgen::FsProfile& prof,
   return run_filesystem(cfg, fs);
 }
 
-CellStatsCollector collect_cell_stats(const fsgen::FsProfile& prof,
-                                      double scale, CellStatsConfig cfg) {
-  const fsgen::Filesystem fs(prof, scale);
+CellStatsCollector collect_cell_stats(const fsgen::Filesystem& fs,
+                                      CellStatsConfig cfg) {
   const unsigned threads = std::max(
       1u, std::min(std::thread::hardware_concurrency(),
                    static_cast<unsigned>(fs.file_count())));

@@ -18,9 +18,9 @@ SpliceStats run_profile(const fsgen::FsProfile& prof,
                         const net::PacketConfig& pkt_cfg, double scale,
                         bool compress_files = false);
 
-/// Collect cell/block checksum distributions over a profile.
-CellStatsCollector collect_cell_stats(const fsgen::FsProfile& prof,
-                                      double scale,
+/// Collect cell/block checksum distributions over a synthetic
+/// filesystem (a scaled profile or a manifest).
+CellStatsCollector collect_cell_stats(const fsgen::Filesystem& fs,
                                       CellStatsConfig cfg = {});
 
 /// Scale factor from the environment variable CKSUMLAB_SCALE

@@ -6,27 +6,18 @@
 
 namespace cksum::core {
 
-namespace {
-
-/// Internet sum of a byte range (even-offset start assumed by callers).
-std::uint16_t sum_of(util::ByteView bytes) {
-  return alg::kern::internet_sum(bytes);
-}
-
-}  // namespace
-
-SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt) {
+SimPacket make_sim_packet(const net::PacketConfig& cfg,
+                          const net::Packet& pkt) {
   SimPacket sp;
   sp.total_len = pkt.total_length();
   sp.pdu = atm::CpcsPdu::frame(pkt.ip_bytes());
-  sp.pkt = std::move(pkt);
 
   const std::size_t n = sp.pdu.num_cells();
   sp.cells.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const util::ByteView cell = sp.pdu.cell(i);
     CellPartial cp;
-    cp.inet = sum_of(cell);
+    cp.inet = alg::kern::internet_sum(cell);
     cp.f255 = alg::kern::fletcher_block(cell, alg::FletcherMod::kOnes255);
     cp.f256 = alg::kern::fletcher_block(cell, alg::FletcherMod::kTwos256);
     cp.crc = alg::kern::crc32(cell);
@@ -68,7 +59,7 @@ SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt) {
   sp.eom_cov_hash = util::hash64(sp.pdu.cell(n - 1).first(eom_cov));
 
   // --- Transport partials (case A pieces). ---
-  const util::ByteView ip = sp.pkt.ip_bytes();
+  const util::ByteView ip = pkt.ip_bytes();
   const std::size_t len = sp.total_len;
   const bool trailer = cfg.placement == net::ChecksumPlacement::kTrailer;
 
@@ -78,7 +69,8 @@ SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt) {
   sp.fast_path_ok = len >= eom_start + (trailer ? 2 : 0);
 
   TransportPartials& tp = sp.tp;
-  tp.eom_len = len > eom_start ? len - eom_start : 0;
+  tp.eom_len =
+      static_cast<std::uint32_t>(len > eom_start ? len - eom_start : 0);
 
   // Head prefix: pseudo-header ++ IP bytes [20, min(48, len)).
   {
@@ -110,7 +102,7 @@ SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt) {
       head[field] = 0;
       head[field + 1] = 0;
     }
-    tp.head_sum = sum_of(util::ByteView(head));
+    tp.head_sum = alg::kern::internet_sum(util::ByteView(head));
   }
 
   // EOM coverage.
@@ -127,7 +119,7 @@ SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt) {
       eom[eom.size() - 2] = 0;
       eom[eom.size() - 1] = 0;
     }
-    tp.eom_sum = sum_of(util::ByteView(eom));
+    tp.eom_sum = alg::kern::internet_sum(util::ByteView(eom));
   }
 
   return sp;
@@ -135,10 +127,11 @@ SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt) {
 
 std::vector<SimPacket> packetize_file(const net::FlowConfig& cfg,
                                       util::ByteView file) {
-  std::vector<net::Packet> pkts = net::segment_file(cfg, file);
+  const std::vector<net::Packet> pkts = net::segment_file(cfg, file);
   std::vector<SimPacket> out;
   out.reserve(pkts.size());
-  for (auto& p : pkts) out.push_back(make_sim_packet(cfg.packet, std::move(p)));
+  for (const net::Packet& p : pkts)
+    out.push_back(make_sim_packet(cfg.packet, p));
   return out;
 }
 

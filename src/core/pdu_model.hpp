@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "atm/aal5.hpp"
@@ -39,26 +40,34 @@ namespace cksum::core {
 inline constexpr std::uint64_t kKoopmanBlocksPerCell =
     atm::kCellPayload / alg::kKoopmanBlockBytes;
 
-/// Partial sums over one full 48-byte PDU cell.
+/// Partial sums over one full 48-byte PDU cell. Padding is explicit
+/// (`pad` is always zero), so the corpus store persists the struct as
+/// it is.
 struct CellPartial {
   std::uint16_t inet = 0;        ///< Internet sum of the 48 bytes
+  std::uint16_t pad = 0;
   alg::FletcherPair f255{};      ///< Fletcher pair, mod 255
   alg::FletcherPair f256{};      ///< Fletcher pair, mod 256
   std::uint32_t crc = 0;         ///< finalised crc32 of the 48 bytes
   std::uint64_t hash = 0;        ///< content hash (identical-data test)
   alg::KoopmanDualPair kd{};     ///< Koopman dual pair of the 6 blocks
   std::uint64_t ks = 0;          ///< Koopman single sum of the 6 blocks
+
+  friend bool operator==(const CellPartial&, const CellPartial&) = default;
 };
+static_assert(sizeof(CellPartial) == 48);
+static_assert(std::has_unique_object_representations_v<CellPartial>);
 
 /// Case-A transport-checksum pieces of one packet.
 struct TransportPartials {
-  /// Internet sum of pseudo-header ++ IP bytes [20, 48) with the check
-  /// field zeroed (the "content" contribution of the header cell).
-  std::uint16_t head_sum = 0;
-  /// Fletcher pairs over the same prefix with check bytes as stored
-  /// (Fletcher verifies sum-to-zero over the message as transmitted).
+  /// Fletcher pairs over pseudo-header ++ IP bytes [20, 48) with check
+  /// bytes as stored (Fletcher verifies sum-to-zero over the message
+  /// as transmitted).
   alg::FletcherPair head_f255{};
   alg::FletcherPair head_f256{};
+  /// Internet sum of the same prefix with the check field zeroed (the
+  /// "content" contribution of the header cell).
+  std::uint16_t head_sum = 0;
   /// Stored check value: header placement reads it from this packet's
   /// TCP header; trailer placement from the end of this packet's
   /// payload (inside its EOM cell).
@@ -66,53 +75,68 @@ struct TransportPartials {
 
   /// EOM-cell coverage: the first `eom_len` bytes of the EOM cell lie
   /// inside the IP packet.
-  std::size_t eom_len = 0;
+  std::uint32_t eom_len = 0;
+  alg::FletcherPair eom_f255{};
+  alg::FletcherPair eom_f256{};
   /// Internet sum of those bytes (trailer placement: check bytes
   /// zeroed out of the sum).
   std::uint16_t eom_sum = 0;
-  alg::FletcherPair eom_f255{};
-  alg::FletcherPair eom_f256{};
+  std::uint16_t pad = 0;
+
+  friend bool operator==(const TransportPartials&,
+                         const TransportPartials&) = default;
 };
 
-/// A packet prepared for splice evaluation.
-struct SimPacket {
-  net::Packet pkt;
-  atm::CpcsPdu pdu;
-  std::vector<CellPartial> cells;
+/// Every per-packet scalar the splice evaluator reads. No padding
+/// bytes (`pad` is always zero) and no `bool`, so the corpus store
+/// persists and maps the struct as it is.
+struct PacketPartials {
   TransportPartials tp;
   std::uint32_t stored_crc = 0;   ///< AAL5 trailer CRC field
-  std::uint32_t crc_head44 = 0;   ///< crc32 of EOM cell bytes [0, 44)
   /// Koopman sums share the AAL5 CRC's coverage (the whole PDU minus
   /// the trailing 4 check bytes), so the EOM cell contributes its
   /// first 44 bytes — 5 full blocks plus a zero-padded 4-byte tail,
   /// exactly the padding the direct computation applies at that length.
-  alg::KoopmanDualPair eom_kd{};  ///< Koopman dual of EOM bytes [0, 44)
   std::uint64_t eom_ks = 0;       ///< Koopman single of EOM bytes [0, 44)
-  alg::KoopmanDualPair kd_pdu{};  ///< Koopman dual over PDU minus CRC field
   std::uint64_t ks_pdu = 0;       ///< Koopman single over PDU minus CRC field
   /// Hash of the EOM cell's in-datagram bytes only ([0, tp.eom_len)) —
   /// identical-data comparisons are over the delivered IP datagram,
   /// not the AAL5 pad/trailer.
   std::uint64_t eom_cov_hash = 0;
+  std::uint32_t crc_head44 = 0;   ///< crc32 of EOM cell bytes [0, 44)
+  alg::KoopmanDualPair eom_kd{};  ///< Koopman dual of EOM bytes [0, 44)
+  alg::KoopmanDualPair kd_pdu{};  ///< Koopman dual over PDU minus CRC field
   std::uint16_t total_len = 0;    ///< IP total length
-  /// True when every non-EOM cell of a splice terminated by this
+  /// Nonzero when every non-EOM cell of a splice terminated by this
   /// packet lies fully inside the IP packet and (in trailer mode) the
   /// trailer check bytes sit wholly within the EOM coverage — the
   /// preconditions of the partial-sums fast path.
-  bool fast_path_ok = true;
+  std::uint8_t fast_path_ok = 1;
+  std::uint8_t hdr_require_ipck = 0;  ///< flags hdr_ok_self was built with
+  std::uint8_t hdr_legacy95 = 0;
+  std::uint8_t pad[7] = {};
 
+  friend bool operator==(const PacketPartials&,
+                         const PacketPartials&) = default;
+};
+static_assert(sizeof(PacketPartials) == 104);
+static_assert(std::has_unique_object_representations_v<PacketPartials>);
+
+/// A packet prepared for splice evaluation.
+struct SimPacket : PacketPartials {
+  atm::CpcsPdu pdu;
+  std::vector<CellPartial> cells;
   /// Header-check verdict per non-EOM cell, against THIS packet's own
   /// AAL5 length. In a fixed-segment flow almost every adjacent pair
   /// has equal lengths, so evaluate_pair can reuse this vector instead
   /// of re-running the (IP-parse + checksum) checks once per pair;
   /// unequal-length pairs recompute against the partner's length.
   std::vector<std::uint8_t> hdr_ok_self;
-  bool hdr_require_ipck = false;  ///< flags hdr_ok_self was built with
-  bool hdr_legacy95 = false;
 };
 
 /// Build a SimPacket (frame the datagram in AAL5, compute partials).
-SimPacket make_sim_packet(const net::PacketConfig& cfg, net::Packet&& pkt);
+SimPacket make_sim_packet(const net::PacketConfig& cfg,
+                          const net::Packet& pkt);
 
 /// Packetize a whole file into SimPackets.
 std::vector<SimPacket> packetize_file(const net::FlowConfig& cfg,

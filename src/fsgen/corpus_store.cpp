@@ -52,7 +52,7 @@ struct CorpusHeader {
 };
 static_assert(sizeof(CorpusHeader) == 168);
 
-constexpr std::uint32_t kSectionCount = 11;
+constexpr std::uint32_t kSectionCount = 5;
 
 constexpr std::uint64_t align_up(std::uint64_t v) {
   return (v + kCorpusAlign - 1) & ~static_cast<std::uint64_t>(kCorpusAlign - 1);
@@ -67,65 +67,26 @@ void fail(std::string* error, std::string why) {
   if (error != nullptr) *error = std::move(why);
 }
 
-/// The SoA columns of a store under construction. Every build source
+// ---------------------------------------------------------------------------
+// Writer.
+// ---------------------------------------------------------------------------
+
+/// The sections of a store under construction. Every build source
 /// (synthetic filesystem, capture-ingested SimPackets) flattens
 /// through the same add_file, so the sealed bytes are identical for
 /// identical packets regardless of where they came from.
 struct FlatCorpus {
   std::vector<CorpusFileRec> files;
-  std::vector<CorpusPacketRec> packets;
-  std::vector<std::uint16_t> cell_inet;
-  std::vector<std::uint32_t> cell_f255, cell_f256, cell_crc, cell_kd;
-  std::vector<std::uint64_t> cell_hash, cell_ks;
+  std::vector<StoredPacket> packets;
+  std::vector<core::CellPartial> cells;
   std::vector<std::uint8_t> hdr_ok, pdu_bytes;
 
   void add_file(const std::vector<core::SimPacket>& pkts) {
     files.push_back({packets.size(), pkts.size()});
     for (const core::SimPacket& sp : pkts) {
-      CorpusPacketRec r;
-      r.cell_begin = cell_inet.size();
-      r.hdr_begin = hdr_ok.size();
-      r.pdu_offset = pdu_bytes.size();
-      r.cell_count = static_cast<std::uint32_t>(sp.cells.size());
-      r.total_len = sp.total_len;
-      r.stored_crc = sp.stored_crc;
-      r.crc_head44 = sp.crc_head44;
-      r.eom_cov_hash = sp.eom_cov_hash;
-      r.eom_kd_a = sp.eom_kd.a;
-      r.eom_kd_b = sp.eom_kd.b;
-      r.eom_ks = sp.eom_ks;
-      r.kd_pdu_a = sp.kd_pdu.a;
-      r.kd_pdu_b = sp.kd_pdu.b;
-      r.ks_pdu = sp.ks_pdu;
-      r.head_sum = sp.tp.head_sum;
-      r.stored = sp.tp.stored;
-      r.eom_len = static_cast<std::uint32_t>(sp.tp.eom_len);
-      r.eom_sum = sp.tp.eom_sum;
-      r.head_f255_a = sp.tp.head_f255.a;
-      r.head_f255_b = sp.tp.head_f255.b;
-      r.head_f256_a = sp.tp.head_f256.a;
-      r.head_f256_b = sp.tp.head_f256.b;
-      r.eom_f255_a = sp.tp.eom_f255.a;
-      r.eom_f255_b = sp.tp.eom_f255.b;
-      r.eom_f256_a = sp.tp.eom_f256.a;
-      r.eom_f256_b = sp.tp.eom_f256.b;
-      r.fast_path_ok = sp.fast_path_ok ? 1 : 0;
-      r.hdr_require_ipck = sp.hdr_require_ipck ? 1 : 0;
-      r.hdr_legacy95 = sp.hdr_legacy95 ? 1 : 0;
-      packets.push_back(r);
-
-      for (const core::CellPartial& c : sp.cells) {
-        cell_inet.push_back(c.inet);
-        cell_f255.push_back(c.f255.a);
-        cell_f255.push_back(c.f255.b);
-        cell_f256.push_back(c.f256.a);
-        cell_f256.push_back(c.f256.b);
-        cell_crc.push_back(c.crc);
-        cell_hash.push_back(c.hash);
-        cell_kd.push_back(c.kd.a);
-        cell_kd.push_back(c.kd.b);
-        cell_ks.push_back(c.ks);
-      }
+      packets.push_back({cells.size(), hdr_ok.size(), pdu_bytes.size(),
+                         static_cast<std::uint32_t>(sp.cells.size()), 0, sp});
+      cells.insert(cells.end(), sp.cells.begin(), sp.cells.end());
       hdr_ok.insert(hdr_ok.end(), sp.hdr_ok_self.begin(),
                     sp.hdr_ok_self.end());
       const util::ByteView pb = sp.pdu.bytes();
@@ -135,56 +96,12 @@ struct FlatCorpus {
 };
 
 bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
-                  const std::string& path, std::string* error);
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Writer.
-// ---------------------------------------------------------------------------
-
-bool build_corpus(const CorpusBuildParams& params, const Filesystem& fs,
-                  const std::string& path, std::string* error) {
-  // Gather: run the packetiser once over every file and flatten the
-  // results into the SoA columns.
-  FlatCorpus flat;
-  flat.files.reserve(fs.file_count());
-  for (std::size_t i = 0; i < fs.file_count(); ++i) {
-    util::Bytes data = fs.file(i);
-    if (params.compress) data = compress::lzw_compress(util::ByteView(data));
-    flat.add_file(core::packetize_file(params.flow, util::ByteView(data)));
-  }
-  return write_corpus(params, flat, path, error);
-}
-
-bool build_corpus(const CorpusBuildParams& params,
-                  const std::vector<std::vector<core::SimPacket>>& files,
-                  const std::string& path, std::string* error) {
-  FlatCorpus flat;
-  flat.files.reserve(files.size());
-  for (const auto& pkts : files) flat.add_file(pkts);
-  return write_corpus(params, flat, path, error);
-}
-
-namespace {
-
-bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
                   const std::string& path, std::string* error) {
   if (params.profile.size() > sizeof(CorpusHeader{}.profile)) {
     fail(error, "profile name too long (max 64 bytes)");
     return false;
   }
-  const auto& files = flat.files;
-  const auto& packets = flat.packets;
-  const auto& cell_inet = flat.cell_inet;
-  const auto& cell_f255 = flat.cell_f255;
-  const auto& cell_f256 = flat.cell_f256;
-  const auto& cell_crc = flat.cell_crc;
-  const auto& cell_kd = flat.cell_kd;
-  const auto& cell_hash = flat.cell_hash;
-  const auto& cell_ks = flat.cell_ks;
-  const auto& hdr_ok = flat.hdr_ok;
-  const auto& pdu_bytes = flat.pdu_bytes;
+  const auto& [files, packets, cells, hdr_ok, pdu_bytes] = flat;
 
   // Layout: header, section table, then each section 64-byte aligned.
   struct Sect {
@@ -196,13 +113,7 @@ bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
       {CorpusSection::kFiles, files.data(), files.size() * sizeof(files[0])},
       {CorpusSection::kPackets, packets.data(),
        packets.size() * sizeof(packets[0])},
-      {CorpusSection::kCellInet, cell_inet.data(), cell_inet.size() * 2},
-      {CorpusSection::kCellF255, cell_f255.data(), cell_f255.size() * 4},
-      {CorpusSection::kCellF256, cell_f256.data(), cell_f256.size() * 4},
-      {CorpusSection::kCellCrc, cell_crc.data(), cell_crc.size() * 4},
-      {CorpusSection::kCellHash, cell_hash.data(), cell_hash.size() * 8},
-      {CorpusSection::kCellKd, cell_kd.data(), cell_kd.size() * 4},
-      {CorpusSection::kCellKs, cell_ks.data(), cell_ks.size() * 8},
+      {CorpusSection::kCells, cells.data(), cells.size() * sizeof(cells[0])},
       {CorpusSection::kHdrOk, hdr_ok.data(), hdr_ok.size()},
       {CorpusSection::kPduBytes, pdu_bytes.data(), pdu_bytes.size()},
   };
@@ -239,7 +150,7 @@ bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
   hdr.section_count = kSectionCount;
   hdr.files = files.size();
   hdr.packets = packets.size();
-  hdr.cells = cell_inet.size();
+  hdr.cells = cells.size();
   hdr.scale_bits = std::bit_cast<std::uint64_t>(params.scale);
   hdr.segment_size = static_cast<std::uint32_t>(params.flow.segment_size);
   hdr.initial_seq = params.flow.initial_seq;
@@ -279,6 +190,29 @@ bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
 }
 
 }  // namespace
+
+bool build_corpus(const CorpusBuildParams& params, const Filesystem& fs,
+                  const std::string& path, std::string* error) {
+  // Gather: run the packetiser once over every file and flatten the
+  // results into the sections.
+  FlatCorpus flat;
+  flat.files.reserve(fs.file_count());
+  for (std::size_t i = 0; i < fs.file_count(); ++i) {
+    util::Bytes data = fs.file(i);
+    if (params.compress) data = compress::lzw_compress(util::ByteView(data));
+    flat.add_file(core::packetize_file(params.flow, util::ByteView(data)));
+  }
+  return write_corpus(params, flat, path, error);
+}
+
+bool build_corpus(const CorpusBuildParams& params,
+                  const std::vector<std::vector<core::SimPacket>>& files,
+                  const std::string& path, std::string* error) {
+  FlatCorpus flat;
+  flat.files.reserve(files.size());
+  for (const auto& pkts : files) flat.add_file(pkts);
+  return write_corpus(params, flat, path, error);
+}
 
 // ---------------------------------------------------------------------------
 // Reader.
@@ -380,14 +314,8 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   std::memcpy(table, base + sizeof(CorpusHeader), sizeof(table));
   const std::uint64_t expect_size[kSectionCount] = {
       hdr.files * sizeof(CorpusFileRec),
-      hdr.packets * sizeof(CorpusPacketRec),
-      hdr.cells * 2,
-      hdr.cells * 8,
-      hdr.cells * 8,
-      hdr.cells * 4,
-      hdr.cells * 8,
-      hdr.cells * 8,
-      hdr.cells * 8,
+      hdr.packets * sizeof(StoredPacket),
+      hdr.cells * sizeof(core::CellPartial),
       0,  // kHdrOk: ragged, validated against packet records below
       0,  // kPduBytes: ditto
   };
@@ -421,32 +349,25 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   }
 
   r->files_ = reinterpret_cast<const CorpusFileRec*>(sect[0]);
-  r->packets_ = reinterpret_cast<const CorpusPacketRec*>(sect[1]);
-  r->cell_inet_ = reinterpret_cast<const std::uint16_t*>(sect[2]);
-  r->cell_f255_ = reinterpret_cast<const std::uint32_t*>(sect[3]);
-  r->cell_f256_ = reinterpret_cast<const std::uint32_t*>(sect[4]);
-  r->cell_crc_ = reinterpret_cast<const std::uint32_t*>(sect[5]);
-  r->cell_hash_ = reinterpret_cast<const std::uint64_t*>(sect[6]);
-  r->cell_kd_ = reinterpret_cast<const std::uint32_t*>(sect[7]);
-  r->cell_ks_ = reinterpret_cast<const std::uint64_t*>(sect[8]);
-  r->hdr_ok_ = sect[9];
-  r->hdr_ok_size_ = sect_size[9];
-  r->pdu_bytes_ = sect[10];
+  r->packets_ = reinterpret_cast<const StoredPacket*>(sect[1]);
+  r->cells_ = reinterpret_cast<const core::CellPartial*>(sect[2]);
+  r->hdr_ok_ = sect[3];
+  r->pdu_bytes_ = sect[4];
 
   // Packet and file indexes: every range in bounds, so file_packets
   // can run unchecked.
-  const std::uint64_t hdr_ok_size = sect_size[9];
+  const std::uint64_t hdr_ok_size = sect_size[3];
   for (std::uint64_t p = 0; p < hdr.packets; ++p) {
-    const CorpusPacketRec& pr = r->packets_[p];
+    const StoredPacket& pr = r->packets_[p];
     if (pr.cell_count == 0 ||
         pr.cell_begin > hdr.cells ||
         pr.cell_count > hdr.cells - pr.cell_begin ||
         pr.hdr_begin > hdr_ok_size ||
         static_cast<std::uint64_t>(pr.cell_count) - 1 >
             hdr_ok_size - pr.hdr_begin ||
-        pr.pdu_offset > sect_size[10] ||
+        pr.pdu_offset > sect_size[4] ||
         static_cast<std::uint64_t>(pr.cell_count) * atm::kCellPayload >
-            sect_size[10] - pr.pdu_offset) {
+            sect_size[4] - pr.pdu_offset) {
       fail(error, "corrupt packet index (packet " + std::to_string(p) + ")");
       return nullptr;
     }
@@ -466,7 +387,7 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   info.files = hdr.files;
   info.packets = hdr.packets;
   info.cells = hdr.cells;
-  info.pdu_bytes = sect_size[10];
+  info.pdu_bytes = sect_size[4];
   info.params.profile.assign(hdr.profile, hdr.profile_len);
   info.params.scale = std::bit_cast<double>(hdr.scale_bits);
   info.params.compress = hdr.compress != 0;
@@ -494,46 +415,18 @@ std::vector<core::SimPacket> CorpusReader::file_packets(std::size_t i) const {
   out.reserve(fr.packet_count);
   for (std::uint64_t p = fr.packet_begin; p < fr.packet_begin + fr.packet_count;
        ++p) {
-    const CorpusPacketRec& r = packets_[p];
+    const StoredPacket& r = packets_[p];
     core::SimPacket sp;
+    static_cast<core::PacketPartials&>(sp) = r.partials;
     const std::size_t pdu_len =
         static_cast<std::size_t>(r.cell_count) * atm::kCellPayload;
     sp.pdu = *atm::CpcsPdu::from_bytes(
         util::Bytes(pdu_bytes_ + r.pdu_offset,
                     pdu_bytes_ + r.pdu_offset + pdu_len));
-    sp.cells.resize(r.cell_count);
-    for (std::uint32_t c = 0; c < r.cell_count; ++c) {
-      const std::uint64_t g = r.cell_begin + c;
-      core::CellPartial& cp = sp.cells[c];
-      cp.inet = cell_inet_[g];
-      cp.f255 = {cell_f255_[2 * g], cell_f255_[2 * g + 1]};
-      cp.f256 = {cell_f256_[2 * g], cell_f256_[2 * g + 1]};
-      cp.crc = cell_crc_[g];
-      cp.hash = cell_hash_[g];
-      cp.kd = {cell_kd_[2 * g], cell_kd_[2 * g + 1]};
-      cp.ks = cell_ks_[g];
-    }
-    sp.tp.head_sum = r.head_sum;
-    sp.tp.head_f255 = {r.head_f255_a, r.head_f255_b};
-    sp.tp.head_f256 = {r.head_f256_a, r.head_f256_b};
-    sp.tp.stored = r.stored;
-    sp.tp.eom_len = r.eom_len;
-    sp.tp.eom_sum = r.eom_sum;
-    sp.tp.eom_f255 = {r.eom_f255_a, r.eom_f255_b};
-    sp.tp.eom_f256 = {r.eom_f256_a, r.eom_f256_b};
-    sp.stored_crc = r.stored_crc;
-    sp.crc_head44 = r.crc_head44;
-    sp.eom_kd = {r.eom_kd_a, r.eom_kd_b};
-    sp.eom_ks = r.eom_ks;
-    sp.kd_pdu = {r.kd_pdu_a, r.kd_pdu_b};
-    sp.ks_pdu = r.ks_pdu;
-    sp.eom_cov_hash = r.eom_cov_hash;
-    sp.total_len = r.total_len;
-    sp.fast_path_ok = r.fast_path_ok != 0;
+    sp.cells.assign(cells_ + r.cell_begin,
+                    cells_ + r.cell_begin + r.cell_count);
     sp.hdr_ok_self.assign(hdr_ok_ + r.hdr_begin,
                           hdr_ok_ + r.hdr_begin + (r.cell_count - 1));
-    sp.hdr_require_ipck = r.hdr_require_ipck != 0;
-    sp.hdr_legacy95 = r.hdr_legacy95 != 0;
     out.push_back(std::move(sp));
   }
   return out;
@@ -585,11 +478,10 @@ void CorpusReader::advise_will_need(std::size_t begin, std::size_t end) const {
   const std::uint64_t p0 = fb.packet_begin;
   const std::uint64_t p1 = fe.packet_begin + fe.packet_count;
   if (p0 >= p1) return;  // a shard of empty files touches nothing
-  const CorpusPacketRec& r0 = packets_[p0];
-  const CorpusPacketRec& r1 = packets_[p1 - 1];
+  const StoredPacket& r0 = packets_[p0];
+  const StoredPacket& r1 = packets_[p1 - 1];
   const std::uint64_t c0 = r0.cell_begin;
   const std::uint64_t c1 = r1.cell_begin + r1.cell_count;
-  const std::uint64_t cells = c1 - c0;
   const std::uint64_t h0 = r0.hdr_begin;
   const std::uint64_t h1 = r1.hdr_begin + (r1.cell_count - 1);
   const std::uint64_t d0 = r0.pdu_offset;
@@ -598,14 +490,8 @@ void CorpusReader::advise_will_need(std::size_t begin, std::size_t end) const {
       static_cast<std::uint64_t>(r1.cell_count) * atm::kCellPayload;
 
   std::uint64_t advised = 0;
-  advised += advise_range(packets_ + p0, (p1 - p0) * sizeof(CorpusPacketRec));
-  advised += advise_range(cell_inet_ + c0, cells * 2);
-  advised += advise_range(cell_f255_ + 2 * c0, cells * 8);
-  advised += advise_range(cell_f256_ + 2 * c0, cells * 8);
-  advised += advise_range(cell_crc_ + c0, cells * 4);
-  advised += advise_range(cell_hash_ + c0, cells * 8);
-  advised += advise_range(cell_kd_ + 2 * c0, cells * 8);
-  advised += advise_range(cell_ks_ + c0, cells * 8);
+  advised += advise_range(packets_ + p0, (p1 - p0) * sizeof(StoredPacket));
+  advised += advise_range(cells_ + c0, (c1 - c0) * sizeof(core::CellPartial));
   advised += advise_range(hdr_ok_ + h0, h1 - h0);
   advised += advise_range(pdu_bytes_ + d0, d1 - d0);
 

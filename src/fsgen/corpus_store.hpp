@@ -5,8 +5,8 @@
 // framing + five checksum families per cell) on every run; for a
 // fixed corpus that work is identical each time. A corpus store runs
 // the packetiser ONCE and persists everything evaluate_pair consumes
-// — per-cell partial sums laid out SoA, per-packet transport
-// partials, header-check verdicts, and the raw PDU bytes the slow
+// — each packet's core::PacketPartials and core::CellPartial records
+// as they are, header-check verdicts, and the raw PDU bytes the slow
 // path materialises from — in a single mmap-able arena, so workers
 // stream shards at memcpy speed instead of checksum speed.
 //
@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/pdu_model.hpp"
@@ -35,12 +36,13 @@
 
 namespace cksum::fsgen {
 
-/// Magic + version. The version is part of the magic string so a
-/// future incompatible layout is rejected byte-for-byte.
+/// Magic, then the layout version in its own header field: a store of
+/// another version is rejected as "unsupported corpus version", not as
+/// a foreign file.
 inline constexpr char kCorpusMagic[8] = {'C', 'K', 'C', 'O',
                                          'R', 'P', '0', '1'};
 inline constexpr std::uint32_t kCorpusEndianTag = 0x01020304;
-inline constexpr std::uint32_t kCorpusVersion = 1;
+inline constexpr std::uint32_t kCorpusVersion = 2;
 inline constexpr std::size_t kCorpusAlign = 64;
 
 /// Everything that went into packetising the corpus. Persisted in the
@@ -55,20 +57,13 @@ struct CorpusBuildParams {
   bool compress = false;  ///< files were LZW-compressed before transfer
 };
 
-/// Section kinds. Cell partials are SoA: one section per column, each
-/// indexed by the same global cell index.
+/// Section kinds, in file order.
 enum class CorpusSection : std::uint32_t {
-  kFiles = 1,      ///< FileRec[file_count]
-  kPackets = 2,    ///< PacketRec[packet_count]
-  kCellInet = 3,   ///< u16[cell_count]
-  kCellF255 = 4,   ///< {u32 a, u32 b}[cell_count]
-  kCellF256 = 5,   ///< {u32 a, u32 b}[cell_count]
-  kCellCrc = 6,    ///< u32[cell_count]
-  kCellHash = 7,   ///< u64[cell_count]
-  kCellKd = 8,     ///< {u32 a, u32 b}[cell_count] Koopman dual
-  kCellKs = 9,     ///< u64[cell_count] Koopman single
-  kHdrOk = 10,     ///< u8 blob, per-packet [hdr_begin, +cell_count-1)
-  kPduBytes = 11,  ///< raw PDU bytes, per-packet [pdu_offset, +48*cells)
+  kFiles = 1,     ///< CorpusFileRec[file_count]
+  kPackets = 2,   ///< StoredPacket[packet_count]
+  kCells = 3,     ///< core::CellPartial[cell_count]
+  kHdrOk = 4,     ///< u8 blob, per-packet [hdr_begin, +cell_count-1)
+  kPduBytes = 5,  ///< raw PDU bytes, per-packet [pdu_offset, +48*cells)
 };
 
 struct CorpusSectionRec {
@@ -79,34 +74,20 @@ struct CorpusSectionRec {
 };
 static_assert(sizeof(CorpusSectionRec) == 24);
 
-/// Fixed-size per-packet record: SimPacket minus the per-cell columns.
-struct CorpusPacketRec {
-  std::uint64_t cell_begin = 0;  ///< first index into the cell columns
+/// One packet as stored: where its cells, header verdicts and PDU
+/// bytes start, then its partials as the packetiser computed them.
+struct StoredPacket {
+  std::uint64_t cell_begin = 0;  ///< first index into kCells
   std::uint64_t hdr_begin = 0;   ///< first index into kHdrOk
   std::uint64_t pdu_offset = 0;  ///< byte offset into kPduBytes
-  std::uint64_t eom_cov_hash = 0;
-  std::uint64_t eom_ks = 0;
-  std::uint64_t ks_pdu = 0;
   std::uint32_t cell_count = 0;
-  std::uint32_t stored_crc = 0;
-  std::uint32_t crc_head44 = 0;
-  std::uint32_t eom_kd_a = 0, eom_kd_b = 0;
-  std::uint32_t kd_pdu_a = 0, kd_pdu_b = 0;
-  std::uint32_t head_f255_a = 0, head_f255_b = 0;
-  std::uint32_t head_f256_a = 0, head_f256_b = 0;
-  std::uint32_t eom_f255_a = 0, eom_f255_b = 0;
-  std::uint32_t eom_f256_a = 0, eom_f256_b = 0;
-  std::uint32_t eom_len = 0;
-  std::uint16_t total_len = 0;
-  std::uint16_t head_sum = 0;
-  std::uint16_t eom_sum = 0;
-  std::uint16_t stored = 0;
-  std::uint8_t fast_path_ok = 0;
-  std::uint8_t hdr_require_ipck = 0;
-  std::uint8_t hdr_legacy95 = 0;
-  std::uint8_t pad[5] = {};
+  std::uint32_t pad = 0;
+  core::PacketPartials partials;
+
+  friend bool operator==(const StoredPacket&, const StoredPacket&) = default;
 };
-static_assert(sizeof(CorpusPacketRec) == 128);
+static_assert(sizeof(StoredPacket) == 136);
+static_assert(std::has_unique_object_representations_v<StoredPacket>);
 
 struct CorpusFileRec {
   std::uint64_t packet_begin = 0;
@@ -166,7 +147,7 @@ class CorpusReader {
   std::vector<core::SimPacket> file_packets(std::size_t i) const;
 
   /// Ask the kernel to prefetch the byte ranges files [begin, end)
-  /// touch — each SoA column slice plus the packet records and PDU
+  /// touch — their packet records, cells, header verdicts and PDU
   /// bytes — via posix_madvise(WILLNEED). Purely advisory: a shard
   /// streams correctly (just colder) if the call is a no-op, so
   /// failures are ignored. Called by core::run_corpus_range at the
@@ -181,16 +162,9 @@ class CorpusReader {
   CorpusInfo info_;
   // Section payloads (validated in-bounds at open).
   const CorpusFileRec* files_ = nullptr;
-  const CorpusPacketRec* packets_ = nullptr;
-  const std::uint16_t* cell_inet_ = nullptr;
-  const std::uint32_t* cell_f255_ = nullptr;  ///< a,b interleaved
-  const std::uint32_t* cell_f256_ = nullptr;
-  const std::uint32_t* cell_crc_ = nullptr;
-  const std::uint64_t* cell_hash_ = nullptr;
-  const std::uint32_t* cell_kd_ = nullptr;  ///< a,b interleaved
-  const std::uint64_t* cell_ks_ = nullptr;
+  const StoredPacket* packets_ = nullptr;
+  const core::CellPartial* cells_ = nullptr;
   const std::uint8_t* hdr_ok_ = nullptr;
-  std::uint64_t hdr_ok_size_ = 0;
   const std::uint8_t* pdu_bytes_ = nullptr;
 };
 

@@ -75,7 +75,7 @@ IngestResult ingest_capture(const PcapReader& pcap, const IngestConfig& cfg) {
         net::kIpv4HeaderLen + net::kTcpHeaderLen +
         (trailer ? net::kTrailerCheckLen : 0);
     pkt.payload_len = dgram.size() - overhead;  // >= 0 after check_headers
-    current.push_back(core::make_sim_packet(pkt_cfg, std::move(pkt)));
+    current.push_back(core::make_sim_packet(pkt_cfg, pkt));
     c.accepted += 1;
   }
   if (in_file) out.files.push_back(std::move(current));

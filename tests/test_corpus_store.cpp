@@ -209,37 +209,13 @@ TEST(CorpusStore, PacketReconstructionBitwise) {
       ASSERT_EQ(gb.size(), wb.size());
       EXPECT_EQ(std::memcmp(gb.data(), wb.data(), wb.size()), 0)
           << "pdu bytes, file " << i << " packet " << p;
-      ASSERT_EQ(g.cells.size(), w.cells.size());
-      for (std::size_t c = 0; c < w.cells.size(); ++c) {
-        EXPECT_EQ(g.cells[c].inet, w.cells[c].inet);
-        EXPECT_EQ(g.cells[c].f255.a, w.cells[c].f255.a);
-        EXPECT_EQ(g.cells[c].f255.b, w.cells[c].f255.b);
-        EXPECT_EQ(g.cells[c].f256.a, w.cells[c].f256.a);
-        EXPECT_EQ(g.cells[c].f256.b, w.cells[c].f256.b);
-        EXPECT_EQ(g.cells[c].crc, w.cells[c].crc);
-        EXPECT_EQ(g.cells[c].hash, w.cells[c].hash);
-        EXPECT_EQ(g.cells[c].kd.a, w.cells[c].kd.a);
-        EXPECT_EQ(g.cells[c].kd.b, w.cells[c].kd.b);
-        EXPECT_EQ(g.cells[c].ks, w.cells[c].ks);
-      }
-      EXPECT_EQ(g.tp.head_sum, w.tp.head_sum);
-      EXPECT_EQ(g.tp.stored, w.tp.stored);
-      EXPECT_EQ(g.tp.eom_len, w.tp.eom_len);
-      EXPECT_EQ(g.tp.eom_sum, w.tp.eom_sum);
-      EXPECT_EQ(g.stored_crc, w.stored_crc);
-      EXPECT_EQ(g.crc_head44, w.crc_head44);
-      EXPECT_EQ(g.eom_kd.a, w.eom_kd.a);
-      EXPECT_EQ(g.eom_kd.b, w.eom_kd.b);
-      EXPECT_EQ(g.eom_ks, w.eom_ks);
-      EXPECT_EQ(g.kd_pdu.a, w.kd_pdu.a);
-      EXPECT_EQ(g.kd_pdu.b, w.kd_pdu.b);
-      EXPECT_EQ(g.ks_pdu, w.ks_pdu);
-      EXPECT_EQ(g.eom_cov_hash, w.eom_cov_hash);
-      EXPECT_EQ(g.total_len, w.total_len);
-      EXPECT_EQ(g.fast_path_ok, w.fast_path_ok);
+      // Whole records: a partial added later is covered unedited.
+      EXPECT_TRUE(static_cast<const core::PacketPartials&>(g) ==
+                  static_cast<const core::PacketPartials&>(w))
+          << "packet partials, file " << i << " packet " << p;
+      EXPECT_TRUE(g.cells == w.cells)
+          << "cell partials, file " << i << " packet " << p;
       EXPECT_EQ(g.hdr_ok_self, w.hdr_ok_self);
-      EXPECT_EQ(g.hdr_require_ipck, w.hdr_require_ipck);
-      EXPECT_EQ(g.hdr_legacy95, w.hdr_legacy95);
     }
   }
   std::remove(path.c_str());

@@ -95,7 +95,8 @@ TEST(Experiments, RunProfileSmoke) {
 TEST(Experiments, CollectCellStatsSmoke) {
   CellStatsConfig cfg;
   cfg.ks = {1};
-  const auto stats = collect_cell_stats(fsgen::profile("nsc05"), 0.1, cfg);
+  const auto stats =
+      collect_cell_stats(fsgen::Filesystem(fsgen::profile("nsc05"), 0.1), cfg);
   EXPECT_GT(stats.cells_seen(), 0u);
 }
 

@@ -64,8 +64,8 @@ TEST(Theorem7, Fletcher255UniformOverItsValueSpace) {
 // between 0.01% and a few percent of the time (uniform would be
 // 0.0015%), and the top 0.1% of values take 1-5%+ of the mass.
 TEST(Section4_3, RealDataCellDistributionIsSkewed) {
-  const auto stats =
-      collect_cell_stats(fsgen::profile("smeg.stanford.edu:/u1"), 0.5);
+  const auto stats = collect_cell_stats(
+      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), 0.5));
   const auto& h = stats.tcp_cells();
   EXPECT_GT(h.pmax(), 1e-4);                      // >= 0.01%
   EXPECT_GT(h.top_fraction_mass(0.001), 0.01);    // top 0.1% >= 1%
@@ -79,8 +79,8 @@ TEST(Section4_3, RealDataCellDistributionIsSkewed) {
 TEST(Section4_4, MeasuredBlocksMoreSkewedThanIidPrediction) {
   CellStatsConfig cfg;
   cfg.ks = {1, 4};
-  const auto stats =
-      collect_cell_stats(fsgen::profile("sics.se:/src1"), 0.5, cfg);
+  const auto stats = collect_cell_stats(
+      fsgen::Filesystem(fsgen::profile("sics.se:/src1"), 0.5), cfg);
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
   const double predicted = d1.self_convolve(4).match_probability();
   const double measured = stats.tcp_blocks(4).match_probability();
@@ -91,8 +91,8 @@ TEST(Section4_4, MeasuredBlocksMoreSkewedThanIidPrediction) {
 TEST(Section4_6, LocalCongruenceExceedsGlobal) {
   CellStatsConfig cfg;
   cfg.ks = {1, 2};
-  const auto stats =
-      collect_cell_stats(fsgen::profile("sics.se:/opt"), 0.5, cfg);
+  const auto stats = collect_cell_stats(
+      fsgen::Filesystem(fsgen::profile("sics.se:/opt"), 0.5), cfg);
   const double global = stats.tcp_blocks(2).match_probability();
   const double local = stats.local(2).p_congruent();
   EXPECT_GT(local, global);

@@ -6,7 +6,7 @@
 //   cksumlab splice --profile <name> [opts]
 //   cksumlab splice --dir <path>    [opts] the paper's experiment on
 //                                          YOUR files
-//   cksumlab dist   --profile <name> | --dir <path>
+//   cksumlab dist   --profile <name> | --manifest <file> | --dir <path>
 //
 // splice/dist options:
 //   --transport tcp|f255|f256   transport checksum   (default tcp)
@@ -80,7 +80,8 @@ int usage() {
                "[--lease-timeout ms] [--shard-files n]   distributed run\n"
                "       cksumlab splice --connect <host:port> "
                "[--worker-id n] [--metrics-out <path>]    worker mode\n"
-               "       cksumlab dist (--profile <name> | --dir <path>)\n"
+               "       cksumlab dist (--profile <name> | --manifest <file> | "
+               "--dir <path>)\n"
                "options accepted by every subcommand:\n"
                "       --kernel best|scalar|list\n"
                "       (or the CKSUM_KERNEL environment variable);\n"
@@ -359,11 +360,19 @@ std::string trace_json(const std::string& capture, const trace::PcapInfo& pi,
 
 /// Fold every accepted packet's payload into the profiler. The profile
 /// is over delivered payload bytes (what the paper's Figure 2/3 data
-/// characterises), not headers or AAL5 framing.
-trace::DataProfile profile_ingest(const trace::IngestResult& res) {
+/// characterises), not headers or AAL5 framing: a PDU starts with its
+/// datagram, whose payload follows the TCP header and, in trailer
+/// placement, precedes the 2 check bytes.
+trace::DataProfile profile_ingest(const trace::IngestResult& res,
+                                  net::ChecksumPlacement placement) {
+  const std::size_t head = net::kIpv4HeaderLen + net::kTcpHeaderLen;
+  const std::size_t tail =
+      placement == net::ChecksumPlacement::kTrailer ? net::kTrailerCheckLen : 0;
   trace::DataProfile prof;
   for (const auto& file : res.files)
-    for (const core::SimPacket& sp : file) prof.add_payload(sp.pkt.payload());
+    for (const core::SimPacket& sp : file)
+      prof.add_payload(
+          sp.pdu.bytes().subspan(head, sp.total_len - head - tail));
   return prof;
 }
 
@@ -422,7 +431,7 @@ int cmd_trace(const std::vector<std::string>& args) {
   trace::IngestConfig icfg;
   icfg.flow = flow;
   const trace::IngestResult res = trace::ingest_capture(*pcap, icfg);
-  const trace::DataProfile prof = profile_ingest(res);
+  const trace::DataProfile prof = profile_ingest(res, flow.packet.placement);
   const std::string tj =
       trace_json(capture, pi, res.counts, res.files.size(), prof);
 
@@ -822,14 +831,22 @@ int cmd_corpus(const std::vector<std::string>& args) {
 int cmd_dist(const std::vector<std::string>& args) {
   CommonOpts o;
   if (!parse_common(args, o) || !o.from_pcap.empty()) return usage();
+  if (!o.corpus.empty()) {
+    std::fprintf(stderr,
+                 "cksumlab: dist carves file bytes into segments; a --corpus "
+                 "store keeps PDUs, not files (use --profile, --manifest or "
+                 "--dir)\n");
+    return 2;
+  }
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 4};
   cfg.segment_size = o.segment;
 
-  core::CellStatsCollector stats =
-      !o.profile.empty()
-          ? core::collect_cell_stats(fsgen::profile(o.profile), o.scale, cfg)
-          : core::collect_directory_stats(o.dir, cfg);
+  const std::optional<fsgen::Filesystem> fs =
+      core::open_filesystem(corpus_source(o));
+  const core::CellStatsCollector stats =
+      fs ? core::collect_cell_stats(*fs, cfg)
+         : core::collect_directory_stats(o.dir, cfg);
 
   const auto& h = stats.tcp_cells();
   std::printf("cells                 %s\n",

@@ -81,7 +81,7 @@ int usage() {
       "                         [--scale x] [--shard-files n] [--quick]\n"
       "                         [--verbose] [--metrics-out p]\n"
       "       faultlab arq [--seed n] [--payloads n] [--quick] [--json]\n"
-      "                    [--metrics-out p] [--quiet]\n"
+      "                    [--metrics-out p] [--progress] [--quiet]\n"
       "       faultlab arqsoak [--seed n] [--faults n] [--max-scenarios n]\n"
       "                        [--scenario n] [--repro-file p]\n"
       "                        [--metrics-out p] [--progress] [--quiet]\n"
@@ -232,7 +232,8 @@ int cmd_soak(const std::vector<std::string>& args, bool replay) {
 
 // --- faultlab arq / arqsoak -----------------------------------------
 
-/// `faultlab arq` and `faultlab arqsoak` share one option table.
+/// The options of `faultlab arq` and `faultlab arqsoak`; each verb's
+/// table takes only the ones its usage line lists.
 struct ArqOpts {
   arq::ArqSoakConfig cfg;
   std::uint64_t scenario = 0;
@@ -424,19 +425,8 @@ int arq_frontier(const ArqOpts& o, std::string& rows) {
 int arq_soak(const ArqOpts& o) {
   arq::ArqSoakResult res;
   if (o.have_scenario) {
-    const arq::ArqScenarioResult r = arq::run_arq_scenario(o.cfg, o.scenario);
-    res.scenarios = 1;
-    res.faults_injected = r.faults_injected;
-    res.payloads_offered = r.sim.payloads_offered;
-    res.delivered_ok = r.sim.delivered_ok;
-    res.residual_undetected = r.sim.residual_undetected;
-    res.residual_lost = r.sim.residual_lost;
-    res.gave_up = r.sim.gave_up;
-    res.retransmits = r.sim.sender.retransmits;
-    res.violations = r.violations;
-    res.violation_detail = r.violation_detail;
-    if (r.violations > 0)
-      res.reproducer = arq::arq_reproducer_line(o.cfg, o.scenario);
+    res.add(arq::run_arq_scenario(o.cfg, o.scenario));
+    if (!res.ok()) res.reproducer = arq::arq_reproducer_line(o.cfg, o.scenario);
   } else {
     res = arq::run_arq_soak(o.cfg);
   }
@@ -465,20 +455,22 @@ int arq_soak(const ArqOpts& o) {
 /// `faultlab arq` (the frontier), or with `soak` the ARQ soak.
 int cmd_arq(const std::vector<std::string>& args, bool soak) {
   ArqOpts o;
-  if (!tools::parse_options(args,
-                            {{"--seed", &o.cfg.seed, 0},
-                             {"--faults", &o.cfg.target_faults},
-                             {"--max-scenarios", &o.cfg.max_scenarios},
-                             {"--scenario", &o.scenario, 0, &o.have_scenario},
-                             {"--payloads", &o.payloads},
-                             {"--repro-file", &o.f.repro_file},
-                             {"--metrics-out", &o.f.metrics_out},
-                             {"--progress", &o.f.progress},
-                             {"--quiet", &o.f.quiet},
-                             {"--quick", &o.f.quick},
-                             {"--json", &o.f.json}},
-                            "faultlab"))
-    return usage();
+  std::vector<tools::Opt> table = {{"--seed", &o.cfg.seed, 0},
+                                   {"--metrics-out", &o.f.metrics_out},
+                                   {"--progress", &o.f.progress},
+                                   {"--quiet", &o.f.quiet}};
+  if (soak) {
+    table.insert(table.end(),
+                 {{"--faults", &o.cfg.target_faults},
+                  {"--max-scenarios", &o.cfg.max_scenarios},
+                  {"--scenario", &o.scenario, 0, &o.have_scenario},
+                  {"--repro-file", &o.f.repro_file}});
+  } else {
+    table.insert(table.end(), {{"--payloads", &o.payloads},
+                               {"--quick", &o.f.quick},
+                               {"--json", &o.f.json}});
+  }
+  if (!tools::parse_options(args, table, "faultlab")) return usage();
   arq::register_arq_metrics();
   alg::kern::register_kernel_metrics();
   tools::RunManifest manifest(o.f.metrics_out, o.f.progress, arq_ticker_line);
