@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string_view>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "stats/distribution.hpp"
 
@@ -23,7 +24,9 @@ int main(int argc, char** argv) {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 4, 8};
   const auto stats = core::collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
+      core::SpliceCorpus(
+          {core::CorpusKind::kProfile, "smeg.stanford.edu:/u1", scale}),
+      cfg);
 
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
   const auto predict2 = d1.self_convolve(2);

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string_view>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 
 using namespace cksum;
@@ -16,7 +17,9 @@ int main(int argc, char** argv) {
   core::CellStatsConfig cfg;
   cfg.ks = {1};
   const auto stats = core::collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
+      core::SpliceCorpus(
+          {core::CorpusKind::kProfile, "smeg.stanford.edu:/u1", scale}),
+      cfg);
 
   const auto tcp = stats.tcp_cells().sorted_pdf();
   const auto f255 = stats.f255_cells().sorted_pdf();

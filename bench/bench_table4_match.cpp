@@ -4,6 +4,7 @@
 // congruence), over smeg:/u1.
 #include <iostream>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "stats/distribution.hpp"
@@ -15,7 +16,9 @@ int main() {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 3, 4, 5};
   const auto stats = core::collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
+      core::SpliceCorpus(
+          {core::CorpusKind::kProfile, "smeg.stanford.edu:/u1", scale}),
+      cfg);
 
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
 

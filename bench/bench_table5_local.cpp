@@ -4,6 +4,7 @@
 // identical blocks. Over smeg:/u1.
 #include <iostream>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 
@@ -15,7 +16,9 @@ int main() {
   cfg.ks = {1, 2, 3, 4, 5};
   cfg.local_window_bytes = 512;
   const auto stats = core::collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), scale), cfg);
+      core::SpliceCorpus(
+          {core::CorpusKind::kProfile, "smeg.stanford.edu:/u1", scale}),
+      cfg);
 
   std::printf(
       "== Table 5: P[checksum match] (%%) for k-cell substitutions, local "

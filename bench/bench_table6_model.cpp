@@ -7,6 +7,7 @@
 // C(c-2, k-1)/C(c-1, k-1).
 #include <iostream>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "stats/distribution.hpp"
@@ -19,8 +20,10 @@ namespace {
 void one_filesystem(const fsgen::FsProfile& prof, double scale) {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 3, 4, 5};
-  const auto stats =
-      core::collect_cell_stats(fsgen::Filesystem(prof, scale), cfg);
+  const auto stats = core::collect_cell_stats(
+      core::SpliceCorpus(
+          {core::CorpusKind::kProfile, prof.full_name(), scale}),
+      cfg);
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
 
   const net::PacketConfig pkt_cfg;

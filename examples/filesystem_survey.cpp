@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "stats/distribution.hpp"
@@ -73,8 +74,10 @@ int main(int argc, char** argv) {
   // --- Distribution skew (Figure 2's headline numbers). ---
   core::CellStatsConfig ccfg;
   ccfg.ks = {1, 2, 4};
-  const auto stats =
-      core::collect_cell_stats(fsgen::Filesystem(*prof, scale), ccfg);
+  const auto stats = core::collect_cell_stats(
+      core::SpliceCorpus(
+          {core::CorpusKind::kProfile, prof->full_name(), scale}),
+      ccfg);
   const auto& h = stats.tcp_cells();
   std::printf(
       "\nchecksum-value distribution over 48-byte cells:\n"

@@ -71,14 +71,12 @@ void CellStatsCollector::add_file(util::ByteView file) {
         sums.push_back(sum);
         hashes.push_back(util::hash64(cell));
       }
-      if (cell_len == kCell || cfg_.include_short_cells) {
-        ++cells_seen_;
-        tcp_cells_.add(sum % 65535u);
-        f255_cells_.add(alg::fletcher_value(
-            alg::kern::fletcher_block(cell, alg::FletcherMod::kOnes255)));
-        f256_cells_.add(alg::fletcher_value(
-            alg::kern::fletcher_block(cell, alg::FletcherMod::kTwos256)));
-      }
+      ++cells_seen_;
+      tcp_cells_.add(sum % 65535u);
+      f255_cells_.add(alg::fletcher_value(
+          alg::kern::fletcher_block(cell, alg::FletcherMod::kOnes255)));
+      f256_cells_.add(alg::fletcher_value(
+          alg::kern::fletcher_block(cell, alg::FletcherMod::kTwos256)));
     }
   }
 

@@ -29,9 +29,6 @@ struct CellStatsConfig {
   std::vector<std::size_t> ks = {1, 2, 3, 4, 5, 8};
   /// Table 5's locality window: "within 2 packet lengths (512 bytes)".
   std::size_t local_window_bytes = 512;
-  /// Include per-packet short cells in the k=1 histograms (the paper's
-  /// footnote says its single-cell distribution did).
-  bool include_short_cells = true;
 };
 
 class CellStatsCollector {

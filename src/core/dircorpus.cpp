@@ -1,8 +1,11 @@
 #include "core/dircorpus.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 namespace cksum::core {
 
@@ -92,19 +95,48 @@ SpliceRunConfig SpliceCorpus::run_config(SpliceRunConfig requested) const {
 SpliceStats SpliceCorpus::run_range(const SpliceRunConfig& cfg,
                                     std::size_t begin, std::size_t end) const {
   if (store_) return run_corpus_range(cfg, *store_, begin, end);
-  if (fs_) return run_filesystem_range(cfg, *fs_, begin, end);
-  return run_files_range(cfg, files_, begin, end);
+  end = std::min(end, file_count());
+  begin = std::min(begin, end);
+  return run_bytes_range(
+      cfg, [this](std::size_t i) { return file_bytes(i); }, begin, end);
 }
 
-CellStatsCollector collect_directory_stats(const fs::path& root,
-                                           CellStatsConfig cfg,
-                                           const DirLimits& limits) {
+std::optional<util::Bytes> SpliceCorpus::file_bytes(std::size_t i) const {
+  if (fs_) return fs_->file(i);
+  if (store_)
+    throw std::logic_error("a corpus store keeps packets, not file bytes");
+  util::Bytes file = read_file_prefix(files_[i], DirLimits{}.max_file_bytes);
+  if (file.empty()) return std::nullopt;
+  return file;
+}
+
+CellStatsCollector collect_cell_stats(const SpliceCorpus& corpus,
+                                      CellStatsConfig cfg, unsigned threads) {
+  const std::size_t n = corpus.file_count();
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  threads = static_cast<unsigned>(std::clamp<std::size_t>(n, 1, threads));
+
+  std::vector<CellStatsCollector> partial(threads, CellStatsCollector(cfg));
+  std::vector<std::exception_ptr> errors(threads);
+  std::atomic<std::size_t> next{0};
+  auto worker = [&](unsigned t) {
+    try {
+      for (std::size_t i; (i = next.fetch_add(1)) < n;)
+        if (const std::optional<util::Bytes> file = corpus.file_bytes(i))
+          partial[t].add_file(util::ByteView(*file));
+    } catch (...) {
+      errors[t] = std::current_exception();
+      next = n;  // stop the other workers
+    }
+  };
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+  for (auto& th : pool) th.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+
   CellStatsCollector collector(std::move(cfg));
-  for (const auto& path : list_corpus_files(root, limits)) {
-    const util::Bytes file = read_file_prefix(path, limits.max_file_bytes);
-    if (file.empty()) continue;
-    collector.add_file(util::ByteView(file));
-  }
+  for (const auto& p : partial) collector.merge(p);
   return collector;
 }
 

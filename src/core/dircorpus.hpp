@@ -3,9 +3,9 @@
 // pointed at whatever data the user has today — or over any other
 // splice corpus source, opened by SpliceCorpus.
 //
-// Files are enumerated deterministically (sorted paths), truncated by
-// the caller's limits, and streamed through the same simulator and
-// collectors the synthetic profiles use.
+// Files are enumerated deterministically (sorted paths), capped by
+// DirLimits, and read through SpliceCorpus::file_bytes into the same
+// simulator and cell-statistics collector the synthetic profiles use.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ struct DirLimits {
 std::vector<std::filesystem::path> list_corpus_files(
     const std::filesystem::path& root, const DirLimits& limits = {});
 
-/// Read (a prefix of) one file.
+/// Read (a prefix of) one file; empty if it cannot be opened.
 util::Bytes read_file_prefix(const std::filesystem::path& path,
                              std::size_t max_bytes);
 
@@ -79,15 +79,25 @@ class SpliceCorpus {
   SpliceStats run_range(const SpliceRunConfig& cfg, std::size_t begin,
                         std::size_t end) const;
 
+  /// File i's bytes, i < file_count(): generated for a profile or
+  /// manifest; for a directory, read up to DirLimits::max_file_bytes,
+  /// std::nullopt when the file reads back empty (emptied or
+  /// unreadable since it was listed). Throws std::logic_error for a
+  /// store, which keeps packets, not files.
+  std::optional<util::Bytes> file_bytes(std::size_t i) const;
+
  private:
   std::optional<fsgen::Filesystem> fs_;        // profile, manifest
   std::vector<std::filesystem::path> files_;   // directory
   std::unique_ptr<fsgen::CorpusReader> store_;  // corpus store
 };
 
-/// Collect cell/block checksum distributions over a directory tree.
-CellStatsCollector collect_directory_stats(const std::filesystem::path& root,
-                                           CellStatsConfig cfg = {},
-                                           const DirLimits& limits = {});
+/// Cell/block checksum distributions over every file of `corpus`
+/// (any source but a store), read through file_bytes. `threads` = 0
+/// uses all hardware threads. Per-thread collectors merge by addition,
+/// so the result is identical for any thread count.
+CellStatsCollector collect_cell_stats(const SpliceCorpus& corpus,
+                                      CellStatsConfig cfg = {},
+                                      unsigned threads = 0);
 
 }  // namespace cksum::core

@@ -1,9 +1,6 @@
 #include "core/experiments.hpp"
 
-#include <atomic>
 #include <cstdlib>
-#include <thread>
-#include <string>
 
 namespace cksum::core {
 
@@ -25,42 +22,6 @@ SpliceStats run_profile(const fsgen::FsProfile& prof,
   cfg.threads = 0;  // all cores; the merged statistics are order-independent
   const fsgen::Filesystem fs(prof, scale);
   return run_filesystem(cfg, fs);
-}
-
-CellStatsCollector collect_cell_stats(const fsgen::Filesystem& fs,
-                                      CellStatsConfig cfg) {
-  const unsigned threads = std::max(
-      1u, std::min(std::thread::hardware_concurrency(),
-                   static_cast<unsigned>(fs.file_count())));
-  if (threads <= 1) {
-    CellStatsCollector collector(std::move(cfg));
-    for (std::size_t i = 0; i < fs.file_count(); ++i) {
-      const util::Bytes file = fs.file(i);
-      collector.add_file(util::ByteView(file));
-    }
-    return collector;
-  }
-
-  // Per-thread collectors merged at the end: every counter is
-  // additive, so the result is identical to a sequential pass.
-  std::vector<CellStatsCollector> partial(threads, CellStatsCollector(cfg));
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= fs.file_count()) return;
-        const util::Bytes file = fs.file(i);
-        partial[t].add_file(util::ByteView(file));
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  CellStatsCollector collector(std::move(cfg));
-  for (const auto& p : partial) collector.merge(p);
-  return collector;
 }
 
 double scale_from_env() {

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "core/cellstats.hpp"
 #include "core/splice_sim.hpp"
 #include "fsgen/profile.hpp"
 
@@ -17,11 +16,6 @@ net::FlowConfig paper_flow_config();
 SpliceStats run_profile(const fsgen::FsProfile& prof,
                         const net::PacketConfig& pkt_cfg, double scale,
                         bool compress_files = false);
-
-/// Collect cell/block checksum distributions over a synthetic
-/// filesystem (a scaled profile or a manifest).
-CellStatsCollector collect_cell_stats(const fsgen::Filesystem& fs,
-                                      CellStatsConfig cfg = {});
 
 /// Scale factor from the environment variable CKSUMLAB_SCALE
 /// (default 1.0) — lets `bench_*` binaries run bigger corpora without

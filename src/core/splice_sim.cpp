@@ -13,7 +13,6 @@
 #include "atm/splice.hpp"
 #include "checksum/kernels/kernel.hpp"
 #include "compress/lzw.hpp"
-#include "core/dircorpus.hpp"
 #include "fsgen/corpus_store.hpp"
 #include "net/validate.hpp"
 #include "obs/registry.hpp"
@@ -763,30 +762,8 @@ SpliceOutcome evaluate_splice_reference(const net::PacketConfig& cfg,
 }
 
 void SpliceStats::merge(const SpliceStats& o) {
-  files += o.files;
-  packets += o.packets;
-  pairs += o.pairs;
-  total += o.total;
-  caught_by_header += o.caught_by_header;
-  identical += o.identical;
-  remaining += o.remaining;
-  missed_crc += o.missed_crc;
-  missed_transport += o.missed_transport;
-  missed_both += o.missed_both;
-  missed_koopman_dual += o.missed_koopman_dual;
-  missed_koopman_single += o.missed_koopman_single;
-  fail_identical += o.fail_identical;
-  pass_identical += o.pass_identical;
-  fail_changed += o.fail_changed;
-  pass_changed += o.pass_changed;
-  remaining_with_hdr2 += o.remaining_with_hdr2;
-  missed_with_hdr2 += o.missed_with_hdr2;
-  for (std::size_t i = 0; i < kMaxTrackedK; ++i) {
-    remaining_by_k[i] += o.remaining_by_k[i];
-    missed_by_k[i] += o.missed_by_k[i];
-  }
-  slow_path += o.slow_path;
-  fast_path += o.fast_path;
+  for_each_splice_counter([](std::uint64_t& a, std::uint64_t b) { a += b; },
+                          *this, o);
 }
 
 namespace {
@@ -964,14 +941,16 @@ SpliceStats run_file(const SpliceRunConfig& cfg, util::ByteView file) {
 
 SpliceStats run_filesystem(const SpliceRunConfig& cfg,
                            const fsgen::Filesystem& fs) {
-  return run_filesystem_range(cfg, fs, 0, fs.file_count());
+  return run_bytes_range(
+      cfg, [&](std::size_t i) { return std::optional(fs.file(i)); }, 0,
+      fs.file_count());
 }
 
 namespace {
 
 /// The scheduler behind every corpus source. `load(i)` produces file
-/// i's SimPackets — by generate + packetize for a fsgen source, by
-/// read + packetize for a directory, by memcpy reconstruction for a
+/// i's SimPackets — by packetising its bytes (generated for a fsgen
+/// source, read for a directory), by memcpy reconstruction for a
 /// corpus store — or nullopt for a file to skip uncounted, and the
 /// rest of the machinery (sequential loop or pair-granular work
 /// stealing) is source-agnostic. Every SpliceStats counter is
@@ -1098,16 +1077,15 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
 
 }  // namespace
 
-SpliceStats run_filesystem_range(const SpliceRunConfig& cfg,
-                                 const fsgen::Filesystem& fs,
-                                 std::size_t begin, std::size_t end) {
-  end = std::min(end, fs.file_count());
-  begin = std::min(begin, end);
+SpliceStats run_bytes_range(const SpliceRunConfig& cfg,
+                            const FileBytes& file_bytes, std::size_t begin,
+                            std::size_t end) {
   return run_range_impl(
       cfg,
-      [&](std::size_t i) {
-        const util::Bytes file = fs.file(i);
-        return std::optional(prepare_file(cfg, util::ByteView(file)));
+      [&](std::size_t i) -> std::optional<std::vector<SimPacket>> {
+        const std::optional<util::Bytes> file = file_bytes(i);
+        if (!file) return std::nullopt;
+        return prepare_file(cfg, util::ByteView(*file));
       },
       begin, end);
 }
@@ -1129,22 +1107,6 @@ SpliceStats run_corpus_range(const SpliceRunConfig& cfg,
         // in exported manifests.
         obs::ScopedTimer timer(smx().packetize_ns);
         return std::optional(corpus.file_packets(i));
-      },
-      begin, end);
-}
-
-SpliceStats run_files_range(const SpliceRunConfig& cfg,
-                            std::span<const std::filesystem::path> files,
-                            std::size_t begin, std::size_t end) {
-  end = std::min(end, files.size());
-  begin = std::min(begin, end);
-  return run_range_impl(
-      cfg,
-      [&](std::size_t i) -> std::optional<std::vector<SimPacket>> {
-        const util::Bytes file =
-            read_file_prefix(files[i], DirLimits{}.max_file_bytes);
-        if (file.empty()) return std::nullopt;
-        return prepare_file(cfg, util::ByteView(file));
       },
       begin, end);
 }

@@ -18,8 +18,8 @@
 
 #include <array>
 #include <cstdint>
-#include <filesystem>
-#include <span>
+#include <functional>
+#include <optional>
 
 #include "atm/splice.hpp"
 #include "core/pdu_model.hpp"
@@ -100,6 +100,48 @@ struct SpliceStats {
   }
 };
 
+/// Every SpliceStats counter, in declaration order: the one list that
+/// SpliceStats::merge and the dist wire codec (dist/protocol.cpp) walk.
+/// Calls f once per counter, passing that counter of each of `s`, so
+/// merge walks two stats at once.
+template <typename F, typename... S>
+constexpr void for_each_splice_counter(F&& f, S&... s) {
+  f(s.files...);
+  f(s.packets...);
+  f(s.pairs...);
+  f(s.total...);
+  f(s.caught_by_header...);
+  f(s.identical...);
+  f(s.remaining...);
+  f(s.missed_crc...);
+  f(s.missed_transport...);
+  f(s.missed_both...);
+  f(s.missed_koopman_dual...);
+  f(s.missed_koopman_single...);
+  f(s.fail_identical...);
+  f(s.pass_identical...);
+  f(s.fail_changed...);
+  f(s.pass_changed...);
+  f(s.remaining_with_hdr2...);
+  f(s.missed_with_hdr2...);
+  for (std::size_t i = 0; i < kMaxTrackedK; ++i) f(s.remaining_by_k[i]...);
+  for (std::size_t i = 0; i < kMaxTrackedK; ++i) f(s.missed_by_k[i]...);
+  f(s.slow_path...);
+  f(s.fast_path...);
+}
+
+/// How many counters for_each_splice_counter visits (the dist wire
+/// codec's field count).
+inline constexpr std::size_t kSpliceCounterCount = [] {
+  SpliceStats s;
+  std::size_t n = 0;
+  for_each_splice_counter([&](std::uint64_t) { ++n; }, s);
+  return n;
+}();
+static_assert(kSpliceCounterCount * sizeof(std::uint64_t) ==
+                  sizeof(SpliceStats),
+              "for_each_splice_counter must visit every SpliceStats counter");
+
 /// Evaluate every splice of the adjacent pair (p1, p2).
 ///
 /// Splices are walked as a prefix-sharing DFS over cell positions:
@@ -156,32 +198,29 @@ SpliceStats run_file(const SpliceRunConfig& cfg, util::ByteView file);
 SpliceStats run_filesystem(const SpliceRunConfig& cfg,
                            const fsgen::Filesystem& fs);
 
-/// The per-source loaders behind SpliceCorpus (core/dircorpus.hpp):
-/// each evaluates files [begin, end), `end` clamped to the file count,
-/// through one pair-granular scheduler. Every counter is additive, so
-/// summing the results of a disjoint cover of the files, over any
-/// boundaries, in any order, is bitwise identical to the whole run.
+/// The loaders behind SpliceCorpus (core/dircorpus.hpp): each
+/// evaluates files [begin, end) through one pair-granular scheduler.
+/// Every counter is additive, so summing the results of a disjoint
+/// cover of the files, over any boundaries, in any order, is bitwise
+/// identical to the whole run.
 ///
-/// A filesystem's files are generated and packetised.
-SpliceStats run_filesystem_range(const SpliceRunConfig& cfg,
-                                 const fsgen::Filesystem& fs,
-                                 std::size_t begin, std::size_t end);
+/// File i's bytes, or std::nullopt for a file to skip uncounted.
+using FileBytes = std::function<std::optional<util::Bytes>(std::size_t)>;
+
+/// Each file's bytes come from `file_bytes` and are packetised
+/// (prepare_file). The caller clamps [begin, end) to its file count.
+SpliceStats run_bytes_range(const SpliceRunConfig& cfg,
+                            const FileBytes& file_bytes, std::size_t begin,
+                            std::size_t end);
 
 /// A corpus store's packets are reconstructed, not re-packetised, so
 /// cfg.flow MUST be the store's recorded flow (SpliceCorpus::run_config
-/// takes it from the store) and compress_files is ignored. Bitwise
-/// identical to run_filesystem over the source filesystem — the
-/// corpus-format conformance contract (tests/test_corpus_store).
+/// takes it from the store) and compress_files is ignored. `end` is
+/// clamped to the file count. Bitwise identical to run_filesystem over
+/// the source filesystem — the corpus-format conformance contract
+/// (tests/test_corpus_store).
 SpliceStats run_corpus_range(const SpliceRunConfig& cfg,
                              const fsgen::CorpusReader& corpus,
                              std::size_t begin, std::size_t end);
-
-/// A directory's files (a sorted list_corpus_files result) are read up
-/// to DirLimits::max_file_bytes and packetised; one that reads back
-/// empty (emptied or unreadable since it was listed) is skipped
-/// uncounted.
-SpliceStats run_files_range(const SpliceRunConfig& cfg,
-                            std::span<const std::filesystem::path> files,
-                            std::size_t begin, std::size_t end);
 
 }  // namespace cksum::core

@@ -78,56 +78,23 @@ struct Reader {
   bool done() const { return ok && off == in.size(); }
 };
 
-/// Every SpliceStats counter in declaration order. Centralising the
-/// walk in one template keeps encode and decode structurally identical
-/// — adding a field to SpliceStats only needs one new line here (and
-/// the wire count bumps automatically).
-template <typename F>
-void for_each_stat_field(core::SpliceStats& st, F&& f) {
-  f(st.files);
-  f(st.packets);
-  f(st.pairs);
-  f(st.total);
-  f(st.caught_by_header);
-  f(st.identical);
-  f(st.remaining);
-  f(st.missed_crc);
-  f(st.missed_transport);
-  f(st.missed_both);
-  f(st.missed_koopman_dual);
-  f(st.missed_koopman_single);
-  f(st.fail_identical);
-  f(st.pass_identical);
-  f(st.fail_changed);
-  f(st.pass_changed);
-  f(st.remaining_with_hdr2);
-  f(st.missed_with_hdr2);
-  for (auto& v : st.remaining_by_k) f(v);
-  for (auto& v : st.missed_by_k) f(v);
-  f(st.slow_path);
-  f(st.fast_path);
-}
-
-std::uint32_t stat_field_count() {
-  std::uint32_t n = 0;
-  core::SpliceStats st;
-  for_each_stat_field(st, [&](std::uint64_t&) { ++n; });
-  return n;
-}
-
 }  // namespace
 
+// Stats travel as a field count, then every counter in
+// core::for_each_splice_counter's order: one list keeps encode, decode
+// and SpliceStats::merge structurally identical.
 void encode_stats(util::Bytes& out, const core::SpliceStats& st) {
-  put_u32(out, stat_field_count());
-  for_each_stat_field(const_cast<core::SpliceStats&>(st),
-                      [&](std::uint64_t& v) { put_u64(out, v); });
+  put_u32(out, core::kSpliceCounterCount);
+  core::for_each_splice_counter([&](std::uint64_t v) { put_u64(out, v); },
+                                st);
 }
 
 bool decode_stats(util::ByteView in, std::size_t* offset,
                   core::SpliceStats* out) {
   Reader r{in, *offset};
-  if (r.u32() != stat_field_count()) return false;
-  for_each_stat_field(*out, [&](std::uint64_t& v) { v = r.u64(); });
+  if (r.u32() != core::kSpliceCounterCount) return false;
+  core::for_each_splice_counter([&](std::uint64_t& v) { v = r.u64(); },
+                                *out);
   if (!r.ok) return false;
   *offset = r.off;
   return true;

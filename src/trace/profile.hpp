@@ -6,9 +6,11 @@
 // correlated 16-bit words, all of which collapse the effective range
 // of the Internet checksum. This profiler accumulates exactly those
 // statistics over ingested payload bytes, feeding src/stats/
-// histograms so the same entropy / pmax / top-mass summaries quoted
-// for synthetic corpora (core::CellStatsCollector, Figure 2/3) can be
-// reported for a capture and compared side by side.
+// histograms so entropy / pmax / top-mass summaries like those quoted
+// for synthetic corpora (Figure 2/3) can be reported for a capture.
+// Its cell histogram counts only the full 48-byte cells of each
+// payload, Internet sum only; core::CellStatsCollector also counts
+// each segment's short cell (docs/TRACE.md says why the two differ).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,8 @@ class DataProfile {
   /// Fold one packet's payload bytes in: byte-value histogram, 16-bit
   /// word histogram (big-endian, non-overlapping, odd tail ignored),
   /// zero/0xFF run-length stats, and the per-cell TCP-checksum value
-  /// distribution over the payload's full 48-byte cells (partial tail
-  /// cells are skipped, as in core::CellStatsCollector).
+  /// distribution over the payload's full 48-byte cells (a partial
+  /// tail cell is skipped).
   void add_payload(util::ByteView payload);
 
   std::uint64_t bytes() const noexcept { return bytes_; }

@@ -1,8 +1,14 @@
 // Cell/block distribution collector (Figures 2-3, Tables 4-5 data).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+
 #include "checksum/internet.hpp"
 #include "core/cellstats.hpp"
+#include "core/dircorpus.hpp"
 #include "fsgen/generator.hpp"
 #include "stats/distribution.hpp"
 #include "util/rng.hpp"
@@ -29,16 +35,6 @@ TEST(CellStats, CountsCellsOfCarvedFile) {
   // treats the file's full cells as one sequence: 11 cells -> 10
   // 2-blocks.
   EXPECT_EQ(c.tcp_blocks(2).total(), 10u);
-}
-
-TEST(CellStats, ShortCellExclusionFlag) {
-  CellStatsConfig cfg;
-  cfg.include_short_cells = false;
-  cfg.ks = {1};
-  CellStatsCollector c(cfg);
-  const Bytes file(600, 0xab);
-  c.add_file(ByteView(file));
-  EXPECT_EQ(c.cells_seen(), 11u);
 }
 
 TEST(CellStats, ConstantDataCollapsesDistribution) {
@@ -154,6 +150,56 @@ TEST(CellStats, MergeEqualsSequential) {
   other.ks = {1};
   CellStatsCollector c(other);
   EXPECT_THROW(a.merge(c), std::invalid_argument);
+}
+
+// Every corpus source feeds collect_cell_stats through
+// SpliceCorpus::file_bytes; per-thread collectors merge by addition,
+// so every histogram and local(k) count is the same at any thread
+// count.
+TEST(CellStats, CorpusCollectIsThreadInvariant) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cksumlab_cellstats_" + std::to_string(::getpid()));
+  fs::create_directories(dir / "sub");
+  const auto write = [](const fs::path& p, const Bytes& data) {
+    std::ofstream out(p, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+  };
+  write(dir / "a.txt", fsgen::generate_file(fsgen::FileKind::kText, 1, 9000));
+  write(dir / "b.gmon",
+        fsgen::generate_file(fsgen::FileKind::kGmonProfile, 2, 7000));
+  write(dir / "sub" / "c.exe",
+        fsgen::generate_file(fsgen::FileKind::kExecutable, 3, 5000));
+
+  CellStatsConfig cfg;
+  cfg.ks = {1, 2, 4};
+  const std::string manifest =
+      fsgen::Filesystem(fsgen::profile("nsc05"), 0.05).to_manifest();
+  for (const CorpusSource& src :
+       {CorpusSource{CorpusKind::kProfile, "nsc05", 0.05},
+        CorpusSource{CorpusKind::kManifest, manifest},
+        CorpusSource{CorpusKind::kDirectory, dir.string()}}) {
+    const SpliceCorpus corpus(src);
+    const CellStatsCollector one = collect_cell_stats(corpus, cfg, 1);
+    EXPECT_GT(one.cells_seen(), 100u);
+    for (const unsigned threads : {2u, 4u}) {
+      const CellStatsCollector many = collect_cell_stats(corpus, cfg, threads);
+      EXPECT_EQ(many.cells_seen(), one.cells_seen()) << threads;
+      EXPECT_EQ(many.tcp_cells().counts(), one.tcp_cells().counts());
+      EXPECT_EQ(many.f255_cells().counts(), one.f255_cells().counts());
+      EXPECT_EQ(many.f256_cells().counts(), one.f256_cells().counts());
+      for (const std::size_t k : cfg.ks) {
+        EXPECT_EQ(many.tcp_blocks(k).counts(), one.tcp_blocks(k).counts());
+        EXPECT_EQ(many.local(k).pairs, one.local(k).pairs);
+        EXPECT_EQ(many.local(k).congruent, one.local(k).congruent);
+        EXPECT_EQ(many.local(k).congruent_identical,
+                  one.local(k).congruent_identical);
+      }
+    }
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(CellStats, UnknownKThrows) {

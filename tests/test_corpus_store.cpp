@@ -133,6 +133,9 @@ TEST(CorpusStore, RoundTripEveryTransportAndPlacement) {
       EXPECT_EQ(cfg.flow.packet.placement, pl);
       const core::SpliceStats streamed =
           corpus.run_range(cfg, 0, corpus.file_count());
+      // A store keeps packets, not file bytes: the cell-statistics
+      // pass refuses it, from any of its threads.
+      EXPECT_THROW(core::collect_cell_stats(corpus, {}, 2), std::logic_error);
 
       core::SpliceRunConfig ref = cfg;
       ref.flow = flow;

@@ -111,9 +111,22 @@ TEST_F(DirCorpus, FileEmptiedAfterListingIsSkipped) {
 }
 
 TEST_F(DirCorpus, CollectDirectoryStats) {
-  const auto stats = collect_directory_stats(root_);
+  const SpliceCorpus corpus({CorpusKind::kDirectory, root_.string()});
+  const auto stats = collect_cell_stats(corpus);
   EXPECT_GT(stats.cells_seen(), 100u);
   EXPECT_GT(stats.tcp_cells().total(), 100u);
+
+  // A file emptied after listing reads back empty and is skipped,
+  // at any thread count.
+  write(root_ / "b.txt", {});
+  CellStatsCollector expect(CellStatsConfig{});
+  for (const char* name : {"a.bin", "sub/c.dat", "sub/deeper/d.txt"})
+    expect.add_file(util::ByteView(read_file_prefix(root_ / name, 1 << 20)));
+  for (const unsigned threads : {1u, 4u}) {
+    const auto after = collect_cell_stats(corpus, {}, threads);
+    EXPECT_EQ(after.cells_seen(), expect.cells_seen()) << threads;
+    EXPECT_EQ(after.tcp_cells().counts(), expect.tcp_cells().counts());
+  }
 }
 
 

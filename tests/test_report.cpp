@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 
@@ -95,8 +96,8 @@ TEST(Experiments, RunProfileSmoke) {
 TEST(Experiments, CollectCellStatsSmoke) {
   CellStatsConfig cfg;
   cfg.ks = {1};
-  const auto stats =
-      collect_cell_stats(fsgen::Filesystem(fsgen::profile("nsc05"), 0.1), cfg);
+  const auto stats = collect_cell_stats(
+      SpliceCorpus({CorpusKind::kProfile, "nsc05", 0.1}), cfg);
   EXPECT_GT(stats.cells_seen(), 0u);
 }
 

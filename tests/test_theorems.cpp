@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "checksum/kernels/kernel.hpp"
-#include "core/cellstats.hpp"
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/splice_sim.hpp"
 #include "fsgen/generator.hpp"
@@ -65,7 +65,7 @@ TEST(Theorem7, Fletcher255UniformOverItsValueSpace) {
 // 0.0015%), and the top 0.1% of values take 1-5%+ of the mass.
 TEST(Section4_3, RealDataCellDistributionIsSkewed) {
   const auto stats = collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("smeg.stanford.edu:/u1"), 0.5));
+      SpliceCorpus({CorpusKind::kProfile, "smeg.stanford.edu:/u1", 0.5}));
   const auto& h = stats.tcp_cells();
   EXPECT_GT(h.pmax(), 1e-4);                      // >= 0.01%
   EXPECT_GT(h.top_fraction_mass(0.001), 0.01);    // top 0.1% >= 1%
@@ -80,7 +80,7 @@ TEST(Section4_4, MeasuredBlocksMoreSkewedThanIidPrediction) {
   CellStatsConfig cfg;
   cfg.ks = {1, 4};
   const auto stats = collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("sics.se:/src1"), 0.5), cfg);
+      SpliceCorpus({CorpusKind::kProfile, "sics.se:/src1", 0.5}), cfg);
   const auto d1 = stats::Distribution::from_histogram(stats.tcp_cells());
   const double predicted = d1.self_convolve(4).match_probability();
   const double measured = stats.tcp_blocks(4).match_probability();
@@ -92,7 +92,7 @@ TEST(Section4_6, LocalCongruenceExceedsGlobal) {
   CellStatsConfig cfg;
   cfg.ks = {1, 2};
   const auto stats = collect_cell_stats(
-      fsgen::Filesystem(fsgen::profile("sics.se:/opt"), 0.5), cfg);
+      SpliceCorpus({CorpusKind::kProfile, "sics.se:/opt", 0.5}), cfg);
   const double global = stats.tcp_blocks(2).match_probability();
   const double local = stats.local(2).p_congruent();
   EXPECT_GT(local, global);

@@ -7,8 +7,10 @@
 //   cksumlab splice --dir <path>    [opts] the paper's experiment on
 //                                          YOUR files
 //   cksumlab dist   --profile <name> | --manifest <file> | --dir <path>
+//                                          cell-checksum distribution
 //
-// splice/dist options:
+// splice options (dist takes only --scale, --segment, --threads and
+// --quick):
 //   --transport tcp|f255|f256   transport checksum   (default tcp)
 //   --trailer                   trailer placement    (default header)
 //   --scale <x>                 profile scale        (default 1.0)
@@ -81,7 +83,8 @@ int usage() {
                "       cksumlab splice --connect <host:port> "
                "[--worker-id n] [--metrics-out <path>]    worker mode\n"
                "       cksumlab dist (--profile <name> | --manifest <file> | "
-               "--dir <path>)\n"
+               "--dir <path> | --quick) [--scale x] [--segment n] "
+               "[--threads n]\n"
                "options accepted by every subcommand:\n"
                "       --kernel best|scalar|list\n"
                "       (or the CKSUM_KERNEL environment variable);\n"
@@ -184,11 +187,28 @@ struct CommonOpts {
   std::size_t shard_files = 0; // files per lease; 0 = auto
 };
 
-/// The options splice, corpus build and dist share, plus `extra`
-/// (corpus build's own). False on a usage error, including anything
-/// but exactly one corpus source.
+/// The options of splice (and corpus build, which accepts them too)
+/// beyond the corpus source.
+std::vector<tools::Opt> splice_options(CommonOpts& o) {
+  return {{"--threads", &o.threads},
+          {"--trailer", &o.pkt.placement},
+          {"--transport", &o.pkt.transport},
+          {"--verbose", &o.verbose},
+          {"--json", &o.json},
+          {"--progress", &o.progress},
+          {"--metrics-out", &o.metrics_out},
+          {"--serve", &o.serve},
+          {"--workers", &o.workers, 10, &o.serve},
+          {"--port", &o.port},
+          {"--lease-timeout", &o.lease_timeout_ms},
+          {"--shard-files", &o.shard_files}};
+}
+
+/// The corpus-source options splice, corpus build and dist share, plus
+/// `extra` (the subcommand's own). False on a usage error, including
+/// anything but exactly one corpus source.
 bool parse_common(std::span<const std::string> args, CommonOpts& o,
-                  std::vector<tools::Opt> extra = {}) {
+                  std::vector<tools::Opt> extra) {
   bool quick = false;
   bool scale_set = false;
   std::vector<tools::Opt> table = {
@@ -199,18 +219,6 @@ bool parse_common(std::span<const std::string> args, CommonOpts& o,
       {"--from-pcap", &o.from_pcap},
       {"--scale", &o.scale, 10, &scale_set},
       {"--segment", &o.segment},
-      {"--threads", &o.threads},
-      {"--trailer", &o.pkt.placement},
-      {"--transport", &o.pkt.transport},
-      {"--verbose", &o.verbose},
-      {"--json", &o.json},
-      {"--progress", &o.progress},
-      {"--metrics-out", &o.metrics_out},
-      {"--serve", &o.serve},
-      {"--workers", &o.workers, 10, &o.serve},
-      {"--port", &o.port},
-      {"--lease-timeout", &o.lease_timeout_ms},
-      {"--shard-files", &o.shard_files},
       {"--quick", &quick}};
   table.insert(table.end(), extra.begin(), extra.end());
   if (!tools::parse_options(args, table, "cksumlab")) return false;
@@ -631,7 +639,7 @@ int cmd_splice(const std::vector<std::string>& args) {
     return w ? dist::run_worker(*w) : usage();
   }
   CommonOpts o;
-  if (!parse_common(args, o)) return usage();
+  if (!parse_common(args, o, splice_options(o))) return usage();
   if (!o.from_pcap.empty()) {
     std::fprintf(stderr,
                  "cksumlab: splice does not read captures directly; seal one "
@@ -737,9 +745,9 @@ int cmd_corpus(const std::vector<std::string>& args) {
   std::string out_path;
   bool compress = false;
   CommonOpts o;
-  if (!parse_common(std::span(args).subspan(1), o,
-                    {{"--out", &out_path}, {"--compress", &compress}}) ||
-      out_path.empty())
+  std::vector<tools::Opt> opts = splice_options(o);
+  opts.insert(opts.end(), {{"--out", &out_path}, {"--compress", &compress}});
+  if (!parse_common(std::span(args).subspan(1), o, opts) || out_path.empty())
     return usage();
   if (!o.dir.empty() || !o.corpus.empty()) {
     std::fprintf(stderr,
@@ -830,7 +838,9 @@ int cmd_corpus(const std::vector<std::string>& args) {
 
 int cmd_dist(const std::vector<std::string>& args) {
   CommonOpts o;
-  if (!parse_common(args, o) || !o.from_pcap.empty()) return usage();
+  if (!parse_common(args, o, {{"--threads", &o.threads}}) ||
+      !o.from_pcap.empty())
+    return usage();
   if (!o.corpus.empty()) {
     std::fprintf(stderr,
                  "cksumlab: dist carves file bytes into segments; a --corpus "
@@ -841,12 +851,8 @@ int cmd_dist(const std::vector<std::string>& args) {
   core::CellStatsConfig cfg;
   cfg.ks = {1, 2, 4};
   cfg.segment_size = o.segment;
-
-  const std::optional<fsgen::Filesystem> fs =
-      core::open_filesystem(corpus_source(o));
-  const core::CellStatsCollector stats =
-      fs ? core::collect_cell_stats(*fs, cfg)
-         : core::collect_directory_stats(o.dir, cfg);
+  const core::CellStatsCollector stats = core::collect_cell_stats(
+      core::SpliceCorpus(corpus_source(o)), cfg, o.threads);
 
   const auto& h = stats.tcp_cells();
   std::printf("cells                 %s\n",
