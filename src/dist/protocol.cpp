@@ -282,16 +282,6 @@ void register_dist_metrics() {
   reg.counter("dist.results_accepted", obs::Tag::kScheduling);
   reg.counter("dist.results_stale", obs::Tag::kScheduling);
   reg.counter("dist.heartbeats", obs::Tag::kScheduling);
-  // Multi-tenant job service (service.hpp).
-  reg.counter("dist.jobs_submitted", obs::Tag::kScheduling);
-  reg.counter("dist.jobs_rejected", obs::Tag::kScheduling);
-  reg.counter("dist.jobs_cancelled", obs::Tag::kScheduling);
-  reg.counter("dist.jobs_completed", obs::Tag::kScheduling);
-  // High-water mark of any connection's bounded write queue (monotone
-  // max, recorded as the counter's value) and grants deferred because
-  // a queue was at capacity.
-  reg.counter("dist.write_queue_hwm", obs::Tag::kScheduling);
-  reg.counter("dist.grants_deferred", obs::Tag::kScheduling);
 }
 
 }  // namespace cksum::dist

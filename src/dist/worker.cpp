@@ -10,7 +10,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -132,30 +131,26 @@ class HeartbeatPump {
   HeartbeatMsg hb_;
 };
 
-/// One job's worker-side state.
+/// The job's worker-side state.
 struct WorkerJob {
+  std::uint64_t id = 0;
   std::string name;
   std::optional<core::SpliceCorpus> corpus;
   core::SpliceRunConfig run;
   std::uint32_t heartbeat_ms = 0;
 };
 
-/// The sub-manifest's run identity: the jobs this worker served, as a
-/// "jobs" list and as the corpus (their names, comma-joined), with the
-/// widest job's thread count.
-void describe_jobs(const std::map<std::uint64_t, WorkerJob>& jobs,
-                   obs::RunInfo* info) {
+/// The sub-manifest's run identity: the job this worker served, as a
+/// one-element "jobs" list and as the corpus (its name), with the
+/// job's thread count ("jobs" is empty when no JobConfig arrived).
+void describe_job(const std::optional<WorkerJob>& job, obs::RunInfo* info) {
   info->threads = 1;
   std::string list;
-  for (const auto& [id, j] : jobs) {
-    if (!list.empty()) {
-      info->corpus += ", ";
-      list += ", ";
-    }
-    info->corpus += j.name;
-    info->threads = std::max(info->threads, j.run.threads);
-    list += "{\"job\": " + std::to_string(id) + ", \"name\": \"" +
-            obs::json_escape(j.name) + "\"}";
+  if (job) {
+    info->corpus = job->name;
+    info->threads = job->run.threads;
+    list = "{\"job\": " + std::to_string(job->id) + ", \"name\": \"" +
+           obs::json_escape(job->name) + "\"}";
   }
   info->extra_json += ", \"jobs\": [" + list + "]";
 }
@@ -185,11 +180,12 @@ int run_worker(const WorkerOptions& opts) {
   hello.pid = static_cast<std::uint64_t>(::getpid());
   if (!ch.send(MsgType::kHello, encode(hello))) return 1;
 
-  // Job table, filled by the JobConfig the service sends before the
-  // first lease it grants this connection for each job.
-  std::map<std::uint64_t, WorkerJob> jobs;
-  auto add_job = [&](const JobConfigMsg& m) -> bool {
+  // The job, set by the JobConfig the service sends before the first
+  // lease it grants this connection.
+  std::optional<WorkerJob> job;
+  auto set_job = [&](const JobConfigMsg& m) -> bool {
     WorkerJob j;
+    j.id = m.job;
     j.name = m.name;
     j.heartbeat_ms = m.run.heartbeat_ms;
     try {
@@ -210,7 +206,7 @@ int run_worker(const WorkerOptions& opts) {
     run.compress_files = m.run.compress;
     run.threads = std::max(1u, m.run.threads);
     j.run = j.corpus->run_config(run);
-    jobs.insert_or_assign(m.job, std::move(j));
+    job = std::move(j);
     return true;
   };
 
@@ -226,23 +222,22 @@ int run_worker(const WorkerOptions& opts) {
     switch (f.type) {
       case MsgType::kJobConfig: {
         const auto m = decode_job_config(util::ByteView(f.payload));
-        if (!m || !add_job(*m)) return 1;
+        if (!m || !set_job(*m)) return 1;
         break;
       }
       case MsgType::kLeaseGrant: {
         const auto g = decode_lease_grant(util::ByteView(f.payload));
         if (!g) return 1;
-        const auto it = jobs.find(g->job);
-        if (it == jobs.end()) return 1;  // grant before JobConfig: bug
-        const WorkerJob& job = it->second;
+        // A grant before the JobConfig, or for another job: a bug.
+        if (!job || g->job != job->id) return 1;
         pump.begin_lease(HeartbeatMsg{g->shard, g->epoch, g->job},
-                         job.heartbeat_ms);
+                         job->heartbeat_ms);
         const obs::Snapshot before = reg.snapshot();
         LeaseResultMsg res;
         res.shard = g->shard;
         res.epoch = g->epoch;
         res.job = g->job;
-        res.stats = job.corpus->run_range(job.run, g->begin, g->end);
+        res.stats = job->corpus->run_range(job->run, g->begin, g->end);
         res.deltas = obs::counter_deltas(before, reg.snapshot());
         pump.end_lease();
         if (!ch.send(MsgType::kLeaseResult, encode(res))) return 1;
@@ -260,7 +255,7 @@ int run_worker(const WorkerOptions& opts) {
                   .count();
           info.extra_json = alg::kern::kernel_manifest_json() +
                             ", \"worker\": " + std::to_string(opts.worker_id);
-          describe_jobs(jobs, &info);
+          describe_job(job, &info);
           if (obs::write_manifest(opts.metrics_out, info, reg.snapshot()))
             bye.manifest_path = opts.metrics_out;
         }

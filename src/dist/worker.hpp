@@ -1,8 +1,8 @@
 // The worker side of the distributed splice service: connect, say
-// Hello, then evaluate shard leases of each job whose JobConfig
-// arrives, opening the corpus and running it through the same
-// core::SpliceCorpus and scheduler a single-process run uses, and
-// stream each shard's SpliceStats and deterministic-counter deltas
+// Hello, learn the service's one job from its JobConfig, then evaluate
+// that job's shard leases, opening the corpus and running it through
+// the same core::SpliceCorpus and scheduler a single-process run uses,
+// and stream each shard's SpliceStats and deterministic-counter deltas
 // back.
 //
 // A heartbeat thread keeps the current lease alive while the (possibly

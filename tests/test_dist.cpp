@@ -2,10 +2,10 @@
 // serde, the lease state machine, delta export, and the algebraic
 // properties of SpliceStats::merge that make the distributed merge
 // bitwise-deterministic in the first place.
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 
-#include <atomic>
-#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <thread>
@@ -387,35 +387,7 @@ TEST(DistMergeProperty, CommutativeAssociativeWithIdentity) {
   }
 }
 
-// --- Multi-tenant JobService ----------------------------------------
-
-/// Per-connection backpressure primitive: capacity is a hard bound,
-/// the high-water mark records the deepest the queue ever got.
-TEST(DistQueue, BoundedWriteQueueBackpressure) {
-  dist::BoundedWriteQueue q(3);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.capacity(), 3u);
-  EXPECT_TRUE(q.push(MsgType::kLeaseGrant, {1}));
-  EXPECT_TRUE(q.push(MsgType::kJobConfig, {2, 2}));
-  EXPECT_TRUE(q.push(MsgType::kShutdown, {}));
-  EXPECT_TRUE(q.full());
-  EXPECT_FALSE(q.push(MsgType::kLeaseGrant, {9}));  // rejected, not queued
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.hwm(), 3u);
-
-  MsgType t{};
-  util::Bytes p;
-  ASSERT_TRUE(q.pop(&t, &p));
-  EXPECT_EQ(t, MsgType::kLeaseGrant);  // FIFO order preserved
-  EXPECT_EQ(p, util::Bytes{1});
-  ASSERT_TRUE(q.pop(&t, &p));
-  EXPECT_EQ(t, MsgType::kJobConfig);
-  ASSERT_TRUE(q.pop(&t, &p));
-  EXPECT_EQ(t, MsgType::kShutdown);
-  EXPECT_FALSE(q.pop(&t, &p));
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.hwm(), 3u);  // hwm is sticky across drains
-}
+// --- JobService --------------------------------------------------------
 
 namespace {
 
@@ -456,147 +428,82 @@ std::thread worker_thread(std::uint16_t port, std::uint64_t id, int* rc) {
 
 }  // namespace
 
-/// The tentpole guarantee: three concurrently running named jobs on
-/// one shared worker pool each merge to exactly the stats a
-/// single-process run of the same corpus produces. (Counter-delta
-/// accounting needs process-isolated workers and is exercised by the
-/// faultlab drill; SpliceStats travel in lease results and stay
-/// per-job even with every worker in this one process.)
+/// The tentpole guarantee: one named job leased over three in-process
+/// workers merges to exactly the stats a single-process run of the
+/// same corpus produces. (Counter-delta accounting needs
+/// process-isolated workers and is exercised by the faultlab drill;
+/// SpliceStats travel in lease results and stay exact even with every
+/// worker in this one process.)
 TEST(DistJobService, ConcurrentJobsBitwiseEqualOracles) {
-  dist::register_dist_metrics();
-  const double scales[3] = {0.08, 0.06, 0.04};
-
   dist::ServiceConfig sc;
   sc.expected_workers = 3;
   sc.lease_timeout_ms = 60000;
-  dist::JobService svc(sc);
-
-  std::uint64_t ids[3];
-  for (int j = 0; j < 3; ++j) {
-    const auto id =
-        svc.submit(profile_job("job" + std::to_string(j), scales[j], 1));
-    ASSERT_TRUE(id.has_value());
-    ids[j] = *id;
-  }
-  EXPECT_EQ(ids[0], 1u);  // ids start at 1
+  dist::JobService svc(sc, profile_job("job", 0.08, 1));
 
   int rcs[3] = {-1, -1, -1};
   std::thread workers[3];
   for (int i = 0; i < 3; ++i)
     workers[i] = worker_thread(svc.port(), i + 1, &rcs[i]);
 
-  for (int j = 0; j < 3; ++j) {
-    const dist::JobReport rep = svc.wait(ids[j]);
-    EXPECT_EQ(rep.state, dist::JobState::kDone);
-    EXPECT_TRUE(rep.report.complete);
-    EXPECT_EQ(rep.report.stats, profile_oracle(scales[j]))
-        << "job " << j << " diverged from its single-process oracle";
-  }
-
-  const std::vector<dist::JobReport> all = svc.drain();
-  ASSERT_EQ(all.size(), 3u);
-  for (const auto& r : all) EXPECT_EQ(r.state, dist::JobState::kDone);
+  const dist::JobReport rep = svc.wait();
   for (auto& t : workers) t.join();
+  EXPECT_EQ(rep.job, 1u);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_TRUE(rep.report.complete);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.08))
+      << "the job diverged from its single-process oracle";
   for (const int rc : rcs) EXPECT_EQ(rc, 0);
 
-  // The manifest member is a well-formed per-job array.
-  const std::string js = svc.jobs_json();
-  EXPECT_EQ(js.front(), '[');
-  EXPECT_NE(js.find("\"job\": 1"), std::string::npos);
-  EXPECT_NE(js.find("\"job\": 3"), std::string::npos);
-  EXPECT_NE(js.find("\"state\": \"done\""), std::string::npos);
+  // The manifest member is a one-element array.
+  EXPECT_EQ(svc.jobs_json(), "[" + rep.json() + "]");
 }
 
-/// Admission control: beyond max_jobs the submit is rejected up front
-/// and the rejection is observable in the dist.* counters (when the
-/// build has telemetry).
-TEST(DistJobService, AdmissionRejectsBeyondLimits) {
-  dist::register_dist_metrics();
-#ifndef OBS_DISABLE
-  const auto counter = [](std::string_view name) -> std::uint64_t {
-    const obs::Snapshot snap = obs::Registry::global().snapshot();
-    const obs::MetricValue* m = snap.find(name);
-    return m != nullptr ? m->value : 0;
-  };
-  const std::uint64_t rejected0 = counter("dist.jobs_rejected");
-#endif
-
+/// Worker loss without timing: a scripted client says Hello, takes the
+/// JobConfig and the first lease, and hangs up holding it. The service
+/// revokes the lease when the connection drops, so a real worker
+/// started only afterwards must be re-granted that shard and still
+/// merge to the single-process oracle.
+TEST(DistJobService, DroppedLeaseIsReassigned) {
   dist::ServiceConfig sc;
-  sc.limits.max_jobs = 1;
-  dist::JobService svc(sc);
-  const auto first = svc.submit(profile_job("only", 0.04));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(svc.submit(profile_job("rejected", 0.04)).has_value());
-#ifndef OBS_DISABLE
-  EXPECT_EQ(counter("dist.jobs_rejected"), rejected0 + 1);
-#endif
+  sc.lease_timeout_ms = 60000;  // revocation, not expiry, frees the lease
+  dist::JobService svc(sc, profile_job("dropped", 0.04, 1));
 
-  // Queued-shard budget: a job whose shard count alone exceeds the
-  // limit is rejected even when the job table has room.
-  dist::ServiceConfig sc2;
-  sc2.limits.max_queued_shards = 2;
-  dist::JobService svc2(sc2);
-  EXPECT_FALSE(svc2.submit(profile_job("too-wide", 0.08, 1)).has_value());
-#ifndef OBS_DISABLE
-  EXPECT_EQ(counter("dist.jobs_rejected"), rejected0 + 2);
-#endif
-
-  EXPECT_TRUE(svc.cancel(*first));
-  svc.drain();
-  svc2.drain();
-}
-
-/// Cancelling one job mid-flight must not disturb its neighbours: the
-/// survivor still merges bitwise-equal to its oracle, the cancelled
-/// job keeps its partial merge and terminal state.
-TEST(DistJobService, CancelMidFlightLeavesSurvivorIntact) {
-  dist::register_dist_metrics();
-  dist::ServiceConfig sc;
-  sc.expected_workers = 1;
-  sc.lease_timeout_ms = 60000;
-  dist::JobService svc(sc);
-
-  const auto keep = svc.submit(profile_job("keep", 0.08, 1));
-  const auto axe = svc.submit(profile_job("axe", 0.08, 1));
-  ASSERT_TRUE(keep.has_value());
-  ASSERT_TRUE(axe.has_value());
-
-  // Cancel the victim as soon as one of its shards has merged — from
-  // this thread, not the hook (the hook runs inside the service loop).
-  std::atomic<bool> axe_started{false};
-  svc.set_event_hook([&](const dist::ServiceEvent& ev) {
-    if (ev.kind == dist::ServiceEvent::Kind::kResultAccepted &&
-        ev.job == *axe)
-      axe_started.store(true);
-  });
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(svc.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    FrameChannel ch(fd);  // closes fd on scope exit
+    dist::HelloMsg hello;
+    hello.worker_id = 99;
+    ASSERT_TRUE(ch.send(MsgType::kHello, dist::encode(hello)));
+    dist::Frame f;
+    ASSERT_TRUE(ch.recv(&f, 10000));
+    ASSERT_EQ(f.type, MsgType::kJobConfig);
+    ASSERT_TRUE(ch.recv(&f, 10000));
+    ASSERT_EQ(f.type, MsgType::kLeaseGrant);
+    const auto g = dist::decode_lease_grant(util::ByteView(f.payload));
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ(g->job, 1u);
+    EXPECT_EQ(g->epoch, 1u);
+  }
 
   int rc = -1;
   std::thread w = worker_thread(svc.port(), 1, &rc);
-  while (!axe_started.load() && svc.status(*axe)->state ==
-                                    dist::JobState::kRunning) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const bool cancelled = svc.cancel(*axe);
-
-  const dist::JobReport kept = svc.wait(*keep);
-  EXPECT_EQ(kept.state, dist::JobState::kDone);
-  EXPECT_TRUE(kept.report.complete);
-  EXPECT_EQ(kept.report.stats, profile_oracle(0.08));
-
-  const dist::JobReport axed = svc.wait(*axe);
-  if (cancelled) {
-    EXPECT_EQ(axed.state, dist::JobState::kCancelled);
-    EXPECT_FALSE(axed.report.complete);
-  } else {
-    // The whole job raced to completion before cancel() landed —
-    // legitimate on a fast machine; it must then equal its oracle.
-    EXPECT_EQ(axed.state, dist::JobState::kDone);
-    EXPECT_EQ(axed.report.stats, profile_oracle(0.08));
-  }
-
-  svc.drain();
+  const dist::JobReport rep = svc.wait();
   w.join();
   EXPECT_EQ(rc, 0);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_TRUE(rep.report.complete);
+  EXPECT_EQ(rep.report.reassigned, 1u);
+  EXPECT_EQ(rep.report.stale_results, 0u);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.04));
+  ASSERT_EQ(rep.report.workers.size(), 1u);  // the dropped client merged none
+  EXPECT_EQ(rep.report.workers[0].worker_id, 1u);
 }
 
 /// The manifest record renders every member in one pass, in the
@@ -606,14 +513,14 @@ TEST(DistJobReport, JsonRendersTheWholeRecord) {
   dist::JobReport jr;
   jr.job = 2;
   jr.name = "a\"b";
-  jr.state = dist::JobState::kCancelled;
+  jr.state = dist::JobState::kAborted;
   jr.report.shards = 5;
   jr.report.reassigned = 1;
   jr.report.stale_results = 3;
   jr.report.workers.push_back({7, 70, 2, true, "w7.json", {{"x.n", 4}}});
   jr.report.workers.push_back({8, 80, 1, false, "", {{"x.n", 1}, {"x.m", 2}}});
   EXPECT_EQ(jr.json(),
-            "{\"job\": 2, \"name\": \"a\\\"b\", \"state\": \"cancelled\", "
+            "{\"job\": 2, \"name\": \"a\\\"b\", \"state\": \"aborted\", "
             "\"workers\": 2, \"shards\": 5, \"reassigned\": 1, "
             "\"stale_results\": 3, \"complete\": false, "
             "\"metrics\": {\"x.m\": 2, \"x.n\": 5}, \"per_worker\": ["
@@ -623,55 +530,43 @@ TEST(DistJobReport, JsonRendersTheWholeRecord) {
             "\"metrics\": {\"x.m\": 2, \"x.n\": 1}}]}");
 }
 
-/// Admission charges exactly job_shard_count() shards, so a service
-/// sized from one job admits it; a job with no files is done at once.
+/// The shard space is sized from the job: as many shards as files at
+/// one file a shard, max(8, 4 * workers) shards of whole files when
+/// auto-sized; a job with no files is done at once.
 TEST(DistJobService, SizedFromItsOneJob) {
-  dist::register_dist_metrics();
-  dist::JobSpec wide = profile_job("wide", 0.08, 1);
-  EXPECT_EQ(dist::job_shard_count(wide, 2), wide.nfiles);
-  // Auto sizing aims at max(8, 4 * workers) shards of whole files.
+  const auto shards = [](const dist::JobSpec& spec, unsigned workers) {
+    dist::ServiceConfig sc;
+    sc.expected_workers = workers;
+    sc.idle_abort_ms = 0;  // no worker ever comes: abort at once
+    dist::JobService svc(sc, spec);
+    return svc.wait().report.shards;
+  };
+  const dist::JobSpec wide = profile_job("wide", 0.08, 1);
+  EXPECT_EQ(shards(wide, 2), wide.nfiles);
   dist::JobSpec autos;
   autos.nfiles = 100;
-  EXPECT_EQ(dist::job_shard_count(autos, 2), 9u);   // 12 files a shard
-  EXPECT_EQ(dist::job_shard_count(autos, 3), 13u);  // 8 files a shard
-
-  dist::ServiceConfig sc;
-  sc.limits.max_jobs = 1;
-  sc.limits.max_queued_shards = dist::job_shard_count(wide, 0);
-  dist::JobService svc(sc);
-  const auto id = svc.submit(wide);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(svc.status(*id)->report.shards, wide.nfiles);
-  EXPECT_TRUE(svc.cancel(*id));
-  svc.drain();
+  EXPECT_EQ(shards(autos, 2), 9u);   // 12 files a shard
+  EXPECT_EQ(shards(autos, 3), 13u);  // 8 files a shard
 
   dist::JobSpec empty = profile_job("empty", 0.08);
   empty.nfiles = 0;
-  dist::ServiceConfig sc0;
-  sc0.limits.max_queued_shards = 0;
-  dist::JobService svc0(sc0);
-  const auto eid = svc0.submit(empty);
-  ASSERT_TRUE(eid.has_value());
-  const dist::JobReport rep = svc0.wait(*eid);
+  dist::JobService svc({}, empty);
+  const dist::JobReport rep = svc.wait();
   EXPECT_EQ(rep.state, dist::JobState::kDone);
   EXPECT_TRUE(rep.report.complete);
   EXPECT_EQ(rep.report.shards, 0u);
-  svc0.drain();
 }
 
 /// A worker's sub-manifest names the job it served — its corpus and
 /// its "jobs" list come from the JobConfig, its thread count from the
 /// job's run configuration.
 TEST(DistJobService, WorkerSubManifestNamesItsJob) {
-  dist::register_dist_metrics();
   dist::ServiceConfig sc;
   sc.expected_workers = 1;
   sc.lease_timeout_ms = 60000;
-  dist::JobService svc(sc);
   dist::JobSpec spec = profile_job("named-job", 0.04);
   spec.run.threads = 2;
-  const auto id = svc.submit(spec);
-  ASSERT_TRUE(id.has_value());
+  dist::JobService svc(sc, spec);
 
   const std::string path = testing::TempDir() + "dist_sub_manifest.json";
   int rc = -1;
@@ -682,13 +577,12 @@ TEST(DistJobService, WorkerSubManifestNamesItsJob) {
     opts.metrics_out = path;
     rc = dist::run_worker(opts);
   });
-  EXPECT_EQ(svc.wait(*id).state, dist::JobState::kDone);
-  const std::vector<dist::JobReport> all = svc.drain();
+  const dist::JobReport rep = svc.wait();
   w.join();
   ASSERT_EQ(rc, 0);
-  ASSERT_EQ(all.size(), 1u);
-  ASSERT_EQ(all[0].report.workers.size(), 1u);
-  EXPECT_EQ(all[0].report.workers[0].manifest, path);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  ASSERT_EQ(rep.report.workers.size(), 1u);
+  EXPECT_EQ(rep.report.workers[0].manifest, path);
 
   std::ifstream in(path);
   const std::string doc((std::istreambuf_iterator<char>(in)),

@@ -30,7 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,8 +186,7 @@ struct CommonOpts {
   std::size_t shard_files = 0; // files per lease; 0 = auto
 };
 
-/// The options of splice (and corpus build, which accepts them too)
-/// beyond the corpus source.
+/// The options of splice beyond the corpus source.
 std::vector<tools::Opt> splice_options(CommonOpts& o) {
   return {{"--threads", &o.threads},
           {"--trailer", &o.pkt.placement},
@@ -526,8 +524,8 @@ core::CorpusSource corpus_source(const CommonOpts& o) {
   return src;
 }
 
-/// Serving side of `cksumlab splice --serve`: submit the corpus as the
-/// one job of a JobService, self-spawn `--workers` worker processes
+/// Serving side of `cksumlab splice --serve`: serve the corpus as the
+/// job of a JobService, self-spawn `--workers` worker processes
 /// (0 = externally started), and wait for the merge. On success `st`
 /// and `dist_json` hold the merged stats and the manifest's "dist"
 /// member.
@@ -552,14 +550,11 @@ int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
       o.threads != 0 ? o.threads
                      : std::max(1u, o.workers != 0 ? hw / o.workers : hw);
 
-  // Sized for exactly this one job, so no corpus is too wide to admit.
   dist::ServiceConfig sc;
   sc.port = o.port;
   sc.expected_workers = o.workers;
   sc.lease_timeout_ms = o.lease_timeout_ms;
-  sc.limits.max_jobs = 1;
-  sc.limits.max_queued_shards = dist::job_shard_count(spec, o.workers);
-  dist::JobService svc(sc);
+  dist::JobService svc(sc, std::move(spec));
   if (o.verbose) {
     svc.set_event_hook([](const dist::ServiceEvent& ev) {
       const char* what = "";
@@ -569,17 +564,11 @@ int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
         case dist::ServiceEvent::Kind::kLeaseReassigned: what = "reassigned"; break;
         case dist::ServiceEvent::Kind::kWorkerLost: what = "lost"; break;
         case dist::ServiceEvent::Kind::kJobDone: what = "finished"; break;
-        case dist::ServiceEvent::Kind::kJobCancelled: what = "cancelled"; break;
       }
       std::fprintf(stderr, "dist: worker %llu (pid %llu) %s shard %zu\n",
                    static_cast<unsigned long long>(ev.worker_id),
                    static_cast<unsigned long long>(ev.pid), what, ev.shard);
     });
-  }
-  const std::optional<std::uint64_t> job = svc.submit(spec);
-  if (!job) {
-    std::fprintf(stderr, "cksumlab: the job service rejected the run\n");
-    return 1;
   }
 
   std::vector<pid_t> pids;
@@ -617,8 +606,7 @@ int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
                  svc.port());
   }
 
-  const dist::JobReport rep = svc.wait(*job);
-  svc.drain();
+  const dist::JobReport rep = svc.wait();
   for (const pid_t pid : pids) dist::wait_process(pid);
   if (rep.state != dist::JobState::kDone) {
     std::fprintf(stderr,
@@ -745,9 +733,12 @@ int cmd_corpus(const std::vector<std::string>& args) {
   std::string out_path;
   bool compress = false;
   CommonOpts o;
-  std::vector<tools::Opt> opts = splice_options(o);
-  opts.insert(opts.end(), {{"--out", &out_path}, {"--compress", &compress}});
-  if (!parse_common(std::span(args).subspan(1), o, opts) || out_path.empty())
+  if (!parse_common(std::span(args).subspan(1), o,
+                    {{"--transport", &o.pkt.transport},
+                     {"--trailer", &o.pkt.placement},
+                     {"--out", &out_path},
+                     {"--compress", &compress}}) ||
+      out_path.empty())
     return usage();
   if (!o.dir.empty() || !o.corpus.empty()) {
     std::fprintf(stderr,

@@ -38,13 +38,11 @@
 // bounded by its budget, and no undetected corruption — every PDU
 // passing length+CRC must match a payload that was actually sent.
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fstream>
@@ -77,7 +75,7 @@ int usage() {
       "                     [--metrics-out p] [--progress] [--quiet]\n"
       "       faultlab replay --seed n --scenario n [--channels n] "
       "[--budget n]\n"
-      "       faultlab distkill [--workers n] [--jobs n] [--profile p]\n"
+      "       faultlab distkill [--workers n] [--profile p]\n"
       "                         [--scale x] [--shard-files n] [--quick]\n"
       "                         [--verbose] [--metrics-out p]\n"
       "       faultlab arq [--seed n] [--payloads n] [--quick] [--json]\n"
@@ -596,16 +594,13 @@ int cmd_storage(const std::vector<std::string>& args) {
              : 1;
 }
 
-/// The worker-loss drill (docs/DIST.md failure matrix): `--jobs` named
-/// jobs run on one shared pool of worker processes, and one worker is
-/// SIGKILLed the moment the first result lands anywhere. Every job
-/// must still merge bitwise equal to its own single-process oracle,
-/// and the kill must be confirmed at reap time. With --jobs >= 2 two
-/// probes arm: the last job is cancelled after its first merged shard,
-/// and an over-limit submit must be rejected up front.
+/// The worker-loss drill (docs/DIST.md failure matrix): a named job
+/// runs on a pool of worker processes, and one worker is SIGKILLed the
+/// moment the first result lands. The job must still merge bitwise
+/// equal to its single-process oracle, and the kill must be confirmed
+/// at reap time.
 int cmd_distkill(const std::vector<std::string>& args) {
   unsigned workers = 3;
-  unsigned jobs = 1;
   std::string profile = "nsc05";
   double scale = 0.1;
   std::size_t shard_files = 1;  // one file per lease: everyone leases
@@ -614,7 +609,6 @@ int cmd_distkill(const std::vector<std::string>& args) {
   std::string metrics_out;
   if (!tools::parse_options(args,
                             {{"--workers", &workers},
-                             {"--jobs", &jobs},
                              {"--profile", &profile},
                              {"--scale", &scale},
                              {"--shard-files", &shard_files},
@@ -627,104 +621,60 @@ int cmd_distkill(const std::vector<std::string>& args) {
     std::fprintf(stderr, "faultlab distkill: needs --workers >= 2\n");
     return 2;
   }
-  jobs = std::max(1u, jobs);
-  const bool probes = jobs >= 2;  // cancel + over-limit submit
   faults::register_fault_metrics();
   atm::register_atm_metrics();
   alg::kern::register_kernel_metrics();
   core::register_splice_metrics();
   dist::register_dist_metrics();
 
-  // Per-job corpora: same profile, distinct scales, so each oracle is
-  // a genuinely different report and cross-job leakage cannot cancel
-  // out.
-  std::vector<double> scales(jobs);
-  std::vector<core::SpliceStats> oracles(jobs);
-  std::vector<std::size_t> nfiles(jobs);
-  for (unsigned j = 0; j < jobs; ++j) {
-    scales[j] = scale * (1.0 - 0.2 * j);
-    core::SpliceRunConfig run;
-    run.flow = core::paper_flow_config();
-    run.threads = 1;
-    const core::SpliceCorpus corpus(
-        {core::CorpusKind::kProfile, profile, scales[j]});
-    nfiles[j] = corpus.file_count();
-    oracles[j] = corpus.run_range(run, 0, nfiles[j]);
-  }
-  // The oracle runs above bumped the same global splice counters the
+  core::SpliceRunConfig run;
+  run.flow = core::paper_flow_config();
+  run.threads = 1;
+  const core::SpliceCorpus corpus({core::CorpusKind::kProfile, profile, scale});
+  const core::SpliceStats oracle = corpus.run_range(run, 0, corpus.file_count());
+  // The oracle run above bumped the same global splice counters the
   // service run is about to use; re-baseline so the exported manifest
-  // holds the accounting identity "aggregate == sum over jobs"
-  // (check_manifest --require-dist enforces it).
+  // holds the accounting identity "aggregate == the job's per-worker
+  // sum" (check_manifest --require-dist enforces it).
   obs::Registry::global().reset();
 
   tools::RunManifest manifest(metrics_out, false);
 
+  dist::JobSpec spec;
+  spec.name = profile + "@" + std::to_string(scale);
+  spec.run.corpus_kind = dist::CorpusKind::kProfile;
+  spec.run.corpus = profile;
+  spec.run.scale = scale;
+  spec.run.threads = 1;
+  spec.nfiles = corpus.file_count();
+  spec.shard_files = shard_files;
   dist::ServiceConfig sc;
   sc.expected_workers = workers;
-  sc.limits.max_jobs = jobs;  // the probe submit below must bounce
-  dist::JobService svc(sc);
-
-  std::vector<std::uint64_t> ids;
-  for (unsigned j = 0; j < jobs; ++j) {
-    dist::JobSpec spec;
-    spec.name = profile + "@" + std::to_string(scales[j]);
-    spec.run.corpus_kind = dist::CorpusKind::kProfile;
-    spec.run.corpus = profile;
-    spec.run.scale = scales[j];
-    spec.run.threads = 1;
-    spec.nfiles = nfiles[j];
-    spec.shard_files = shard_files;
-    const auto id = svc.submit(spec);
-    if (!id.has_value()) {
-      std::fprintf(stderr, "distkill: job %u unexpectedly rejected\n", j + 1);
-      return 1;
-    }
-    ids.push_back(*id);
-  }
-  // The cancel probe's victim; 0 (no job) when the probes are off.
-  const std::uint64_t victim = probes ? ids.back() : 0;
-  const unsigned survivors = probes ? jobs - 1 : jobs;
-
-  // Admission probe: the table is full, so one more submit must be
-  // rejected (observable as dist.jobs_rejected).
-  bool admission_rejected = true;
-  if (probes) {
-    dist::JobSpec extra;
-    extra.name = "over-limit";
-    extra.run.corpus_kind = dist::CorpusKind::kProfile;
-    extra.run.corpus = profile;
-    extra.run.scale = scales[0];
-    extra.nfiles = nfiles[0];
-    admission_rejected = !svc.submit(extra).has_value();
-  }
+  dist::JobService svc(sc, std::move(spec));
 
   std::atomic<pid_t> killed_pid{-1};
-  std::atomic<bool> victim_started{false};
   std::vector<pid_t> pids;
   svc.set_event_hook([&](const dist::ServiceEvent& ev) {
     if (verbose)
-      std::fprintf(stderr, "distkill: event %d worker %llu job %llu "
-                           "shard %zu\n",
+      std::fprintf(stderr, "distkill: event %d worker %llu shard %zu\n",
                    static_cast<int>(ev.kind),
-                   static_cast<unsigned long long>(ev.worker_id),
-                   static_cast<unsigned long long>(ev.job), ev.shard);
-    if (ev.kind != dist::ServiceEvent::Kind::kResultAccepted) return;
-    if (ev.job == victim) victim_started.store(true);
-    if (killed_pid.load() == -1) {
-      // The expected_workers barrier held every grant until the whole
-      // pool was connected, so any pid other than the deliverer
-      // provably holds a lease of SOME job right now (modulo the
-      // benign race where its own result is already in flight — the
-      // epoch check makes that harmless either way).
-      for (const pid_t p : pids) {
-        if (static_cast<std::uint64_t>(p) == ev.pid) continue;
-        dist::kill_process(p);
-        killed_pid.store(p);
-        std::fprintf(stderr, "distkill: SIGKILLed worker pid %d after "
-                             "first accepted result\n",
-                     static_cast<int>(p));
-        break;
-      }
+                   static_cast<unsigned long long>(ev.worker_id), ev.shard);
+    if (ev.kind != dist::ServiceEvent::Kind::kResultAccepted ||
+        killed_pid.load() != -1)
+      return;
+    // The expected_workers barrier held every grant until the whole
+    // pool was connected, so any pid other than the deliverer provably
+    // holds a lease right now (modulo the benign race where its own
+    // result is already in flight — the epoch check makes that
+    // harmless either way).
+    for (const pid_t p : pids) {
+      if (static_cast<std::uint64_t>(p) == ev.pid) continue;
+      dist::kill_process(p);
+      killed_pid.store(p);
+      std::fprintf(stderr, "distkill: SIGKILLed worker pid %d after first "
+                           "accepted result\n",
+                   static_cast<int>(p));
+      break;
     }
   });
 
@@ -746,86 +696,29 @@ int cmd_distkill(const std::vector<std::string>& args) {
     pids.push_back(pid);
   }
 
-  // Cancel the victim from this thread (the hook runs inside the
-  // service loop) once one of its shards has merged — mid-flight by
-  // construction unless the job already raced to done.
-  bool cancelled = false;
-  if (probes) {
-    while (!victim_started.load() &&
-           svc.status(victim)->state == dist::JobState::kRunning) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    cancelled = svc.cancel(victim);
-  }
-
-  bool survivors_ok = true;
-  dist::DistReport first;  // job 1's report, for the single-job summary
-  for (unsigned j = 0; j < survivors; ++j) {
-    const dist::JobReport rep = svc.wait(ids[j]);
-    const bool ok = rep.state == dist::JobState::kDone &&
-                    rep.report.complete && rep.report.stats == oracles[j];
-    if (!ok)
-      std::fprintf(stderr, "distkill: job %llu (%s) FAILED its oracle\n",
-                   static_cast<unsigned long long>(rep.job),
-                   rep.name.c_str());
-    survivors_ok = survivors_ok && ok;
-    if (j == 0) first = rep.report;
-  }
-  bool victim_ok = true;
-  if (probes) {
-    const dist::JobReport vic = svc.wait(victim);
-    victim_ok = cancelled ? vic.state == dist::JobState::kCancelled
-                          : (vic.state == dist::JobState::kDone &&
-                             vic.report.stats == oracles[jobs - 1]);
-  }
-
-  svc.drain();
+  const dist::JobReport rep = svc.wait();
   bool killed_confirmed = false;
   for (const pid_t p : pids) {
     const int code = dist::wait_process(p);
     if (p == killed_pid.load() && code == 128 + 9) killed_confirmed = true;
   }
 
-  if (!probes) {
-    std::printf("distkill: %u workers, %zu shards, %zu reassigned, "
-                "%zu stale results\n",
-                workers, first.shards, first.reassigned, first.stale_results);
-    std::printf("worker killed mid-run: %s\n",
-                killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
-    std::printf("run complete: %s\n", first.complete ? "yes" : "NO");
-    std::printf("merged report identical to single-process run: %s\n",
-                first.stats == oracles[0] ? "yes" : "NO");
-  } else {
-    const obs::Snapshot snap = obs::Registry::global().snapshot();
-    std::printf("distkill: %u jobs on %u pooled workers\n", jobs, workers);
-    std::printf("survivor jobs bitwise-equal to oracles: %s\n",
-                survivors_ok ? "yes" : "NO");
-    std::printf("victim job %s: %s\n",
-                cancelled ? "cancelled mid-flight" : "raced to done",
-                victim_ok ? "ok" : "WRONG STATE");
-    std::printf("worker killed mid-run: %s\n",
-                killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
-    std::printf("over-limit submit rejected: %s\n",
-                admission_rejected ? "yes" : "NO");
-    std::printf(
-        "dist counters: submitted %llu, rejected %llu, cancelled "
-        "%llu, completed %llu, write-queue hwm %llu, grants "
-        "deferred %llu\n",
-        static_cast<unsigned long long>(snap.value("dist.jobs_submitted")),
-        static_cast<unsigned long long>(snap.value("dist.jobs_rejected")),
-        static_cast<unsigned long long>(snap.value("dist.jobs_cancelled")),
-        static_cast<unsigned long long>(snap.value("dist.jobs_completed")),
-        static_cast<unsigned long long>(snap.value("dist.write_queue_hwm")),
-        static_cast<unsigned long long>(snap.value("dist.grants_deferred")));
-  }
+  const dist::DistReport& r = rep.report;
+  const bool ok = rep.state == dist::JobState::kDone && r.complete &&
+                  r.stats == oracle;
+  std::printf("distkill: %u workers, %zu shards, %zu reassigned, "
+              "%zu stale results\n",
+              workers, r.shards, r.reassigned, r.stale_results);
+  std::printf("worker killed mid-run: %s\n",
+              killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
+  std::printf("run complete: %s\n", r.complete ? "yes" : "NO");
+  std::printf("merged report identical to single-process run: %s\n",
+              r.stats == oracle ? "yes" : "NO");
 
   if (!manifest.finish("faultlab distkill", profile, 0, 1,
                        ",\n  \"dist\": " + svc.jobs_json()))
     return 1;
-  return (survivors_ok && victim_ok && killed_confirmed &&
-          admission_rejected)
-             ? 0
-             : 1;
+  return ok && killed_confirmed ? 0 : 1;
 }
 
 }  // namespace
