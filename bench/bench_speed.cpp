@@ -7,11 +7,13 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "checksum/checksum.hpp"
 #include "checksum/kernels/kernel.hpp"
 #include "core/pdu_model.hpp"
 #include "core/splice_sim.hpp"
+#include "fsgen/generator.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -157,6 +159,46 @@ void register_kernel_benchmarks() {
   });
 }
 
+// The default in-memory path's two layers before the DFS, at 64 KiB
+// files: generating one file of each kind (a fresh seed per
+// iteration), and cutting a file into 256-byte segments with every
+// per-cell partial (BM_PacketizeFile, on a mixed-kind corpus).
+constexpr std::size_t kFileBytes = 64 * 1024;
+
+void register_generate_benchmarks() {
+  for (const cksum::fsgen::FileKind kind : cksum::fsgen::kAllKinds) {
+    const std::string name =
+        "BM_GenerateFile/" + std::string(cksum::fsgen::name(kind));
+    benchmark::RegisterBenchmark(name.c_str(), [kind](benchmark::State& state) {
+      std::uint64_t seed = 0;
+      std::int64_t bytes = 0;
+      for (auto _ : state) {
+        const Bytes file =
+            cksum::fsgen::generate_file(kind, ++seed, kFileBytes);
+        bytes += static_cast<std::int64_t>(file.size());
+        benchmark::DoNotOptimize(file.data());
+      }
+      state.SetBytesProcessed(bytes);
+    });
+  }
+}
+
+void BM_PacketizeFile(benchmark::State& state) {
+  std::vector<Bytes> files;
+  for (const cksum::fsgen::FileKind kind : cksum::fsgen::kAllKinds)
+    files.push_back(cksum::fsgen::generate_file(kind, 0x9e7, kFileBytes));
+  const cksum::net::FlowConfig flow;
+  std::size_t next = 0;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const Bytes& file = files[next++ % files.size()];
+    const auto pkts = cksum::core::packetize_file(flow, ByteView(file));
+    bytes += static_cast<std::int64_t>(file.size());
+    benchmark::DoNotOptimize(pkts.data());
+  }
+  state.SetBytesProcessed(bytes);
+}
+
 }  // namespace
 
 // 48-byte ATM cell, 296-byte packet, 4KB page, 64KB bulk.
@@ -166,11 +208,13 @@ BENCHMARK(BM_Fletcher256)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_Crc32Bitwise)->Arg(296)->Arg(4096);
 BENCHMARK(BM_Crc32CellCombine);
 BENCHMARK(BM_SpliceEvaluatePair);
+BENCHMARK(BM_PacketizeFile);
 
-// Custom main: the per-implementation rows are registered from the
-// runtime lists before the statically-declared benchmarks run.
+// Custom main: the per-implementation and per-kind rows are registered
+// at runtime before the statically-declared benchmarks run.
 int main(int argc, char** argv) {
   register_kernel_benchmarks();
+  register_generate_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -3,7 +3,8 @@
 // Every entry of the per-algorithm implementation lists in kernel.cpp
 // is declared here, once; the conformance harness reaches them through
 // those lists, and everything else should go through the dispatched
-// entry points in kernel.hpp.
+// entry points in kernel.hpp. The one exception is crc32_step8 at the
+// end, which core's fused per-cell pass runs itself.
 #pragma once
 
 #include <cstdint>
@@ -76,5 +77,25 @@ struct Crc32Tables {
   std::uint32_t t[8][256];
 };
 extern const Crc32Tables kCrc32Tables;
+
+/// One slicing-by-8 step: the (pre-conditioned) CRC register `c`
+/// advanced over the 8 bytes at `p`. slicing_crc32's loop body, shared
+/// with core::make_sim_packet's fused per-cell pass.
+inline std::uint32_t crc32_step8(std::uint32_t c,
+                                 const std::uint8_t* p) noexcept {
+  const auto& tb = kCrc32Tables;
+  const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
+                                (static_cast<std::uint32_t>(p[1]) << 8) |
+                                (static_cast<std::uint32_t>(p[2]) << 16) |
+                                (static_cast<std::uint32_t>(p[3]) << 24));
+  const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
+                           (static_cast<std::uint32_t>(p[5]) << 8) |
+                           (static_cast<std::uint32_t>(p[6]) << 16) |
+                           (static_cast<std::uint32_t>(p[7]) << 24);
+  return tb.t[7][lo & 0xffu] ^ tb.t[6][(lo >> 8) & 0xffu] ^
+         tb.t[5][(lo >> 16) & 0xffu] ^ tb.t[4][lo >> 24] ^
+         tb.t[3][hi & 0xffu] ^ tb.t[2][(hi >> 8) & 0xffu] ^
+         tb.t[1][(hi >> 16) & 0xffu] ^ tb.t[0][hi >> 24];
+}
 
 }  // namespace cksum::alg::kern::impl

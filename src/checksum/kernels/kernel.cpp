@@ -260,17 +260,7 @@ PendingShard& pending() {
 template <typename Fn>
 const Impl<Fn>& dispatch(const ImplList<Fn>& list,
                          std::size_t bytes) noexcept {
-  const int a = static_cast<int>(list.alg);
-#ifndef OBS_DISABLE
-  PendingShard& sh = pending();
-  auto& c = sh.calls[a];
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  auto& b = sh.bytes[a];
-  b.store(b.load(std::memory_order_relaxed) + bytes,
-          std::memory_order_relaxed);
-#else
-  (void)bytes;
-#endif
+  count_calls(list.alg, 1, bytes);
   return list.impls[active_index(list.alg)];
 }
 
@@ -351,6 +341,23 @@ std::string kernel_manifest_json() {
   return "\"kernel\": \"" + std::string(selection_name()) +
          "\", \"kernel_reason\": \"" +
          obs::json_escape(kernel_selection_reason()) + "\"";
+}
+
+void count_calls(Alg alg, std::uint64_t calls, std::uint64_t bytes) noexcept {
+#ifndef OBS_DISABLE
+  const int a = static_cast<int>(alg);
+  PendingShard& sh = pending();
+  auto& c = sh.calls[a];
+  c.store(c.load(std::memory_order_relaxed) + calls,
+          std::memory_order_relaxed);
+  auto& b = sh.bytes[a];
+  b.store(b.load(std::memory_order_relaxed) + bytes,
+          std::memory_order_relaxed);
+#else
+  (void)alg;
+  (void)calls;
+  (void)bytes;
+#endif
 }
 
 void register_kernel_metrics() {

@@ -79,18 +79,7 @@ std::uint32_t slicing_crc32(std::uint32_t crc, util::ByteView data) noexcept {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   while (n >= 8) {
-    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
-                                  (static_cast<std::uint32_t>(p[1]) << 8) |
-                                  (static_cast<std::uint32_t>(p[2]) << 16) |
-                                  (static_cast<std::uint32_t>(p[3]) << 24));
-    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
-                             (static_cast<std::uint32_t>(p[5]) << 8) |
-                             (static_cast<std::uint32_t>(p[6]) << 16) |
-                             (static_cast<std::uint32_t>(p[7]) << 24);
-    c = tb.t[7][lo & 0xffu] ^ tb.t[6][(lo >> 8) & 0xffu] ^
-        tb.t[5][(lo >> 16) & 0xffu] ^ tb.t[4][lo >> 24] ^
-        tb.t[3][hi & 0xffu] ^ tb.t[2][(hi >> 8) & 0xffu] ^
-        tb.t[1][(hi >> 16) & 0xffu] ^ tb.t[0][hi >> 24];
+    c = crc32_step8(c, p);
     p += 8;
     n -= 8;
   }

@@ -39,17 +39,6 @@ std::uint64_t koopman_single_naive(util::ByteView data) noexcept {
   return s;
 }
 
-KoopmanDualPair koopman_dual_combine(KoopmanDualPair x, KoopmanDualPair y,
-                                     std::uint64_t y_blocks) noexcept {
-  // Every block of X gains y_blocks extra B-weight once Y follows it.
-  const std::uint64_t shift =
-      (y_blocks % kKoopmanDualMod) * static_cast<std::uint64_t>(x.a);
-  return {(x.a + y.a) % kKoopmanDualMod,
-          static_cast<std::uint32_t>(
-              (static_cast<std::uint64_t>(x.b) + y.b + shift) %
-              kKoopmanDualMod)};
-}
-
 KoopmanDualPair koopman_dual_shift(KoopmanDualPair x,
                                    std::uint64_t tail_blocks) noexcept {
   const std::uint64_t shift =
@@ -57,11 +46,6 @@ KoopmanDualPair koopman_dual_shift(KoopmanDualPair x,
   return {x.a, static_cast<std::uint32_t>(
                    (static_cast<std::uint64_t>(x.b) + shift) %
                    kKoopmanDualMod)};
-}
-
-std::uint64_t koopman_single_combine(std::uint64_t x,
-                                     std::uint64_t y) noexcept {
-  return (x + y) % kKoopmanSingleMod;
 }
 
 void KoopmanDualSum::update(util::ByteView data) noexcept {

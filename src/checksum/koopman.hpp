@@ -85,8 +85,16 @@ std::uint64_t koopman_single_naive(util::ByteView data) noexcept;
 /// Dual sums of the concatenation X ++ Y from the fragments' own sums.
 /// `y_blocks` is Y's (zero-padded) block count; X's byte length must
 /// be a multiple of kKoopmanBlockBytes for the result to be exact.
-KoopmanDualPair koopman_dual_combine(KoopmanDualPair x, KoopmanDualPair y,
-                                     std::uint64_t y_blocks) noexcept;
+constexpr KoopmanDualPair koopman_dual_combine(
+    KoopmanDualPair x, KoopmanDualPair y, std::uint64_t y_blocks) noexcept {
+  // Every block of X gains y_blocks extra B-weight once Y follows it.
+  const std::uint64_t shift =
+      (y_blocks % kKoopmanDualMod) * static_cast<std::uint64_t>(x.a);
+  return {(x.a + y.a) % kKoopmanDualMod,
+          static_cast<std::uint32_t>(
+              (static_cast<std::uint64_t>(x.b) + y.b + shift) %
+              kKoopmanDualMod)};
+}
 
 /// Contribution of a fragment to a message in which `tail_blocks`
 /// blocks follow it: (A, B + tail_blocks * A).
@@ -94,8 +102,10 @@ KoopmanDualPair koopman_dual_shift(KoopmanDualPair x,
                                    std::uint64_t tail_blocks) noexcept;
 
 /// Single sum of the concatenation X ++ Y (X block-aligned).
-std::uint64_t koopman_single_combine(std::uint64_t x,
-                                     std::uint64_t y) noexcept;
+constexpr std::uint64_t koopman_single_combine(std::uint64_t x,
+                                               std::uint64_t y) noexcept {
+  return (x + y) % kKoopmanSingleMod;
+}
 
 /// Incremental dual sum over arbitrary chunk boundaries: up to 7
 /// partial-block bytes are buffered between updates, so pair() always

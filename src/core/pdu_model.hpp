@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -133,6 +134,14 @@ struct SimPacket : PacketPartials {
   /// unequal-length pairs recompute against the partner's length.
   std::vector<std::uint8_t> hdr_ok_self;
 };
+
+/// Partial sums of each whole 48-byte cell of `cells` into `out`
+/// (`cells` holds out.size() cells). Under the `scalar` kernel
+/// selection every sum comes from its reference entry, seven
+/// dispatched calls per cell; otherwise from one fused pass over each
+/// cell. Either way kernel.<alg>.* counts one call and 48 bytes per
+/// cell for each algorithm (two for fletcher: mod 255 and mod 256).
+void cell_partials(util::ByteView cells, std::span<CellPartial> out) noexcept;
 
 /// Build a SimPacket (frame the datagram in AAL5, compute partials).
 SimPacket make_sim_packet(const net::PacketConfig& cfg,

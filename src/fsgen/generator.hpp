@@ -77,4 +77,8 @@ util::Bytes generate_random(util::Rng& rng, std::size_t approx_size);
 util::Bytes generate_tar_archive(util::Rng& rng, std::size_t approx_size);
 util::Bytes generate_mail_spool(util::Rng& rng, std::size_t approx_size);
 
+/// The word-frequency table generate_text draws every word from
+/// (exposed so tests can check WeightedTable on the real weights).
+const util::WeightedTable& text_word_table();
+
 }  // namespace cksum::fsgen

@@ -8,6 +8,7 @@
 // structure and occasional verbatim repetition of earlier sentences —
 // the same document-level self-similarity that produces congruent
 // cells in real files.
+#include <algorithm>
 #include <array>
 #include <string>
 #include <string_view>
@@ -141,17 +142,20 @@ constexpr WeightedWord kWords[] = {
     {"language", 0.2}, {"among", 0.2},
 };
 
-std::vector<double> word_weights() {
-  std::vector<double> w;
-  w.reserve(std::size(kWords));
-  for (const auto& entry : kWords) w.push_back(entry.weight);
-  return w;
-}
-
 }  // namespace
 
+const util::WeightedTable& text_word_table() {
+  static const util::WeightedTable table = [] {
+    std::vector<double> w;
+    w.reserve(std::size(kWords));
+    for (const auto& entry : kWords) w.push_back(entry.weight);
+    return util::WeightedTable(w);
+  }();
+  return table;
+}
+
 util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
-  static const std::vector<double> weights = word_weights();
+  const util::WeightedTable& table = text_word_table();
 
   util::Bytes out;
   out.reserve(approx_size + 128);
@@ -159,14 +163,9 @@ util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
   // Remember recent sentences for verbatim repetition (quotes,
   // boilerplate, repeated headings — a strong locality source).
   std::vector<std::string> recent;
+  std::string sentence;
   std::size_t line_len = 0;
 
-  auto emit = [&](std::string_view s) {
-    for (char c : s) {
-      out.push_back(static_cast<std::uint8_t>(c));
-      ++line_len;
-    }
-  };
   auto newline = [&] {
     out.push_back('\n');
     line_len = 0;
@@ -176,18 +175,21 @@ util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
     // Paragraph of 2..7 sentences.
     const std::size_t sentences = static_cast<std::size_t>(rng.between(2, 7));
     for (std::size_t s = 0; s < sentences && out.size() < approx_size; ++s) {
-      std::string sentence;
       if (!recent.empty() && rng.chance(0.08)) {
         // Repeat an earlier sentence verbatim.
         sentence = recent[rng.below(recent.size())];
       } else {
+        sentence.clear();
         const std::size_t words = static_cast<std::size_t>(rng.between(4, 14));
         for (std::size_t w = 0; w < words; ++w) {
-          const auto& entry = kWords[rng.pick_weighted(weights)];
-          std::string word(entry.word);
-          if (w == 0) word[0] = static_cast<char>(word[0] - 'a' + 'A');
-          if (!sentence.empty()) sentence += ' ';
-          sentence += word;
+          const std::string_view word = kWords[table.pick(rng)].word;
+          if (w == 0) {
+            sentence += static_cast<char>(word[0] - 'a' + 'A');
+            sentence.append(word.substr(1));
+          } else {
+            sentence += ' ';
+            sentence.append(word);
+          }
           if (w + 2 < words && rng.chance(0.07)) sentence += ',';
         }
         sentence += rng.chance(0.1) ? '?' : '.';
@@ -197,19 +199,32 @@ util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
           recent[rng.below(recent.size())] = sentence;
         }
       }
-      // Emit word by word, wrapping at ~70 columns like formatted
-      // prose.
-      std::size_t wpos = 0;
-      while (wpos < sentence.size()) {
-        std::size_t wend = sentence.find(' ', wpos);
-        if (wend == std::string::npos) wend = sentence.size();
+      // Wrap at ~70 columns like formatted prose: a word follows a
+      // space when it fits on the line, else starts the next line. The
+      // sentence goes out in one copy; the spaces where a line breaks
+      // then become newlines.
+      const std::size_t first = std::min(sentence.find(' '), sentence.size());
+      if (line_len > 0 && line_len + first + 1 > 70) {
+        newline();
+      } else if (line_len > 0) {
+        out.push_back(' ');
+        ++line_len;
+      }
+      const std::size_t base = out.size();
+      const auto* bytes =
+          reinterpret_cast<const std::uint8_t*>(sentence.data());
+      out.insert(out.end(), bytes, bytes + sentence.size());
+      line_len += first;
+      for (std::size_t wpos = first + 1; wpos < sentence.size();) {
+        const std::size_t wend =
+            std::min(sentence.find(' ', wpos), sentence.size());
         const std::size_t wlen = wend - wpos;
-        if (line_len > 0 && line_len + wlen + 1 > 70) {
-          newline();
-        } else if (line_len > 0) {
-          emit(" ");
+        if (line_len + wlen + 1 > 70) {
+          out[base + wpos - 1] = '\n';
+          line_len = wlen;
+        } else {
+          line_len += wlen + 1;
         }
-        emit(std::string_view(sentence).substr(wpos, wlen));
         wpos = wend + 1;
       }
     }

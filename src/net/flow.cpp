@@ -1,25 +1,11 @@
 #include "net/flow.hpp"
 
-#include <stdexcept>
-
 namespace cksum::net {
 
 std::vector<Packet> segment_file(const FlowConfig& cfg, util::ByteView file) {
-  if (cfg.segment_size == 0)
-    throw std::invalid_argument("segment_file: segment_size must be > 0");
   std::vector<Packet> out;
-  out.reserve(file.size() / cfg.segment_size + 1);
-  std::uint32_t seq = cfg.initial_seq;
-  std::uint16_t id = cfg.initial_ip_id;
-  std::size_t off = 0;
-  while (off < file.size()) {
-    const std::size_t len = std::min(cfg.segment_size, file.size() - off);
-    out.push_back(
-        build_packet(cfg.packet, seq, id, file.subspan(off, len)));
-    seq += static_cast<std::uint32_t>(len);
-    ++id;
-    off += len;
-  }
+  out.reserve(file.size() / std::max<std::size_t>(cfg.segment_size, 1) + 1);
+  for_each_segment(cfg, file, [&](const Packet& p) { out.push_back(p); });
   return out;
 }
 

@@ -32,8 +32,8 @@ alg::FletcherMod fletcher_mod_of(alg::Algorithm a) {
 
 }  // namespace
 
-Packet build_packet(const PacketConfig& cfg, std::uint32_t seq,
-                    std::uint16_t ip_id, util::ByteView payload) {
+void build_packet(const PacketConfig& cfg, std::uint32_t seq,
+                  std::uint16_t ip_id, util::ByteView payload, Packet& out) {
   if (cfg.transport == alg::Algorithm::kCrc32)
     throw std::invalid_argument("build_packet: CRC-32 is the AAL5 check, "
                                 "not a transport checksum option");
@@ -45,9 +45,9 @@ Packet build_packet(const PacketConfig& cfg, std::uint32_t seq,
   if (total > 0xffff)
     throw std::invalid_argument("build_packet: payload too large");
 
-  Packet pkt;
-  pkt.payload_len = payload.size();
-  pkt.bytes.resize(total, 0);
+  out.payload_len = payload.size();
+  out.bytes.assign(total, 0);
+  std::uint8_t* const bytes = out.bytes.data();
 
   Ipv4Header ip;
   ip.total_length = static_cast<std::uint16_t>(total);
@@ -71,7 +71,6 @@ Packet build_packet(const PacketConfig& cfg, std::uint32_t seq,
       ip.ihl = 0;
     }
   }
-  ip.write(pkt.bytes.data());
 
   TcpHeader tcp;
   tcp.src_port = cfg.src_port;
@@ -81,32 +80,49 @@ Packet build_packet(const PacketConfig& cfg, std::uint32_t seq,
   tcp.flags = tcpflag::kAck | tcpflag::kPsh;
   tcp.window = cfg.window;
   tcp.checksum = 0;
-  tcp.write(pkt.bytes.data() + kIpv4HeaderLen);
+  tcp.write(bytes + kIpv4HeaderLen);
 
   std::copy(payload.begin(), payload.end(),
-            pkt.bytes.begin() + kIpv4HeaderLen + kTcpHeaderLen);
+            bytes + kIpv4HeaderLen + kTcpHeaderLen);
   // Trailer check bytes (if any) are already zero.
 
-  const util::Bytes coverage =
-      checksum_coverage(pkt.ip_bytes(), cfg.legacy95_headers);
+  // The coverage string (pseudo-header ++ TCP segment) is contiguous
+  // while the pseudo-header sits in the last 12 IP-header bytes, just
+  // before the TCP header; the IP header overwrites it below. The
+  // fields are the ones checksum_coverage() would parse back.
+  PseudoHeader ph;
+  ph.src = ip.src;
+  ph.dst = ip.dst;
+  ph.protocol = ip.protocol;
+  ph.tcp_length = cfg.legacy95_headers
+                      ? ip.total_length
+                      : static_cast<std::uint16_t>(total - kIpv4HeaderLen);
+  std::uint8_t* const coverage = bytes + kIpv4HeaderLen - PseudoHeader::kLen;
+  ph.write(coverage);
+  const std::size_t coverage_len = total - kIpv4HeaderLen + PseudoHeader::kLen;
   const std::size_t field_at =
-      check_offset_in_coverage(cfg.placement, coverage.size());
-  // Position of the field within the datagram: coverage offset 12
-  // corresponds to IP offset 20.
-  const std::size_t field_ip_offset = field_at - PseudoHeader::kLen + kIpv4HeaderLen;
+      check_offset_in_coverage(cfg.placement, coverage_len);
 
   if (cfg.transport == alg::Algorithm::kInternet) {
-    const std::uint16_t field = compute_internet_field(cfg, coverage);
-    util::store_be16(pkt.bytes.data() + field_ip_offset, field);
+    const std::uint16_t field =
+        compute_internet_field(cfg, util::ByteView(coverage, coverage_len));
+    util::store_be16(coverage + field_at, field);
   } else {
     const alg::FletcherMod mod = fletcher_mod_of(cfg.transport);
     const alg::FletcherPair rest =
-        alg::kern::fletcher_block(util::ByteView(coverage), mod);
-    const std::size_t u = coverage.size() - field_at;
+        alg::kern::fletcher_block(util::ByteView(coverage, coverage_len), mod);
+    const std::size_t u = coverage_len - field_at;
     const auto [x, y] = alg::fletcher_check_bytes(rest, u, mod);
-    pkt.bytes[field_ip_offset] = x;
-    pkt.bytes[field_ip_offset + 1] = y;
+    coverage[field_at] = x;
+    coverage[field_at + 1] = y;
   }
+  ip.write(bytes);
+}
+
+Packet build_packet(const PacketConfig& cfg, std::uint32_t seq,
+                    std::uint16_t ip_id, util::ByteView payload) {
+  Packet pkt;
+  build_packet(cfg, seq, ip_id, payload, pkt);
   return pkt;
 }
 

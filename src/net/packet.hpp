@@ -79,6 +79,10 @@ struct Packet {
 Packet build_packet(const PacketConfig& cfg, std::uint32_t seq,
                     std::uint16_t ip_id, util::ByteView payload);
 
+/// Build one data segment of a flow into `out`, reusing its buffer.
+void build_packet(const PacketConfig& cfg, std::uint32_t seq,
+                  std::uint16_t ip_id, util::ByteView payload, Packet& out);
+
 /// The checksum-coverage string of a datagram: pseudo-header ++ bytes
 /// from IP offset 20 to total_length. (Exposed for tests and the
 /// splice slow path.) With `legacy95` the pseudo-header carries the IP

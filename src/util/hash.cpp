@@ -3,16 +3,16 @@
 namespace cksum::util {
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffsetBasis;
   for (std::uint8_t byte : data) {
     h ^= byte;
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
 
 std::uint64_t hash64(std::span<const std::uint8_t> data) noexcept {
-  return mix64(fnv1a64(data) ^ (data.size() * 0x9e3779b97f4a7c15ULL));
+  return hash64_finish(fnv1a64(data), data.size());
 }
 
 std::uint64_t hash64(std::string_view text) noexcept {

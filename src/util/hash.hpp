@@ -13,6 +13,11 @@
 
 namespace cksum::util {
 
+/// FNV-1a 64-bit parameters: the state starts at the offset basis and
+/// absorbs each byte as h = (h ^ byte) * prime.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
 /// FNV-1a 64-bit. Simple, stable reference hash.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept;
 
@@ -31,6 +36,13 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 33;
   return x;
+}
+
+/// hash64 of `len` bytes whose FNV-1a state is `fnv`: for code that
+/// runs the FNV-1a chain inline beside other per-byte work.
+constexpr std::uint64_t hash64_finish(std::uint64_t fnv,
+                                      std::size_t len) noexcept {
+  return mix64(fnv ^ (len * 0x9e3779b97f4a7c15ULL));
 }
 
 /// Order-dependent combination of two hashes.

@@ -1,7 +1,9 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace cksum::util {
 
@@ -81,21 +83,55 @@ std::size_t Rng::run_length(double p_continue, std::size_t cap) noexcept {
   return n;
 }
 
-std::size_t Rng::pick_weighted(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return 0;
-  double x = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::child(std::uint64_t stream_id) const noexcept {
   SplitMix64 sm(seed_ ^ (0x9e3779b97f4a7c15ULL + stream_id));
   return Rng(sm.next() ^ stream_id);
+}
+
+WeightedTable::WeightedTable(std::span<const double> weights)
+    : weights_(weights.begin(), weights.end()) {
+  cumulative_.reserve(weights_.size());
+  for (double w : weights_) {
+    if (!(w >= 0.0))
+      throw std::invalid_argument("WeightedTable: negative or NaN weight");
+    total_ += w;
+    cumulative_.push_back(total_);
+  }
+  margin_ = 1e-9 * total_;
+  if (total_ <= 0.0) return;
+  // Four buckets per entry: a pick rarely scans past its guide.
+  guide_.resize(std::bit_ceil(4 * weights_.size()));
+  guide_scale_ = static_cast<double>(guide_.size()) / total_;
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < guide_.size(); ++b) {
+    const double lo = static_cast<double>(b) / guide_scale_;
+    while (i < cumulative_.size() && cumulative_[i] <= lo) ++i;
+    guide_[b] = static_cast<std::uint32_t>(i);
+  }
+}
+
+std::size_t WeightedTable::pick(Rng& rng) const noexcept {
+  if (total_ <= 0.0) return 0;
+  const double x = rng.uniform01() * total_;
+  // First i with x < cumulative_[i]: the index exact arithmetic picks.
+  // The guide is only a starting point; both scans make the result
+  // exact whatever rounding put x in its bucket.
+  const std::size_t n = cumulative_.size();
+  std::size_t i = guide_[std::min(static_cast<std::size_t>(x * guide_scale_),
+                                  guide_.size() - 1)];
+  while (i > 0 && cumulative_[i - 1] > x) --i;
+  while (i < n && cumulative_[i] <= x) ++i;
+  const bool near_upper = i == n || cumulative_[i] - x < margin_;
+  const bool near_lower = i > 0 && x - cumulative_[i - 1] < margin_;
+  return near_upper || near_lower ? pick_sequential(x) : i;
+}
+
+std::size_t WeightedTable::pick_sequential(double x) const noexcept {
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    x -= weights_[i];
+    if (x < 0.0) return i;
+  }
+  return weights_.size() - 1;
 }
 
 }  // namespace cksum::util

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace cksum::util {
 
@@ -60,10 +61,6 @@ class Rng {
   /// Used by generators that emit runs of repeated bytes.
   std::size_t run_length(double p_continue, std::size_t cap) noexcept;
 
-  /// Pick an index from a discrete weight table (weights need not sum
-  /// to anything in particular; all-zero weights pick index 0).
-  std::size_t pick_weighted(std::span<const double> weights) noexcept;
-
   /// UniformRandomBitGenerator interface (for std::shuffle etc.).
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
@@ -77,6 +74,43 @@ class Rng {
  private:
   std::array<std::uint64_t, 4> s_{};
   std::uint64_t seed_;
+};
+
+/// A discrete distribution over indices 0..n-1, built once from a
+/// weight table (weights need not sum to anything in particular).
+///
+/// pick() returns exactly what sequential subtraction returns — draw
+/// x = uniform01() * total, subtract the weights in order, stop at the
+/// first index that takes x below zero — but finds the index in the
+/// cumulative sums instead: a guide table of buckets over [0, total)
+/// (indexed search, Chen & Asau 1974) starts within a step or two of
+/// the first cumulative sum above x. The two can disagree only when x
+/// lies within the accumulated rounding error of a cumulative boundary
+/// (at most ~n ulps of the total). A draw closer than 1e-9 × total to
+/// a boundary runs the sequential subtraction itself, so for any table
+/// of fewer than ~10^6 entries the index, and the generator's state
+/// afterwards, are identical to it.
+class WeightedTable {
+ public:
+  /// Throws std::invalid_argument on a negative or NaN weight.
+  explicit WeightedTable(std::span<const double> weights);
+
+  /// One uniform01() draw; all-zero (or empty) weights pick index 0
+  /// without drawing.
+  std::size_t pick(Rng& rng) const noexcept;
+
+  std::span<const double> weights() const noexcept { return weights_; }
+
+ private:
+  std::size_t pick_sequential(double x) const noexcept;
+
+  std::vector<double> weights_;
+  std::vector<double> cumulative_;  ///< [i] = w0 + ... + wi, summed in order
+  double total_ = 0.0;
+  double margin_ = 0.0;  ///< 1e-9 * total_
+  /// guide_[b]: first i with cumulative_[i] > b * total_ / guide_.size().
+  std::vector<std::uint32_t> guide_;
+  double guide_scale_ = 0.0;  ///< guide_.size() / total_
 };
 
 }  // namespace cksum::util

@@ -1,12 +1,17 @@
 // Adler-32 and the util substrate (RNG, hashing, byte helpers, math).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
-#include <sstream>
 #include <set>
+#include <span>
+#include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "checksum/adler32.hpp"
 #include "checksum/kernels/kernel.hpp"
+#include "fsgen/generator.hpp"
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
 #include "util/math.hpp"
@@ -123,10 +128,88 @@ TEST(Rng, FillCoversAllBytePositions) {
   EXPECT_NE(buf, zero);
 }
 
-TEST(Rng, PickWeightedHonoursWeights) {
+// The sequential-subtraction pick WeightedTable must reproduce: the
+// draw, the index and the generator state afterwards.
+std::size_t sequential_pick(util::Rng& rng, std::span<const double> weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  if (total <= 0.0) return 0;
+  double x = rng.uniform01() * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    x -= weights[i];
+    if (x < 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+/// Picks `draws` times from `table` and from sequential_pick on twin
+/// generators; every index and the generators' next output agree.
+void expect_matches_sequential(const util::WeightedTable& table,
+                               std::uint64_t seed, int draws) {
+  util::Rng a(seed), b(seed);
+  for (int i = 0; i < draws; ++i)
+    ASSERT_EQ(table.pick(a), sequential_pick(b, table.weights()))
+        << "seed " << seed << " draw " << i;
+  EXPECT_EQ(a.next(), b.next()) << "seed " << seed;
+}
+
+TEST(WeightedTable, HonoursWeights) {
   util::Rng rng(9);
   const std::vector<double> w = {0.0, 1.0, 0.0};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.pick_weighted(w), 1u);
+  const util::WeightedTable table(w);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.pick(rng), 1u);
+
+  // All-zero (and empty) weights pick index 0 without drawing.
+  util::Rng drawn(9), untouched(9);
+  const std::vector<double> zeros = {0.0, 0.0, 0.0};
+  EXPECT_EQ(util::WeightedTable(zeros).pick(drawn), 0u);
+  EXPECT_EQ(util::WeightedTable({}).pick(drawn), 0u);
+  EXPECT_EQ(drawn.next(), untouched.next());
+
+  const std::vector<double> negative = {1.0, -0.5};
+  EXPECT_THROW(util::WeightedTable{negative}, std::invalid_argument);
+}
+
+TEST(WeightedTable, MatchesSequentialSubtractionOnTextTable) {
+  const util::WeightedTable& table = fsgen::text_word_table();
+  ASSERT_GT(table.weights().size(), 300u);
+  for (std::uint64_t seed = 0; seed < 300; ++seed)
+    expect_matches_sequential(table, seed, 10000);
+}
+
+TEST(WeightedTable, BoundaryDrawsMatchSequentialSubtraction) {
+  // Tables built around the generator's next draw u: `prefix`, then a
+  // weight that brings the cumulative sum to u (give or take `ulps`
+  // steps), then the remainder to 1, so the total is exactly 1, x = u,
+  // and x lands on (or a few ulps beside) a cumulative boundary — the
+  // draws WeightedTable hands to the sequential fallback.
+  const std::vector<std::vector<double>> prefixes = {
+      {}, {0.1, 0.2}, {0.0, 0.125, 0.0}, {0.01, 0.07, 0.03, 0.11, 0.05}};
+  int on_boundary = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    util::Rng peek(seed);
+    const double u = peek.uniform01();
+    if (u < 0.5) continue;  // keeps 1 - cumulative exact (Sterbenz)
+    for (const auto& prefix : prefixes) {
+      for (int ulps = -3; ulps <= 3; ++ulps) {
+        std::vector<double> w = prefix;
+        double sum = 0.0;
+        for (double x : w) sum += x;
+        double to_u = u - sum;
+        for (int k = 0; k < std::abs(ulps); ++k)
+          to_u = std::nextafter(to_u, ulps > 0 ? 2.0 : 0.0);
+        w.push_back(to_u);
+        sum += to_u;
+        w.push_back(1.0 - sum);
+        double total = 0.0;
+        for (double x : w) total += x;
+        ASSERT_EQ(total, 1.0);
+        if (sum == u) ++on_boundary;
+        expect_matches_sequential(util::WeightedTable(w), seed, 1);
+      }
+    }
+  }
+  EXPECT_GT(on_boundary, 100);  // draws exactly on a boundary occurred
 }
 
 TEST(Rng, ChildStreamsIndependentOfConsumption) {

@@ -2,9 +2,15 @@
 // the corresponding whole-message quantity computed directly.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "checksum/kernels/kernel.hpp"
 #include "core/pdu_model.hpp"
 #include "fsgen/generator.hpp"
+#include "net/validate.hpp"
+#include "obs/registry.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace cksum::core {
@@ -143,6 +149,253 @@ TEST(PduModel, PacketizeFileShape) {
     EXPECT_TRUE(atm::crc_ok(p.pdu.bytes()));
   }
 }
+
+/// Restores the kernel selection a test found when it ends.
+class KernelSelectionGuard {
+ public:
+  KernelSelectionGuard() : before_(alg::kern::selection_name()) {}
+  ~KernelSelectionGuard() { alg::kern::select_kernel(before_); }
+  KernelSelectionGuard(const KernelSelectionGuard&) = delete;
+  KernelSelectionGuard& operator=(const KernelSelectionGuard&) = delete;
+
+ private:
+  std::string before_;
+};
+
+/// The seven partials of one cell from each algorithm's scalar
+/// reference entry.
+CellPartial reference_cell(ByteView cell) {
+  namespace kern = alg::kern;
+  CellPartial cp;
+  cp.inet = kern::internet_impls().scalar().fn(cell);
+  const auto fletcher = kern::fletcher_impls().scalar().fn;
+  cp.f255 = fletcher(cell, alg::FletcherMod::kOnes255);
+  cp.f256 = fletcher(cell, alg::FletcherMod::kTwos256);
+  cp.crc = kern::crc32_impls().scalar().fn(0, cell);
+  cp.hash = util::hash64(cell);
+  cp.kd = kern::koopman_dual_impls().scalar().fn(cell);
+  cp.ks = kern::koopman_single_impls().scalar().fn(cell);
+  return cp;
+}
+
+/// Random cells, all-0x00 and all-0xFF cells (every lane sum at its
+/// extreme) and run-heavy cells, back to back.
+Bytes stress_cells() {
+  Bytes all;
+  util::Rng rng(0xCE11);
+  for (int i = 0; i < 64; ++i) {
+    Bytes cell(atm::kCellPayload);
+    rng.fill(cell);
+    all.insert(all.end(), cell.begin(), cell.end());
+  }
+  all.insert(all.end(), atm::kCellPayload, 0x00);
+  all.insert(all.end(), atm::kCellPayload, 0xFF);
+  for (int i = 0; i < 64; ++i) {
+    for (std::size_t n = 0; n < atm::kCellPayload;) {
+      const std::uint64_t pick = rng.below(3);
+      const auto byte = static_cast<std::uint8_t>(
+          pick == 0 ? 0x00 : pick == 1 ? 0xFF : rng.next());
+      const std::size_t run = std::min(rng.run_length(0.9, atm::kCellPayload),
+                                       atm::kCellPayload - n);
+      all.insert(all.end(), run, byte);
+      n += run;
+    }
+  }
+  return all;
+}
+
+TEST(PduModel, FusedCellPartialsMatchKernels) {
+  const KernelSelectionGuard guard;
+  const Bytes all = stress_cells();
+  const std::size_t cells = all.size() / atm::kCellPayload;
+  std::vector<CellPartial> want(cells);
+  for (std::size_t i = 0; i < cells; ++i)
+    want[i] = reference_cell(ByteView(all).subspan(i * atm::kCellPayload,
+                                                   atm::kCellPayload));
+  for (const char* sel : {"best", "scalar"}) {
+    ASSERT_TRUE(alg::kern::select_kernel(sel));
+    // The fused pass takes cells four at a time and the rest one at a
+    // time: every remainder, and all of them.
+    for (const std::size_t count : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4},
+                                    std::size_t{5}, std::size_t{9}, cells}) {
+      std::vector<CellPartial> got(count);
+      cell_partials(ByteView(all).first(count * atm::kCellPayload), got);
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(got[i], want[i]) << sel << ": cell " << i << " of " << count;
+    }
+  }
+}
+
+/// make_sim_packet's PacketPartials as computed before the fused pass:
+/// the Koopman sums over the whole PDU (`pkt` framed) and the head and
+/// EOM sums over heap copies of their bytes.
+PacketPartials whole_pdu_partials(const net::PacketConfig& cfg,
+                                  const net::Packet& pkt,
+                                  const atm::CpcsPdu& pdu) {
+  PacketPartials pp;
+  pp.total_len = pkt.total_length();
+  const std::size_t n = pdu.num_cells();
+  pp.hdr_require_ipck = cfg.fill_ip_header && !cfg.legacy95_headers;
+  pp.hdr_legacy95 = cfg.legacy95_headers;
+  pp.stored_crc = pdu.trailer().crc;
+  pp.crc_head44 = alg::kern::crc32(pdu.cell(n - 1).first(44));
+  pp.eom_kd = alg::kern::koopman_dual(pdu.cell(n - 1).first(44));
+  pp.eom_ks = alg::kern::koopman_single(pdu.cell(n - 1).first(44));
+  const ByteView crc_coverage = pdu.bytes().first(pdu.bytes().size() - 4);
+  pp.kd_pdu = alg::kern::koopman_dual(crc_coverage);
+  pp.ks_pdu = alg::kern::koopman_single(crc_coverage);
+  std::size_t eom_cov = pp.total_len > (n - 1) * atm::kCellPayload
+                            ? pp.total_len - (n - 1) * atm::kCellPayload
+                            : 0;
+  if (cfg.placement == net::ChecksumPlacement::kTrailer && eom_cov >= 2)
+    eom_cov -= 2;
+  pp.eom_cov_hash = util::hash64(pdu.cell(n - 1).first(eom_cov));
+
+  const ByteView ip = pkt.ip_bytes();
+  const std::size_t len = pp.total_len;
+  const bool trailer = cfg.placement == net::ChecksumPlacement::kTrailer;
+  const std::size_t eom_start = (n - 1) * atm::kCellPayload;
+  pp.fast_path_ok = len >= eom_start + (trailer ? 2 : 0);
+  TransportPartials& tp = pp.tp;
+  tp.eom_len =
+      static_cast<std::uint32_t>(len > eom_start ? len - eom_start : 0);
+
+  Bytes head(net::PseudoHeader::kLen);
+  net::PseudoHeader ph;
+  const auto hdr = net::Ipv4Header::parse(ip);
+  ph.src = hdr->src;
+  ph.dst = hdr->dst;
+  ph.protocol = hdr->protocol;
+  ph.tcp_length = cfg.legacy95_headers
+                      ? static_cast<std::uint16_t>(len)
+                      : static_cast<std::uint16_t>(len - net::kIpv4HeaderLen);
+  ph.write(head.data());
+  head.insert(head.end(), ip.begin() + net::kIpv4HeaderLen,
+              ip.begin() + std::min<std::size_t>(atm::kCellPayload, len));
+  tp.head_f255 =
+      alg::kern::fletcher_block(ByteView(head), alg::FletcherMod::kOnes255);
+  tp.head_f256 =
+      alg::kern::fletcher_block(ByteView(head), alg::FletcherMod::kTwos256);
+  if (!trailer) {
+    const std::size_t field = net::PseudoHeader::kLen + 16;
+    tp.stored = util::load_be16(head.data() + field);
+    head[field] = 0;
+    head[field + 1] = 0;
+  }
+  tp.head_sum = alg::kern::internet_sum(ByteView(head));
+
+  if (tp.eom_len > 0) {
+    Bytes eom(ip.begin() + eom_start, ip.begin() + len);
+    tp.eom_f255 =
+        alg::kern::fletcher_block(ByteView(eom), alg::FletcherMod::kOnes255);
+    tp.eom_f256 =
+        alg::kern::fletcher_block(ByteView(eom), alg::FletcherMod::kTwos256);
+    if (trailer && pp.fast_path_ok) {
+      tp.stored = util::load_be16(eom.data() + eom.size() - 2);
+      eom[eom.size() - 2] = 0;
+      eom[eom.size() - 1] = 0;
+    }
+    tp.eom_sum = alg::kern::internet_sum(ByteView(eom));
+  }
+  return pp;
+}
+
+/// Every packet shape: both placements, the three transports, the
+/// header ablations, runts (payloads the datagram of which ends before
+/// the EOM cell) and full and multi-cell segments.
+std::vector<std::pair<net::PacketConfig, std::size_t>> packet_shapes() {
+  std::vector<std::pair<net::PacketConfig, std::size_t>> out;
+  for (const auto placement :
+       {net::ChecksumPlacement::kHeader, net::ChecksumPlacement::kTrailer})
+    for (const auto transport :
+         {alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+          alg::Algorithm::kFletcher256})
+      for (int headers = 0; headers < 3; ++headers)
+        for (const std::size_t len :
+             {1u, 2u, 5u, 7u, 8u, 9u, 40u, 100u, 255u, 256u, 512u, 1460u}) {
+          net::PacketConfig cfg;
+          cfg.placement = placement;
+          cfg.transport = transport;
+          cfg.fill_ip_header = headers != 1;
+          cfg.legacy95_headers = headers == 2;
+          out.emplace_back(cfg, len);
+        }
+  return out;
+}
+
+TEST(PduModel, PacketPartialsMatchWholePduComputation) {
+  const KernelSelectionGuard guard;
+  for (const char* sel : {"best", "scalar"}) {
+    ASSERT_TRUE(alg::kern::select_kernel(sel));
+    std::uint64_t seed = 0;
+    for (const auto& [cfg, len] : packet_shapes()) {
+      const net::Packet pkt = make_packet(cfg, len, ++seed);
+      const SimPacket sp = make_sim_packet(cfg, pkt);
+      const PacketPartials want =
+          whole_pdu_partials(cfg, pkt, atm::CpcsPdu::frame(pkt.ip_bytes()));
+      ASSERT_EQ(static_cast<const PacketPartials&>(sp), want)
+          << sel << ": payload " << len << " placement "
+          << static_cast<int>(cfg.placement) << " transport "
+          << static_cast<int>(cfg.transport);
+      ASSERT_EQ(sp.cells.size(), sp.pdu.num_cells());
+      for (std::size_t i = 0; i < sp.cells.size(); ++i)
+        ASSERT_EQ(sp.cells[i], reference_cell(sp.pdu.cell(i))) << sel;
+    }
+  }
+}
+
+#ifndef OBS_DISABLE
+TEST(PduModel, KernelCountsMatchPerCellDispatch) {
+  // The fused pass and the derived whole-PDU Koopman sums count what
+  // seven dispatches per cell and two whole-PDU passes counted.
+  const KernelSelectionGuard guard;
+  alg::kern::register_kernel_metrics();
+  const auto counts = [] {
+    std::vector<std::uint64_t> out;
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    alg::kern::for_each_list([&](const auto& list) {
+      for (const char* what : {".calls", ".bytes"}) {
+        const obs::MetricValue* m =
+            snap.find("kernel." + std::string(list.name) + what);
+        out.push_back(m != nullptr ? m->value : 0);
+      }
+    });
+    return out;
+  };
+  const auto delta = [&](auto&& work) {
+    const std::vector<std::uint64_t> before = counts();
+    work();
+    std::vector<std::uint64_t> after = counts();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+  for (const auto& [cfg, len] : packet_shapes()) {
+    const net::Packet pkt = make_packet(cfg, len, len);
+    const auto want = delta([&] {
+      const atm::CpcsPdu pdu = atm::CpcsPdu::frame(pkt.ip_bytes());
+      const PacketPartials pp = whole_pdu_partials(cfg, pkt, pdu);
+      for (std::size_t i = 0; i < pdu.num_cells(); ++i) {
+        const ByteView cell = pdu.cell(i);
+        (void)alg::kern::internet_sum(cell);
+        (void)alg::kern::fletcher_block(cell, alg::FletcherMod::kOnes255);
+        (void)alg::kern::fletcher_block(cell, alg::FletcherMod::kTwos256);
+        (void)alg::kern::crc32(cell);
+        (void)alg::kern::koopman_dual(cell);
+        (void)alg::kern::koopman_single(cell);
+        if (i + 1 < pdu.num_cells())  // may check an IP header sum
+          (void)net::check_headers(cell, pp.total_len, pp.hdr_require_ipck,
+                                   pp.hdr_legacy95);
+      }
+    });
+    for (const char* sel : {"best", "scalar"}) {
+      ASSERT_TRUE(alg::kern::select_kernel(sel));
+      EXPECT_EQ(delta([&] { (void)make_sim_packet(cfg, pkt); }), want)
+          << sel << ": payload " << len;
+    }
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace cksum::core
