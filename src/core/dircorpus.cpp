@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -43,14 +42,7 @@ std::vector<fs::path> list_corpus_files(const fs::path& root,
 }
 
 util::Bytes read_file_prefix(const fs::path& path, std::size_t max_bytes) {
-  std::ifstream in(path, std::ios::binary);
-  util::Bytes out;
-  if (!in) return out;
-  out.resize(max_bytes);
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(max_bytes));
-  out.resize(static_cast<std::size_t>(in.gcount()));
-  return out;
+  return util::read_file(path.string(), max_bytes).value_or(util::Bytes{});
 }
 
 std::optional<fsgen::Filesystem> open_filesystem(const CorpusSource& src) {
@@ -105,8 +97,9 @@ std::optional<util::Bytes> SpliceCorpus::file_bytes(std::size_t i) const {
   if (fs_) return fs_->file(i);
   if (store_)
     throw std::logic_error("a corpus store keeps packets, not file bytes");
-  util::Bytes file = read_file_prefix(files_[i], DirLimits{}.max_file_bytes);
-  if (file.empty()) return std::nullopt;
+  std::optional<util::Bytes> file =
+      util::read_file(files_[i].string(), DirLimits{}.max_file_bytes);
+  if (file && file->empty()) return std::nullopt;
   return file;
 }
 

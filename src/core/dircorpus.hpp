@@ -33,7 +33,9 @@ struct DirLimits {
 std::vector<std::filesystem::path> list_corpus_files(
     const std::filesystem::path& root, const DirLimits& limits = {});
 
-/// Read (a prefix of) one file; empty if it cannot be opened.
+/// util::read_file's first `max_bytes` bytes of one file, empty if it
+/// cannot be opened or read (the benchmark's layer replay reads its
+/// manifest through this).
 util::Bytes read_file_prefix(const std::filesystem::path& path,
                              std::size_t max_bytes);
 
@@ -80,10 +82,11 @@ class SpliceCorpus {
                         std::size_t end) const;
 
   /// File i's bytes, i < file_count(): generated for a profile or
-  /// manifest; for a directory, read up to DirLimits::max_file_bytes,
-  /// std::nullopt when the file reads back empty (emptied or
-  /// unreadable since it was listed). Throws std::logic_error for a
-  /// store, which keeps packets, not files.
+  /// manifest; for a directory, read by util::read_file up to
+  /// DirLimits::max_file_bytes, std::nullopt when the file reads back
+  /// empty or not at all (emptied, removed or unreadable since it was
+  /// listed). Throws std::logic_error for a store, which keeps
+  /// packets, not files.
   std::optional<util::Bytes> file_bytes(std::size_t i) const;
 
  private:

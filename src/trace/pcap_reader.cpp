@@ -1,6 +1,7 @@
 #include "trace/pcap_reader.hpp"
 
 #include <cstdio>
+#include <limits>
 
 #include "trace/metrics.hpp"
 #include "util/bytes.hpp"
@@ -44,23 +45,10 @@ std::string hex32(std::uint32_t v) {
 
 std::unique_ptr<PcapReader> PcapReader::open(const std::string& path,
                                              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    fail(error, "cannot open " + path);
-    return nullptr;
-  }
-  util::Bytes data;
-  std::uint8_t buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    data.insert(data.end(), buf, buf + n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) {
-    fail(error, "read error on " + path);
-    return nullptr;
-  }
-  return parse(std::move(data), error);
+  std::optional<util::Bytes> data =
+      util::read_file(path, std::numeric_limits<std::size_t>::max(), error);
+  if (!data) return nullptr;
+  return parse(std::move(*data), error);
 }
 
 std::unique_ptr<PcapReader> PcapReader::parse(util::Bytes bytes,

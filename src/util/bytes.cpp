@@ -1,6 +1,12 @@
 #include "util/bytes.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <stdexcept>
 
 namespace cksum::util {
@@ -46,6 +52,47 @@ Bytes from_hex(std::string_view hex) {
 
 void append(Bytes& out, std::string_view text) {
   out.insert(out.end(), text.begin(), text.end());
+}
+
+std::optional<Bytes> read_file(const std::string& path, std::size_t max_bytes,
+                               std::string* error) {
+  const auto fail = [&](const char* why) -> std::optional<Bytes> {
+    if (error != nullptr) *error = why + path;
+    return std::nullopt;
+  };
+  struct File {
+    int fd;
+    ~File() {
+      if (fd >= 0) ::close(fd);
+    }
+  } const f{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (f.fd < 0) return fail("cannot open ");
+
+  // One byte past the reported size lets a file of exactly that size
+  // see EOF without growing the buffer.
+  struct stat st {};
+  const std::size_t hint =
+      ::fstat(f.fd, &st) == 0 && S_ISREG(st.st_mode)
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  Bytes out(std::min(max_bytes, hint + 1));
+  std::size_t got = 0;
+  for (;;) {
+    if (got == out.size()) {
+      if (got == max_bytes) break;
+      constexpr std::size_t kMinChunk = 4096;
+      out.resize(got + std::min(max_bytes - got, std::max(got, kMinChunk)));
+    }
+    const ssize_t n = ::read(f.fd, out.data() + got, out.size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return fail("read error on ");
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  out.resize(got);
+  return out;
 }
 
 }  // namespace cksum::util

@@ -1,9 +1,11 @@
 // Byte-buffer helpers: big-endian loads/stores (network order),
-// hex formatting, and span slicing with bounds checks.
+// hex formatting, span slicing with bounds checks, and the one bounded
+// whole-file reader.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,5 +69,16 @@ Bytes from_hex(std::string_view hex);
 
 /// Append the bytes of a string to a buffer.
 void append(Bytes& out, std::string_view text);
+
+/// The first `max_bytes` bytes of the file at `path` (all of it if
+/// shorter). The buffer is sized from the open file's size, then grown
+/// geometrically until EOF or the cap, so a file whose reported size is
+/// wrong (procfs reports 0, a pipe reports nothing, a file can grow
+/// while open) still reads whole, and nothing is allocated beyond the
+/// bytes read plus one chunk. An empty file is an empty buffer;
+/// std::nullopt, with `*error` set to "cannot open <path>" or "read
+/// error on <path>", means the file could not be opened or read.
+std::optional<Bytes> read_file(const std::string& path, std::size_t max_bytes,
+                               std::string* error = nullptr);
 
 }  // namespace cksum::util

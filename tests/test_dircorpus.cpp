@@ -1,13 +1,18 @@
 // Directory-corpus support: deterministic enumeration, limits,
-// truncation, and end-to-end runs over a temp tree.
+// truncation, and end-to-end runs over a temp tree; and the bounded
+// whole-file reader every file read goes through.
 #include <gtest/gtest.h>
+
+#include <sys/stat.h>
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "fsgen/generator.hpp"
+#include "util/bytes.hpp"
 
 namespace cksum::core {
 namespace {
@@ -108,6 +113,9 @@ TEST_F(DirCorpus, FileEmptiedAfterListingIsSkipped) {
     cfg.threads = threads;
     EXPECT_EQ(corpus.run_range(cfg, 0, 4).files, 3u) << threads;
   }
+  // So is one removed after listing: it reads back not at all.
+  fs::remove(root_ / "a.bin");
+  EXPECT_EQ(corpus.run_range(cfg, 0, 4).files, 2u);
 }
 
 TEST_F(DirCorpus, CollectDirectoryStats) {
@@ -147,6 +155,71 @@ TEST_F(DirCorpus, SymlinksAndSpecialEntriesSkipped) {
 TEST_F(DirCorpus, MissingRootThrows) {
   EXPECT_THROW(list_corpus_files(root_ / "does-not-exist"),
                fs::filesystem_error);
+}
+
+// The reader sizes its buffer from the file, not from the cap; reads
+// past a size hint that is wrong; and tells a missing file from an
+// empty one.
+using ReadFile = DirCorpus;
+
+TEST_F(ReadFile, BufferFollowsTheFileNotTheCap) {
+  const std::optional<util::Bytes> data =
+      util::read_file((root_ / "a.bin").string(), std::size_t{1} << 31);
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(data->size(), 5000u);
+  EXPECT_LT(data->capacity(), 64u * 1024);
+  EXPECT_EQ(*data, fsgen::generate_file(fsgen::FileKind::kGmonProfile, 2, 5000));
+  EXPECT_LT(read_file_prefix(root_ / "a.bin", std::size_t{1} << 31).capacity(),
+            64u * 1024);
+}
+
+TEST_F(ReadFile, ProcfsReadsPastItsZeroSize) {
+  struct stat st {};
+  ASSERT_EQ(::stat("/proc/self/status", &st), 0);
+  EXPECT_EQ(st.st_size, 0);
+  const std::optional<util::Bytes> data =
+      util::read_file("/proc/self/status", std::size_t{1} << 31);
+  ASSERT_TRUE(data.has_value());
+  const std::string text(data->begin(), data->end());
+  EXPECT_EQ(text.rfind("Name:", 0), 0u) << text;
+  EXPECT_EQ(text.back(), '\n');
+}
+
+TEST_F(ReadFile, PipeGrowsGeometrically) {
+  const util::Bytes sent = fsgen::generate_file(fsgen::FileKind::kText, 5, 300000);
+  const fs::path fifo = root_ / "fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] { write(fifo, sent); });
+  const std::optional<util::Bytes> got =
+      util::read_file(fifo.string(), std::size_t{1} << 31);
+  writer.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, sent);
+  EXPECT_LE(got->capacity(), 2 * sent.size());
+}
+
+TEST_F(ReadFile, FileOfExactlyTheCapReadsWhole) {
+  const std::optional<util::Bytes> data =
+      util::read_file((root_ / "a.bin").string(), 5000);
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(*data, fsgen::generate_file(fsgen::FileKind::kGmonProfile, 2, 5000));
+}
+
+TEST_F(ReadFile, EmptyFileIsAnEmptyBuffer) {
+  std::string err;
+  const std::optional<util::Bytes> data =
+      util::read_file((root_ / "empty.txt").string(), 100, &err);
+  ASSERT_TRUE(data.has_value()) << err;
+  EXPECT_TRUE(data->empty());
+}
+
+TEST_F(ReadFile, MissingFileAndDirectoryAreErrors) {
+  const std::string missing = (root_ / "nope").string();
+  std::string err;
+  EXPECT_FALSE(util::read_file(missing, 100, &err).has_value());
+  EXPECT_EQ(err, "cannot open " + missing);
+  EXPECT_FALSE(util::read_file(root_.string(), 100, &err).has_value());
+  EXPECT_EQ(err, "read error on " + root_.string());
 }
 
 }  // namespace

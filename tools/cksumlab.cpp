@@ -30,6 +30,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +45,7 @@
 #include "kernel_cli.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
+#include "dist/frame.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
 #include "faults/channel.hpp"
@@ -51,6 +54,7 @@
 #include "trace/ingest.hpp"
 #include "trace/pcap_reader.hpp"
 #include "trace/profile.hpp"
+#include "util/bytes.hpp"
 #include "util/pcap.hpp"
 
 using namespace cksum;
@@ -96,9 +100,14 @@ int cmd_sum(const std::vector<std::string>& args) {
   core::TextTable t({"file", "bytes", "internet", "F-255", "F-256",
                      "Fletcher-32", "CRC-32", "Adler-32"});
   for (const auto& path : args) {
-    const util::Bytes data =
-        core::read_file_prefix(path, 1ull << 31);
-    const util::ByteView view(data.data(), data.size());
+    std::string err;
+    const std::optional<util::Bytes> data =
+        util::read_file(path, std::size_t{1} << 31, &err);
+    if (!data) {
+      std::fprintf(stderr, "cksumlab: %s\n", err.c_str());
+      return 1;
+    }
+    const util::ByteView view(*data);
     char inet[8], f255[8], f256[8], f32[16], crc[16], adler[16];
     std::snprintf(inet, sizeof inet, "0x%04x", alg::kern::internet_sum(view));
     const auto p255 =
@@ -112,7 +121,7 @@ int cmd_sum(const std::vector<std::string>& args) {
     std::snprintf(crc, sizeof crc, "0x%08x", alg::kern::crc32(view));
     std::snprintf(adler, sizeof adler, "0x%08x",
                   alg::kern::adler32(1u, view));
-    t.add_row({path, core::fmt_count(data.size()), inet, f255, f256, f32,
+    t.add_row({path, core::fmt_count(data->size()), inet, f255, f256, f32,
                crc, adler});
   }
   t.print(std::cout);
@@ -508,7 +517,9 @@ std::string splice_ticker_line(const obs::Snapshot& snap, double elapsed) {
 }
 
 /// The corpus source the splice options name (a manifest as its text,
-/// so dist workers need no shared filesystem).
+/// so dist workers need no shared filesystem; read up to the dist frame
+/// payload limit). Throws std::runtime_error if the manifest cannot be
+/// read.
 core::CorpusSource corpus_source(const CommonOpts& o) {
   core::CorpusSource src;
   if (!o.corpus.empty()) {
@@ -516,8 +527,12 @@ core::CorpusSource corpus_source(const CommonOpts& o) {
   } else if (!o.profile.empty()) {
     src = {core::CorpusKind::kProfile, o.profile, o.scale};
   } else if (!o.manifest.empty()) {
-    const util::Bytes text = core::read_file_prefix(o.manifest, 1u << 24);
-    src = {core::CorpusKind::kManifest, std::string(text.begin(), text.end())};
+    std::string err;
+    const std::optional<util::Bytes> text =
+        util::read_file(o.manifest, dist::kMaxFramePayload, &err);
+    if (!text) throw std::runtime_error(err);
+    src = {core::CorpusKind::kManifest,
+           std::string(text->begin(), text->end())};
   } else {
     src = {core::CorpusKind::kDirectory, o.dir};
   }
