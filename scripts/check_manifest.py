@@ -4,7 +4,6 @@
 Usage: check_manifest.py MANIFEST [--require-family FAM]...
                          [--require-kernel [NAME]]
                          [--require-dist]
-                         [--require-arq]
                          [--require-storage]
                          [--require-trace]
                          [--diff-deterministic OTHER]
@@ -30,12 +29,6 @@ corpus), and — the accounting check — every deterministic
 counter in the top-level metrics must equal the sum of the per-worker
 contributions recorded in "dist.per_worker[].metrics". A shard merged
 twice (or dropped) breaks that equality.
-
---require-arq fails unless the manifest carries the "arq" member that
-`faultlab arq` writes: the residual-error/goodput frontier rows, one
-per (policy, checksum, fault rate) cell (docs/ARQ.md). Each row must
-name a known policy, keep its outcome counters consistent with the
-offered load, and record clean termination.
 
 --require-storage fails unless the manifest carries the "storage"
 member that `faultlab storage` writes: the commit-block miss-rate
@@ -323,62 +316,6 @@ def check_dist(doc, manifest_path):
     return problems
 
 
-ARQ_POLICIES = {"stop_and_wait", "go_back_n", "selective_repeat"}
-ARQ_COUNTERS = ("offered", "delivered_ok", "residual_undetected",
-                "residual_lost", "gave_up", "retransmits", "timeouts",
-                "check_rejects", "ticks")
-
-
-def check_arq(doc):
-    """Problems with the manifest's ARQ frontier record, [] when clean.
-    See docs/ARQ.md for the "arq" member's shape."""
-    rows = doc.get("arq") if isinstance(doc, dict) else None
-    if not isinstance(rows, list) or not rows:
-        return ["no 'arq' member — manifest was not produced by "
-                "`faultlab arq`"]
-    problems = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            problems.append(f"arq[{i}]: not an object")
-            continue
-        who = (f"arq[{i}] ({row.get('policy')!r}/{row.get('checksum')!r}"
-               f"@{row.get('fault_rate')!r})")
-        if row.get("policy") not in ARQ_POLICIES:
-            problems.append(f"{who}: unknown policy {row.get('policy')!r}")
-        if not isinstance(row.get("checksum"), str) or not row["checksum"]:
-            problems.append(f"{who}: 'checksum' missing or empty")
-        rate = row.get("fault_rate")
-        if not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
-            problems.append(f"{who}: fault_rate {rate!r} not in [0, 1]")
-        for key in ARQ_COUNTERS:
-            v = row.get(key)
-            if not isinstance(v, int) or v < 0:
-                problems.append(f"{who}: bad {key} {v!r}")
-        for key in ("goodput", "mean_latency"):
-            v = row.get(key)
-            if not isinstance(v, (int, float)) or v < 0:
-                problems.append(f"{who}: bad {key} {v!r}")
-        if row.get("terminated") is not True:
-            problems.append(f"{who}: terminated is not true — the run "
-                            "hung or tripped the event cap")
-        # Outcome accounting: every offered payload was delivered OK,
-        # delivered corrupted, abandoned, or lost — never more than
-        # offered in any single bucket.
-        offered = row.get("offered")
-        if isinstance(offered, int):
-            for key in ("delivered_ok", "residual_undetected",
-                        "residual_lost", "gave_up"):
-                v = row.get(key)
-                if isinstance(v, int) and v > offered:
-                    problems.append(f"{who}: {key} {v} exceeds "
-                                    f"offered {offered}")
-        if rate == 0 and isinstance(offered, int):
-            if row.get("delivered_ok") != offered:
-                problems.append(f"{who}: fault-free cell did not deliver "
-                                "every payload")
-    return problems
-
-
 STORAGE_FAULTS = {"torn", "misdirected", "lost", "corrupt"}
 STORAGE_COUNTERS = ("trials", "benign", "detected", "undetected",
                     "run_heavy_trials", "run_heavy_scored",
@@ -565,9 +502,6 @@ def main():
     ap.add_argument("--require-dist", action="store_true",
                     help="require a complete distributed-run record "
                          "whose per-worker sums match the aggregate")
-    ap.add_argument("--require-arq", action="store_true",
-                    help="require a well-formed ARQ frontier record "
-                         "(faultlab arq --metrics-out)")
     ap.add_argument("--require-storage", action="store_true",
                     help="require a well-formed storage frontier record "
                          "(faultlab storage --metrics-out)")
@@ -590,8 +524,6 @@ def main():
     problems += check_kernel(doc, args.require_kernel)
     if args.require_dist:
         problems += check_dist(doc, args.manifest)
-    if args.require_arq:
-        problems += check_arq(doc)
     if args.require_storage:
         problems += check_storage(doc)
     if args.require_trace:

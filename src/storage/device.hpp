@@ -1,5 +1,5 @@
 // A deterministic faulty block device: the storage twin of
-// faults::LinkChannel (docs/STORAGE.md, docs/FAULTS.md).
+// faults::FaultyChannel (docs/STORAGE.md, docs/FAULTS.md).
 //
 // Every write() rolls one fault-class partition draw against the
 // plan's rates; at most one fault class fires per write, the storage
@@ -16,7 +16,7 @@
 //   corrupt     the block lands, then an in-place bit/byte/burst error
 //               (core::apply_burst) hits the stored copy
 //
-// Determinism discipline is LinkChannel's: the device owns one
+// Determinism discipline is FaultyChannel's: the device owns one
 // util::Rng seeded at construction, and the (plan, seed, write
 // sequence) triple always produces the same fault schedule — the same
 // tears at the same sectors, the same victims, the same burst

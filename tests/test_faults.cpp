@@ -9,7 +9,6 @@
 #include "atm/cell.hpp"
 #include "atm/demux.hpp"
 #include "faults/channel.hpp"
-#include "faults/link.hpp"
 #include "faults/soak.hpp"
 #include "util/rng.hpp"
 
@@ -323,117 +322,6 @@ TEST(Soak, ReproducerLineRoundTrips) {
   EXPECT_EQ(faults::reproducer_line(cfg, 12),
             "faultlab replay --seed 0xab --scenario 12 --channels 8 "
             "--budget 64");
-}
-
-// -------------------------------------------------------------------
-// LinkChannel: the frame-grain channel the ARQ endpoints sit on. The
-// composition contract matters most here — fault classes are rolled
-// per delivered copy, so two classes can (and must be able to) land on
-// the same frame in one transmit().
-
-Bytes make_frame(util::Rng& rng, std::size_t len) {
-  Bytes frame(len);
-  rng.fill(frame);
-  return frame;
-}
-
-TEST(LinkChannel, TruncationAndReorderComposeOnTheSameCopy) {
-  faults::LinkPlan plan;
-  plan.truncate_rate = 1.0;
-  plan.reorder_rate = 1.0;
-  plan.reorder_delay_max = 12;
-  faults::LinkChannel ch(plan, 7);
-  util::Rng rng(77);
-  const int kFrames = 40;
-  for (int i = 0; i < kFrames; ++i) {
-    const Bytes frame = make_frame(rng, 16 + rng.below(200));
-    for (const auto& d : ch.transmit(ByteView(frame))) {
-      // Both classes hit this very copy: the tail is gone AND it was
-      // delayed past later transmissions.
-      EXPECT_LT(d.bytes.size(), frame.size());
-      EXPECT_GE(d.extra_delay, 1u);
-      EXPECT_LE(d.extra_delay, plan.reorder_delay_max);
-    }
-  }
-  const auto& st = ch.stats();
-  EXPECT_EQ(st.frames_in, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(st.deliveries, st.frames_in);  // no drops, no duplicates
-  EXPECT_EQ(st.truncations, st.deliveries);
-  EXPECT_EQ(st.reorders, st.deliveries);
-}
-
-TEST(LinkChannel, CorruptionAndDuplicationHitTheSameFrame) {
-  faults::LinkPlan plan;
-  plan.duplicate_rate = 1.0;
-  plan.corrupt_rate = 1.0;
-  faults::LinkChannel ch(plan, 9);
-  util::Rng rng(99);
-  const int kFrames = 40;
-  for (int i = 0; i < kFrames; ++i) {
-    const Bytes frame = make_frame(rng, 16 + rng.below(200));
-    const auto out = ch.transmit(ByteView(frame));
-    ASSERT_EQ(out.size(), 2u);  // the duplicate fired
-    // ... and each copy was independently corrupted (a burst flips at
-    // least one bit, so neither copy matches the original).
-    EXPECT_NE(out[0].bytes, frame);
-    EXPECT_NE(out[1].bytes, frame);
-  }
-  const auto& st = ch.stats();
-  EXPECT_EQ(st.duplicates, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(st.deliveries, 2u * kFrames);
-  EXPECT_EQ(st.corruptions, st.deliveries);  // every copy, not per frame
-}
-
-TEST(LinkChannel, DeterministicUnderSameSeedWithComposedPlan) {
-  faults::LinkPlan plan;
-  plan.drop_rate = 0.1;
-  plan.duplicate_rate = 0.2;
-  plan.corrupt_rate = 0.3;
-  plan.truncate_rate = 0.2;
-  plan.reorder_rate = 0.3;
-  faults::LinkChannel a(plan, 0xC0FFEE), b(plan, 0xC0FFEE);
-  util::Rng rng(5);
-  for (int i = 0; i < 60; ++i) {
-    const Bytes frame = make_frame(rng, 8 + rng.below(300));
-    const auto out_a = a.transmit(ByteView(frame));
-    const auto out_b = b.transmit(ByteView(frame));
-    ASSERT_EQ(out_a.size(), out_b.size());
-    for (std::size_t k = 0; k < out_a.size(); ++k) {
-      EXPECT_EQ(out_a[k].bytes, out_b[k].bytes);
-      EXPECT_EQ(out_a[k].extra_delay, out_b[k].extra_delay);
-    }
-  }
-  EXPECT_EQ(a.stats().total_injected(), b.stats().total_injected());
-  EXPECT_EQ(a.stats().deliveries, b.stats().deliveries);
-}
-
-TEST(LinkChannel, DeliveryAccountingCloses) {
-  faults::LinkPlan plan;
-  plan.drop_rate = 0.2;
-  plan.duplicate_rate = 0.2;
-  plan.corrupt_rate = 0.2;
-  plan.truncate_rate = 0.2;
-  plan.reorder_rate = 0.2;
-  faults::LinkChannel ch(plan, 0xACC7);
-  util::Rng rng(6);
-  const int kFrames = 400;
-  for (int i = 0; i < kFrames; ++i) {
-    const Bytes frame = make_frame(rng, 8 + rng.below(120));
-    ch.transmit(ByteView(frame));
-  }
-  const auto& st = ch.stats();
-  // Every frame in is either dropped or delivered, once or (when
-  // duplicated) twice — no other path exists.
-  EXPECT_EQ(st.frames_in, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(st.deliveries, st.frames_in - st.drops + st.duplicates);
-  // With all five classes at 20% over 400 frames, each must fire.
-  EXPECT_GT(st.drops, 0u);
-  EXPECT_GT(st.duplicates, 0u);
-  EXPECT_GT(st.corruptions, 0u);
-  EXPECT_GT(st.truncations, 0u);
-  EXPECT_GT(st.reorders, 0u);
-  EXPECT_EQ(st.total_injected(), st.drops + st.duplicates + st.corruptions +
-                                     st.truncations + st.reorders);
 }
 
 }  // namespace

@@ -11,16 +11,9 @@
 //                                  worker mid-lease, and assert the
 //                                  merged report still equals the
 //                                  single-process run bit for bit
-//   faultlab arq [options]         ARQ frontier: run every (policy,
-//                                  checksum) pair across a fault-rate
-//                                  grid and report the residual-error
-//                                  rate and goodput/latency cost of
-//                                  each (docs/ARQ.md)
-//   faultlab arqsoak [options]     randomized ARQ soak over all three
-//                                  retransmission policies; exit 1 and
-//                                  print a reproducer on any guarantee
-//                                  violation (add --scenario N to
-//                                  replay exactly one scenario)
+//   faultlab storage [options]     storage frontier: which checksums
+//                                  leak which commit-block faults
+//                                  (docs/STORAGE.md)
 //
 // options:
 //   --seed <n>        master seed                    (default 0xC0FFEE)
@@ -47,10 +40,7 @@
 
 #include <fstream>
 
-#include "arq/sim.hpp"
-#include "arq/soak.hpp"
 #include "atm/demux.hpp"
-#include "checksum/checksum.hpp"
 #include "checksum/kernels/kernel.hpp"
 #include "cli.hpp"
 #include "core/dircorpus.hpp"
@@ -78,11 +68,6 @@ int usage() {
       "       faultlab distkill [--workers n] [--profile p]\n"
       "                         [--scale x] [--shard-files n] [--quick]\n"
       "                         [--verbose] [--metrics-out p]\n"
-      "       faultlab arq [--seed n] [--payloads n] [--quick] [--json]\n"
-      "                    [--metrics-out p] [--progress] [--quiet]\n"
-      "       faultlab arqsoak [--seed n] [--faults n] [--max-scenarios n]\n"
-      "                        [--scenario n] [--repro-file p]\n"
-      "                        [--metrics-out p] [--progress] [--quiet]\n"
       "       faultlab storage [--seed n] [--trials n] [--threads n]\n"
       "                        [--quick] [--json] [--metrics-out p]\n"
       "                        [--progress] [--quiet]\n"
@@ -98,26 +83,8 @@ struct RunFlags {
   std::string metrics_out;
   bool progress = false;
   bool quiet = false;
-  bool quick = false;
   bool json = false;
 };
-
-/// The closing lines every soak prints: `summary`, then on a violation
-/// its detail and reproducer line, also written to `--repro-file`.
-/// Returns the exit code.
-int soak_verdict(bool ok, const std::string& summary,
-                 const std::string& detail, const std::string& reproducer,
-                 const std::string& repro_file) {
-  std::printf("%s\n", summary.c_str());
-  if (ok) return 0;
-  std::printf("  %s\n  reproduce with: %s\n", detail.c_str(),
-              reproducer.c_str());
-  if (!repro_file.empty()) {
-    std::ofstream out(repro_file);
-    out << reproducer << "\n";
-  }
-  return 1;
-}
 
 void print_totals(const faults::ScenarioResult& t) {
   const faults::FaultStats& f = t.faults;
@@ -213,273 +180,24 @@ int cmd_soak(const std::vector<std::string>& args, bool replay) {
     print_totals(res.totals);
     std::printf("\n");
   }
-  const int rc = soak_verdict(
-      res.ok(),
-      std::to_string(res.scenarios) + " scenarios, " +
-          core::fmt_count(res.totals.faults.total_faults()) +
-          " fault events, " + core::fmt_count(res.totals.faults.cells_in) +
-          " cells: " +
-          (res.ok() ? "all invariants held" : "INVARIANT VIOLATED"),
-      res.totals.violation_detail, res.reproducer, f.repro_file);
+  std::printf("%llu scenarios, %s fault events, %s cells: %s\n",
+              static_cast<unsigned long long>(res.scenarios),
+              core::fmt_count(res.totals.faults.total_faults()).c_str(),
+              core::fmt_count(res.totals.faults.cells_in).c_str(),
+              res.ok() ? "all invariants held" : "INVARIANT VIOLATED");
+  int rc = 0;
+  if (!res.ok()) {
+    std::printf("  %s\n  reproduce with: %s\n",
+                res.totals.violation_detail.c_str(), res.reproducer.c_str());
+    if (!f.repro_file.empty()) {
+      std::ofstream out(f.repro_file);
+      out << res.reproducer << "\n";
+    }
+    rc = 1;
+  }
   // Scenario corpora are seed-derived.
   return manifest.finish(replay ? "faultlab replay" : "faultlab soak",
                          "fsgen-random", cfg.seed, 1)
-             ? rc
-             : 1;
-}
-
-// --- faultlab arq / arqsoak -----------------------------------------
-
-/// The options of `faultlab arq` and `faultlab arqsoak`; each verb's
-/// table takes only the ones its usage line lists.
-struct ArqOpts {
-  arq::ArqSoakConfig cfg;
-  std::uint64_t scenario = 0;
-  bool have_scenario = false;
-  std::size_t payloads = 48;
-  RunFlags f;
-};
-
-std::string arq_ticker_line(const obs::Snapshot& snap, double elapsed) {
-  char buf[160];
-  std::snprintf(
-      buf, sizeof buf,
-      "arq: %llu runs  %llu delivered  %llu retransmits  "
-      "%llu residual  %llu gave up  %.1fs",
-      static_cast<unsigned long long>(snap.value("arq.runs")),
-      static_cast<unsigned long long>(snap.value("arq.delivered_ok")),
-      static_cast<unsigned long long>(snap.value("arq.retransmits")),
-      static_cast<unsigned long long>(snap.value("arq.residual_undetected") +
-                                      snap.value("arq.residual_lost")),
-      static_cast<unsigned long long>(snap.value("arq.gave_up")), elapsed);
-  return buf;
-}
-
-/// One cell of the frontier: (policy, checksum) at a link fault rate.
-struct ArqCell {
-  arq::Policy policy;
-  alg::Algorithm checksum;
-  double rate;
-  arq::SimResult sim;
-};
-
-/// All fault classes scaled off one knob so "fault rate" means one
-/// thing across the whole table: at rate r the data direction corrupts
-/// r of its frames, drops r/2, duplicates r/4, truncates r/4, and
-/// reorders r/2 of them; the ACK direction runs the same plan at half
-/// strength.
-faults::LinkPlan frontier_plan(double rate, bool ack) {
-  const double r = ack ? rate / 2 : rate;
-  faults::LinkPlan p;
-  p.corrupt_rate = r;
-  p.burst_bits_max = 32;
-  p.drop_rate = r / 2;
-  p.duplicate_rate = r / 4;
-  p.truncate_rate = r / 4;
-  p.reorder_rate = r / 2;
-  p.reorder_delay_max = 24;
-  return p;
-}
-
-std::string json_escape_free_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-std::string arq_cell_json(const ArqCell& c) {
-  const arq::SimResult& s = c.sim;
-  std::string j = "{";
-  j += "\"policy\": \"" + std::string(arq::manifest_key(c.policy)) + "\"";
-  j += ", \"checksum\": \"" + std::string(alg::name(c.checksum)) + "\"";
-  j += ", \"fault_rate\": " + json_escape_free_number(c.rate);
-  const auto add = [&](const char* k, std::uint64_t v) {
-    j += ", \"" + std::string(k) +
-         "\": " + std::to_string(static_cast<unsigned long long>(v));
-  };
-  add("offered", s.payloads_offered);
-  add("delivered_ok", s.delivered_ok);
-  add("residual_undetected", s.residual_undetected);
-  add("residual_lost", s.residual_lost);
-  add("gave_up", s.gave_up);
-  add("retransmits", s.sender.retransmits);
-  add("timeouts", s.sender.timeouts);
-  add("check_rejects", s.receiver.check_rejects);
-  add("ticks", s.ticks);
-  j += ", \"goodput\": " + json_escape_free_number(s.goodput());
-  j += ", \"mean_latency\": " + json_escape_free_number(s.mean_latency());
-  j += std::string(", \"terminated\": ") + (s.terminated ? "true" : "false");
-  j += "}";
-  return j;
-}
-
-/// The frontier the paper's data motivates one layer up: how much
-/// retransmission each policy spends, and what residual error each
-/// checksum leaks, as the link degrades.
-int arq_frontier(const ArqOpts& o, std::string& rows) {
-  const std::vector<double> rates =
-      o.f.quick ? std::vector<double>{0.0, 0.05}
-              : std::vector<double>{0.0, 0.01, 0.02, 0.05, 0.10};
-  const std::vector<alg::Algorithm> checks =
-      o.f.quick ? std::vector<alg::Algorithm>{alg::Algorithm::kCrc32,
-                                            alg::Algorithm::kInternet}
-              : std::vector<alg::Algorithm>{alg::Algorithm::kCrc32,
-                                            alg::Algorithm::kInternet,
-                                            alg::Algorithm::kFletcher256};
-  constexpr arq::Policy kPolicies[] = {arq::Policy::kStopAndWait,
-                                       arq::Policy::kGoBackN,
-                                       arq::Policy::kSelectiveRepeat};
-
-  // One shared payload set so every cell moves identical data.
-  const std::size_t n = o.f.quick ? std::min<std::size_t>(o.payloads, 16)
-                                : o.payloads;
-  util::Rng prng = util::Rng(o.cfg.seed).child(0xFEED);
-  std::vector<util::Bytes> payloads;
-  payloads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    util::Bytes p(1 + prng.below(1024));
-    prng.fill(p);
-    payloads.push_back(std::move(p));
-  }
-
-  std::vector<ArqCell> cells;
-  std::uint64_t combo = 0;
-  for (const arq::Policy policy : kPolicies) {
-    for (const alg::Algorithm check : checks) {
-      for (const double rate : rates) {
-        arq::SimConfig c;
-        c.arq.policy = policy;
-        c.arq.checksum = check;
-        c.data_link = frontier_plan(rate, false);
-        c.ack_link = frontier_plan(rate, true);
-        c.seed = util::Rng(o.cfg.seed).child(1000 + combo++).next();
-        cells.push_back({policy, check, rate, arq::run_sim(c, payloads)});
-      }
-    }
-  }
-
-  bool failed = false;
-  std::string detail;
-  const auto gate = [&](const ArqCell& c, bool bad, const std::string& what) {
-    if (!bad) return;
-    failed = true;
-    if (detail.empty())
-      detail = std::string(arq::name(c.policy)) + "/" +
-               std::string(alg::name(c.checksum)) + " @ " +
-               json_escape_free_number(c.rate) + ": " + what;
-  };
-  for (const ArqCell& c : cells) {
-    gate(c, !c.sim.terminated, "failed to terminate");
-    gate(c, !c.sim.violation.empty(), c.sim.violation);
-    if (c.rate == 0.0) {
-      gate(c, c.sim.delivered_ok != c.sim.payloads_offered,
-           "fault-free cell lost payloads");
-      gate(c, c.sim.sender.retransmits != 0,
-           "fault-free cell retransmitted");
-    }
-    if (c.checksum == alg::Algorithm::kCrc32)
-      gate(c, c.sim.residual_undetected + c.sim.residual_lost != 0,
-           "residual error under CRC-32");
-  }
-
-  if (!o.f.quiet) {
-    core::TextTable t({"policy", "check", "rate", "ok", "resid", "lost",
-                       "gaveup", "rexmit", "goodput", "latency"});
-    for (const ArqCell& c : cells) {
-      char rate[16], good[24], lat[24];
-      std::snprintf(rate, sizeof rate, "%.2f", c.rate);
-      std::snprintf(good, sizeof good, "%.4f", c.sim.goodput());
-      std::snprintf(lat, sizeof lat, "%.0f", c.sim.mean_latency());
-      t.add_row({std::string(arq::name(c.policy)),
-                 std::string(alg::name(c.checksum)), rate,
-                 core::fmt_count(c.sim.delivered_ok),
-                 core::fmt_count(c.sim.residual_undetected),
-                 core::fmt_count(c.sim.residual_lost),
-                 core::fmt_count(c.sim.gave_up),
-                 core::fmt_count(c.sim.sender.retransmits), good, lat});
-    }
-    t.print(std::cout);
-    std::printf("\n");
-  }
-
-  rows = "[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) rows += ", ";
-    rows += arq_cell_json(cells[i]);
-  }
-  rows += "]";
-  if (o.f.json) std::printf("%s\n", rows.c_str());
-
-  std::printf("arq frontier: %zu cells, %zu payloads each: %s\n",
-              cells.size(), payloads.size(),
-              failed ? "GUARANTEE VIOLATED" : "all guarantees held");
-  if (failed) {
-    std::printf("  %s\n", detail.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-int arq_soak(const ArqOpts& o) {
-  arq::ArqSoakResult res;
-  if (o.have_scenario) {
-    res.add(arq::run_arq_scenario(o.cfg, o.scenario));
-    if (!res.ok()) res.reproducer = arq::arq_reproducer_line(o.cfg, o.scenario);
-  } else {
-    res = arq::run_arq_soak(o.cfg);
-  }
-  if (!o.f.quiet) {
-    core::TextTable t({"arq soak", "count"});
-    t.add_row({"scenarios", core::fmt_count(res.scenarios)});
-    t.add_row({"link faults injected", core::fmt_count(res.faults_injected)});
-    t.add_row({"payloads offered", core::fmt_count(res.payloads_offered)});
-    t.add_row({"delivered intact", core::fmt_count(res.delivered_ok)});
-    t.add_row({"residual undetected",
-               core::fmt_count(res.residual_undetected)});
-    t.add_row({"residual lost", core::fmt_count(res.residual_lost)});
-    t.add_row({"abandoned (gave up)", core::fmt_count(res.gave_up)});
-    t.add_row({"retransmissions", core::fmt_count(res.retransmits)});
-    t.print(std::cout);
-    std::printf("\n");
-  }
-  return soak_verdict(
-      res.ok(),
-      std::to_string(res.scenarios) + " scenarios, " +
-          core::fmt_count(res.faults_injected) + " link faults: " +
-          (res.ok() ? "all guarantees held" : "GUARANTEE VIOLATED"),
-      res.violation_detail, res.reproducer, o.f.repro_file);
-}
-
-/// `faultlab arq` (the frontier), or with `soak` the ARQ soak.
-int cmd_arq(const std::vector<std::string>& args, bool soak) {
-  ArqOpts o;
-  std::vector<tools::Opt> table = {{"--seed", &o.cfg.seed, 0},
-                                   {"--metrics-out", &o.f.metrics_out},
-                                   {"--progress", &o.f.progress},
-                                   {"--quiet", &o.f.quiet}};
-  if (soak) {
-    table.insert(table.end(),
-                 {{"--faults", &o.cfg.target_faults},
-                  {"--max-scenarios", &o.cfg.max_scenarios},
-                  {"--scenario", &o.scenario, 0, &o.have_scenario},
-                  {"--repro-file", &o.f.repro_file}});
-  } else {
-    table.insert(table.end(), {{"--payloads", &o.payloads},
-                               {"--quick", &o.f.quick},
-                               {"--json", &o.f.json}});
-  }
-  if (!tools::parse_options(args, table, "faultlab")) return usage();
-  arq::register_arq_metrics();
-  alg::kern::register_kernel_metrics();
-  tools::RunManifest manifest(o.f.metrics_out, o.f.progress, arq_ticker_line);
-  std::string rows;  // the frontier's manifest member
-  const int rc = soak ? arq_soak(o) : arq_frontier(o, rows);
-  const char* tool = !soak              ? "faultlab arq"
-                     : o.have_scenario ? "faultlab arqsoak replay"
-                                       : "faultlab arqsoak";
-  // Payloads are seed-derived.
-  return manifest.finish(tool, "arq-random", o.cfg.seed, 1,
-                         rows.empty() ? "" : ", \"arq\": " + rows)
              ? rc
              : 1;
 }
@@ -737,8 +455,6 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "soak" || cmd == "replay")
       return cmd_soak(args, cmd == "replay");
-    if (cmd == "arq" || cmd == "arqsoak")
-      return cmd_arq(args, cmd == "arqsoak");
     if (cmd == "storage") return cmd_storage(args);
     if (cmd == "distkill") return cmd_distkill(args);
     if (cmd == "distworker") {
