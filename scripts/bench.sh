@@ -40,10 +40,14 @@ MIN_TIME=0.5
 # Per-implementation checksum throughput (the BM_Kernel_<alg>_<impl>
 # rows of bench_speed); distilled into the trajectory's
 # kernel_throughput family. See src/checksum/kernels/ and docs/PERF.md.
+# Five repetitions, aggregates only: the distilled rate is each row's
+# median, so one noisy window cannot flip a kernel-ratio gate.
 RAWK="$BUILD/bench_kernels_raw.json"
 "$BUILD/bench/bench_speed" \
   --benchmark_filter='BM_Kernel_' \
   --benchmark_min_time="$MIN_TIME" \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   --benchmark_out="$RAWK" \
   --benchmark_out_format=json
 

@@ -37,7 +37,9 @@ records its headline numbers under the entry's "manifest" key.
 --speed ingests a bench_speed JSON dump (BM_Kernel_<alg>_<impl>
 rows, one per implementation-list entry, see bench/bench_speed.cpp)
 and records the 64 KiB bulk throughput per algorithm per
-implementation under "kernel_throughput".
+implementation under "kernel_throughput": each row's `_median`
+aggregate when the dump has them (bench.sh repeats the kernel rows five
+times and keeps aggregates only), else its plain row.
 
 Every entry carries a machine "fingerprint": CPU model, hardware
 threads, the kernel implementations `best` resolved to (from the
@@ -68,6 +70,8 @@ hw_threads is >=8 — on smaller machines it skips.
 With --check, each gate's verdict is recorded in the new entry under
 "gates": {name: {"status": "pass" | "fail" | "skip", "reason": ...}},
 so a skipped gate is visible in the trajectory, not only on stderr.
+Shard readahead has no gate on purpose (docs/PERF.md); its
+"shard_readahead" record is always a skip with that reason.
 """
 
 import argparse
@@ -276,11 +280,27 @@ def validate_entry(entry):
 SPEED_BULK_ARG = "65536"
 
 
+def speed_rows(raw):
+    """The rows of a google-benchmark dump that carry one measurement
+    per benchmark, as (name, row): its `_median` aggregates when the
+    dump has any (bench.sh repeats the kernel rows and keeps only
+    aggregates), else its plain rows (single runs, older raw files)."""
+    rows = raw.get("benchmarks", [])
+    medians = [b for b in rows if b.get("run_type") == "aggregate"
+               and b.get("aggregate_name") == "median"]
+    if medians:
+        return [(b.get("run_name") or b.get("name", "").removesuffix(
+            "_median"), b) for b in medians]
+    return [(b.get("name", ""), b) for b in rows
+            if b.get("run_type") != "aggregate"]
+
+
 def speed_throughput(path):
     """kernel_throughput family from a bench_speed JSON dump.
 
     Rows are named BM_Kernel_<alg>_<impl>/<bytes>; only the bulk
-    (64 KiB) rows are recorded. Returns (family, error).
+    (64 KiB) rows are recorded, each as its median over repetitions
+    where the dump has them (speed_rows). Returns (family, error).
     """
     try:
         with open(path) as f:
@@ -288,10 +308,7 @@ def speed_throughput(path):
     except (OSError, json.JSONDecodeError) as e:
         return None, f"cannot read speed dump {path}: {e}"
     family = {}
-    for b in raw.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        name = b.get("name", "")
+    for name, b in speed_rows(raw):
         base, _, arg = name.partition("/")
         parts = base.split("_")
         if len(parts) != 4 or parts[:2] != ["BM", "Kernel"]:
@@ -409,6 +426,14 @@ def run_gates(entry, trajectory):
                kt.get("fletcher256", {}).get("slicing"), 1.2,
                "Koopman dual sum vs Fletcher-256, both slicing",
                "no koopmandual/fletcher256 slicing rows in the speed dump")
+    # Shard readahead is ungated on purpose (docs/PERF.md, "Shard
+    # readahead has no bench gate"); the skip is recorded in every entry.
+    gates["shard_readahead"] = {
+        "status": "skip",
+        "reason": "readahead only pays on a cold page cache, and every "
+                  "store a bench run opens was just written, so its pages "
+                  "are resident; corpus.readahead_calls/_bytes in the run "
+                  "manifest confirm the advice is issued"}
     # Streaming corpus: the store bakes packetisation in at build time,
     # so streaming must not lose more than noise per worker, and must
     # actually scale when the machine can.

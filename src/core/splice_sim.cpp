@@ -108,7 +108,7 @@ class SpliceObsFlush {
     m.dfs_nodes.add(dfs_nodes);
   }
 
-  std::uint64_t dfs_nodes = 0;  ///< folds performed by the DFS walk
+  std::uint64_t dfs_nodes = 0;  ///< nodes the DFS grew (DfsPair)
 
  private:
   // Only the flushed scalars are captured — copying the whole
@@ -238,50 +238,70 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 //              the zeros-operator is linear over GF(2))
 //
 // so check values are plain sums/XORs of per-(cell, distance) terms
-// plus pair constants, and splices sharing a prefix share its fold.
+// plus pair constants, and splices sharing a prefix share its sum.
 //
 // The walk is split in two phases around the k1 + k2 = n2 - 1
-// constraint. Phase 2 enumerates p2's kept subsets once, anchored to
-// the END (the largest kept index sits at position e2-1), which makes
-// a subset's fold independent of k1 — one pool of 2^e2 - 1 combos,
-// bucketed by size, serves every phase-1 branch. Phase 1 walks p1's
-// kept subsets (after the mandatory first cell) in ascending order and
-// joins each node against the bucket with the matching k2.
+// constraint. Phase 2 pools p2's kept subsets once, anchored to the
+// END (the largest kept index sits at position e2-1), which makes a
+// subset's sum independent of k1 — one pool of 2^e2 - 1 combos,
+// bucketed by size, serves every phase-1 node. Phase 1 enumerates
+// p1's kept subsets (after the mandatory first cell) and joins each
+// node against the bucket with the matching k2.
 //
 // Every pass test is one congruence per family, const + prefix +
 // suffix == target in that family's residue ring (XOR for the CRC).
-// So a pool entry is reduced once, when it is pooled, into SoA arrays,
-// and each phase-1 node moves its constant, prefix and target to one
-// side: the residue it needs from the suffix. A leaf is then four u32
-// equality compares and an identity-flag test, eight suffixes per
-// vector step; a bucket with no hit in any lane — nearly all of them —
-// is counted wholesale. Each pool/walk edge folds one cell.
+// So each (cell, position) term is reduced into its rings once per
+// pair, in a term table, and both phases are grown level by level in
+// SoA form from it: a pool entry holds its suffix's residues, and a
+// phase-1 node holds the residues it needs from the suffix,
+// (target - const - prefix) mod m, by adding pre-negated terms. Both
+// orders keep the subsets one cell extends at the front of a level,
+// so growing a level is one vectorised modular add of one term to a
+// few contiguous ranges (extend). A leaf is then four u32 equality
+// compares and an identity-flag test, eight suffixes per vector step;
+// a bucket with no hit in any lane — nearly all of them — is counted
+// wholesale.
 // ---------------------------------------------------------------------------
 
-/// Accumulated contributions of the cells a DFS branch has chosen so
-/// far (beyond the always-present first cell and EOM cell).
-struct Agg {
-  std::uint64_t inet = 0;
-  std::uint64_t fa = 0;   ///< unreduced Fletcher A term
-  std::uint64_t fb = 0;   ///< unreduced, distance-weighted B term
-  std::uint64_t ka = 0;   ///< unreduced Koopman dual A term
-  std::uint64_t kb = 0;   ///< unreduced, block-distance-weighted B term
-  std::uint64_t ks = 0;   ///< unreduced Koopman single sum
-  std::uint32_t crc = 0;  ///< XOR of distance-advanced per-cell CRCs
-  bool eq1 = true;        ///< chosen cells match p1's at their position
-  bool eq2 = true;        ///< chosen cells match p2's at their position
-};
-
-/// A pooled suffix's flag byte.
-constexpr std::uint8_t kEq1 = 1;   ///< Agg::eq1
-constexpr std::uint8_t kEq2 = 2;   ///< Agg::eq2
+/// A pooled suffix's flag byte; a phase-1 node's ident byte holds the
+/// kEq1/kEq2 bits a suffix needs to make the splice identical.
+constexpr std::uint8_t kEq1 = 1;   ///< kept cells match p1's at their position
+constexpr std::uint8_t kEq2 = 2;   ///< kept cells match p2's at their position
 constexpr std::uint8_t kHdr2 = 4;  ///< includes p2's header cell (cell 0)
 
 /// The need of a Koopman family whose target lies outside its residue
 /// ring. No reduced suffix equals it (dual residues pack two values
 /// below 65521, single ones are below 2^32 - 5), just as the reduced
-/// sum never equalled the target.
+/// sum never equalled the target; extend leaves it as it is.
 constexpr std::uint32_t kNeverMatches = 0xffffffffu;
+
+/// C(n, k) for n, k < kMaxSpliceCells (0 for k > n): the sizes of pool
+/// buckets, prefix levels and the ranges they are grown from.
+constexpr auto kBinom = [] {
+  constexpr std::size_t kN = atm::kMaxSpliceCells;
+  std::array<std::array<std::uint32_t, kN>, kN> c{};
+  for (std::size_t n = 0; n < kN; ++n) {
+    c[n][0] = 1;
+    for (std::size_t k = 1; k <= n; ++k)
+      c[n][k] = c[n - 1][k - 1] + c[n - 1][k];
+  }
+  return c;
+}();
+
+/// One residue per family: transport (Internet mod 65535 in the low
+/// half, or Fletcher a | b << 16 mod 255/256), CRC, Koopman dual
+/// (a | b << 16 mod 65521) and Koopman single (mod 2^32 - 5).
+struct Residues {
+  std::uint32_t tr = 0, crc = 0, kd = 0, ks = 0;
+};
+
+/// One cell at one splice position: its reduced residues, and the
+/// flag bits a subset keeping it there retains (`keep`) and gains
+/// (`set`).
+struct Term {
+  Residues r;
+  std::uint8_t keep = 0, set = 0;
+};
 
 /// Constants of one pair's DFS.
 struct DfsPair {
@@ -292,88 +312,19 @@ struct DfsPair {
   bool fletcher = false;     ///< transport is a Fletcher sum
   bool mod255 = false;
   bool track1 = false;       ///< n1 == n2: identical-to-p1 is possible
-  bool ident1_base = false;  ///< track1 and EOM coverage matches p1's
-  bool ident2_head = false;  ///< first cell's hash matches p2's cell 0
-  bool pooled = false;       ///< suffixes come from the pool, not regrown
-  // Pair constants: first cell at position 0 plus the EOM cell.
-  std::uint64_t iconst = 0;
-  std::uint64_t fconst_a = 0, fconst_b = 0;
-  /// The content sum's residue mod 65535 that passes: the stored field
-  /// itself, or its negation when the field holds the complement.
-  /// Canonicalising first keeps the ones-complement ±0 exact.
-  std::uint32_t inet_target = 0;
-  // Koopman pair constants and targets: same two mandatory fragments,
-  // with B weighted by trailing *block* count (6 per cell, 6 for the
-  // EOM cell's 44 covered bytes). Targets are p2's whole-PDU sums.
-  std::uint64_t kconst_a = 0, kconst_b = 0, ksconst = 0;
-  alg::KoopmanDualPair kd_target{};
-  std::uint64_t ks_target = 0;
-  std::uint32_t crc_target = 0;
+  std::uint32_t tr_mod = 0;  ///< transport modulus of each 16-bit half
+  bool kd_live = true;       ///< Koopman dual target lies in its ring
+  bool ks_live = true;       ///< Koopman single target lies in its ring
+  /// Term tables, both indexed [idx * e2 + pos]: p2's cell idx at
+  /// position pos >= max(idx, 1), and p1's cell idx (>= 1) at
+  /// position pos <= idx, the latter negated so it moves a need.
+  const Term* t2 = nullptr;
+  const Term* t1 = nullptr;
   SpliceStats* st = nullptr;
-  /// Fold count for splice.dfs_nodes, flushed per pair. The pooled
-  /// paths never touch it per fold — their counts are derived in
-  /// closed form by evaluate_pair — so only suffix_exact (packets too
-  /// large to pool; none under the default MTUs) increments it live.
+  /// Count for splice.dfs_nodes, flushed per pair: one per pool entry
+  /// past bucket 0, per phase-1 node past the root, and per regrown
+  /// suffix edge.
   std::uint64_t* dfs_nodes = nullptr;
-};
-
-#ifndef OBS_DISABLE
-/// Folds performed by prefix_walk for a pair: one per nonempty subset
-/// of p1's optional cells (indices 1..e1-1), pruned at depth e2-1 by
-/// the `k1 + 1 > e2` guard, i.e. sum over d in [1, dmax] of
-/// C(e1-1, d). Counting in closed form keeps the telemetry out of
-/// fold(), the DFS inner loop; the cumulative sums are tabulated so
-/// the per-pair cost is one lookup (n is bounded by kMaxSpliceCells,
-/// and the row sums fit u64 up to n = 63).
-std::uint64_t prefix_fold_count(unsigned e1, unsigned e2) {
-  constexpr unsigned kMaxN = 64;
-  // cum[n][d] = sum_{j=1}^{d} C(n, j), built by Pascal's rule.
-  static const auto cum = [] {
-    auto t = std::make_unique<
-        std::array<std::array<std::uint64_t, kMaxN>, kMaxN>>();
-    std::array<std::uint64_t, kMaxN> row{};  // C(n, j)
-    for (unsigned n = 0; n < kMaxN; ++n) {
-      for (unsigned j = n; j > 0; --j) row[j] += row[j - 1];
-      row[0] = 1;
-      std::uint64_t sum = 0;
-      for (unsigned d = 0; d < kMaxN; ++d) {
-        if (d > 0) sum += d <= n ? row[d] : 0;
-        (*t)[n][d] = sum;
-      }
-    }
-    return t;
-  }();
-  const unsigned n = std::min(e1 - 1, kMaxN - 1);
-  const unsigned dmax = std::min({n, e2 - 1, kMaxN - 1});
-  return (*cum)[n][dmax];
-}
-#endif
-
-/// Fold one kept cell at splice position `pos` (>= 1) into `a`.
-inline void fold(const DfsPair& fs, Agg& a, const CellPartial& c,
-                 unsigned pos) {
-  const unsigned d = fs.e2 - 1 - pos;
-  a.inet += c.inet;
-  const alg::FletcherPair& fp = fs.mod255 ? c.f255 : c.f256;
-  a.fa += fp.a;
-  a.fb += fp.b +
-          (static_cast<std::uint64_t>(atm::kCellPayload) * d + fs.eom_len) *
-              fp.a;
-  // Koopman dual: the Fletcher recurrence at block grain — d trailing
-  // cells of 6 blocks each plus the EOM cell's 6 covered blocks.
-  a.ka += c.kd.a;
-  a.kb += c.kd.b + kKoopmanBlocksPerCell * (d + 1ull) * c.kd.a;
-  a.ks += c.ks;
-  a.crc ^= suffix_comb(d).advance(c.crc);
-  a.eq2 = a.eq2 && c.hash == fs.c2[pos].hash;
-  if (fs.track1) a.eq1 = a.eq1 && c.hash == fs.c1[pos].hash;
-}
-
-/// One residue per family: transport (Internet mod 65535, or Fletcher
-/// a | b << 16 mod 255/256), CRC, Koopman dual (a | b << 16 mod 65521)
-/// and Koopman single (mod 2^32 - 5).
-struct Residues {
-  std::uint32_t tr = 0, crc = 0, kd = 0, ks = 0;
 };
 
 /// x mod M, and (t - x) mod M for a reduced target t < M.
@@ -387,61 +338,83 @@ std::uint32_t mod_sub(std::uint64_t t, std::uint64_t x) {
   return static_cast<std::uint32_t>(d >= M ? d - M : d);
 }
 
-/// What a suffix contributes, reduced once when it is pooled.
-Residues suffix_residues(const DfsPair& fs, const Agg& a) {
-  Residues r;
-  if (!fs.fletcher) {
-    r.tr = mod<65535>(a.inet);
-  } else if (fs.mod255) {
-    r.tr = mod<255>(a.fa) | mod<255>(a.fb) << 16;
-  } else {
-    r.tr = mod<256>(a.fa) | mod<256>(a.fb) << 16;
-  }
-  r.crc = a.crc;
-  r.kd = mod<alg::kKoopmanDualMod>(a.ka) |
-         mod<alg::kKoopmanDualMod>(a.kb) << 16;
-  r.ks = mod<alg::kKoopmanSingleMod>(a.ks);
-  return r;
+/// x + y mod m, for x and y below m < 2^31.
+constexpr std::uint32_t add_mod(std::uint32_t x, std::uint32_t y,
+                                std::uint32_t m) {
+  const std::uint32_t sum = x + y;
+  return sum >= m ? sum - m : sum;
 }
 
-/// A phase-1 node, hoisted out of its leaves: what each family needs
-/// from the suffix, need = (target - const - prefix) mod m (the CRC
-/// XORs instead), so a leaf passes a family iff its residue equals the
-/// need. `ident` holds the suffix flags that make a splice identical;
-/// k is the substitution-length histogram slot, fixed by k2.
-struct Node {
-  Residues need;
-  std::uint8_t ident = 0;
-  std::size_t k = 0;
-};
+/// -x mod m, for x below m.
+constexpr std::uint32_t neg_mod(std::uint32_t x, std::uint64_t m) {
+  return x != 0 ? static_cast<std::uint32_t>(m - x) : 0;
+}
 
-Node make_node(const DfsPair& fs, const Agg& a1, unsigned k2) {
-  Node n;
-  if (!fs.fletcher) {
-    n.need.tr = mod_sub<65535>(fs.inet_target, fs.iconst + a1.inet);
-  } else if (fs.mod255) {
-    n.need.tr = mod_sub<255>(0, fs.fconst_a + a1.fa) |
-                mod_sub<255>(0, fs.fconst_b + a1.fb) << 16;
-  } else {
-    n.need.tr = mod_sub<256>(0, fs.fconst_a + a1.fa) |
-                mod_sub<256>(0, fs.fconst_b + a1.fb) << 16;
+/// Cell `c`'s terms at positions hi, hi-1, ..., lo (>= 1) into
+/// row[pos], with flag bits `set`. At position pos the cell is followed
+/// by d = e2-1-pos full cells and the EOM cell. Only the CRC and the B
+/// terms depend on d: one more trailing cell adds 48·a to Fletcher's B
+/// and 6·a to the Koopman dual's (6 blocks a cell; the EOM cell covers
+/// 6 more), so each B steps once per position. `negate` stores every
+/// additive residue negated, the form that moves a phase-1 need.
+void cell_terms(const DfsPair& s, const CellPartial& c, unsigned lo,
+                unsigned hi, bool negate, std::uint8_t set, Term* row) {
+  const std::uint64_t d0 = s.e2 - 1 - hi;
+  // Transport halves (a, b) mod m and B's step; Internet has no B.
+  std::uint32_t m = 65535, ta = mod<65535>(c.inet), tb = 0, tstep = 0;
+  if (s.fletcher) {
+    const alg::FletcherPair& fp = s.mod255 ? c.f255 : c.f256;
+    const auto reduce = [&](std::uint64_t x) {
+      return s.mod255 ? mod<255>(x) : mod<256>(x);
+    };
+    m = s.mod255 ? 255 : 256;
+    ta = reduce(fp.a);
+    tb = reduce(fp.b + (atm::kCellPayload * d0 + s.eom_len) * fp.a);
+    tstep = reduce(atm::kCellPayload * fp.a);
   }
-  n.need.crc = a1.crc ^ fs.crc_target;
-  constexpr std::uint64_t kd_mod = alg::kKoopmanDualMod;
-  n.need.kd = fs.kd_target.a < kd_mod && fs.kd_target.b < kd_mod
-                  ? mod_sub<kd_mod>(fs.kd_target.a, fs.kconst_a + a1.ka) |
-                        mod_sub<kd_mod>(fs.kd_target.b, fs.kconst_b + a1.kb)
-                            << 16
-                  : kNeverMatches;
-  n.need.ks = fs.ks_target < alg::kKoopmanSingleMod
-                  ? mod_sub<alg::kKoopmanSingleMod>(fs.ks_target,
-                                                    fs.ksconst + a1.ks)
-                  : kNeverMatches;
-  n.ident = static_cast<std::uint8_t>((fs.ident1_base && a1.eq1 ? kEq1 : 0) |
-                                      (fs.ident2_head && a1.eq2 ? kEq2 : 0));
-  // The splice keeps k2 of p2's non-EOM cells plus its EOM cell.
-  n.k = std::min<std::size_t>(k2 + 1, kMaxTrackedK - 1);
-  return n;
+  constexpr std::uint32_t km = alg::kKoopmanDualMod;
+  std::uint32_t ka = mod<km>(c.kd.a);
+  std::uint32_t kb =
+      mod<km>(c.kd.b + kKoopmanBlocksPerCell * (d0 + 1) * c.kd.a);
+  std::uint32_t kstep = mod<km>(kKoopmanBlocksPerCell * c.kd.a);
+  std::uint32_t ks = mod<alg::kKoopmanSingleMod>(c.ks);
+  if (negate) {
+    ta = neg_mod(ta, m);
+    tb = neg_mod(tb, m);
+    tstep = neg_mod(tstep, m);
+    ka = neg_mod(ka, km);
+    kb = neg_mod(kb, km);
+    kstep = neg_mod(kstep, km);
+    ks = neg_mod(ks, alg::kKoopmanSingleMod);
+  }
+  const alg::CrcCombiner* comb = &suffix_comb(d0);
+  for (unsigned pos = hi; pos >= lo; --pos, ++comb) {
+    Term& t = row[pos];
+    t.r = {ta | tb << 16, comb->advance(c.crc), ka | kb << 16, ks};
+    t.keep = static_cast<std::uint8_t>(
+        kHdr2 | (s.track1 && c.hash == s.c1[pos].hash ? kEq1 : 0) |
+        (c.hash == s.c2[pos].hash ? kEq2 : 0));
+    t.set = set;
+    tb = add_mod(tb, tstep, m);
+    kb = add_mod(kb, kstep, km);
+  }
+}
+
+/// Fill the pair's term tables: every position each cell can occupy.
+/// p2's cell idx sits at distance r (position e2-1-r) below the r kept
+/// cells above it; p1's cell idx at position t+1 above the t below it.
+void build_terms(DfsPair& fs, std::vector<Term>& t1, std::vector<Term>& t2) {
+  const unsigned e1 = fs.e1, e2 = fs.e2;
+  t2.resize(std::size_t{e2} * e2);
+  for (unsigned idx = 0; idx < e2; ++idx)
+    cell_terms(fs, fs.c2[idx], std::max(idx, 1u), e2 - 1, false,
+               idx == 0 ? kHdr2 : 0, &t2[idx * e2]);
+  t1.resize(std::size_t{e1} * e2);
+  for (unsigned idx = 1; idx < e1; ++idx)
+    cell_terms(fs, fs.c1[idx], 1, std::min(idx, e2 - 1), true, 0,
+               &t1[idx * e2]);
+  fs.t1 = t1.data();
+  fs.t2 = t2.data();
 }
 
 /// Suffixes per join step: eight u32 lanes, as two 128-bit vectors —
@@ -449,43 +422,138 @@ Node make_node(const DfsPair& fs, const Agg& a1, unsigned k2) {
 /// GCC vectors are lowered lane by lane unless the build targets AVX2.
 constexpr std::uint32_t kLanes = 8;
 
-/// Suffixes in SoA form, each reduced into its families' residue
-/// rings; bucket r is [begin[r], begin[r+1]) and, while it is being
-/// filled, [begin[r], cursor[r]). Thread-local scratch, reused by
-/// every pair a thread evaluates.
-struct SuffixPool {
-  std::vector<std::uint32_t> tr, crc, kd, ks;  ///< Residues, by field
-  std::vector<std::uint8_t> flags;             ///< kEq1 | kEq2 | kHdr2
-  std::vector<std::uint32_t> begin, cursor;
-  std::vector<std::uint32_t> hdr2;  ///< entries flagged kHdr2, per bucket
+using u32x4 = std::uint32_t __attribute__((vector_size(16)));
 
-  /// Empty buckets 0..nb-1 with room for size(r) entries each.
-  template <typename Size>
-  void layout(unsigned nb, Size size) {
-    begin.assign(nb + 1, 0);
-    for (unsigned r = 0; r < nb; ++r)
-      begin[r + 1] = begin[r] + static_cast<std::uint32_t>(size(r));
-    cursor.assign(begin.begin(), begin.end() - 1);
-    hdr2.assign(nb, 0);
-    // A join step reads whole vectors, up to kLanes - 1 slots past a
-    // bucket's end; those lanes are masked off.
-    const std::size_t cap = begin[nb] + kLanes;
-    for (auto* v : {&tr, &crc, &kd, &ks}) v->resize(cap);
-    flags.resize(cap);
+/// Residues and flags in SoA form, with kLanes slots of padding past
+/// the last one in use: the pool, a prefix level, the regrown path's
+/// stack and its staging chunk. Thread-local scratch, reused by every
+/// pair a thread evaluates.
+struct ResidueSoA {
+  std::vector<std::uint32_t> tr, crc, kd, ks;
+  std::vector<std::uint8_t> flags;
+
+  /// Room for n slots plus the padding; never shrinks.
+  void reserve_slots(std::size_t n) {
+    if (flags.size() >= n + kLanes) return;
+    for (auto* v : {&tr, &crc, &kd, &ks}) v->resize(n + kLanes);
+    flags.resize(n + kLanes);
   }
 
-  void put(const DfsPair& fs, unsigned bucket, const Agg& a, bool has_hdr2) {
-    const std::uint32_t i = cursor[bucket]++;
-    const Residues r = suffix_residues(fs, a);
+  void put(std::uint32_t i, const Residues& r, std::uint8_t f) {
     tr[i] = r.tr;
     crc[i] = r.crc;
     kd[i] = r.kd;
     ks[i] = r.ks;
-    flags[i] = static_cast<std::uint8_t>((a.eq1 ? kEq1 : 0) |
-                                         (a.eq2 ? kEq2 : 0) |
-                                         (has_hdr2 ? kHdr2 : 0));
-    hdr2[bucket] += has_hdr2 ? 1 : 0;
+    flags[i] = f;
   }
+};
+
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
+
+/// Adds y to residues below m in each 16-bit half, mod m, on four
+/// lanes. The words are added whole — a low-half carry is cancelled
+/// when that half wraps — and m is taken off each half whose x reached
+/// m - y, so the test looks at x alone, against a per-term bound.
+/// A dead family adds 0 and never wraps: its lanes are copied.
+class AddHalves {
+ public:
+  AddHalves(std::uint32_t y, std::uint32_t m, bool live)
+      : y_(live ? y : 0),
+        lo_max_(live ? static_cast<std::int32_t>(m - (y & 0xffffu) - 1)
+                     : INT32_MAX),
+        hi_max_(live ? static_cast<std::int32_t>(m - (y >> 16) - 1)
+                     : INT32_MAX),
+        m_lo_(m),
+        m_hi_(m << 16) {}
+
+  u32x4 operator()(u32x4 x) const {
+    const auto lo = reinterpret_cast<i32x4>(x & 0xffffu) > lo_max_;
+    const auto hi = reinterpret_cast<i32x4>(x >> 16) > hi_max_;
+    return x + y_ - (reinterpret_cast<u32x4>(lo) & m_lo_) -
+           (reinterpret_cast<u32x4>(hi) & m_hi_);
+  }
+
+ private:
+  std::uint32_t y_;
+  std::int32_t lo_max_, hi_max_;
+  std::uint32_t m_lo_, m_hi_;
+};
+
+/// Adds y to residues below M = 2^32 - 5, mod M, on four lanes. The sum
+/// wraps once x >= M - y; taking M off is then adding 5 mod 2^32. The
+/// unsigned test is a signed one on sign-flipped words.
+class AddSingle {
+ public:
+  AddSingle(std::uint32_t y, bool live)
+      : y_(live ? y : 0),
+        max_(live ? static_cast<std::int32_t>((kM - y) ^ kFlip) - 1
+                  : INT32_MAX) {}
+
+  u32x4 operator()(u32x4 x) const {
+    const auto wraps = reinterpret_cast<i32x4>(x ^ kFlip) > max_;
+    return x + y_ + (reinterpret_cast<u32x4>(wraps) & 5u);
+  }
+
+ private:
+  static constexpr auto kM =
+      static_cast<std::uint32_t>(alg::kKoopmanSingleMod);
+  static constexpr std::uint32_t kFlip = 0x80000000u;
+  std::uint32_t y_;
+  std::int32_t max_;
+};
+
+/// The one step every level is grown by: dst[at + i] = src[from + i]
+/// plus the term, for i < n, in each family's ring, with flags
+/// (flags & keep) | set. A dead Koopman family (kNeverMatches) is
+/// copied, not added. Whole u32x4 vectors are read and written, so a
+/// range's tail touches up to three slots past it: it writes garbage
+/// only where nothing valid lives yet (the rest of the level being
+/// grown, which is written after, deeper regrown slots, or the
+/// padding), and reads source slots no valid lane depends on.
+inline void extend(const DfsPair& fs, ResidueSoA& dst, std::uint32_t at,
+                   const ResidueSoA& src, std::uint32_t from, std::uint32_t n,
+                   const Term& t) {
+  const AddHalves add_tr(t.r.tr, fs.tr_mod, true);
+  const AddHalves add_kd(t.r.kd, alg::kKoopmanDualMod, fs.kd_live);
+  const AddSingle add_ks(t.r.ks, fs.ks_live);
+  const std::uint32_t crc_t = t.r.crc;
+  const std::uint32_t keep = t.keep * 0x01010101u, set = t.set * 0x01010101u;
+  const std::uint32_t *str = src.tr.data() + from,
+                      *scrc = src.crc.data() + from,
+                      *skd = src.kd.data() + from, *sks = src.ks.data() + from;
+  const std::uint8_t* sfl = src.flags.data() + from;
+  std::uint32_t *dtr = dst.tr.data() + at, *dcrc = dst.crc.data() + at,
+                *dkd = dst.kd.data() + at, *dks = dst.ks.data() + at;
+  std::uint8_t* dfl = dst.flags.data() + at;
+  for (std::uint32_t i = 0; i < n; i += 4) {
+    u32x4 tr, crc, kd, ks;
+    std::uint32_t fl;
+    std::memcpy(&tr, str + i, sizeof tr);
+    std::memcpy(&crc, scrc + i, sizeof crc);
+    std::memcpy(&kd, skd + i, sizeof kd);
+    std::memcpy(&ks, sks + i, sizeof ks);
+    std::memcpy(&fl, sfl + i, sizeof fl);
+    tr = add_tr(tr);
+    crc ^= crc_t;
+    kd = add_kd(kd);
+    ks = add_ks(ks);
+    fl = (fl & keep) | set;
+    std::memcpy(dtr + i, &tr, sizeof tr);
+    std::memcpy(dcrc + i, &crc, sizeof crc);
+    std::memcpy(dkd + i, &kd, sizeof kd);
+    std::memcpy(dks + i, &ks, sizeof ks);
+    std::memcpy(dfl + i, &fl, sizeof fl);
+  }
+}
+
+/// A phase-1 node, hoisted out of its leaves: what each family needs
+/// from the suffix (a leaf passes a family iff its residue equals the
+/// need). `ident` holds the suffix flags that make a splice identical;
+/// k is the substitution-length histogram slot, fixed by k2.
+struct Node {
+  Residues need;
+  std::uint8_t ident = 0;
+  std::size_t k = 0;
 };
 
 /// The leaf rule: classify the splices joining `node` to suffixes
@@ -493,10 +561,8 @@ struct SuffixPool {
 /// lane hits any family or the identity test, the range is counted
 /// wholesale as changed and caught by every check; otherwise a second
 /// pass counts each counter's lanes.
-void join(const DfsPair& fs, const SuffixPool& p, std::uint32_t lo,
+void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
           std::uint32_t hi, std::uint32_t hdr2, const Node& node) {
-  using u32x4 = std::uint32_t __attribute__((vector_size(16)));
-  using i32x4 = std::int32_t __attribute__((vector_size(16)));
   using u8x4 = std::uint8_t __attribute__((vector_size(4)));
   /// Lane masks (all ones where true) of four suffixes.
   struct Quad {
@@ -587,85 +653,152 @@ void join(const DfsPair& fs, const SuffixPool& p, std::uint32_t lo,
   st.missed_with_hdr2 += total(kHdrT);
 }
 
-/// Phase 2: pool every way p2's non-EOM cells can fill the LAST r
-/// splice positions, bucketed by r. Cells are chosen in descending
-/// index order; choosing cell `idx` with r cells already placed puts
-/// it at distance r from the end (position e2-1-r), so a combo's fold
-/// never depends on k1 and one pool serves every phase-1 branch. Each
-/// nonempty subset is emitted exactly once, on the edge that adds its
-/// smallest-index cell last.
-void suffix_pool(const DfsPair& fs, int from, unsigned r, const Agg& agg,
-                 SuffixPool& pool) {
-  const unsigned pos = fs.e2 - 1 - r;
-  for (int idx = from; idx >= 0; --idx) {
-    Agg a = agg;
-    fold(fs, a, fs.c2[idx], pos);
-    pool.put(fs, r + 1, a, idx == 0);
-    if (r + 2 <= fs.e2 - 1 && idx > 0)
-      suffix_pool(fs, idx - 1, r + 1, a, pool);
-  }
-}
-
-/// Suffixes suffix_exact stages before joining them: one bucket.
-constexpr std::uint32_t kExactChunk = 64;
-
-/// Join and empty suffix_exact's staged bucket.
-void flush_exact(const DfsPair& fs, SuffixPool& chunk, const Node& node) {
-  join(fs, chunk, 0, chunk.cursor[0], chunk.hdr2[0], node);
-  chunk.cursor[0] = 0;
-  chunk.hdr2[0] = 0;
-}
-
-/// Exact-size variant for packets too large to pool (2^e2 combos):
-/// regrow the suffix per phase-1 node, still prefix-shared within it,
-/// staging each complete one in `chunk` for the same join.
-void suffix_exact(const DfsPair& fs, int from, unsigned need, unsigned r,
-                  const Agg& a2, bool hdr2, const Node& node,
-                  SuffixPool& chunk) {
-  if (r == need) {
-    chunk.put(fs, 0, a2, hdr2);
-    if (chunk.cursor[0] == kExactChunk) flush_exact(fs, chunk, node);
-    return;
-  }
-  const unsigned pos = fs.e2 - 1 - r;
-  // idx+1 cells remain available below `idx`; prune branches that
-  // cannot reach `need`.
-  for (int idx = from; idx + 1 >= static_cast<int>(need - r); --idx) {
-    Agg a = a2;
-    fold(fs, a, fs.c2[idx], pos);
-#ifndef OBS_DISABLE
-    ++*fs.dfs_nodes;  // cold path: no closed form with the pruning
-#endif
-    suffix_exact(fs, idx - 1, need, r + 1, a, hdr2 || idx == 0, node, chunk);
-  }
-}
-
 /// Packets whose suffix pool stays comfortably small (2^14 combos,
 /// under 300 KiB of thread-local scratch). Larger packets — none exist
-/// under the default MTUs — fall back to suffix_exact.
+/// under the default MTUs — take the regrown path.
 constexpr unsigned kMaxPooledSuffixCells = 14;
 
-/// Phase 1: DFS over p1's kept cells after the mandatory first cell.
-/// The node reached after choosing t cells (k1 = t+1) joins every
-/// suffix of size e2-k1, then extends by each later cell; a subset's
-/// fold happens once, on the edge adding its largest index.
-void prefix_walk(const DfsPair& fs, unsigned from, unsigned t, const Agg& agg,
-                 SuffixPool& pool) {
-  const unsigned k1 = t + 1;
-  const unsigned k2 = fs.e2 - k1;
-  const Node node = make_node(fs, agg, k2);
-  if (fs.pooled) {
-    join(fs, pool, pool.begin[k2], pool.begin[k2 + 1], pool.hdr2[k2], node);
-  } else {
-    suffix_exact(fs, static_cast<int>(fs.e2) - 1, k2, 0, Agg{}, false, node,
-                 pool);
-    flush_exact(fs, pool, node);
+/// Phase 2: pool every way p2's non-EOM cells can fill the LAST r
+/// splice positions, bucket r in [begin[r], begin[r+1]). Bucket r is
+/// ordered by smallest kept index, descending, so the r-subsets cell
+/// idx can extend (those above it) are its first C(e2-1-idx, r)
+/// entries. Bucket r+1 is those ranges, each plus cell idx at distance
+/// r, appended for idx descending — which keeps the order. Its last
+/// range, idx = 0, holds the C(e2-1, r) entries with p2's header.
+void build_pool(const DfsPair& fs, ResidueSoA& pool,
+                std::array<std::uint32_t, kMaxPooledSuffixCells + 1>& begin) {
+  const unsigned e2 = fs.e2;
+  begin[0] = 0;
+  for (unsigned r = 0; r < e2; ++r) begin[r + 1] = begin[r] + kBinom[e2][r];
+  pool.reserve_slots(begin[e2]);
+  pool.put(0, Residues{}, kEq1 | kEq2);  // bucket 0: only p2's EOM
+  for (unsigned r = 0; r + 1 < e2; ++r) {
+    const unsigned pos = e2 - 1 - r;
+    std::uint32_t at = begin[r + 1];
+    for (unsigned idx = pos + 1; idx-- > 0;) {
+      const std::uint32_t n = kBinom[e2 - 1 - idx][r];
+      extend(fs, pool, at, pool, begin[r], n, fs.t2[idx * e2 + pos]);
+      at += n;
+    }
   }
-  if (k1 + 1 > fs.e2) return;  // a longer prefix would force k2 < 0
-  for (unsigned idx = from; idx < fs.e1; ++idx) {
-    Agg a = agg;
-    fold(fs, a, fs.c1[idx], t + 1);
-    prefix_walk(fs, idx + 1, t + 1, a, pool);
+}
+
+/// Suffixes the regrown path stages before joining them: one chunk.
+constexpr std::uint32_t kExactChunk = 64;
+
+/// The regrown path, for packets too large to pool (2^e2 combos): for
+/// one phase-1 node, regrow the k2-subsets of p2's cells depth-first
+/// in descending index order from the same term table — depth r's
+/// subset lives in slot r of `stack` — and stage each complete one in
+/// `stage`, joined a chunk at a time.
+class Regrow {
+ public:
+  Regrow(const DfsPair& fs, ResidueSoA& stack, ResidueSoA& stage,
+         const Node& node, unsigned need)
+      : fs_(fs), stack_(stack), stage_(stage), node_(node), need_(need) {}
+
+  void run() {
+    if (need_ == 0) {
+      stage_.put(staged_++, Residues{}, kEq1 | kEq2);
+    } else {
+      grow(static_cast<int>(fs_.e2) - 1, 0);
+    }
+    flush();
+  }
+
+ private:
+  void grow(int from, unsigned r) {
+    const unsigned pos = fs_.e2 - 1 - r;
+    // idx+1 cells remain available below `idx`; prune branches that
+    // cannot reach `need`.
+    for (int idx = from; idx + 1 >= static_cast<int>(need_ - r); --idx) {
+      const Term& t = fs_.t2[static_cast<unsigned>(idx) * fs_.e2 + pos];
+#ifndef OBS_DISABLE
+      ++*fs_.dfs_nodes;  // cold path: counted per edge
+#endif
+      if (r + 1 < need_) {
+        extend(fs_, stack_, r + 1, stack_, r, 1, t);
+        grow(idx - 1, r + 1);
+        continue;
+      }
+      extend(fs_, stage_, staged_++, stack_, r, 1, t);
+      hdr2_ += idx == 0 ? 1 : 0;
+      if (staged_ == kExactChunk) flush();
+    }
+  }
+
+  void flush() {
+    join(fs_, stage_, 0, staged_, hdr2_, node_);
+    staged_ = hdr2_ = 0;
+  }
+
+  const DfsPair& fs_;
+  ResidueSoA& stack_;
+  ResidueSoA& stage_;
+  const Node& node_;
+  const unsigned need_;
+  std::uint32_t staged_ = 0, hdr2_ = 0;
+};
+
+/// Per-thread scratch of the DFS, reused by every pair.
+struct DfsScratch {
+  std::vector<Term> t1, t2;
+  ResidueSoA pool, level, next, stack, stage;
+};
+
+/// Phase 1, level by level: level t holds p1's t-subsets of cells
+/// 1..e1-1 (the nodes with k1 = t+1), each joined against the suffixes
+/// with k2 = e2 - k1. Level t is ordered by largest kept index,
+/// ascending, so the nodes cell idx extends (those below it) are its
+/// first C(idx-1, t); level t+1 is those ranges, each plus cell idx at
+/// position t+1, appended for idx ascending.
+void walk_levels(const DfsPair& fs, const Node& root, bool pooled,
+                 DfsScratch& w) {
+  std::array<std::uint32_t, kMaxPooledSuffixCells + 1> begin{};
+  if (pooled) {
+    build_pool(fs, w.pool, begin);
+#ifndef OBS_DISABLE
+    // Every pool entry past the seeded k2 = 0 one is one grown node.
+    *fs.dfs_nodes += begin[fs.e2] - begin[1];
+#endif
+  } else {
+    w.stack.reserve_slots(fs.e2);
+    w.stack.put(0, Residues{}, kEq1 | kEq2);
+    w.stage.reserve_slots(kExactChunk);
+  }
+  ResidueSoA* cur = &w.level;
+  ResidueSoA* next = &w.next;
+  cur->reserve_slots(1);
+  cur->put(0, root.need, root.ident);
+  for (unsigned t = 0;; ++t) {
+    const unsigned k2 = fs.e2 - 1 - t;
+    Node node;
+    // The splice keeps k2 of p2's non-EOM cells plus its EOM cell.
+    node.k = std::min<std::size_t>(k2 + 1, kMaxTrackedK - 1);
+    const std::uint32_t nodes = kBinom[fs.e1 - 1][t];
+    for (std::uint32_t i = 0; i < nodes; ++i) {
+      node.need = {cur->tr[i], cur->crc[i], cur->kd[i], cur->ks[i]};
+      node.ident = cur->flags[i];
+      if (pooled) {
+        join(fs, w.pool, begin[k2], begin[k2 + 1],
+             k2 == 0 ? 0 : kBinom[fs.e2 - 1][k2 - 1], node);
+      } else {
+        Regrow(fs, w.stack, w.stage, node, k2).run();
+      }
+    }
+    // A longer prefix would force k2 < 0 or run out of p1's cells.
+    if (t + 2 > fs.e2 || t + 1 >= fs.e1) return;
+    next->reserve_slots(kBinom[fs.e1 - 1][t + 1]);
+    std::uint32_t at = 0;
+    for (unsigned idx = t + 1; idx < fs.e1; ++idx) {
+      const std::uint32_t n = kBinom[idx - 1][t];
+      extend(fs, *next, at, *cur, 0, n, fs.t1[idx * fs.e2 + t + 1]);
+      at += n;
+    }
+#ifndef OBS_DISABLE
+    *fs.dfs_nodes += at;
+#endif
+    std::swap(cur, next);
   }
 }
 
@@ -827,66 +960,72 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.fletcher = cfg.transport != alg::Algorithm::kInternet;
   fs.mod255 = ctx.mod255;
   fs.track1 = n1 == n2;
-  fs.ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
-  fs.ident2_head = p1.cells[0].hash == p2.cells[0].hash;
-  fs.iconst = static_cast<std::uint64_t>(p1.tp.head_sum) + p2.tp.eom_sum;
-  {
+  fs.tr_mod = !fs.fletcher ? 65535 : ctx.mod255 ? 255 : 256;
+  // Targets are p2's whole-PDU values — the splice carries p2's
+  // trailer — and a Koopman target outside its ring is never met.
+  constexpr std::uint64_t kd_mod = alg::kKoopmanDualMod;
+  constexpr std::uint64_t ks_mod = alg::kKoopmanSingleMod;
+  fs.kd_live = p2.kd_pdu.a < kd_mod && p2.kd_pdu.b < kd_mod;
+  fs.ks_live = p2.ks_pdu < ks_mod;
+  fs.st = &stats;
+  fs.dfs_nodes = &obs_flush.dfs_nodes;
+
+  thread_local DfsScratch scratch;
+  build_terms(fs, scratch.t1, scratch.t2);
+
+  // The root node needs target - const from the suffix, the pair
+  // constants being p1's mandatory first cell at position 0 and p2's
+  // EOM cell.
+  Node root;
+  if (!fs.fletcher) {
+    // The content sum's residue mod 65535 that passes: the stored
+    // field itself, or its negation when the field holds the
+    // complement. Canonicalising first keeps the ones-complement ±0
+    // exact.
+    const std::uint16_t stored_canon = alg::ones_canonical(
+        ctx.header_placement ? p1.tp.stored : p2.tp.stored);
+    const std::uint32_t inet_target =
+        cfg.invert_checksum ? (65535u - stored_canon) % 65535u : stored_canon;
+    root.need.tr =
+        mod_sub<65535>(inet_target, static_cast<std::uint64_t>(
+                                        p1.tp.head_sum) + p2.tp.eom_sum);
+  } else {
     const alg::FletcherPair& hf =
         ctx.mod255 ? p1.tp.head_f255 : p1.tp.head_f256;
     const alg::FletcherPair& ef = ctx.mod255 ? p2.tp.eom_f255 : p2.tp.eom_f256;
-    fs.fconst_a = static_cast<std::uint64_t>(hf.a) + ef.a;
-    fs.fconst_b =
+    const std::uint64_t a = static_cast<std::uint64_t>(hf.a) + ef.a;
+    const std::uint64_t b =
         static_cast<std::uint64_t>(hf.b) + ef.b +
         (static_cast<std::uint64_t>(atm::kCellPayload) * (fs.e2 - 1) +
          fs.eom_len) *
             hf.a;
+    root.need.tr = ctx.mod255 ? mod_sub<255>(0, a) | mod_sub<255>(0, b) << 16
+                              : mod_sub<256>(0, a) | mod_sub<256>(0, b) << 16;
   }
-  fs.crc_target = p2.stored_crc ^ p2.crc_head44 ^
+  root.need.crc = p2.stored_crc ^ p2.crc_head44 ^
                   suffix_comb(fs.e2 - 1).advance(p1.cells[0].crc);
   // Koopman constants: p1's mandatory first cell (6*e2 blocks follow
-  // it) plus p2's EOM fragment (nothing follows). Targets are p2's
-  // whole-PDU sums — the splice carries p2's trailer.
-  fs.kconst_a = p1.cells[0].kd.a + p2.eom_kd.a;
-  fs.kconst_b = static_cast<std::uint64_t>(p1.cells[0].kd.b) +
-                kKoopmanBlocksPerCell * static_cast<std::uint64_t>(fs.e2) *
-                    p1.cells[0].kd.a +
-                p2.eom_kd.b;
-  fs.ksconst = p1.cells[0].ks + p2.eom_ks;
-  fs.kd_target = p2.kd_pdu;
-  fs.ks_target = p2.ks_pdu;
-  const std::uint16_t stored_canon = alg::ones_canonical(
-      ctx.header_placement ? p1.tp.stored : p2.tp.stored);
-  fs.inet_target = cfg.invert_checksum ? (65535u - stored_canon) % 65535u
-                                       : stored_canon;
-  fs.st = &stats;
-  fs.dfs_nodes = &obs_flush.dfs_nodes;
-  fs.pooled = fs.e2 <= max_pooled_cells;
-
-  thread_local SuffixPool pool;
-  if (fs.pooled) {
-    // Bucket r holds the C(e2, r) r-cell subsets (r = 0: only p2's
-    // EOM); r = e2 would force k1 = 0.
-    std::array<std::uint32_t, kMaxPooledSuffixCells> binom{};
-    binom[0] = 1;
-    for (unsigned r = 1; r < fs.e2; ++r)
-      binom[r] = binom[r - 1] * (fs.e2 - r + 1) / r;
-    pool.layout(fs.e2, [&](unsigned r) { return binom[r]; });
-    pool.put(fs, 0, Agg{}, false);
-    if (fs.e2 >= 2)
-      suffix_pool(fs, static_cast<int>(fs.e2) - 1, 0, Agg{}, pool);
-#ifndef OBS_DISABLE
-    // Every pool entry past the seeded k2 = 0 one cost exactly one
-    // fold; the prefix side has a closed form. Summing here keeps the
-    // DFS itself free of telemetry.
-    obs_flush.dfs_nodes += pool.begin[fs.e2] - pool.begin[1];
-#endif
+  // it) plus p2's EOM fragment (nothing follows).
+  if (fs.kd_live) {
+    const std::uint64_t a = p1.cells[0].kd.a + p2.eom_kd.a;
+    const std::uint64_t b =
+        static_cast<std::uint64_t>(p1.cells[0].kd.b) +
+        kKoopmanBlocksPerCell * static_cast<std::uint64_t>(fs.e2) *
+            p1.cells[0].kd.a +
+        p2.eom_kd.b;
+    root.need.kd = mod_sub<kd_mod>(p2.kd_pdu.a, a) |
+                   mod_sub<kd_mod>(p2.kd_pdu.b, b) << 16;
   } else {
-    pool.layout(1, [](unsigned) { return kExactChunk; });
+    root.need.kd = kNeverMatches;
   }
-#ifndef OBS_DISABLE
-  obs_flush.dfs_nodes += prefix_fold_count(fs.e1, fs.e2);
-#endif
-  prefix_walk(fs, 1, 0, Agg{}, pool);
+  root.need.ks = fs.ks_live ? mod_sub<ks_mod>(p2.ks_pdu,
+                                              p1.cells[0].ks + p2.eom_ks)
+                            : kNeverMatches;
+  const bool ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
+  const bool ident2_head = p1.cells[0].hash == p2.cells[0].hash;
+  root.ident = static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
+                                         (ident2_head ? kEq2 : 0));
+  walk_levels(fs, root, fs.e2 <= max_pooled_cells, scratch);
 }
 
 }  // namespace

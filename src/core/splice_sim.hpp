@@ -144,15 +144,17 @@ static_assert(kSpliceCounterCount * sizeof(std::uint64_t) ==
 
 /// Evaluate every splice of the adjacent pair (p1, p2).
 ///
-/// Splices are walked as a prefix-sharing DFS over cell positions:
-/// each DFS edge folds one cell's partial sums into an accumulator
-/// (combined CRC, unreduced Internet/Fletcher sums, identical-to-p1/p2
-/// hash state) shared by every splice extending that prefix, so the
-/// amortised cost per splice is O(1) instead of O(cells). A splice
-/// itself costs only equality compares: each prefix node hoists the
-/// residue every check needs from the suffix, and p2's suffixes are
-/// reduced once. Subtrees whose first cell fails the header checks
-/// are bulk-accounted combinatorially without being enumerated.
+/// Splices are walked as a prefix-sharing DFS over cell positions,
+/// grown a level at a time: each cell's contribution at each position
+/// it can occupy is reduced once per pair into every check's residue
+/// ring (CRC, Internet/Fletcher, Koopman), with its identical-to-p1/p2
+/// flags, and a node is its parent's residues plus one such term,
+/// shared by every splice extending that prefix, so the amortised cost
+/// per splice is O(1) instead of O(cells). A splice itself costs only
+/// equality compares: each prefix node holds the residue every check
+/// needs from the suffix, and p2's suffixes are pooled once. Subtrees
+/// whose first cell fails the header checks are bulk-accounted
+/// combinatorially without being enumerated.
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats);
 

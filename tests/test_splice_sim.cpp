@@ -6,14 +6,18 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "checksum/kernels/kernel.hpp"
 #include "core/experiments.hpp"
 #include "core/pdu_model.hpp"
 #include "core/splice_sim.hpp"
 #include "fsgen/generator.hpp"
 #include "net/packet.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace cksum::core {
@@ -516,6 +520,156 @@ TEST(FastVsReference, RandomShapesMatchOracle) {
   EXPECT_GT(dfs_seen.missed_transport, 0u);
   EXPECT_GT(dfs_seen.remaining, dfs_seen.missed_transport);
   EXPECT_GE(zero_fields, 12);
+}
+
+/// The registry's splice.dfs_nodes total (0 when telemetry is compiled
+/// out).
+std::uint64_t dfs_nodes_now() {
+  return obs::Registry::global().snapshot().value("splice.dfs_nodes");
+}
+
+TEST(FastVsReference, PooledEqualsRegrownAtPoolLimit) {
+  // The largest pooled shape, n1 = n2 = 15: e2 = 14 non-EOM cells, the
+  // pool limit, with 2^14 - 1 pooled suffixes and C(13, 6) = 1716
+  // nodes on the widest prefix level. The oracle cannot afford its
+  // C(28, 14) splices, so the pooled path is held to the regrown one,
+  // which RandomShapesMatchOracle holds to the oracle. Both must agree
+  // on every counter, and each must grow exactly the nodes its own
+  // closed form counts (the counts the recursive walk made):
+  //  * pooled: every pool entry past bucket 0, plus every prefix node
+  //    past the root;
+  //  * regrown: the same prefix nodes, plus, under each node with k2
+  //    cells to find, every r-cell descending prefix (r = 1..k2) that
+  //    can still be completed, C(e2 - k2 + r, r) of them.
+  // Both transports take about 1.2 s in the default RelWithDebInfo
+  // build on a 4-vCPU Xeon, nearly all of it on the regrown path.
+  constexpr unsigned kCells = 15;
+  constexpr unsigned e = kCells - 1;  // e1 = e2
+  const auto choose = [](unsigned n, unsigned k) {
+    std::uint64_t c = 1;
+    for (unsigned i = 1; i <= k; ++i) c = c * (n - k + i) / i;
+    return c;
+  };
+  std::uint64_t prefix_nodes = 0, pooled_nodes = 0, regrown_nodes = 0;
+  for (unsigned r = 1; r < e; ++r) pooled_nodes += choose(e, r);
+  for (unsigned t = 0; t < e; ++t) {
+    if (t > 0) prefix_nodes += choose(e - 1, t);
+    const unsigned k2 = e - 1 - t;
+    for (unsigned r = 1; r <= k2; ++r)
+      regrown_nodes += choose(e - 1, t) * choose(e - k2 + r, r);
+  }
+  pooled_nodes += prefix_nodes;
+  regrown_nodes += prefix_nodes;
+
+  util::Rng rng(0x15ce11);
+  for (const auto& [transport, placement] :
+       {std::pair{alg::Algorithm::kInternet, net::ChecksumPlacement::kHeader},
+        std::pair{alg::Algorithm::kFletcher255,
+                  net::ChecksumPlacement::kTrailer}}) {
+    const net::FlowConfig flow = flow_with(transport, placement);
+    // Zero-heavy payloads, p2 a copy of p1 with a few bytes changed, so
+    // identical splices and transport misses reach the join's tally.
+    Bytes pay1(48 * (kCells - 2) + 1 + rng.below(46));
+    for (auto& b : pay1)
+      b = rng.chance(0.6) ? 0 : static_cast<std::uint8_t>(rng.next());
+    // The changes stay clear of the header and EOM cells (payload byte
+    // j sits in cell (40 + j) / 48), so splices can reproduce p1.
+    Bytes pay2 = pay1;
+    for (int i = 0; i < 4; ++i)
+      pay2[48 * (2 + rng.below(10)) + rng.below(48)] ^= 0x5a;
+    const SimPacket p1 = make_sim_packet(
+        flow.packet,
+        net::build_packet(flow.packet, flow.initial_seq, 1, ByteView(pay1)));
+    const SimPacket p2 = make_sim_packet(
+        flow.packet,
+        net::build_packet(
+            flow.packet,
+            flow.initial_seq + static_cast<std::uint32_t>(pay1.size()), 2,
+            ByteView(pay2)));
+    const std::string where = std::string(alg::name(transport));
+    ASSERT_EQ(p1.pdu.num_cells(), kCells) << where;
+    ASSERT_EQ(p2.pdu.num_cells(), kCells) << where;
+
+    SpliceStats pooled, regrown;
+    const std::uint64_t n0 = dfs_nodes_now();
+    evaluate_pair(flow.packet, p1, p2, pooled);
+    const std::uint64_t n1 = dfs_nodes_now();
+    evaluate_pair_unpooled(flow.packet, p1, p2, regrown);
+    const std::uint64_t n2 = dfs_nodes_now();
+    EXPECT_TRUE(pooled == regrown) << where;
+    EXPECT_EQ(pooled.total, choose(2 * kCells - 2, kCells - 1) - 1) << where;
+    EXPECT_GT(pooled.identical, 0u) << where;
+    EXPECT_GT(pooled.remaining, 0u) << where;
+#ifndef OBS_DISABLE
+    EXPECT_EQ(n1 - n0, pooled_nodes) << where;
+    EXPECT_EQ(n2 - n1, regrown_nodes) << where;
+#else
+    (void)n0, (void)n1, (void)n2;
+#endif
+  }
+}
+
+TEST(FastVsReference, OutOfRingKoopmanTargetsNeverMatch) {
+  // A Koopman target at or past its modulus can never equal a reduced
+  // sum, so the oracle never passes it; the DFS gives such a family the
+  // need kNeverMatches and must carry it through every level unchanged.
+  // Each pair gets two out-of-ring forms of p2's targets: the bare
+  // moduli (kd_pdu.a = 65521, ks_pdu = 2^32 - 5), and the sums of one of
+  // its own remaining splices plus the modulus — the one keeping the
+  // most of p1's cells, so its prefix node sits deepest. An evaluator
+  // that reduced the target instead of honouring the sentinel would
+  // count that splice as missed by both sums.
+  Bytes file(12000, 0x00);
+  util::Rng rng(5);
+  constexpr std::array<std::uint8_t, 5> kDraw = {0, 0, 0, 0xFF, 1};
+  for (std::size_t i = 0; i < file.size(); i += 7)
+    file[i] = kDraw[rng.below(kDraw.size())];
+  const net::FlowConfig flow =
+      flow_with(alg::Algorithm::kInternet, net::ChecksumPlacement::kTrailer);
+  const auto pkts = packetize_file(flow, ByteView(file));
+  int checked = 0;
+  for (std::size_t i = 0; i + 1 < pkts.size() && checked < 6; ++i) {
+    const SimPacket& p1 = pkts[i];
+    if (p1.total_len != pkts[i + 1].total_len) continue;
+    std::optional<atm::SpliceSpec> deepest;
+    atm::for_each_splice(
+        p1.pdu.num_cells(), pkts[i + 1].pdu.num_cells(),
+        [&](const atm::SpliceSpec& s) {
+          const SpliceOutcome o =
+              evaluate_splice_reference(flow.packet, p1, pkts[i + 1], s);
+          if ((s.mask1 & 1u) != 0 && !o.caught_by_header && !o.identical &&
+              (!deepest || s.k1 > deepest->k1))
+            deepest = s;
+        });
+    ASSERT_TRUE(deepest.has_value()) << "pair " << i;
+    const Bytes bytes = atm::materialize_splice(p1.pdu, pkts[i + 1].pdu,
+                                                *deepest);
+    const ByteView kcov(bytes.data(), bytes.size() - 4);
+    const alg::KoopmanDualPair kd = alg::kern::koopman_dual(kcov);
+    const std::uint64_t ks = alg::kern::koopman_single(kcov);
+    for (const bool bare : {true, false}) {
+      SimPacket p2 = pkts[i + 1];
+      p2.kd_pdu = bare ? alg::KoopmanDualPair{alg::kKoopmanDualMod,
+                                              p2.kd_pdu.b}
+                       : alg::KoopmanDualPair{kd.a + alg::kKoopmanDualMod,
+                                              kd.b};
+      p2.ks_pdu = bare ? alg::kKoopmanSingleMod
+                       : ks + alg::kKoopmanSingleMod;
+      const std::string where = "pair " + std::to_string(i) +
+                                (bare ? " (moduli)" : " (splice + modulus)");
+      SpliceStats pooled, regrown;
+      evaluate_pair(flow.packet, p1, p2, pooled);
+      evaluate_pair_unpooled(flow.packet, p1, p2, regrown);
+      const SpliceStats ref = reference_pair_stats(flow.packet, p1, p2);
+      EXPECT_TRUE(pooled == ref) << where;
+      EXPECT_TRUE(regrown == ref) << where << " (regrown)";
+      EXPECT_EQ(pooled.missed_koopman_dual, 0u) << where;
+      EXPECT_EQ(pooled.missed_koopman_single, 0u) << where;
+      EXPECT_GT(pooled.remaining, 0u) << where;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 6);
 }
 
 TEST(SpliceSim, ReferenceCorpusStaysFastPath) {
