@@ -5,6 +5,9 @@
 // splices/sec (items_per_second) with pairs/sec as a counter:
 //
 //   BM_SpliceDfs        prefix-sharing DFS (the production path)
+//   BM_SpliceDfs512     the same DFS on the transfer cut at 512-byte
+//                       segments (12-cell pairs, prefix levels of up
+//                       to 252 nodes)
 //   BM_SpliceReference  full materialise-and-verify oracle
 //
 // plus an end-to-end run_filesystem rate at 1 and 4 worker threads to
@@ -32,23 +35,31 @@ namespace {
 
 using namespace cksum;
 
-/// A deterministic 16 KiB gmon-profile transfer: 65 full 256-byte
-/// segments (7-cell packets, 923 splices per pair) plus a runt tail.
-const std::vector<core::SimPacket>& corpus_packets() {
-  static const std::vector<core::SimPacket> pkts = [] {
-    const net::FlowConfig flow = core::paper_flow_config();
-    const util::Bytes file =
-        fsgen::generate_file(fsgen::FileKind::kGmonProfile, 42, 16 * 1024);
-    return core::packetize_file(flow, util::ByteView(file));
-  }();
-  return pkts;
+/// The paper's flow, cut at `segment` bytes.
+net::FlowConfig flow_at(std::size_t segment) {
+  net::FlowConfig flow = core::paper_flow_config();
+  flow.segment_size = segment;
+  return flow;
+}
+
+/// A deterministic 16 KiB gmon-profile transfer. At the paper's
+/// 256-byte segments: 65 full segments (7-cell packets, 923 splices per
+/// pair) plus a runt tail; at 512: 32 (12-cell packets, 705,431).
+const std::vector<core::SimPacket>& corpus_packets(std::size_t segment) {
+  static const util::Bytes file =
+      fsgen::generate_file(fsgen::FileKind::kGmonProfile, 42, 16 * 1024);
+  static const std::vector<core::SimPacket> paper =
+      core::packetize_file(flow_at(256), util::ByteView(file));
+  static const std::vector<core::SimPacket> wide =
+      core::packetize_file(flow_at(512), util::ByteView(file));
+  return segment == 256 ? paper : wide;
 }
 
 template <typename Evaluator>
 void run_pair_bench(benchmark::State& state, Evaluator&& evaluate,
-                    std::size_t max_pairs) {
-  const auto& pkts = corpus_packets();
-  const net::FlowConfig flow = core::paper_flow_config();
+                    std::size_t max_pairs, std::size_t segment = 256) {
+  const auto& pkts = corpus_packets(segment);
+  const net::FlowConfig flow = flow_at(segment);
   const std::size_t last =
       std::min(max_pairs, pkts.size() >= 2 ? pkts.size() - 1 : 0);
   std::uint64_t splices = 0;
@@ -70,6 +81,11 @@ void BM_SpliceDfs(benchmark::State& state) {
   run_pair_bench(state, core::evaluate_pair, 1u << 20);
 }
 BENCHMARK(BM_SpliceDfs);
+
+void BM_SpliceDfs512(benchmark::State& state) {
+  run_pair_bench(state, core::evaluate_pair, 1u << 20, 512);
+}
+BENCHMARK(BM_SpliceDfs512);
 
 void BM_SpliceReference(benchmark::State& state) {
   // 4 pairs only — materialising every splice is ~3 orders of

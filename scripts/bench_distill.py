@@ -4,6 +4,7 @@ trajectory at the repo root.
 
 Usage: bench_distill.py RAW_JSON TRAJECTORY_JSON [--quick] [--check]
                         [--manifest PATH] [--speed PATH] [--build-dir DIR]
+       bench_distill.py --summary TRAJECTORY_JSON
 
 The trajectory file is a JSON array, one entry per bench.sh run:
 
@@ -11,8 +12,8 @@ The trajectory file is a JSON array, one entry per bench.sh run:
       "date": "2026-08-05T12:34:56Z",
       "commit": "abc1234...",
       "quick": false,
-      "splices_per_sec": {"dfs": ..., "reference": ...},
-      "pairs_per_sec":   {"dfs": ..., "reference": ...},
+      "splices_per_sec": {"dfs": ..., "dfs512": ..., "reference": ...},
+      "pairs_per_sec":   {"dfs": ..., "dfs512": ..., "reference": ...},
       "speedup_dfs_vs_reference": ...,
       "fingerprint": {"cpu": ..., "hw_threads": ..., "kernel": ...,
                       "compiler": ..., "build_type": ...},
@@ -28,7 +29,9 @@ is left untouched rather than clobbered). Entries are validated
 against the schema above before the file is rewritten — a malformed
 new entry aborts, malformed pre-existing entries only warn. Entries
 recorded while the flat evaluator existed also carry a "flat" rate
-and "speedup_dfs_vs_flat"; they are kept as history.
+and "speedup_dfs_vs_flat"; they are kept as history. "dfs512" (the
+DFS on 512-byte segments, BM_SpliceDfs512) is absent from the entries
+recorded before it existed.
 
 --manifest ingests a cksum-metrics/1 run manifest (produced by
 `cksumlab splice --metrics-out`, see docs/OBSERVABILITY.md) and
@@ -72,6 +75,10 @@ With --check, each gate's verdict is recorded in the new entry under
 so a skipped gate is visible in the trajectory, not only on stderr.
 Shard readahead has no gate on purpose (docs/PERF.md); its
 "shard_readahead" record is always a skip with that reason.
+
+--summary prints the last trajectory entry's gates (name, status,
+reason) as a Markdown table, for a CI job summary, and exits 0; it
+writes nothing.
 """
 
 import argparse
@@ -87,8 +94,13 @@ import sys
 
 BENCH_KEYS = {
     "BM_SpliceDfs": "dfs",
+    "BM_SpliceDfs512": "dfs512",
     "BM_SpliceReference": "reference",
 }
+
+# Rates added after the first entries were recorded: an older entry
+# without one is still valid.
+LATER_BENCH_KEYS = {"dfs512"}
 
 MANIFEST_SCHEMA = "cksum-metrics/1"
 
@@ -235,6 +247,8 @@ def validate_entry(entry):
             problems.append(f"{key!r} missing or not an object")
             continue
         for bench in BENCH_KEYS.values():
+            if bench in LATER_BENCH_KEYS and bench not in rates:
+                continue
             if not isinstance(rates.get(bench), (int, float)):
                 problems.append(f"{key!r}[{bench!r}] missing or not a number")
     if not isinstance(entry.get("speedup_dfs_vs_reference"), (int, float)):
@@ -460,10 +474,35 @@ def run_gates(entry, trajectory):
     return gates
 
 
+def gate_summary(path):
+    """The last entry's gates as a Markdown table. Returns (text, error)."""
+    trajectory, err = load_trajectory(path)
+    if err:
+        return None, err
+    if not trajectory:
+        return None, f"{path} has no entries"
+    entry = trajectory[-1]
+    title = (f"### Bench gates: {path} entry #{len(trajectory)} "
+             f"({entry.get('commit', 'unknown')[:12]})")
+    gates = entry.get("gates") if isinstance(entry, dict) else None
+    if not gates:
+        return f"{title}\n\nNo gates recorded (run without --check).\n", None
+    lines = [title, "", "| gate | status | reason |", "|---|---|---|"]
+    for name, g in gates.items():
+        reason = str(g.get("reason", "")).replace("|", "\\|")
+        lines.append(f"| {name} | {g.get('status', '?')} | {reason} |")
+    return "\n".join(lines) + "\n", None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("raw", help="google-benchmark --benchmark_out JSON")
-    ap.add_argument("trajectory", help="BENCH_splice.json to append to")
+    ap.add_argument("raw", nargs="?",
+                    help="google-benchmark --benchmark_out JSON")
+    ap.add_argument("trajectory", nargs="?",
+                    help="BENCH_splice.json to append to")
+    ap.add_argument("--summary", metavar="TRAJECTORY",
+                    help="print the last entry's gates as a Markdown "
+                         "table and exit")
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("--check", action="store_true")
     ap.add_argument("--manifest", metavar="PATH",
@@ -477,6 +516,16 @@ def main() -> int:
                     help="bench_speed JSON dump whose BM_Kernel_* rows "
                          "become the entry's kernel_throughput family")
     args = ap.parse_args()
+
+    if args.summary:
+        text, err = gate_summary(args.summary)
+        if err:
+            print(f"bench_distill: {err}", file=sys.stderr)
+            return 1
+        sys.stdout.write(text)
+        return 0
+    if not args.raw or not args.trajectory:
+        ap.error("RAW and TRAJECTORY are required without --summary")
 
     with open(args.raw) as f:
         raw = json.load(f)
@@ -564,6 +613,8 @@ def main() -> int:
         f.write("\n")
 
     print(f"dfs:       {splices['dfs']:.3e} splices/sec")
+    print(f"dfs512:    {splices['dfs512']:.3e} splices/sec "
+          f"(512-byte segments)")
     print(f"reference: {splices['reference']:.3e} splices/sec "
           f"({entry['speedup_dfs_vs_reference']:.1f}x slower than dfs)")
     if "manifest" in entry:

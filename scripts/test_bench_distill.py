@@ -11,7 +11,8 @@ as older raw files have. Checks that
   * the kernel throughput is each row's `_median` aggregate, not its
     mean (the means here would fail the chorba >= 1.5x gate);
   * a dump without aggregates still distills, from its plain rows;
-  * every entry records the deliberate shard-readahead skip.
+  * every entry records the deliberate shard-readahead skip, and
+    --summary prints it as a row of the Markdown gate table.
 
 Exits 1 with a message on the first failed check.
 """
@@ -40,6 +41,8 @@ def splice_dump():
     return {"benchmarks": [
         {"name": "BM_SpliceDfs", "run_type": "iteration",
          "items_per_second": 4.0e8, "pairs_per_sec": 4.0e5},
+        {"name": "BM_SpliceDfs512", "run_type": "iteration",
+         "items_per_second": 1.0e9, "pairs_per_sec": 1.4e3},
         {"name": "BM_SpliceReference", "run_type": "iteration",
          "items_per_second": 2.0e6, "pairs_per_sec": 2.0e3},
     ]}
@@ -62,7 +65,8 @@ def speed_dump(aggregates):
 
 
 def distill(tmp, speed):
-    """Run bench_distill.py --check; returns (exit code, last entry)."""
+    """Run bench_distill.py --check; returns (exit code, last entry,
+    the --summary output)."""
     raw = os.path.join(tmp, "raw.json")
     speed_path = os.path.join(tmp, "speed.json")
     traj = os.path.join(tmp, "trajectory.json")
@@ -76,8 +80,10 @@ def distill(tmp, speed):
                        capture_output=True, text=True)
     if r.returncode != 0:
         sys.stderr.write(r.stdout + r.stderr)
+    summary = subprocess.run([sys.executable, DISTILL, "--summary", traj],
+                             cwd=tmp, capture_output=True, text=True)
     with open(traj) as f:
-        return r.returncode, json.load(f)[-1]
+        return r.returncode, json.load(f)[-1], summary.stdout
 
 
 def check(ok, what):
@@ -90,7 +96,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for aggregates in (True, False):
             label = "aggregate dump" if aggregates else "plain-row dump"
-            code, entry = distill(tmp, speed_dump(aggregates))
+            code, entry, summary = distill(tmp, speed_dump(aggregates))
             check(code == 0, f"{label}: bench_distill --check exited {code}")
             crc = entry["kernel_throughput"]["crc32"]
             check(crc["chorba"] == KERNELS["crc32_chorba"][0],
@@ -101,6 +107,14 @@ def main():
             ra = gates.get("shard_readahead", {})
             check(ra.get("status") == "skip" and ra.get("reason"),
                   f"{label}: shard_readahead record {ra!r}")
+            check(entry["splices_per_sec"].get("dfs512") == 1.0e9,
+                  f"{label}: dfs512 rate {entry['splices_per_sec']!r}")
+            rows = summary.splitlines()
+            check("| gate | status | reason |" in rows,
+                  f"{label}: --summary has no gate table:\n{summary}")
+            check(f"| shard_readahead | skip | {ra['reason']} |" in rows,
+                  f"{label}: --summary lacks the shard_readahead skip "
+                  f"row:\n{summary}")
     print("test_bench_distill: ok")
 
 

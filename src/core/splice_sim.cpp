@@ -25,11 +25,12 @@ namespace {
 // ---------------------------------------------------------------------------
 // Telemetry. Counters are never touched per splice: evaluate_pair
 // accumulates into its SpliceStats as before and a flush object adds
-// the per-pair deltas to the registry on the way out, so the DFS inner
-// loop costs at most one plain increment (the node count) and the
-// registry sees a handful of relaxed adds per pair. All splice.*
-// counters are additive and thread-count invariant (Tag
-// kDeterministic); sched.* depends on worker interleaving.
+// the deltas to the registry on the way out, once per chunk of
+// kPairChunk pairs in a run (once per call for direct evaluate_pair
+// callers), so the DFS inner loop costs at most one plain increment
+// (the node count) and the registry sees a handful of relaxed adds per
+// chunk. All splice.* counters are additive and thread-count invariant
+// (Tag kDeterministic); sched.* depends on worker interleaving.
 // ---------------------------------------------------------------------------
 
 struct SpliceMetrics {
@@ -72,9 +73,9 @@ const SpliceMetrics& smx() {
 
 #ifndef OBS_DISABLE
 
-/// Flushes one evaluate_pair call's SpliceStats deltas (the stats
-/// object is shared across many pairs) into the registry on scope
-/// exit, covering every early return.
+/// Flushes the SpliceStats deltas of the pairs evaluated in its scope
+/// (the stats object is shared across many pairs) into the registry
+/// on scope exit, covering every early return.
 class SpliceObsFlush {
  public:
   explicit SpliceObsFlush(SpliceStats& st)
@@ -112,7 +113,7 @@ class SpliceObsFlush {
 
  private:
   // Only the flushed scalars are captured — copying the whole
-  // SpliceStats would drag its by-k arrays through every pair.
+  // SpliceStats would drag its by-k arrays through every flush.
   SpliceStats& st_;
   const std::uint64_t pairs_, total_, fast_, slow_, caught_, identical_,
       remaining_, missed_crc_, missed_transport_, missed_kd_, missed_ks_;
@@ -258,8 +259,9 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 // orders keep the subsets one cell extends at the front of a level,
 // so growing a level is one vectorised modular add of one term to a
 // few contiguous ranges (extend). A leaf is then four u32 equality
-// compares and an identity-flag test, eight suffixes per vector step;
-// a bucket with no hit in any lane — nearly all of them — is counted
+// compares and an identity-flag test, four suffixes per vector step.
+// A level is joined in blocks of nodes that share each suffix load; a
+// block with no hit in any lane — nearly all of them — is counted
 // wholesale.
 // ---------------------------------------------------------------------------
 
@@ -321,7 +323,7 @@ struct DfsPair {
   const Term* t2 = nullptr;
   const Term* t1 = nullptr;
   SpliceStats* st = nullptr;
-  /// Count for splice.dfs_nodes, flushed per pair: one per pool entry
+  /// Count for splice.dfs_nodes, flushed per chunk: one per pool entry
   /// past bucket 0, per phase-1 node past the root, and per regrown
   /// suffix edge.
   std::uint64_t* dfs_nodes = nullptr;
@@ -417,17 +419,18 @@ void build_terms(DfsPair& fs, std::vector<Term>& t1, std::vector<Term>& t2) {
   fs.t2 = t2.data();
 }
 
-/// Suffixes per join step: eight u32 lanes, as two 128-bit vectors —
-/// the width x86-64 (SSE2) and AArch64 (NEON) compare natively. Wider
-/// GCC vectors are lowered lane by lane unless the build targets AVX2.
-constexpr std::uint32_t kLanes = 8;
+/// Suffixes per join step: four u32 lanes, one 128-bit vector — the
+/// width x86-64 (SSE2) and AArch64 (NEON) compare natively. Wider GCC
+/// vectors are lowered lane by lane unless the build targets AVX2.
+constexpr std::uint32_t kLanes = 4;
 
 using u32x4 = std::uint32_t __attribute__((vector_size(16)));
 
 /// Residues and flags in SoA form, with kLanes slots of padding past
-/// the last one in use: the pool, a prefix level, the regrown path's
-/// stack and its staging chunk. Thread-local scratch, reused by every
-/// pair a thread evaluates.
+/// the last one in use (a vector at the last slot reads three past
+/// it): the pool, a prefix level, the regrown path's stack and its
+/// staging chunk. Thread-local scratch, reused by every pair a thread
+/// evaluates.
 struct ResidueSoA {
   std::vector<std::uint32_t> tr, crc, kd, ks;
   std::vector<std::uint8_t> flags;
@@ -546,62 +549,74 @@ inline void extend(const DfsPair& fs, ResidueSoA& dst, std::uint32_t at,
   }
 }
 
-/// A phase-1 node, hoisted out of its leaves: what each family needs
-/// from the suffix (a leaf passes a family iff its residue equals the
-/// need). `ident` holds the suffix flags that make a splice identical;
-/// k is the substitution-length histogram slot, fixed by k2.
-struct Node {
-  Residues need;
-  std::uint8_t ident = 0;
-  std::size_t k = 0;
-};
+/// Prefix nodes joined per pass over a suffix bucket. A 7x7-cell
+/// pair's largest level (10 nodes) is one block; the 512-byte-segment
+/// shapes' levels of up to 252 nodes split into blocks, so a hit
+/// sends only its own block to the per-node fallback.
+constexpr std::uint32_t kJoinBlock = 16;
 
-/// The leaf rule: classify the splices joining `node` to suffixes
-/// [lo, hi) of `p`, `hdr2` of which include p2's header cell. When no
-/// lane hits any family or the identity test, the range is counted
-/// wholesale as changed and caught by every check; otherwise a second
-/// pass counts each counter's lanes.
+/// The leaf rule: classify the splices joining nodes [first, first +
+/// count) of prefix level `level` to suffixes [lo, hi) of `p`, `hdr2`
+/// of which include p2's header cell; k is the level's
+/// substitution-length histogram slot. A node's residues are what each
+/// family needs from the suffix (a leaf passes a family iff its residue
+/// equals the need) and its flags the suffix flags that make a splice
+/// identical. Each suffix quad is loaded once and compared with every
+/// node of the block; the scan stops at the first hit. When no lane
+/// hits for any node, in any family or the identity test, the block is
+/// counted wholesale as changed and caught by every check. Otherwise
+/// each node is joined alone, and a one-node join counts each counter's
+/// lanes in a second pass.
 void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
-          std::uint32_t hi, std::uint32_t hdr2, const Node& node) {
+          std::uint32_t hi, std::uint32_t hdr2, const ResidueSoA& level,
+          std::uint32_t first, std::uint32_t count, std::size_t k) {
   using u8x4 = std::uint8_t __attribute__((vector_size(4)));
-  /// Lane masks (all ones where true) of four suffixes.
+  /// Four suffixes, and which of them are in [lo, hi).
   struct Quad {
-    i32x4 tr, crc, kd, ks, ident, hdr2, valid;
+    u32x4 tr, crc, kd, ks, flags;
+    i32x4 valid;
   };
-  const auto quad = [&](std::uint32_t i, Quad& q) {
-    u32x4 tr, crc, kd, ks;
+  const auto quad = [&](std::uint32_t i) {
+    Quad q;
     u8x4 f8;
-    std::memcpy(&tr, p.tr.data() + i, sizeof tr);
-    std::memcpy(&crc, p.crc.data() + i, sizeof crc);
-    std::memcpy(&kd, p.kd.data() + i, sizeof kd);
-    std::memcpy(&ks, p.ks.data() + i, sizeof ks);
+    std::memcpy(&q.tr, p.tr.data() + i, sizeof q.tr);
+    std::memcpy(&q.crc, p.crc.data() + i, sizeof q.crc);
+    std::memcpy(&q.kd, p.kd.data() + i, sizeof q.kd);
+    std::memcpy(&q.ks, p.ks.data() + i, sizeof q.ks);
     std::memcpy(&f8, p.flags.data() + i, sizeof f8);
-    const u32x4 fl = __builtin_convertvector(f8, u32x4);
-    q.tr = tr == node.need.tr;
-    q.crc = crc == node.need.crc;
-    q.kd = kd == node.need.kd;
-    q.ks = ks == node.need.ks;
-    q.ident = (fl & node.ident) != 0;
-    q.hdr2 = (fl & kHdr2) != 0;
+    q.flags = __builtin_convertvector(f8, u32x4);
     // Lanes at or past `hi` read a neighbour's (or padding) slots.
     q.valid = i32x4{0, 1, 2, 3} < static_cast<std::int32_t>(hi - i);
+    return q;
   };
 
-  Quad q0, q1;
-  i32x4 any = {};
-  for (std::uint32_t i = lo; i < hi; i += kLanes) {
-    quad(i, q0);
-    quad(i + 4, q1);
-    any |= (q0.tr | q0.crc | q0.kd | q0.ks | q0.ident) & q0.valid;
-    any |= (q1.tr | q1.crc | q1.kd | q1.ks | q1.ident) & q1.valid;
+  // A suffix is identical with some node iff it has a flag of the OR of
+  // the nodes' ident masks, so the identity test is made once per quad.
+  std::uint32_t ident = 0;
+  for (std::uint32_t j = first; j < first + count; ++j)
+    ident |= level.flags[j];
+  bool hit = false;
+  for (std::uint32_t i = lo; i < hi && !hit; i += kLanes) {
+    const Quad q = quad(i);
+    i32x4 h = (q.flags & ident) != 0;
+    for (std::uint32_t j = first; j < first + count; ++j)
+      h |= (q.tr == level.tr[j]) | (q.crc == level.crc[j]) |
+           (q.kd == level.kd[j]) | (q.ks == level.ks[j]);
+    h &= q.valid;
+    hit = (h[0] | h[1] | h[2] | h[3]) != 0;
   }
   SpliceStats& st = *fs.st;
-  if ((any[0] | any[1] | any[2] | any[3]) == 0) {
-    const std::uint32_t n = hi - lo;
+  if (!hit) {
+    const std::uint64_t n = std::uint64_t{hi - lo} * count;
     st.remaining += n;
     st.fail_changed += n;
-    st.remaining_by_k[node.k] += n;
-    st.remaining_with_hdr2 += hdr2;
+    st.remaining_by_k[k] += n;
+    st.remaining_with_hdr2 += std::uint64_t{hdr2} * count;
+    return;
+  }
+  if (count > 1) {
+    for (std::uint32_t j = first; j < first + count; ++j)
+      join(fs, p, lo, hi, hdr2, level, j, 1, k);
     return;
   }
 
@@ -609,27 +624,25 @@ void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
   enum { kSame, kSameT, kChanged, kChangedT, kCrc, kCrcT, kKd, kKs, kHdr,
          kHdrT, kCounts };
   i32x4 n[kCounts] = {};
-  const auto tally = [&](const Quad& q) {
-    const i32x4 same = q.ident & q.valid;
-    const i32x4 changed = q.valid & ~q.ident;
-    const i32x4 crc = changed & q.crc;
-    const i32x4 hdr = changed & q.hdr2;
-    n[kSame] -= same;
-    n[kSameT] -= same & q.tr;
-    n[kChanged] -= changed;
-    n[kChangedT] -= changed & q.tr;
-    n[kCrc] -= crc;
-    n[kCrcT] -= crc & q.tr;
-    n[kKd] -= changed & q.kd;
-    n[kKs] -= changed & q.ks;
-    n[kHdr] -= hdr;
-    n[kHdrT] -= hdr & q.tr;
-  };
+  const std::uint32_t tr = level.tr[first], crc = level.crc[first],
+                      kd = level.kd[first], ks = level.ks[first];
   for (std::uint32_t i = lo; i < hi; i += kLanes) {
-    quad(i, q0);
-    quad(i + 4, q1);
-    tally(q0);
-    tally(q1);
+    const Quad q = quad(i);
+    const i32x4 is_tr = q.tr == tr;
+    const i32x4 same = ((q.flags & ident) != 0) & q.valid;
+    const i32x4 changed = q.valid & ~same;
+    const i32x4 is_crc = changed & (q.crc == crc);
+    const i32x4 hdr = changed & ((q.flags & kHdr2) != 0);
+    n[kSame] -= same;
+    n[kSameT] -= same & is_tr;
+    n[kChanged] -= changed;
+    n[kChangedT] -= changed & is_tr;
+    n[kCrc] -= is_crc;
+    n[kCrcT] -= is_crc & is_tr;
+    n[kKd] -= changed & (q.kd == kd);
+    n[kKs] -= changed & (q.ks == ks);
+    n[kHdr] -= hdr;
+    n[kHdrT] -= hdr & is_tr;
   }
   const auto total = [&](int c) {
     return static_cast<std::uint64_t>(n[c][0] + n[c][1] + n[c][2] + n[c][3]);
@@ -647,8 +660,8 @@ void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
   st.missed_both += total(kCrcT);
   st.missed_koopman_dual += total(kKd);
   st.missed_koopman_single += total(kKs);
-  st.remaining_by_k[node.k] += changed;
-  st.missed_by_k[node.k] += changed_t;
+  st.remaining_by_k[k] += changed;
+  st.missed_by_k[k] += changed_t;
   st.remaining_with_hdr2 += total(kHdr);
   st.missed_with_hdr2 += total(kHdrT);
 }
@@ -687,15 +700,22 @@ void build_pool(const DfsPair& fs, ResidueSoA& pool,
 constexpr std::uint32_t kExactChunk = 64;
 
 /// The regrown path, for packets too large to pool (2^e2 combos): for
-/// one phase-1 node, regrow the k2-subsets of p2's cells depth-first
-/// in descending index order from the same term table — depth r's
-/// subset lives in slot r of `stack` — and stage each complete one in
-/// `stage`, joined a chunk at a time.
+/// one phase-1 node (node `node` of `level`), regrow the k2-subsets of
+/// p2's cells depth-first in descending index order from the same term
+/// table — depth r's subset lives in slot r of `stack` — and stage each
+/// complete one in `stage`, joined a chunk at a time.
 class Regrow {
  public:
   Regrow(const DfsPair& fs, ResidueSoA& stack, ResidueSoA& stage,
-         const Node& node, unsigned need)
-      : fs_(fs), stack_(stack), stage_(stage), node_(node), need_(need) {}
+         const ResidueSoA& level, std::uint32_t node, std::size_t k,
+         unsigned need)
+      : fs_(fs),
+        stack_(stack),
+        stage_(stage),
+        level_(level),
+        node_(node),
+        k_(k),
+        need_(need) {}
 
   void run() {
     if (need_ == 0) {
@@ -728,14 +748,16 @@ class Regrow {
   }
 
   void flush() {
-    join(fs_, stage_, 0, staged_, hdr2_, node_);
+    join(fs_, stage_, 0, staged_, hdr2_, level_, node_, 1, k_);
     staged_ = hdr2_ = 0;
   }
 
   const DfsPair& fs_;
   ResidueSoA& stack_;
   ResidueSoA& stage_;
-  const Node& node_;
+  const ResidueSoA& level_;
+  const std::uint32_t node_;
+  const std::size_t k_;
   const unsigned need_;
   std::uint32_t staged_ = 0, hdr2_ = 0;
 };
@@ -748,12 +770,12 @@ struct DfsScratch {
 
 /// Phase 1, level by level: level t holds p1's t-subsets of cells
 /// 1..e1-1 (the nodes with k1 = t+1), each joined against the suffixes
-/// with k2 = e2 - k1. Level t is ordered by largest kept index,
+/// with k2 = e2 - k1, kJoinBlock nodes at a time. Level 0, the root,
+/// is in w.level on entry. Level t is ordered by largest kept index,
 /// ascending, so the nodes cell idx extends (those below it) are its
 /// first C(idx-1, t); level t+1 is those ranges, each plus cell idx at
 /// position t+1, appended for idx ascending.
-void walk_levels(const DfsPair& fs, const Node& root, bool pooled,
-                 DfsScratch& w) {
+void walk_levels(const DfsPair& fs, bool pooled, DfsScratch& w) {
   std::array<std::uint32_t, kMaxPooledSuffixCells + 1> begin{};
   if (pooled) {
     build_pool(fs, w.pool, begin);
@@ -768,23 +790,19 @@ void walk_levels(const DfsPair& fs, const Node& root, bool pooled,
   }
   ResidueSoA* cur = &w.level;
   ResidueSoA* next = &w.next;
-  cur->reserve_slots(1);
-  cur->put(0, root.need, root.ident);
   for (unsigned t = 0;; ++t) {
     const unsigned k2 = fs.e2 - 1 - t;
-    Node node;
     // The splice keeps k2 of p2's non-EOM cells plus its EOM cell.
-    node.k = std::min<std::size_t>(k2 + 1, kMaxTrackedK - 1);
+    const std::size_t k = std::min<std::size_t>(k2 + 1, kMaxTrackedK - 1);
     const std::uint32_t nodes = kBinom[fs.e1 - 1][t];
-    for (std::uint32_t i = 0; i < nodes; ++i) {
-      node.need = {cur->tr[i], cur->crc[i], cur->kd[i], cur->ks[i]};
-      node.ident = cur->flags[i];
-      if (pooled) {
-        join(fs, w.pool, begin[k2], begin[k2 + 1],
-             k2 == 0 ? 0 : kBinom[fs.e2 - 1][k2 - 1], node);
-      } else {
-        Regrow(fs, w.stack, w.stage, node, k2).run();
-      }
+    if (pooled) {
+      const std::uint32_t hdr2 = k2 == 0 ? 0 : kBinom[fs.e2 - 1][k2 - 1];
+      for (std::uint32_t i = 0; i < nodes; i += kJoinBlock)
+        join(fs, w.pool, begin[k2], begin[k2 + 1], hdr2, *cur, i,
+             std::min(kJoinBlock, nodes - i), k);
+    } else {
+      for (std::uint32_t i = 0; i < nodes; ++i)
+        Regrow(fs, w.stack, w.stage, *cur, i, k, k2).run();
     }
     // A longer prefix would force k2 < 0 or run out of p1's cells.
     if (t + 2 > fs.e2 || t + 1 >= fs.e1) return;
@@ -901,12 +919,12 @@ void SpliceStats::merge(const SpliceStats& o) {
 
 namespace {
 
-/// evaluate_pair, pooling p2's suffixes when it has at most
-/// `max_pooled_cells` non-EOM cells.
+/// evaluate_pair without the telemetry flush, pooling p2's suffixes
+/// when it has at most `max_pooled_cells` non-EOM cells; the nodes the
+/// DFS grows are added to `*dfs_nodes`.
 void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
                         const SimPacket& p2, SpliceStats& stats,
-                        unsigned max_pooled_cells) {
-  SpliceObsFlush obs_flush(stats);
+                        unsigned max_pooled_cells, std::uint64_t* dfs_nodes) {
   ++stats.pairs;
   const std::size_t n1 = p1.pdu.num_cells();
   const std::size_t n2 = p2.pdu.num_cells();
@@ -968,7 +986,7 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.kd_live = p2.kd_pdu.a < kd_mod && p2.kd_pdu.b < kd_mod;
   fs.ks_live = p2.ks_pdu < ks_mod;
   fs.st = &stats;
-  fs.dfs_nodes = &obs_flush.dfs_nodes;
+  fs.dfs_nodes = dfs_nodes;
 
   thread_local DfsScratch scratch;
   build_terms(fs, scratch.t1, scratch.t2);
@@ -976,7 +994,7 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
   // The root node needs target - const from the suffix, the pair
   // constants being p1's mandatory first cell at position 0 and p2's
   // EOM cell.
-  Node root;
+  Residues need;
   if (!fs.fletcher) {
     // The content sum's residue mod 65535 that passes: the stored
     // field itself, or its negation when the field holds the
@@ -986,7 +1004,7 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
         ctx.header_placement ? p1.tp.stored : p2.tp.stored);
     const std::uint32_t inet_target =
         cfg.invert_checksum ? (65535u - stored_canon) % 65535u : stored_canon;
-    root.need.tr =
+    need.tr =
         mod_sub<65535>(inet_target, static_cast<std::uint64_t>(
                                         p1.tp.head_sum) + p2.tp.eom_sum);
   } else {
@@ -999,11 +1017,11 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
         (static_cast<std::uint64_t>(atm::kCellPayload) * (fs.e2 - 1) +
          fs.eom_len) *
             hf.a;
-    root.need.tr = ctx.mod255 ? mod_sub<255>(0, a) | mod_sub<255>(0, b) << 16
-                              : mod_sub<256>(0, a) | mod_sub<256>(0, b) << 16;
+    need.tr = ctx.mod255 ? mod_sub<255>(0, a) | mod_sub<255>(0, b) << 16
+                         : mod_sub<256>(0, a) | mod_sub<256>(0, b) << 16;
   }
-  root.need.crc = p2.stored_crc ^ p2.crc_head44 ^
-                  suffix_comb(fs.e2 - 1).advance(p1.cells[0].crc);
+  need.crc = p2.stored_crc ^ p2.crc_head44 ^
+             suffix_comb(fs.e2 - 1).advance(p1.cells[0].crc);
   // Koopman constants: p1's mandatory first cell (6*e2 blocks follow
   // it) plus p2's EOM fragment (nothing follows).
   if (fs.kd_live) {
@@ -1013,34 +1031,54 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
         kKoopmanBlocksPerCell * static_cast<std::uint64_t>(fs.e2) *
             p1.cells[0].kd.a +
         p2.eom_kd.b;
-    root.need.kd = mod_sub<kd_mod>(p2.kd_pdu.a, a) |
-                   mod_sub<kd_mod>(p2.kd_pdu.b, b) << 16;
+    need.kd = mod_sub<kd_mod>(p2.kd_pdu.a, a) |
+              mod_sub<kd_mod>(p2.kd_pdu.b, b) << 16;
   } else {
-    root.need.kd = kNeverMatches;
+    need.kd = kNeverMatches;
   }
-  root.need.ks = fs.ks_live ? mod_sub<ks_mod>(p2.ks_pdu,
-                                              p1.cells[0].ks + p2.eom_ks)
-                            : kNeverMatches;
+  need.ks = fs.ks_live
+                ? mod_sub<ks_mod>(p2.ks_pdu, p1.cells[0].ks + p2.eom_ks)
+                : kNeverMatches;
   const bool ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
   const bool ident2_head = p1.cells[0].hash == p2.cells[0].hash;
-  root.ident = static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
-                                         (ident2_head ? kEq2 : 0));
-  walk_levels(fs, root, fs.e2 <= max_pooled_cells, scratch);
+  scratch.level.reserve_slots(1);
+  scratch.level.put(0, need,
+                    static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
+                                              (ident2_head ? kEq2 : 0)));
+  walk_levels(fs, fs.e2 <= max_pooled_cells, scratch);
 }
 
 }  // namespace
 
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats) {
-  evaluate_pair_impl(cfg, p1, p2, stats, kMaxPooledSuffixCells);
+  SpliceObsFlush obs_flush(stats);
+  evaluate_pair_impl(cfg, p1, p2, stats, kMaxPooledSuffixCells,
+                     &obs_flush.dfs_nodes);
 }
 
 void evaluate_pair_unpooled(const net::PacketConfig& cfg, const SimPacket& p1,
                             const SimPacket& p2, SpliceStats& stats) {
-  evaluate_pair_impl(cfg, p1, p2, stats, 0);
+  SpliceObsFlush obs_flush(stats);
+  evaluate_pair_impl(cfg, p1, p2, stats, 0, &obs_flush.dfs_nodes);
 }
 
 namespace {
+
+/// Adjacent pairs a run evaluates per telemetry flush, and per unit of
+/// work stealing in a threaded run.
+constexpr std::size_t kPairChunk = 8;
+
+/// The adjacent pairs (pkts[j], pkts[j+1]) for j in [lo, hi) into `st`,
+/// their telemetry flushed once.
+void evaluate_chunk(const net::PacketConfig& cfg,
+                    const std::vector<SimPacket>& pkts, std::size_t lo,
+                    std::size_t hi, SpliceStats& st) {
+  SpliceObsFlush obs_flush(st);
+  for (std::size_t j = lo; j < hi; ++j)
+    evaluate_pair_impl(cfg, pkts[j], pkts[j + 1], st, kMaxPooledSuffixCells,
+                       &obs_flush.dfs_nodes);
+}
 
 /// Compress (optionally) and packetize one file — shared by the
 /// sequential and work-stealing paths.
@@ -1056,7 +1094,8 @@ std::vector<SimPacket> prepare_file(const SpliceRunConfig& cfg,
 }
 
 /// One whole file into `st`: count it and its packets, then evaluate
-/// every adjacent pair — shared by run_file and the sequential path.
+/// every adjacent pair, a chunk at a time — shared by run_file and the
+/// sequential path.
 void splice_file(const SpliceRunConfig& cfg,
                  const std::vector<SimPacket>& pkts, SpliceStats& st) {
   st.files += 1;
@@ -1064,8 +1103,10 @@ void splice_file(const SpliceRunConfig& cfg,
   const SpliceMetrics& mx = smx();
   mx.files.add(1);
   mx.packets.add(pkts.size());
-  for (std::size_t i = 0; i + 1 < pkts.size(); ++i)
-    evaluate_pair(cfg.flow.packet, pkts[i], pkts[i + 1], st);
+  const std::size_t pairs = pkts.empty() ? 0 : pkts.size() - 1;
+  for (std::size_t lo = 0; lo < pairs; lo += kPairChunk)
+    evaluate_chunk(cfg.flow.packet, pkts, lo,
+                   std::min(lo + kPairChunk, pairs), st);
 }
 
 }  // namespace
@@ -1121,7 +1162,6 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
     std::size_t pair_count = 0;
     unsigned owner = 0;  ///< worker that packetized it (steal counting)
   };
-  constexpr std::size_t kPairChunk = 8;
 
   std::vector<SpliceStats> partial(threads);
   std::atomic<std::size_t> next_file{begin};
@@ -1154,8 +1194,7 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
           mx.sched_chunks.add(1);
           if (fw->owner != t) mx.sched_steals.add(1);
           obs::ScopedTimer timer(mx.chunk_ns);
-          for (std::size_t j = lo; j < hi; ++j)
-            evaluate_pair(cfg.flow.packet, fw->pkts[j], fw->pkts[j + 1], st);
+          evaluate_chunk(cfg.flow.packet, fw->pkts, lo, hi, st);
         }
         continue;
       }

@@ -154,7 +154,9 @@ static_assert(kSpliceCounterCount * sizeof(std::uint64_t) ==
 /// equality compares: each prefix node holds the residue every check
 /// needs from the suffix, and p2's suffixes are pooled once. Subtrees
 /// whose first cell fails the header checks are bulk-accounted
-/// combinatorially without being enumerated.
+/// combinatorially without being enumerated. Each call adds its
+/// deltas to the splice.* telemetry counters once; the run functions
+/// below add theirs once per chunk of pairs, to the same totals.
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats);
 

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -15,7 +17,9 @@
 #include "core/experiments.hpp"
 #include "core/pdu_model.hpp"
 #include "core/splice_sim.hpp"
+#include "fsgen/corpus_store.hpp"
 #include "fsgen/generator.hpp"
+#include "fsgen/profile.hpp"
 #include "net/packet.hpp"
 #include "obs/registry.hpp"
 #include "util/rng.hpp"
@@ -609,6 +613,149 @@ TEST(FastVsReference, PooledEqualsRegrownAtPoolLimit) {
   }
 }
 
+TEST(FastVsReference, BlockedJoinMatchesOracle) {
+  // The pooled join classifies up to 16 prefix nodes of a level per
+  // pass over a suffix bucket and falls back to one node at a time only
+  // in a block where something hit. 9x9-cell pairs (e1 = e2 = 8) have
+  // two levels of C(7, 3) = C(7, 4) = 35 nodes, three blocks each. The
+  // cases are crafted so that:
+  //  * none: no block hits. Unrelated uniform payloads; no splice the
+  //    DFS reaches is identical or passes any check;
+  //  * middle: on the 3-cell level, exactly node 24 ({2, 4, 7}: the 20
+  //    subsets of cells 1..6 come first, then {1, 2, 7}, {1, 3, 7},
+  //    {2, 3, 7}, {1, 4, 7}) hits, in the middle block. p2 shares p1's
+  //    header cell, and its cells 1..3 are p1's cells 2, 4 and 7, so
+  //    the splice keeping those and p2's cells 4..7 reproduces p2. The
+  //    shallower levels' nodes {2, 4}, {2} and the root reproduce it
+  //    too. The position-free sums (Koopman single, and Internet when
+  //    it is the transport) also pass the other nodes whose cells p2
+  //    holds, {4}, {7}, {2, 7} and {4, 7}, with the rest of p2's cells.
+  //    The 4-cell level and deeper hit nothing;
+  //  * ident: a block whose only hit is an identity test on a node
+  //    other than its first. p1's cells 3 and 7 repeat its cells 1 and
+  //    2, and p2 ends in p1's cells 3..7 and EOM data, so node {3, 7}
+  //    (node 17 of the 2-cell level, the second of the second block's
+  //    {2, 7}, {3, 7}, ..., {6, 7}) with p2's cells 3..7 reproduces
+  //    p1, and none of that block's other nodes does. Under a trailer
+  //    field no check passes such a splice, so the block hits only
+  //    through the OR of its nodes' ident masks;
+  //  * all: every block hits. All-0x00 payloads: every node of every
+  //    level is identical to p1 with the suffixes that leave out p2's
+  //    header cell.
+  // Each runs pooled and regrown, against the byte oracle with ==.
+  constexpr std::size_t kCells = 9;
+  constexpr std::size_t kPayload = 360;  // 40 + 360 bytes: 9 cells
+  // Payload byte j sits in cell (40 + j) / 48, so cell c >= 1 holds
+  // payload bytes [48c - 40, 48c + 8).
+  const auto cell_bytes = [](Bytes& payload, std::size_t c) {
+    return payload.begin() + static_cast<std::ptrdiff_t>(48 * c - 40);
+  };
+  // Internet sum of the payload's big-endian words, mod 65535.
+  const auto word_sum = [](const Bytes& payload) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < payload.size(); i += 2)
+      sum += std::uint64_t{payload[i]} << 8 | payload[i + 1];
+    return static_cast<std::uint32_t>(sum % 65535);
+  };
+
+  enum class Case { kNone, kMiddle, kIdent, kAll };
+  for (const auto& [transport, placement] :
+       {std::pair{alg::Algorithm::kInternet, net::ChecksumPlacement::kHeader},
+        std::pair{alg::Algorithm::kFletcher255,
+                  net::ChecksumPlacement::kTrailer}}) {
+    const net::FlowConfig flow = flow_with(transport, placement);
+    for (const Case c :
+         {Case::kNone, Case::kMiddle, Case::kIdent, Case::kAll}) {
+      util::Rng rng(0xb10c + static_cast<std::uint64_t>(c));
+      Bytes pay1(kPayload), pay2(kPayload);
+      std::uint32_t seq2 = flow.initial_seq + kPayload;
+      std::uint16_t id2 = 2;
+      if (c != Case::kAll) {
+        rng.fill(pay1);
+        rng.fill(pay2);
+      }
+      if (c == Case::kMiddle) {
+        // Same sequence number, id and first 8 payload bytes: the same
+        // header cell, once the payload sums agree.
+        seq2 = flow.initial_seq;
+        id2 = 1;
+        std::copy_n(pay1.begin(), 8, pay2.begin());
+        const std::array<std::size_t, 3> copied = {2, 4, 7};
+        for (std::size_t i = 0; i < copied.size(); ++i)
+          std::copy_n(cell_bytes(pay1, copied[i]), 48, cell_bytes(pay2, i + 1));
+        // Level p2's word sum with p1's through one word of cell 5.
+        const std::size_t w = 48 * 5 - 40;
+        const std::uint32_t word =
+            ((std::uint32_t{pay2[w]} << 8 | pay2[w + 1]) + 2 * 65535u +
+             word_sum(pay1) - word_sum(pay2)) %
+            65535;
+        pay2[w] = static_cast<std::uint8_t>(word >> 8);
+        pay2[w + 1] = static_cast<std::uint8_t>(word);
+      }
+      if (c == Case::kIdent) {
+        // p1's cells 3 and 7 repeat its cells 1 and 2, and p2 ends in
+        // p1's cells 3..7 and EOM data.
+        std::copy_n(cell_bytes(pay1, 1), 48, cell_bytes(pay1, 3));
+        std::copy_n(cell_bytes(pay1, 2), 48, cell_bytes(pay1, 7));
+        std::copy(cell_bytes(pay1, 3), pay1.end(), cell_bytes(pay2, 3));
+      }
+      const SimPacket p1 = make_sim_packet(
+          flow.packet,
+          net::build_packet(flow.packet, flow.initial_seq, 1, ByteView(pay1)));
+      const SimPacket p2 = make_sim_packet(
+          flow.packet,
+          net::build_packet(flow.packet, seq2, id2, ByteView(pay2)));
+      const std::string where =
+          std::string(alg::name(transport)) + " case " +
+          std::array{"none", "middle", "ident", "all"}[static_cast<int>(c)];
+      ASSERT_EQ(p1.pdu.num_cells(), kCells) << where;
+      ASSERT_EQ(p2.pdu.num_cells(), kCells) << where;
+      ASSERT_TRUE(p2.fast_path_ok) << where;
+
+      SpliceStats pooled, regrown;
+      evaluate_pair(flow.packet, p1, p2, pooled);
+      evaluate_pair_unpooled(flow.packet, p1, p2, regrown);
+      const SpliceStats ref = reference_pair_stats(flow.packet, p1, p2);
+      EXPECT_TRUE(pooled == ref) << where;
+      EXPECT_TRUE(regrown == ref) << where << " (regrown)";
+      // The splices each case is built to produce, and no others.
+      switch (c) {
+        case Case::kNone:
+          EXPECT_EQ(ref.identical + ref.missed_transport + ref.missed_crc +
+                        ref.missed_koopman_dual + ref.missed_koopman_single,
+                    0u)
+              << where;
+          break;
+        case Case::kMiddle:
+          ASSERT_EQ(p1.cells[0].hash, p2.cells[0].hash) << where;
+          EXPECT_EQ(ref.identical, 4u) << where;
+          EXPECT_EQ(ref.missed_koopman_single, 4u) << where;
+          EXPECT_EQ(ref.missed_transport,
+                    transport == alg::Algorithm::kInternet ? 4u : 0u)
+              << where;
+          EXPECT_EQ(ref.missed_crc + ref.missed_koopman_dual, 0u) << where;
+          break;
+        case Case::kIdent:
+          // Under a trailer field the splices identical to p1 fail
+          // every check; under a header one they pass the transport.
+          EXPECT_GT(ref.identical, 0u) << where;
+          if (placement == net::ChecksumPlacement::kTrailer) {
+            EXPECT_EQ(ref.missed_transport + ref.missed_crc +
+                          ref.missed_koopman_dual + ref.missed_koopman_single,
+                      0u)
+                << where;
+          }
+          break;
+        case Case::kAll:
+          // Every node, with each suffix that leaves out p2's header
+          // cell: sum over t of C(7, t) * C(7, 7 - t) = C(14, 7).
+          EXPECT_EQ(ref.identical, 3432u) << where;
+          break;
+      }
+    }
+  }
+}
+
 TEST(FastVsReference, OutOfRingKoopmanTargetsNeverMatch) {
   // A Koopman target at or past its modulus can never equal a reduced
   // sum, so the oracle never passes it; the DFS gives such a family the
@@ -852,6 +999,99 @@ TEST(SpliceSim, ThreadCountDeterminismIsBitwise) {
     }
   }
 }
+
+#ifndef OBS_DISABLE
+/// Every splice.* counter in the registry, by name.
+std::map<std::string, std::uint64_t> splice_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const obs::MetricValue& m : obs::Registry::global().snapshot().metrics)
+    if (m.kind == obs::Kind::kCounter && m.name.rfind("splice.", 0) == 0)
+      out[m.name] = m.value;
+  return out;
+}
+
+/// What each splice.* counter gained since `before`.
+std::map<std::string, std::uint64_t> splice_deltas(
+    const std::map<std::string, std::uint64_t>& before) {
+  std::map<std::string, std::uint64_t> out = splice_counters();
+  for (auto& [name, value] : out) {
+    const auto it = before.find(name);
+    if (it != before.end()) value -= it->second;
+  }
+  return out;
+}
+
+TEST(SpliceSim, ChunkFlushKeepsRegistryTotals) {
+  // A run flushes its splice telemetry once per chunk of pairs, a
+  // direct evaluate_pair call once per pair. The registry must not see
+  // the difference: every splice.* counter, splice.dfs_nodes included,
+  // grows by exactly the per-pair evaluate_pair deltas over the same
+  // packets (plus the files and packets a run also counts).
+  const auto expect_equal = [](const std::map<std::string, std::uint64_t>& got,
+                               const std::map<std::string, std::uint64_t>& want,
+                               const std::string& where) {
+    EXPECT_GT(want.at("splice.dfs_nodes"), 0u) << where;
+    for (const auto& [name, value] : want)
+      EXPECT_EQ(got.at(name), value) << where << ": " << name;
+  };
+  // The registry deltas of evaluate_pair over each file's adjacent
+  // pairs, with its files and packets counted as a run counts them.
+  const auto per_pair = [](const net::PacketConfig& cfg,
+                           const std::vector<std::vector<SimPacket>>& files) {
+    const auto before = splice_counters();
+    std::uint64_t packets = 0;
+    for (const auto& pkts : files) {
+      SpliceStats st;
+      for (std::size_t i = 0; i + 1 < pkts.size(); ++i)
+        evaluate_pair(cfg, pkts[i], pkts[i + 1], st);
+      packets += pkts.size();
+    }
+    auto want = splice_deltas(before);
+    want["splice.files"] += files.size();
+    want["splice.packets"] += packets;
+    return want;
+  };
+
+  // One file of 67 pairs (67 full segments and a runt), not a
+  // multiple of the chunk.
+  SpliceRunConfig cfg;
+  cfg.flow = paper_flow_config();
+  const Bytes file =
+      fsgen::generate_file(fsgen::FileKind::kGmonProfile, 42, 16 * 1024 + 900);
+  const std::vector<SimPacket> pkts = packetize_file(cfg.flow, ByteView(file));
+  ASSERT_EQ(pkts.size(), 68u);
+  const auto want_file = per_pair(cfg.flow.packet, {pkts});
+  auto before = splice_counters();
+  run_file(cfg, ByteView(file));
+  expect_equal(splice_deltas(before), want_file, "run_file");
+
+  // A small store, streamed sequentially and by four workers.
+  const char* path = "tss_chunk_flush.ckcorp";
+  fsgen::CorpusBuildParams params;
+  params.profile = "nsc05";
+  params.scale = 0.05;
+  params.flow = cfg.flow;
+  std::string err;
+  ASSERT_TRUE(fsgen::build_corpus(
+      params, fsgen::Filesystem(fsgen::profile("nsc05"), params.scale), path,
+      &err))
+      << err;
+  const auto rd = fsgen::CorpusReader::open(path, &err);
+  std::remove(path);  // unlinked but mapped
+  ASSERT_NE(rd, nullptr) << err;
+  std::vector<std::vector<SimPacket>> files;
+  for (std::size_t i = 0; i < rd->file_count(); ++i)
+    files.push_back(rd->file_packets(i));
+  const auto want_store = per_pair(cfg.flow.packet, files);
+  for (const unsigned threads : {1u, 4u}) {
+    cfg.threads = threads;
+    before = splice_counters();
+    run_corpus_range(cfg, *rd, 0, rd->file_count());
+    expect_equal(splice_deltas(before), want_store,
+                 "run_corpus_range threads=" + std::to_string(threads));
+  }
+}
+#endif
 
 TEST(SpliceSim, StatsMergeIsAdditive) {
   SpliceStats a, b;
