@@ -4,7 +4,10 @@
 // Two evaluators over the same seeded corpus, measured in
 // splices/sec (items_per_second) with pairs/sec as a counter:
 //
-//   BM_SpliceDfs        prefix-sharing DFS (the production path)
+//   BM_SpliceDfs        prefix-sharing DFS, one evaluate_pair per pair
+//   BM_SpliceDfsRun     the same pairs through the chunked run path (the
+//                       production path: up to four same-shape pairs
+//                       share the lanes of one DFS)
 //   BM_SpliceDfs512     the same DFS on the transfer cut at 512-byte
 //                       segments (12-cell pairs, prefix levels of up
 //                       to 252 nodes)
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "atm/splice.hpp"
@@ -82,6 +86,52 @@ void BM_SpliceDfs(benchmark::State& state) {
 }
 BENCHMARK(BM_SpliceDfs);
 
+/// Opens the store `build` seals at `path`, or aborts; the file is
+/// unlinked but stays mapped until exit.
+template <typename Build>
+std::unique_ptr<fsgen::CorpusReader> open_store(const char* path,
+                                                Build&& build) {
+  std::string err;
+  if (!build(path, &err)) {
+    std::fprintf(stderr, "bench_splice: build_corpus: %s\n", err.c_str());
+    std::abort();
+  }
+  auto r = fsgen::CorpusReader::open(path, &err);
+  std::remove(path);
+  if (!r) {
+    std::fprintf(stderr, "bench_splice: open: %s\n", err.c_str());
+    std::abort();
+  }
+  return r;
+}
+
+void BM_SpliceDfsRun(benchmark::State& state) {
+  // The transfer sealed as a one-file store, so an iteration is the
+  // run path's reconstruction and chunked DFS, not packetisation.
+  static const std::unique_ptr<fsgen::CorpusReader> store =
+      open_store("bench_splice_run.ckcorp", [](const char* path,
+                                               std::string* err) {
+        fsgen::CorpusBuildParams params;
+        params.profile = "gmon-16k";
+        params.flow = flow_at(256);
+        return fsgen::build_corpus(params, {corpus_packets(256)}, path, err);
+      });
+  core::SpliceRunConfig cfg;
+  cfg.flow = store->info().params.flow;
+  std::uint64_t splices = 0;
+  std::uint64_t pairs = 0;
+  for (auto _ : state) {
+    const core::SpliceStats st = core::run_corpus_range(cfg, *store, 0, 1);
+    benchmark::DoNotOptimize(st);
+    splices += st.total;
+    pairs += st.pairs;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(splices));
+  state.counters["pairs_per_sec"] = benchmark::Counter(
+      static_cast<double>(pairs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SpliceDfsRun);
+
 void BM_SpliceDfs512(benchmark::State& state) {
   run_pair_bench(state, core::evaluate_pair, 1u << 20, 512);
 }
@@ -136,26 +186,15 @@ BENCHMARK(BM_RunFilesystem)
 /// in-memory path per worker (bench_distill gates >=0.95x at 1
 /// thread, and >=4x aggregate at 8 threads when the machine has 8).
 const fsgen::CorpusReader& corpus_store() {
-  static const std::unique_ptr<fsgen::CorpusReader> reader = [] {
-    const char* path = "bench_splice_corpus.ckcorp";
-    fsgen::CorpusBuildParams params;
-    params.profile = "nsc05";
-    params.scale = 0.05 * core::scale_from_env();
-    params.flow = core::paper_flow_config();
-    const fsgen::Filesystem fs(fsgen::profile("nsc05"), params.scale);
-    std::string err;
-    if (!fsgen::build_corpus(params, fs, path, &err)) {
-      std::fprintf(stderr, "bench_splice: build_corpus: %s\n", err.c_str());
-      std::abort();
-    }
-    auto r = fsgen::CorpusReader::open(path, &err);
-    std::remove(path);  // unlinked but mapped: lives until exit
-    if (!r) {
-      std::fprintf(stderr, "bench_splice: open: %s\n", err.c_str());
-      std::abort();
-    }
-    return r;
-  }();
+  static const std::unique_ptr<fsgen::CorpusReader> reader = open_store(
+      "bench_splice_corpus.ckcorp", [](const char* path, std::string* err) {
+        fsgen::CorpusBuildParams params;
+        params.profile = "nsc05";
+        params.scale = 0.05 * core::scale_from_env();
+        params.flow = core::paper_flow_config();
+        const fsgen::Filesystem fs(fsgen::profile("nsc05"), params.scale);
+        return fsgen::build_corpus(params, fs, path, err);
+      });
   return *reader;
 }
 

@@ -12,8 +12,10 @@ The trajectory file is a JSON array, one entry per bench.sh run:
       "date": "2026-08-05T12:34:56Z",
       "commit": "abc1234...",
       "quick": false,
-      "splices_per_sec": {"dfs": ..., "dfs512": ..., "reference": ...},
-      "pairs_per_sec":   {"dfs": ..., "dfs512": ..., "reference": ...},
+      "splices_per_sec": {"dfs": ..., "dfs_run": ..., "dfs512": ...,
+                          "reference": ...},
+      "pairs_per_sec":   {"dfs": ..., "dfs_run": ..., "dfs512": ...,
+                          "reference": ...},
       "speedup_dfs_vs_reference": ...,
       "fingerprint": {"cpu": ..., "hw_threads": ..., "kernel": ...,
                       "compiler": ..., "build_type": ...},
@@ -30,8 +32,10 @@ against the schema above before the file is rewritten — a malformed
 new entry aborts, malformed pre-existing entries only warn. Entries
 recorded while the flat evaluator existed also carry a "flat" rate
 and "speedup_dfs_vs_flat"; they are kept as history. "dfs512" (the
-DFS on 512-byte segments, BM_SpliceDfs512) is absent from the entries
-recorded before it existed.
+DFS on 512-byte segments, BM_SpliceDfs512) and "dfs_run" (the same
+transfer as "dfs" through the chunked run path, BM_SpliceDfsRun, where
+same-shape pairs share the lanes of one DFS) are absent from the
+entries recorded before they existed; neither is gated.
 
 --manifest ingests a cksum-metrics/1 run manifest (produced by
 `cksumlab splice --metrics-out`, see docs/OBSERVABILITY.md) and
@@ -77,8 +81,8 @@ Shard readahead has no gate on purpose (docs/PERF.md); its
 "shard_readahead" record is always a skip with that reason.
 
 --summary prints the last trajectory entry's gates (name, status,
-reason) as a Markdown table, for a CI job summary, and exits 0; it
-writes nothing.
+reason) and its DFS rates (dfs, dfs_run, dfs512) as Markdown tables,
+for a CI job summary, and exits 0; it writes nothing.
 """
 
 import argparse
@@ -94,13 +98,14 @@ import sys
 
 BENCH_KEYS = {
     "BM_SpliceDfs": "dfs",
+    "BM_SpliceDfsRun": "dfs_run",
     "BM_SpliceDfs512": "dfs512",
     "BM_SpliceReference": "reference",
 }
 
 # Rates added after the first entries were recorded: an older entry
 # without one is still valid.
-LATER_BENCH_KEYS = {"dfs512"}
+LATER_BENCH_KEYS = {"dfs512", "dfs_run"}
 
 MANIFEST_SCHEMA = "cksum-metrics/1"
 
@@ -486,11 +491,19 @@ def gate_summary(path):
              f"({entry.get('commit', 'unknown')[:12]})")
     gates = entry.get("gates") if isinstance(entry, dict) else None
     if not gates:
-        return f"{title}\n\nNo gates recorded (run without --check).\n", None
-    lines = [title, "", "| gate | status | reason |", "|---|---|---|"]
-    for name, g in gates.items():
-        reason = str(g.get("reason", "")).replace("|", "\\|")
-        lines.append(f"| {name} | {g.get('status', '?')} | {reason} |")
+        lines = [title, "", "No gates recorded (run without --check)."]
+    else:
+        lines = [title, "", "| gate | status | reason |", "|---|---|---|"]
+        for name, g in gates.items():
+            reason = str(g.get("reason", "")).replace("|", "\\|")
+            lines.append(f"| {name} | {g.get('status', '?')} | {reason} |")
+    rates = entry.get("splices_per_sec") if isinstance(entry, dict) else None
+    if isinstance(rates, dict):
+        rows = [(k, rates[k]) for k in ("dfs", "dfs_run", "dfs512")
+                if isinstance(rates.get(k), (int, float))]
+        if rows:
+            lines += ["", "| rate | splices/s |", "|---|---|"]
+            lines += [f"| {k} | {v:.3e} |" for k, v in rows]
     return "\n".join(lines) + "\n", None
 
 
@@ -613,6 +626,8 @@ def main() -> int:
         f.write("\n")
 
     print(f"dfs:       {splices['dfs']:.3e} splices/sec")
+    print(f"dfs_run:   {splices['dfs_run']:.3e} splices/sec "
+          f"(chunked run path)")
     print(f"dfs512:    {splices['dfs512']:.3e} splices/sec "
           f"(512-byte segments)")
     print(f"reference: {splices['reference']:.3e} splices/sec "

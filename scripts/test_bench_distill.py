@@ -12,7 +12,9 @@ as older raw files have. Checks that
     mean (the means here would fail the chorba >= 1.5x gate);
   * a dump without aggregates still distills, from its plain rows;
   * every entry records the deliberate shard-readahead skip, and
-    --summary prints it as a row of the Markdown gate table.
+    --summary prints it as a row of the Markdown gate table;
+  * the run-path DFS row (BM_SpliceDfsRun) is recorded as `dfs_run`,
+    and --summary prints its rate.
 
 Exits 1 with a message on the first failed check.
 """
@@ -41,6 +43,8 @@ def splice_dump():
     return {"benchmarks": [
         {"name": "BM_SpliceDfs", "run_type": "iteration",
          "items_per_second": 4.0e8, "pairs_per_sec": 4.0e5},
+        {"name": "BM_SpliceDfsRun", "run_type": "iteration",
+         "items_per_second": 4.5e8, "pairs_per_sec": 4.9e5},
         {"name": "BM_SpliceDfs512", "run_type": "iteration",
          "items_per_second": 1.0e9, "pairs_per_sec": 1.4e3},
         {"name": "BM_SpliceReference", "run_type": "iteration",
@@ -109,12 +113,19 @@ def main():
                   f"{label}: shard_readahead record {ra!r}")
             check(entry["splices_per_sec"].get("dfs512") == 1.0e9,
                   f"{label}: dfs512 rate {entry['splices_per_sec']!r}")
+            check(entry["splices_per_sec"].get("dfs_run") == 4.5e8 and
+                  entry["pairs_per_sec"].get("dfs_run") == 4.9e5,
+                  f"{label}: dfs_run rates {entry['splices_per_sec']!r}")
+            check(not any("dfs_run" in name for name in gates),
+                  f"{label}: dfs_run is gated: {sorted(gates)}")
             rows = summary.splitlines()
             check("| gate | status | reason |" in rows,
                   f"{label}: --summary has no gate table:\n{summary}")
             check(f"| shard_readahead | skip | {ra['reason']} |" in rows,
                   f"{label}: --summary lacks the shard_readahead skip "
                   f"row:\n{summary}")
+            check("| dfs_run | 4.500e+08 |" in rows,
+                  f"{label}: --summary lacks the dfs_run row:\n{summary}")
     print("test_bench_distill: ok")
 
 

@@ -263,6 +263,11 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 // A level is joined in blocks of nodes that share each suffix load; a
 // block with no hit in any lane — nearly all of them — is counted
 // wholesale.
+//
+// A pair's levels are small (1-20 entries for 7x7 cells), so a run
+// grows up to four adjacent pairs of one shape as one DFS, each pair
+// in its own lanes (DfsGroup): same-shape pairs share every bucket
+// bound and level size, and differ only in their terms and roots.
 // ---------------------------------------------------------------------------
 
 /// A pooled suffix's flag byte; a phase-1 node's ident byte holds the
@@ -317,16 +322,15 @@ struct DfsPair {
   std::uint32_t tr_mod = 0;  ///< transport modulus of each 16-bit half
   bool kd_live = true;       ///< Koopman dual target lies in its ring
   bool ks_live = true;       ///< Koopman single target lies in its ring
+  /// The root node: what each family needs from the suffix, and the
+  /// suffix flags that make the splice identical.
+  Residues need;
+  std::uint8_t ident = 0;
   /// Term tables, both indexed [idx * e2 + pos]: p2's cell idx at
   /// position pos >= max(idx, 1), and p1's cell idx (>= 1) at
   /// position pos <= idx, the latter negated so it moves a need.
   const Term* t2 = nullptr;
   const Term* t1 = nullptr;
-  SpliceStats* st = nullptr;
-  /// Count for splice.dfs_nodes, flushed per chunk: one per pool entry
-  /// past bucket 0, per phase-1 node past the root, and per regrown
-  /// suffix edge.
-  std::uint64_t* dfs_nodes = nullptr;
 };
 
 /// x mod M, and (t - x) mod M for a reduced target t < M.
@@ -422,20 +426,22 @@ void build_terms(DfsPair& fs, std::vector<Term>& t1, std::vector<Term>& t2) {
 /// Suffixes per join step: four u32 lanes, one 128-bit vector — the
 /// width x86-64 (SSE2) and AArch64 (NEON) compare natively. Wider GCC
 /// vectors are lowered lane by lane unless the build targets AVX2.
+/// Also the most pairs one DFS grows at once.
 constexpr std::uint32_t kLanes = 4;
 
 using u32x4 = std::uint32_t __attribute__((vector_size(16)));
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
 
-/// Residues and flags in SoA form, with kLanes slots of padding past
-/// the last one in use (a vector at the last slot reads three past
-/// it): the pool, a prefix level, the regrown path's stack and its
-/// staging chunk. Thread-local scratch, reused by every pair a thread
-/// evaluates.
+/// Residues and flags in SoA form, with kLanes elements of padding
+/// past the last one in use (a vector at the last element reads three
+/// past it): the pool, a prefix level, the regrown path's stack and
+/// its staging chunk. Thread-local scratch, reused by every pair a
+/// thread evaluates.
 struct ResidueSoA {
   std::vector<std::uint32_t> tr, crc, kd, ks;
   std::vector<std::uint8_t> flags;
 
-  /// Room for n slots plus the padding; never shrinks.
+  /// Room for n elements plus the padding; never shrinks.
   void reserve_slots(std::size_t n) {
     if (flags.size() >= n + kLanes) return;
     for (auto* v : {&tr, &crc, &kd, &ks}) v->resize(n + kLanes);
@@ -451,21 +457,60 @@ struct ResidueSoA {
   }
 };
 
-using i32x4 = std::int32_t __attribute__((vector_size(16)));
+/// L in {1, 2, 4} same-shape pairs whose DFS runs as one (L is the DFS
+/// functions' template argument). Element (slot s, pair l) of the pool,
+/// a level or the regrown scratch sits at index s·L + l, so lane j of
+/// a vector over elements from a multiple of L is pair j mod L's, and
+/// the slot layout depends only on the shape.
+struct DfsGroup {
+  const DfsPair* pair = nullptr;  ///< the L pairs
+  unsigned e1 = 0, e2 = 0;
+  std::uint32_t tr_mod = 0;
+  u32x4 kd_live{}, ks_live{};  ///< all ones in the lanes of a live family
+  SpliceStats* st = nullptr;
+  /// Count for splice.dfs_nodes, flushed per chunk: one per pool entry
+  /// past bucket 0, per phase-1 node past the root, and per regrown
+  /// suffix edge, in every lane.
+  std::uint64_t* dfs_nodes = nullptr;
+};
+
+/// The vector whose lane j holds f(j mod L).
+template <unsigned L, typename F>
+u32x4 by_lane(F f) {
+  static_assert(L == 1 || L == 2 || L == kLanes);
+  const std::uint32_t a = f(0);
+  if constexpr (L == 1) return u32x4{} + a;
+  const std::uint32_t b = f(1);
+  if constexpr (L == 2) return u32x4{a, b, a, b};
+  return u32x4{a, b, f(2), f(3)};
+}
+
+/// Lane j of v in byte j of a word: four flag bytes.
+std::uint32_t lane_bytes(u32x4 v) {
+  using u8x4 = std::uint8_t __attribute__((vector_size(4)));
+  const u8x4 b = __builtin_convertvector(v, u8x4);
+  std::uint32_t w;
+  std::memcpy(&w, &b, sizeof w);
+  return w;
+}
+
+/// b in the lanes of `live`, INT32_MAX (a bound no residue exceeds) in
+/// the others.
+i32x4 live_bound(u32x4 b, u32x4 live) {
+  return reinterpret_cast<i32x4>((b & live) | (0x7fffffffu & ~live));
+}
 
 /// Adds y to residues below m in each 16-bit half, mod m, on four
 /// lanes. The words are added whole — a low-half carry is cancelled
 /// when that half wraps — and m is taken off each half whose x reached
 /// m - y, so the test looks at x alone, against a per-term bound.
-/// A dead family adds 0 and never wraps: its lanes are copied.
+/// A lane of a dead family adds 0 and never wraps: it is copied.
 class AddHalves {
  public:
-  AddHalves(std::uint32_t y, std::uint32_t m, bool live)
-      : y_(live ? y : 0),
-        lo_max_(live ? static_cast<std::int32_t>(m - (y & 0xffffu) - 1)
-                     : INT32_MAX),
-        hi_max_(live ? static_cast<std::int32_t>(m - (y >> 16) - 1)
-                     : INT32_MAX),
+  AddHalves(u32x4 y, std::uint32_t m, u32x4 live)
+      : y_(y & live),
+        lo_max_(live_bound(m - (y & 0xffffu) - 1, live)),
+        hi_max_(live_bound(m - (y >> 16) - 1, live)),
         m_lo_(m),
         m_hi_(m << 16) {}
 
@@ -477,8 +522,8 @@ class AddHalves {
   }
 
  private:
-  std::uint32_t y_;
-  std::int32_t lo_max_, hi_max_;
+  u32x4 y_;
+  i32x4 lo_max_, hi_max_;
   std::uint32_t m_lo_, m_hi_;
 };
 
@@ -487,10 +532,8 @@ class AddHalves {
 /// unsigned test is a signed one on sign-flipped words.
 class AddSingle {
  public:
-  AddSingle(std::uint32_t y, bool live)
-      : y_(live ? y : 0),
-        max_(live ? static_cast<std::int32_t>((kM - y) ^ kFlip) - 1
-                  : INT32_MAX) {}
+  AddSingle(u32x4 y, u32x4 live)
+      : y_(y & live), max_(live_bound(((kM - y) ^ kFlip) - 1, live)) {}
 
   u32x4 operator()(u32x4 x) const {
     const auto wraps = reinterpret_cast<i32x4>(x ^ kFlip) > max_;
@@ -501,26 +544,39 @@ class AddSingle {
   static constexpr auto kM =
       static_cast<std::uint32_t>(alg::kKoopmanSingleMod);
   static constexpr std::uint32_t kFlip = 0x80000000u;
-  std::uint32_t y_;
-  std::int32_t max_;
+  u32x4 y_;
+  i32x4 max_;
 };
 
 /// The one step every level is grown by: dst[at + i] = src[from + i]
-/// plus the term, for i < n, in each family's ring, with flags
-/// (flags & keep) | set. A dead Koopman family (kNeverMatches) is
-/// copied, not added. Whole u32x4 vectors are read and written, so a
-/// range's tail touches up to three slots past it: it writes garbage
-/// only where nothing valid lives yet (the rest of the level being
-/// grown, which is written after, deeper regrown slots, or the
-/// padding), and reads source slots no valid lane depends on.
-inline void extend(const DfsPair& fs, ResidueSoA& dst, std::uint32_t at,
+/// plus the term, for elements i < n, in each family's ring, with flags
+/// (flags & keep) | set. Each lane adds its own pair's term, entry `ix`
+/// of that pair's `table`; at, from and n are multiples of L. A dead
+/// Koopman family (kNeverMatches) is copied, not added, in its own
+/// lanes. Whole u32x4 vectors are read and written, so a range's tail
+/// touches up to three elements past it: it writes garbage only where
+/// nothing valid lives yet (the rest of the level being grown, which
+/// is written after, deeper regrown slots, or the padding), and reads
+/// source elements no valid lane depends on.
+template <unsigned L>
+inline void extend(const DfsGroup& g, ResidueSoA& dst, std::uint32_t at,
                    const ResidueSoA& src, std::uint32_t from, std::uint32_t n,
-                   const Term& t) {
-  const AddHalves add_tr(t.r.tr, fs.tr_mod, true);
-  const AddHalves add_kd(t.r.kd, alg::kKoopmanDualMod, fs.kd_live);
-  const AddSingle add_ks(t.r.ks, fs.ks_live);
-  const std::uint32_t crc_t = t.r.crc;
-  const std::uint32_t keep = t.keep * 0x01010101u, set = t.set * 0x01010101u;
+                   const Term* DfsPair::*table, std::uint32_t ix) {
+  const auto term = [&](auto field) {
+    return by_lane<L>(
+        [&](unsigned l) { return field((g.pair[l].*table)[ix]); });
+  };
+  const AddHalves add_tr(term([](const Term& t) { return t.r.tr; }), g.tr_mod,
+                         ~u32x4{});
+  const AddHalves add_kd(term([](const Term& t) { return t.r.kd; }),
+                         alg::kKoopmanDualMod, g.kd_live);
+  const AddSingle add_ks(term([](const Term& t) { return t.r.ks; }),
+                         g.ks_live);
+  const u32x4 crc_t = term([](const Term& t) { return t.r.crc; });
+  const std::uint32_t keep =
+      lane_bytes(term([](const Term& t) { return t.keep; }));
+  const std::uint32_t set =
+      lane_bytes(term([](const Term& t) { return t.set; }));
   const std::uint32_t *str = src.tr.data() + from,
                       *scrc = src.crc.data() + from,
                       *skd = src.kd.data() + from, *sks = src.ks.data() + from;
@@ -549,28 +605,54 @@ inline void extend(const DfsPair& fs, ResidueSoA& dst, std::uint32_t at,
   }
 }
 
+/// Per-thread scratch of the DFS, reused by every group whatever its
+/// L: one pair of term tables per lane, and one-lane copies of a
+/// pair's suffixes and nodes for the joins of a block where it hit.
+struct DfsScratch {
+  std::array<std::vector<Term>, kLanes> t1, t2;
+  ResidueSoA pool, level, next, stack, stage, lane_suffixes, lane_nodes;
+};
+thread_local DfsScratch dfs_scratch;
+
+/// Pair l's slots [from, from + n) of an L-lane SoA, as slots [0, n) of
+/// a one-lane copy.
+template <unsigned L>
+void copy_lane(const ResidueSoA& src, std::uint32_t from, std::uint32_t n,
+               unsigned l, ResidueSoA& dst) {
+  dst.reserve_slots(n);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const std::uint32_t e = (from + s) * L + l;
+    dst.put(s, {src.tr[e], src.crc[e], src.kd[e], src.ks[e]}, src.flags[e]);
+  }
+}
+
 /// Prefix nodes joined per pass over a suffix bucket. A 7x7-cell
 /// pair's largest level (10 nodes) is one block; the 512-byte-segment
 /// shapes' levels of up to 252 nodes split into blocks, so a hit
 /// sends only its own block to the per-node fallback.
 constexpr std::uint32_t kJoinBlock = 16;
 
-/// The leaf rule: classify the splices joining nodes [first, first +
-/// count) of prefix level `level` to suffixes [lo, hi) of `p`, `hdr2`
-/// of which include p2's header cell; k is the level's
+/// The leaf rule: classify the splices joining slots [first, first +
+/// count) of prefix level `level` to slots [lo, hi) of `p`, `hdr2` of
+/// which include p2's header cell in each pair; k is the level's
 /// substitution-length histogram slot. A node's residues are what each
 /// family needs from the suffix (a leaf passes a family iff its residue
 /// equals the need) and its flags the suffix flags that make a splice
-/// identical. Each suffix quad is loaded once and compared with every
-/// node of the block; the scan stops at the first hit. When no lane
-/// hits for any node, in any family or the identity test, the block is
-/// counted wholesale as changed and caught by every check. Otherwise
-/// each node is joined alone, and a one-node join counts each counter's
+/// identical; each lane compares its own pair's suffixes and nodes.
+/// Each suffix quad is loaded once and compared with every node of the
+/// block; the scan stops once every pair has a hit. For a pair with no
+/// hit in any lane, for any node, in any family or the identity test,
+/// the block is counted wholesale as changed and caught by every
+/// check. Each pair with a hit has each node joined alone, one pair at
+/// a time (from one-lane copies when L > 1, so one pair's hit costs
+/// no other pair a tally), and a one-node join counts each counter's
 /// lanes in a second pass.
-void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
+template <unsigned L>
+void join(const DfsGroup& g, const ResidueSoA& p, std::uint32_t lo,
           std::uint32_t hi, std::uint32_t hdr2, const ResidueSoA& level,
           std::uint32_t first, std::uint32_t count, std::size_t k) {
   using u8x4 = std::uint8_t __attribute__((vector_size(4)));
+  const std::uint32_t end = hi * L;
   /// Four suffixes, and which of them are in [lo, hi).
   struct Quad {
     u32x4 tr, crc, kd, ks, flags;
@@ -585,38 +667,58 @@ void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
     std::memcpy(&q.ks, p.ks.data() + i, sizeof q.ks);
     std::memcpy(&f8, p.flags.data() + i, sizeof f8);
     q.flags = __builtin_convertvector(f8, u32x4);
-    // Lanes at or past `hi` read a neighbour's (or padding) slots.
-    q.valid = i32x4{0, 1, 2, 3} < static_cast<std::int32_t>(hi - i);
+    // Lanes at or past `hi` read a neighbour's (or padding) elements.
+    q.valid = i32x4{0, 1, 2, 3} < static_cast<std::int32_t>(end - i);
     return q;
   };
 
+  // Node j's entries of a level array, by lane.
+  const auto node = [&](const auto& v, std::uint32_t j) {
+    return by_lane<L>([&](unsigned l) { return v[j * L + l]; });
+  };
   // A suffix is identical with some node iff it has a flag of the OR of
-  // the nodes' ident masks, so the identity test is made once per quad.
-  std::uint32_t ident = 0;
+  // the nodes' ident masks in its lane, so the identity test is made
+  // once per quad.
+  u32x4 ident{};
   for (std::uint32_t j = first; j < first + count; ++j)
-    ident |= level.flags[j];
-  bool hit = false;
-  for (std::uint32_t i = lo; i < hi && !hit; i += kLanes) {
+    ident |= node(level.flags, j);
+  constexpr unsigned kAll = (1u << L) - 1;
+  unsigned hit = 0;  // bit l: pair l hit
+  for (std::uint32_t i = lo * L; i < end && hit != kAll; i += kLanes) {
     const Quad q = quad(i);
     i32x4 h = (q.flags & ident) != 0;
     for (std::uint32_t j = first; j < first + count; ++j)
-      h |= (q.tr == level.tr[j]) | (q.crc == level.crc[j]) |
-           (q.kd == level.kd[j]) | (q.ks == level.ks[j]);
+      h |= (q.tr == node(level.tr, j)) | (q.crc == node(level.crc, j)) |
+           (q.kd == node(level.kd, j)) | (q.ks == node(level.ks, j));
     h &= q.valid;
-    hit = (h[0] | h[1] | h[2] | h[3]) != 0;
+    // Lanes j and j + L are one pair's: fold them, one bit per pair.
+    if constexpr (L <= 2) h |= __builtin_shufflevector(h, h, 2, 3, 0, 1);
+    if constexpr (L == 1) h |= __builtin_shufflevector(h, h, 1, 0, 3, 2);
+    for (unsigned l = 0; l < L; ++l) hit |= (h[l] != 0 ? 1u : 0u) << l;
   }
-  SpliceStats& st = *fs.st;
-  if (!hit) {
-    const std::uint64_t n = std::uint64_t{hi - lo} * count;
+  SpliceStats& st = *g.st;
+  if (const unsigned quiet = L - std::popcount(hit); quiet != 0) {
+    const std::uint64_t n = std::uint64_t{hi - lo} * quiet * count;
     st.remaining += n;
     st.fail_changed += n;
     st.remaining_by_k[k] += n;
-    st.remaining_with_hdr2 += std::uint64_t{hdr2} * count;
+    st.remaining_with_hdr2 += std::uint64_t{hdr2} * quiet * count;
+  }
+  if (hit == 0) return;
+  if constexpr (L > 1) {
+    DfsScratch& w = dfs_scratch;
+    for (unsigned l = 0; l < L; ++l) {
+      if ((hit >> l & 1) == 0) continue;
+      copy_lane<L>(p, lo, hi - lo, l, w.lane_suffixes);
+      copy_lane<L>(level, first, count, l, w.lane_nodes);
+      for (std::uint32_t j = 0; j < count; ++j)
+        join<1>(g, w.lane_suffixes, 0, hi - lo, hdr2, w.lane_nodes, j, 1, k);
+    }
     return;
   }
   if (count > 1) {
     for (std::uint32_t j = first; j < first + count; ++j)
-      join(fs, p, lo, hi, hdr2, level, j, 1, k);
+      join<1>(g, p, lo, hi, hdr2, level, j, 1, k);
     return;
   }
 
@@ -624,9 +726,9 @@ void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
   enum { kSame, kSameT, kChanged, kChangedT, kCrc, kCrcT, kKd, kKs, kHdr,
          kHdrT, kCounts };
   i32x4 n[kCounts] = {};
-  const std::uint32_t tr = level.tr[first], crc = level.crc[first],
-                      kd = level.kd[first], ks = level.ks[first];
-  for (std::uint32_t i = lo; i < hi; i += kLanes) {
+  const u32x4 tr = node(level.tr, first), crc = node(level.crc, first),
+              kd = node(level.kd, first), ks = node(level.ks, first);
+  for (std::uint32_t i = lo * L; i < end; i += kLanes) {
     const Quad q = quad(i);
     const i32x4 is_tr = q.tr == tr;
     const i32x4 same = ((q.flags & ident) != 0) & q.valid;
@@ -666,31 +768,34 @@ void join(const DfsPair& fs, const ResidueSoA& p, std::uint32_t lo,
   st.missed_with_hdr2 += total(kHdrT);
 }
 
-/// Packets whose suffix pool stays comfortably small (2^14 combos,
-/// under 300 KiB of thread-local scratch). Larger packets — none exist
-/// under the default MTUs — take the regrown path.
+/// Packets whose suffix pool stays comfortably small (2^14 combos per
+/// pair, under 1.2 MiB of thread-local scratch for four pairs). Larger
+/// packets — none exist under the default MTUs — take the regrown path.
 constexpr unsigned kMaxPooledSuffixCells = 14;
 
 /// Phase 2: pool every way p2's non-EOM cells can fill the LAST r
-/// splice positions, bucket r in [begin[r], begin[r+1]). Bucket r is
-/// ordered by smallest kept index, descending, so the r-subsets cell
+/// splice positions, bucket r in slots [begin[r], begin[r+1]). Bucket r
+/// is ordered by smallest kept index, descending, so the r-subsets cell
 /// idx can extend (those above it) are its first C(e2-1-idx, r)
 /// entries. Bucket r+1 is those ranges, each plus cell idx at distance
 /// r, appended for idx descending — which keeps the order. Its last
 /// range, idx = 0, holds the C(e2-1, r) entries with p2's header.
-void build_pool(const DfsPair& fs, ResidueSoA& pool,
+template <unsigned L>
+void build_pool(const DfsGroup& g, ResidueSoA& pool,
                 std::array<std::uint32_t, kMaxPooledSuffixCells + 1>& begin) {
-  const unsigned e2 = fs.e2;
+  const unsigned e2 = g.e2;
   begin[0] = 0;
   for (unsigned r = 0; r < e2; ++r) begin[r + 1] = begin[r] + kBinom[e2][r];
-  pool.reserve_slots(begin[e2]);
-  pool.put(0, Residues{}, kEq1 | kEq2);  // bucket 0: only p2's EOM
+  pool.reserve_slots(begin[e2] * L);
+  for (unsigned l = 0; l < L; ++l)
+    pool.put(l, Residues{}, kEq1 | kEq2);  // bucket 0: only p2's EOM
   for (unsigned r = 0; r + 1 < e2; ++r) {
     const unsigned pos = e2 - 1 - r;
     std::uint32_t at = begin[r + 1];
     for (unsigned idx = pos + 1; idx-- > 0;) {
       const std::uint32_t n = kBinom[e2 - 1 - idx][r];
-      extend(fs, pool, at, pool, begin[r], n, fs.t2[idx * e2 + pos]);
+      extend<L>(g, pool, at * L, pool, begin[r] * L, n * L, &DfsPair::t2,
+                idx * e2 + pos);
       at += n;
     }
   }
@@ -699,17 +804,18 @@ void build_pool(const DfsPair& fs, ResidueSoA& pool,
 /// Suffixes the regrown path stages before joining them: one chunk.
 constexpr std::uint32_t kExactChunk = 64;
 
-/// The regrown path, for packets too large to pool (2^e2 combos): for
-/// one phase-1 node (node `node` of `level`), regrow the k2-subsets of
-/// p2's cells depth-first in descending index order from the same term
-/// table — depth r's subset lives in slot r of `stack` — and stage each
-/// complete one in `stage`, joined a chunk at a time.
+/// The regrown path, for packets too large to pool (2^e2 combos), one
+/// pair at a time (L = 1): for one phase-1 node (node `node` of
+/// `level`), regrow the k2-subsets of p2's cells depth-first in
+/// descending index order from the same term table — depth r's subset
+/// lives in slot r of `stack` — and stage each complete one in
+/// `stage`, joined a chunk at a time.
 class Regrow {
  public:
-  Regrow(const DfsPair& fs, ResidueSoA& stack, ResidueSoA& stage,
+  Regrow(const DfsGroup& g, ResidueSoA& stack, ResidueSoA& stage,
          const ResidueSoA& level, std::uint32_t node, std::size_t k,
          unsigned need)
-      : fs_(fs),
+      : g_(g),
         stack_(stack),
         stage_(stage),
         level_(level),
@@ -721,38 +827,38 @@ class Regrow {
     if (need_ == 0) {
       stage_.put(staged_++, Residues{}, kEq1 | kEq2);
     } else {
-      grow(static_cast<int>(fs_.e2) - 1, 0);
+      grow(static_cast<int>(g_.e2) - 1, 0);
     }
     flush();
   }
 
  private:
   void grow(int from, unsigned r) {
-    const unsigned pos = fs_.e2 - 1 - r;
+    const unsigned pos = g_.e2 - 1 - r;
     // idx+1 cells remain available below `idx`; prune branches that
     // cannot reach `need`.
     for (int idx = from; idx + 1 >= static_cast<int>(need_ - r); --idx) {
-      const Term& t = fs_.t2[static_cast<unsigned>(idx) * fs_.e2 + pos];
+      const std::uint32_t ix = static_cast<unsigned>(idx) * g_.e2 + pos;
 #ifndef OBS_DISABLE
-      ++*fs_.dfs_nodes;  // cold path: counted per edge
+      ++*g_.dfs_nodes;  // cold path: counted per edge
 #endif
       if (r + 1 < need_) {
-        extend(fs_, stack_, r + 1, stack_, r, 1, t);
+        extend<1>(g_, stack_, r + 1, stack_, r, 1, &DfsPair::t2, ix);
         grow(idx - 1, r + 1);
         continue;
       }
-      extend(fs_, stage_, staged_++, stack_, r, 1, t);
+      extend<1>(g_, stage_, staged_++, stack_, r, 1, &DfsPair::t2, ix);
       hdr2_ += idx == 0 ? 1 : 0;
       if (staged_ == kExactChunk) flush();
     }
   }
 
   void flush() {
-    join(fs_, stage_, 0, staged_, hdr2_, level_, node_, 1, k_);
+    join<1>(g_, stage_, 0, staged_, hdr2_, level_, node_, 1, k_);
     staged_ = hdr2_ = 0;
   }
 
-  const DfsPair& fs_;
+  const DfsGroup& g_;
   ResidueSoA& stack_;
   ResidueSoA& stage_;
   const ResidueSoA& level_;
@@ -762,12 +868,6 @@ class Regrow {
   std::uint32_t staged_ = 0, hdr2_ = 0;
 };
 
-/// Per-thread scratch of the DFS, reused by every pair.
-struct DfsScratch {
-  std::vector<Term> t1, t2;
-  ResidueSoA pool, level, next, stack, stage;
-};
-
 /// Phase 1, level by level: level t holds p1's t-subsets of cells
 /// 1..e1-1 (the nodes with k1 = t+1), each joined against the suffixes
 /// with k2 = e2 - k1, kJoinBlock nodes at a time. Level 0, the root,
@@ -775,49 +875,77 @@ struct DfsScratch {
 /// ascending, so the nodes cell idx extends (those below it) are its
 /// first C(idx-1, t); level t+1 is those ranges, each plus cell idx at
 /// position t+1, appended for idx ascending.
-void walk_levels(const DfsPair& fs, bool pooled, DfsScratch& w) {
+template <unsigned L>
+void walk_levels(const DfsGroup& g, bool pooled, DfsScratch& w) {
   std::array<std::uint32_t, kMaxPooledSuffixCells + 1> begin{};
   if (pooled) {
-    build_pool(fs, w.pool, begin);
+    build_pool<L>(g, w.pool, begin);
 #ifndef OBS_DISABLE
     // Every pool entry past the seeded k2 = 0 one is one grown node.
-    *fs.dfs_nodes += begin[fs.e2] - begin[1];
+    *g.dfs_nodes += std::uint64_t{begin[g.e2] - begin[1]} * L;
 #endif
   } else {
-    w.stack.reserve_slots(fs.e2);
+    w.stack.reserve_slots(g.e2);
     w.stack.put(0, Residues{}, kEq1 | kEq2);
     w.stage.reserve_slots(kExactChunk);
   }
   ResidueSoA* cur = &w.level;
   ResidueSoA* next = &w.next;
   for (unsigned t = 0;; ++t) {
-    const unsigned k2 = fs.e2 - 1 - t;
+    const unsigned k2 = g.e2 - 1 - t;
     // The splice keeps k2 of p2's non-EOM cells plus its EOM cell.
     const std::size_t k = std::min<std::size_t>(k2 + 1, kMaxTrackedK - 1);
-    const std::uint32_t nodes = kBinom[fs.e1 - 1][t];
+    const std::uint32_t nodes = kBinom[g.e1 - 1][t];
     if (pooled) {
-      const std::uint32_t hdr2 = k2 == 0 ? 0 : kBinom[fs.e2 - 1][k2 - 1];
+      const std::uint32_t hdr2 = k2 == 0 ? 0 : kBinom[g.e2 - 1][k2 - 1];
       for (std::uint32_t i = 0; i < nodes; i += kJoinBlock)
-        join(fs, w.pool, begin[k2], begin[k2 + 1], hdr2, *cur, i,
-             std::min(kJoinBlock, nodes - i), k);
-    } else {
+        join<L>(g, w.pool, begin[k2], begin[k2 + 1], hdr2, *cur, i,
+                std::min(kJoinBlock, nodes - i), k);
+    } else {  // only at L = 1
       for (std::uint32_t i = 0; i < nodes; ++i)
-        Regrow(fs, w.stack, w.stage, *cur, i, k, k2).run();
+        Regrow(g, w.stack, w.stage, *cur, i, k, k2).run();
     }
     // A longer prefix would force k2 < 0 or run out of p1's cells.
-    if (t + 2 > fs.e2 || t + 1 >= fs.e1) return;
-    next->reserve_slots(kBinom[fs.e1 - 1][t + 1]);
+    if (t + 2 > g.e2 || t + 1 >= g.e1) return;
+    next->reserve_slots(kBinom[g.e1 - 1][t + 1] * L);
     std::uint32_t at = 0;
-    for (unsigned idx = t + 1; idx < fs.e1; ++idx) {
+    for (unsigned idx = t + 1; idx < g.e1; ++idx) {
       const std::uint32_t n = kBinom[idx - 1][t];
-      extend(fs, *next, at, *cur, 0, n, fs.t1[idx * fs.e2 + t + 1]);
+      extend<L>(g, *next, at * L, *cur, 0, n * L, &DfsPair::t1,
+                idx * g.e2 + t + 1);
       at += n;
     }
 #ifndef OBS_DISABLE
-    *fs.dfs_nodes += at;
+    *g.dfs_nodes += std::uint64_t{at} * L;
 #endif
     std::swap(cur, next);
   }
+}
+
+/// Grows and joins the DFS of L same-shape pairs (`pairs`, prepared by
+/// prepare_pair) as one, pooled or (L = 1 only) regrown.
+template <unsigned L>
+void run_dfs(DfsPair* pairs, bool pooled, SpliceStats& st,
+             std::uint64_t* dfs_nodes) {
+  DfsScratch& w = dfs_scratch;
+  DfsGroup g;
+  g.pair = pairs;
+  g.e1 = pairs[0].e1;
+  g.e2 = pairs[0].e2;
+  g.tr_mod = pairs[0].tr_mod;
+  const auto live = [&](bool DfsPair::*family) {
+    return by_lane<L>([&](unsigned l) { return pairs[l].*family ? ~0u : 0u; });
+  };
+  g.kd_live = live(&DfsPair::kd_live);
+  g.ks_live = live(&DfsPair::ks_live);
+  g.st = &st;
+  g.dfs_nodes = dfs_nodes;
+  w.level.reserve_slots(L);
+  for (unsigned l = 0; l < L; ++l) {
+    build_terms(pairs[l], w.t1[l], w.t2[l]);
+    w.level.put(l, pairs[l].need, pairs[l].ident);
+  }
+  walk_levels<L>(g, pooled, w);
 }
 
 /// splice_count and its split by first kept cell for one packet
@@ -919,20 +1047,20 @@ void SpliceStats::merge(const SpliceStats& o) {
 
 namespace {
 
-/// evaluate_pair without the telemetry flush, pooling p2's suffixes
-/// when it has at most `max_pooled_cells` non-EOM cells; the nodes the
-/// DFS grows are added to `*dfs_nodes`.
-void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
-                        const SimPacket& p2, SpliceStats& stats,
-                        unsigned max_pooled_cells, std::uint64_t* dfs_nodes) {
+/// Everything of evaluate_pair but the DFS: counts the pair, its
+/// splices, the subtrees its header gate bulk-counts and the slow path.
+/// Returns true, with `fs` holding the pair's DFS constants and root,
+/// when the DFS subtree of p1's header cell is left to evaluate.
+bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
+                  const SimPacket& p2, SpliceStats& stats, DfsPair& fs) {
   ++stats.pairs;
   const std::size_t n1 = p1.pdu.num_cells();
   const std::size_t n2 = p2.pdu.num_cells();
-  if (n1 < 2 || n2 < 1) return;
+  if (n1 < 2 || n2 < 1) return false;
 
   const ShapeCounts& counts = shape_counts(n1, n2);
   const std::uint64_t total_pair = counts.total;
-  if (total_pair == 0) return;
+  if (total_pair == 0) return false;
   stats.total += total_pair;
 
   std::vector<std::uint8_t> hdr_scratch;
@@ -941,7 +1069,7 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
   if (!p2.fast_path_ok) {
     atm::for_each_splice(
         n1, n2, [&](const atm::SpliceSpec& s) { eval_slow(ctx, s, stats); });
-    return;
+    return false;
   }
 
   // Header gate, taken per subtree instead of per splice: all splices
@@ -967,9 +1095,8 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
       if (first != 0 && ctx.hdr_ok[first]) eval_slow(ctx, s, stats);
     });
   }
-  if (!ctx.hdr_ok[0]) return;  // the whole DFS subtree was bulk-counted
+  if (!ctx.hdr_ok[0]) return false;  // the whole DFS subtree was bulk-counted
 
-  DfsPair fs;
   fs.c1 = p1.cells.data();
   fs.c2 = p2.cells.data();
   fs.e1 = static_cast<unsigned>(e1);
@@ -985,16 +1112,11 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
   constexpr std::uint64_t ks_mod = alg::kKoopmanSingleMod;
   fs.kd_live = p2.kd_pdu.a < kd_mod && p2.kd_pdu.b < kd_mod;
   fs.ks_live = p2.ks_pdu < ks_mod;
-  fs.st = &stats;
-  fs.dfs_nodes = dfs_nodes;
-
-  thread_local DfsScratch scratch;
-  build_terms(fs, scratch.t1, scratch.t2);
 
   // The root node needs target - const from the suffix, the pair
   // constants being p1's mandatory first cell at position 0 and p2's
   // EOM cell.
-  Residues need;
+  Residues& need = fs.need;
   if (!fs.fletcher) {
     // The content sum's residue mod 65535 that passes: the stored
     // field itself, or its negation when the field holds the
@@ -1041,11 +1163,9 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
                 : kNeverMatches;
   const bool ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
   const bool ident2_head = p1.cells[0].hash == p2.cells[0].hash;
-  scratch.level.reserve_slots(1);
-  scratch.level.put(0, need,
-                    static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
-                                              (ident2_head ? kEq2 : 0)));
-  walk_levels(fs, fs.e2 <= max_pooled_cells, scratch);
+  fs.ident = static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
+                                       (ident2_head ? kEq2 : 0));
+  return true;
 }
 
 }  // namespace
@@ -1053,14 +1173,18 @@ void evaluate_pair_impl(const net::PacketConfig& cfg, const SimPacket& p1,
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats) {
   SpliceObsFlush obs_flush(stats);
-  evaluate_pair_impl(cfg, p1, p2, stats, kMaxPooledSuffixCells,
-                     &obs_flush.dfs_nodes);
+  DfsPair fs;
+  if (prepare_pair(cfg, p1, p2, stats, fs))
+    run_dfs<1>(&fs, fs.e2 <= kMaxPooledSuffixCells, stats,
+               &obs_flush.dfs_nodes);
 }
 
 void evaluate_pair_unpooled(const net::PacketConfig& cfg, const SimPacket& p1,
                             const SimPacket& p2, SpliceStats& stats) {
   SpliceObsFlush obs_flush(stats);
-  evaluate_pair_impl(cfg, p1, p2, stats, 0, &obs_flush.dfs_nodes);
+  DfsPair fs;
+  if (prepare_pair(cfg, p1, p2, stats, fs))
+    run_dfs<1>(&fs, false, stats, &obs_flush.dfs_nodes);
 }
 
 namespace {
@@ -1069,15 +1193,36 @@ namespace {
 /// work stealing in a threaded run.
 constexpr std::size_t kPairChunk = 8;
 
-/// The adjacent pairs (pkts[j], pkts[j+1]) for j in [lo, hi) into `st`,
-/// their telemetry flushed once.
+/// The adjacent pairs (pkts[j], pkts[j+1]) for j in [lo, hi), at most
+/// kPairChunk, into `st`, their telemetry flushed once. The pooled
+/// pairs that reach the DFS are queued, and each run of one shape in
+/// the queue is grown in groups of kLanes, then 2, then 1 pairs: a
+/// group is only ever as wide as the pairs it has.
 void evaluate_chunk(const net::PacketConfig& cfg,
                     const std::vector<SimPacket>& pkts, std::size_t lo,
                     std::size_t hi, SpliceStats& st) {
   SpliceObsFlush obs_flush(st);
-  for (std::size_t j = lo; j < hi; ++j)
-    evaluate_pair_impl(cfg, pkts[j], pkts[j + 1], st, kMaxPooledSuffixCells,
-                       &obs_flush.dfs_nodes);
+  std::array<DfsPair, kPairChunk> queue;
+  std::size_t queued = 0;
+  for (std::size_t j = lo; j < hi; ++j) {
+    DfsPair& fs = queue[queued];
+    if (!prepare_pair(cfg, pkts[j], pkts[j + 1], st, fs)) continue;
+    if (fs.e2 <= kMaxPooledSuffixCells) {
+      ++queued;
+    } else {
+      run_dfs<1>(&fs, false, st, &obs_flush.dfs_nodes);
+    }
+  }
+  for (std::size_t a = 0; a < queued;) {
+    std::size_t run = 1;
+    while (a + run < queued && queue[a + run].e1 == queue[a].e1 &&
+           queue[a + run].e2 == queue[a].e2)
+      ++run;
+    const std::size_t L = run >= kLanes ? kLanes : run >= 2 ? 2 : 1;
+    (L == kLanes ? run_dfs<kLanes> : L == 2 ? run_dfs<2> : run_dfs<1>)(
+        &queue[a], true, st, &obs_flush.dfs_nodes);
+    a += L;
+  }
 }
 
 /// Compress (optionally) and packetize one file — shared by the

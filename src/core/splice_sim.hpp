@@ -156,7 +156,10 @@ static_assert(kSpliceCounterCount * sizeof(std::uint64_t) ==
 /// whose first cell fails the header checks are bulk-accounted
 /// combinatorially without being enumerated. Each call adds its
 /// deltas to the splice.* telemetry counters once; the run functions
-/// below add theirs once per chunk of pairs, to the same totals.
+/// below add theirs once per chunk of pairs, to the same totals. They
+/// also grow up to four adjacent pairs of one shape as one DFS, each
+/// pair in its own vector lanes, with the same results as a call per
+/// pair.
 void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats);
 

@@ -1093,6 +1093,181 @@ TEST(SpliceSim, ChunkFlushKeepsRegistryTotals) {
 }
 #endif
 
+TEST(SpliceSim, InterleavedRunEqualsPerPair) {
+  // A run grows up to four pooled pairs of one shape in the lanes of one
+  // DFS: within each chunk of 8 pairs, every run of one shape among the
+  // pairs that reach the DFS goes in groups of 4, then 2, then 1.
+  // evaluate_pair grows one pair at a time. Whole SpliceStats and
+  // splice.dfs_nodes of run_file and of run_corpus_range at 1 and 4
+  // threads must equal the sum of evaluate_pair over the same pairs.
+  const auto expect_runs_match =
+      [](const SpliceRunConfig& base,
+         const std::vector<std::vector<SimPacket>>& files,
+         const std::vector<Bytes>& bytes, const std::string& where) {
+        SpliceStats want;
+        const std::uint64_t n0 = dfs_nodes_now();
+        for (const auto& pkts : files) {
+          want.files += 1;
+          want.packets += pkts.size();
+          for (std::size_t i = 0; i + 1 < pkts.size(); ++i)
+            evaluate_pair(base.flow.packet, pkts[i], pkts[i + 1], want);
+        }
+        const std::uint64_t want_nodes = dfs_nodes_now() - n0;
+        EXPECT_GT(want.remaining, 0u) << where;
+        const auto expect_run = [&](const SpliceStats& got, std::uint64_t n,
+                                    const std::string& how) {
+          EXPECT_TRUE(got == want) << where << ", " << how;
+#ifndef OBS_DISABLE
+          EXPECT_EQ(dfs_nodes_now() - n, want_nodes) << where << ", " << how;
+#else
+          (void)n;
+#endif
+        };
+        if (!bytes.empty()) {  // the files' bytes, packetised by the run
+          const std::uint64_t n = dfs_nodes_now();
+          SpliceStats got;
+          for (const Bytes& b : bytes) got.merge(run_file(base, ByteView(b)));
+          expect_run(got, n, "run_file");
+        }
+        const char* path = "tss_interleave.ckcorp";
+        fsgen::CorpusBuildParams params;
+        params.profile = "interleave";
+        params.flow = base.flow;
+        std::string err;
+        ASSERT_TRUE(fsgen::build_corpus(params, files, path, &err)) << err;
+        const auto rd = fsgen::CorpusReader::open(path, &err);
+        std::remove(path);  // unlinked but mapped
+        ASSERT_NE(rd, nullptr) << err;
+        for (const unsigned threads : {1u, 4u}) {
+          SpliceRunConfig cfg = base;
+          cfg.threads = threads;
+          const std::uint64_t n = dfs_nodes_now();
+          expect_run(run_corpus_range(cfg, *rd, 0, rd->file_count()), n,
+                     "run_corpus_range threads=" + std::to_string(threads));
+        }
+      };
+  const auto flow_at = [](net::FlowConfig flow, std::size_t segment) {
+    flow.segment_size = segment;
+    return flow;
+  };
+  const auto gmon = [](std::uint64_t seed, std::size_t size) {
+    return fsgen::generate_file(fsgen::FileKind::kGmonProfile, seed, size);
+  };
+
+  for (const auto& [transport, placement] :
+       {std::pair{alg::Algorithm::kInternet, net::ChecksumPlacement::kHeader},
+        std::pair{alg::Algorithm::kFletcher255,
+                  net::ChecksumPlacement::kTrailer}}) {
+    const net::FlowConfig flow = flow_with(transport, placement);
+    const std::string name(alg::name(transport));
+    for (const std::size_t segment : {64u, 256u, 512u}) {
+      // Files of 8 full segments and a short last packet: the first
+      // chunk's 7 pairs that reach the DFS run as groups of 4, 2 and 1;
+      // the 8th pair (n1 != n2) is caught by the header checks. A longer
+      // file fills whole chunks.
+      SpliceRunConfig cfg;
+      cfg.flow = flow_at(flow, segment);
+      std::vector<Bytes> bytes = {gmon(1, 8 * segment + 10),
+                                  gmon(2, 21 * segment + 30)};
+      std::vector<std::vector<SimPacket>> files;
+      for (const Bytes& b : bytes)
+        files.push_back(packetize_file(cfg.flow, ByteView(b)));
+      expect_runs_match(cfg, files, bytes,
+                        name + " segment " + std::to_string(segment));
+    }
+
+    // Mixed shapes in one chunk: 5 packets of 256 bytes, 3 of 200 and
+    // a 100, 100, 30 tail in one packet run. Its first chunk queues 4
+    // pairs of 7 cells, 2 of 6 and 1 of 4, with the pairs between them
+    // caught by the header checks.
+    SpliceRunConfig cfg;
+    cfg.flow = flow;
+    std::vector<SimPacket> mixed;
+    for (const auto& [segment, size] :
+         {std::pair<std::size_t, std::size_t>{256, 5 * 256},
+          {200, 3 * 200},
+          {100, 2 * 100 + 30}}) {
+      const Bytes b = gmon(segment, size);
+      for (SimPacket& p : packetize_file(flow_at(flow, segment), ByteView(b)))
+        mixed.push_back(std::move(p));
+    }
+    ASSERT_EQ(mixed.size(), 11u);
+    expect_runs_match(cfg, {mixed}, {}, name + " mixed shapes");
+  }
+
+  // Crafted groups on 8 full segments and a runt, 7 pairs of 7 cells
+  // through the DFS in lanes 0-3, then 0-1, then 0.
+  const net::FlowConfig trailer = flow_with(alg::Algorithm::kFletcher255,
+                                            net::ChecksumPlacement::kTrailer);
+  SpliceRunConfig cfg;
+  cfg.flow = trailer;
+  {
+    // Koopman targets out of ring in one lane only. p2's targets of
+    // pairs 0 (lane 0 of the first group) and 5 (lane 1 of the second)
+    // are the sums of one of their remaining splices plus the modulus,
+    // and those of pairs 2 and 4 the sums of such a splice, which the
+    // sums then miss. A dead family is copied in its own lane only: the
+    // live lanes still count their misses.
+    const Bytes file = gmon(3, 8 * 256 + 10);
+    std::vector<SimPacket> pkts = packetize_file(trailer, ByteView(file));
+    ASSERT_EQ(pkts.size(), 9u);
+    for (const std::size_t pair : {0u, 2u, 4u, 5u}) {
+      const SimPacket& p1 = pkts[pair];
+      SimPacket& p2 = pkts[pair + 1];
+      std::optional<atm::SpliceSpec> pick;
+      atm::for_each_splice(
+          p1.pdu.num_cells(), p2.pdu.num_cells(),
+          [&](const atm::SpliceSpec& s) {
+            const SpliceOutcome o =
+                evaluate_splice_reference(trailer.packet, p1, p2, s);
+            if ((s.mask1 & 1u) != 0 && !o.caught_by_header &&
+                !o.identical && !pick)
+              pick = s;
+          });
+      ASSERT_TRUE(pick.has_value()) << "pair " << pair;
+      const Bytes b = atm::materialize_splice(p1.pdu, p2.pdu, *pick);
+      const ByteView kcov(b.data(), b.size() - 4);
+      const bool out = pair == 0 || pair == 5;
+      const alg::KoopmanDualPair kd = alg::kern::koopman_dual(kcov);
+      p2.kd_pdu = {kd.a + (out ? alg::kKoopmanDualMod : 0), kd.b};
+      p2.ks_pdu = alg::kern::koopman_single(kcov) +
+                  (out ? alg::kKoopmanSingleMod : 0);
+    }
+    SpliceStats st;
+    for (std::size_t i = 0; i + 1 < pkts.size(); ++i) {
+      SpliceStats one;
+      evaluate_pair(trailer.packet, pkts[i], pkts[i + 1], one);
+      const bool missed = i == 2 || i == 4;
+      EXPECT_EQ(one.missed_koopman_dual > 0, missed) << "pair " << i;
+      EXPECT_EQ(one.missed_koopman_single > 0, missed) << "pair " << i;
+    }
+    expect_runs_match(cfg, {pkts}, {},
+                      "one lane's Koopman targets out of ring");
+  }
+  {
+    // An identity-only hit in lane 2 of the first group: p2 of pair 2
+    // ends in p1's cells 3..5 and EOM data, so the splices keeping p1's
+    // cells 0..2 (and more) reproduce p1. Under a trailer field no check
+    // passes them, and the other lanes' uniform payloads hit nothing.
+    Bytes file(8 * 256 + 10);
+    util::Rng rng(0x1a4e);
+    rng.fill(file);
+    std::copy_n(file.begin() + 2 * 256 + 104, 256 - 104,
+                file.begin() + 3 * 256 + 104);
+    const std::vector<SimPacket> pkts = packetize_file(trailer, ByteView(file));
+    for (std::size_t i = 0; i + 1 < pkts.size(); ++i) {
+      SpliceStats one;
+      evaluate_pair(trailer.packet, pkts[i], pkts[i + 1], one);
+      EXPECT_EQ(one.identical > 0, i == 2) << "pair " << i;
+      EXPECT_EQ(one.missed_transport + one.missed_crc +
+                    one.missed_koopman_dual + one.missed_koopman_single,
+                0u)
+          << "pair " << i;
+    }
+    expect_runs_match(cfg, {pkts}, {file}, "identity-only hit in lane 2");
+  }
+}
+
 TEST(SpliceSim, StatsMergeIsAdditive) {
   SpliceStats a, b;
   a.total = 5;
