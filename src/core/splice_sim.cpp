@@ -252,14 +252,15 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 // Every pass test is one congruence per family, const + prefix +
 // suffix == target in that family's residue ring (XOR for the CRC).
 // So each (cell, position) term is reduced into its rings once per
-// pair, in a term table, and both phases are grown level by level in
-// SoA form from it: a pool entry holds its suffix's residues, and a
-// phase-1 node holds the residues it needs from the suffix,
-// (target - const - prefix) mod m, by adding pre-negated terms. Both
-// orders keep the subsets one cell extends at the front of a level,
-// so growing a level is one vectorised modular add of one term to a
-// few contiguous ranges (extend). A leaf is then four u32 equality
-// compares and an identity-flag test, four suffixes per vector step.
+// pair, in a term table shared with the pairs grown beside it (below),
+// and both phases are grown level by level in SoA form from it: a pool
+// entry holds its suffix's residues, and a phase-1 node holds the
+// residues it needs from the suffix, (target - const - prefix) mod m,
+// by adding pre-negated terms. Both orders keep the subsets one cell
+// extends at the front of a level, so growing a level is one
+// vectorised modular add of one term to a few contiguous ranges
+// (extend). A leaf is then four u32 equality compares and an
+// identity-flag test, four suffixes per vector step.
 // A level is joined in blocks of nodes that share each suffix load; a
 // block with no hit in any lane — nearly all of them — is counted
 // wholesale.
@@ -267,7 +268,10 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 // A pair's levels are small (1-20 entries for 7x7 cells), so a run
 // grows up to four adjacent pairs of one shape as one DFS, each pair
 // in its own lanes (DfsGroup): same-shape pairs share every bucket
-// bound and level size, and differ only in their terms and roots.
+// bound and level size, and differ only in their terms and roots. The
+// group's term table is built in those lanes too, so extend loads each
+// family's term as one vector, and the B terms of every lane step
+// together.
 // ---------------------------------------------------------------------------
 
 /// A pooled suffix's flag byte; a phase-1 node's ident byte holds the
@@ -302,23 +306,12 @@ struct Residues {
   std::uint32_t tr = 0, crc = 0, kd = 0, ks = 0;
 };
 
-/// One cell at one splice position: its reduced residues, and the
-/// flag bits a subset keeping it there retains (`keep`) and gains
-/// (`set`).
-struct Term {
-  Residues r;
-  std::uint8_t keep = 0, set = 0;
-};
-
 /// Constants of one pair's DFS.
 struct DfsPair {
   const CellPartial* c1 = nullptr;
   const CellPartial* c2 = nullptr;
   unsigned e1 = 0, e2 = 0;
   std::uint64_t eom_len = 0;
-  bool fletcher = false;     ///< transport is a Fletcher sum
-  bool mod255 = false;
-  bool track1 = false;       ///< n1 == n2: identical-to-p1 is possible
   std::uint32_t tr_mod = 0;  ///< transport modulus of each 16-bit half
   bool kd_live = true;       ///< Koopman dual target lies in its ring
   bool ks_live = true;       ///< Koopman single target lies in its ring
@@ -326,11 +319,6 @@ struct DfsPair {
   /// suffix flags that make the splice identical.
   Residues need;
   std::uint8_t ident = 0;
-  /// Term tables, both indexed [idx * e2 + pos]: p2's cell idx at
-  /// position pos >= max(idx, 1), and p1's cell idx (>= 1) at
-  /// position pos <= idx, the latter negated so it moves a need.
-  const Term* t2 = nullptr;
-  const Term* t1 = nullptr;
 };
 
 /// x mod M, and (t - x) mod M for a reduced target t < M.
@@ -356,73 +344,6 @@ constexpr std::uint32_t neg_mod(std::uint32_t x, std::uint64_t m) {
   return x != 0 ? static_cast<std::uint32_t>(m - x) : 0;
 }
 
-/// Cell `c`'s terms at positions hi, hi-1, ..., lo (>= 1) into
-/// row[pos], with flag bits `set`. At position pos the cell is followed
-/// by d = e2-1-pos full cells and the EOM cell. Only the CRC and the B
-/// terms depend on d: one more trailing cell adds 48·a to Fletcher's B
-/// and 6·a to the Koopman dual's (6 blocks a cell; the EOM cell covers
-/// 6 more), so each B steps once per position. `negate` stores every
-/// additive residue negated, the form that moves a phase-1 need.
-void cell_terms(const DfsPair& s, const CellPartial& c, unsigned lo,
-                unsigned hi, bool negate, std::uint8_t set, Term* row) {
-  const std::uint64_t d0 = s.e2 - 1 - hi;
-  // Transport halves (a, b) mod m and B's step; Internet has no B.
-  std::uint32_t m = 65535, ta = mod<65535>(c.inet), tb = 0, tstep = 0;
-  if (s.fletcher) {
-    const alg::FletcherPair& fp = s.mod255 ? c.f255 : c.f256;
-    const auto reduce = [&](std::uint64_t x) {
-      return s.mod255 ? mod<255>(x) : mod<256>(x);
-    };
-    m = s.mod255 ? 255 : 256;
-    ta = reduce(fp.a);
-    tb = reduce(fp.b + (atm::kCellPayload * d0 + s.eom_len) * fp.a);
-    tstep = reduce(atm::kCellPayload * fp.a);
-  }
-  constexpr std::uint32_t km = alg::kKoopmanDualMod;
-  std::uint32_t ka = mod<km>(c.kd.a);
-  std::uint32_t kb =
-      mod<km>(c.kd.b + kKoopmanBlocksPerCell * (d0 + 1) * c.kd.a);
-  std::uint32_t kstep = mod<km>(kKoopmanBlocksPerCell * c.kd.a);
-  std::uint32_t ks = mod<alg::kKoopmanSingleMod>(c.ks);
-  if (negate) {
-    ta = neg_mod(ta, m);
-    tb = neg_mod(tb, m);
-    tstep = neg_mod(tstep, m);
-    ka = neg_mod(ka, km);
-    kb = neg_mod(kb, km);
-    kstep = neg_mod(kstep, km);
-    ks = neg_mod(ks, alg::kKoopmanSingleMod);
-  }
-  const alg::CrcCombiner* comb = &suffix_comb(d0);
-  for (unsigned pos = hi; pos >= lo; --pos, ++comb) {
-    Term& t = row[pos];
-    t.r = {ta | tb << 16, comb->advance(c.crc), ka | kb << 16, ks};
-    t.keep = static_cast<std::uint8_t>(
-        kHdr2 | (s.track1 && c.hash == s.c1[pos].hash ? kEq1 : 0) |
-        (c.hash == s.c2[pos].hash ? kEq2 : 0));
-    t.set = set;
-    tb = add_mod(tb, tstep, m);
-    kb = add_mod(kb, kstep, km);
-  }
-}
-
-/// Fill the pair's term tables: every position each cell can occupy.
-/// p2's cell idx sits at distance r (position e2-1-r) below the r kept
-/// cells above it; p1's cell idx at position t+1 above the t below it.
-void build_terms(DfsPair& fs, std::vector<Term>& t1, std::vector<Term>& t2) {
-  const unsigned e1 = fs.e1, e2 = fs.e2;
-  t2.resize(std::size_t{e2} * e2);
-  for (unsigned idx = 0; idx < e2; ++idx)
-    cell_terms(fs, fs.c2[idx], std::max(idx, 1u), e2 - 1, false,
-               idx == 0 ? kHdr2 : 0, &t2[idx * e2]);
-  t1.resize(std::size_t{e1} * e2);
-  for (unsigned idx = 1; idx < e1; ++idx)
-    cell_terms(fs, fs.c1[idx], 1, std::min(idx, e2 - 1), true, 0,
-               &t1[idx * e2]);
-  fs.t1 = t1.data();
-  fs.t2 = t2.data();
-}
-
 /// Suffixes per join step: four u32 lanes, one 128-bit vector — the
 /// width x86-64 (SSE2) and AArch64 (NEON) compare natively. Wider GCC
 /// vectors are lowered lane by lane unless the build targets AVX2.
@@ -435,8 +356,9 @@ using i32x4 = std::int32_t __attribute__((vector_size(16)));
 /// Residues and flags in SoA form, with kLanes elements of padding
 /// past the last one in use (a vector at the last element reads three
 /// past it): the pool, a prefix level, the regrown path's stack and
-/// its staging chunk. Thread-local scratch, reused by every pair a
-/// thread evaluates.
+/// its staging chunk, and a group's term tables (whose flags are the
+/// `keep` bits). Thread-local scratch, reused by every pair a thread
+/// evaluates.
 struct ResidueSoA {
   std::vector<std::uint32_t> tr, crc, kd, ks;
   std::vector<std::uint8_t> flags;
@@ -467,6 +389,11 @@ struct DfsGroup {
   unsigned e1 = 0, e2 = 0;
   std::uint32_t tr_mod = 0;
   u32x4 kd_live{}, ks_live{};  ///< all ones in the lanes of a live family
+  /// Term tables, entry ix = idx·e2 + pos of pair l at element ix·L + l:
+  /// p2's cell idx at position pos >= max(idx, 1), and p1's cell idx
+  /// (>= 1) at position pos <= idx, the latter negated so it moves a
+  /// need (build_group_terms).
+  const ResidueSoA *t1 = nullptr, *t2 = nullptr;
   SpliceStats* st = nullptr;
   /// Count for splice.dfs_nodes, flushed per chunk: one per pool entry
   /// past bucket 0, per phase-1 node past the root, and per regrown
@@ -485,10 +412,11 @@ u32x4 by_lane(F f) {
   return u32x4{a, b, f(2), f(3)};
 }
 
-/// Lane j of v in byte j of a word: four flag bytes.
-std::uint32_t lane_bytes(u32x4 v) {
+/// Four flag bytes, p[j mod L] in byte j of the word.
+template <unsigned L>
+std::uint32_t flag_lanes(const std::uint8_t* p) {
   using u8x4 = std::uint8_t __attribute__((vector_size(4)));
-  const u8x4 b = __builtin_convertvector(v, u8x4);
+  const u8x4 b{p[0], p[1 % L], p[2 % L], p[3 % L]};
   std::uint32_t w;
   std::memcpy(&w, &b, sizeof w);
   return w;
@@ -548,10 +476,125 @@ class AddSingle {
   i32x4 max_;
 };
 
+/// Cell idx's terms in each of the L lanes, p2's cell or (`p1`) p1's,
+/// at positions hi, hi-1, ..., lo (>= 1) into the table `t`. At
+/// position pos the cell is followed by d = e2-1-pos full cells and the
+/// EOM cell. Only the CRC and the B terms depend on d: one more
+/// trailing cell adds 48·a to Fletcher's B and 6·a to the Koopman
+/// dual's (6 blocks a cell; the EOM cell covers 6 more), so each B
+/// steps once per position, every lane's at once. p1's terms are
+/// stored with every additive residue negated, the form that moves a
+/// phase-1 need.
+template <unsigned L>
+void cell_terms(const DfsGroup& g, unsigned idx, unsigned lo, unsigned hi,
+                bool p1, ResidueSoA& t) {
+  const std::uint64_t d0 = g.e2 - 1 - hi;
+  const std::uint32_t m = g.tr_mod;
+  constexpr std::uint32_t km = alg::kKoopmanDualMod;
+  const auto reduce = [&](std::uint64_t x) {
+    return m == 255 ? mod<255>(x) : mod<256>(x);
+  };
+  // Per lane: (a | b << 16) and B's step (b's half only) of the
+  // transport and the Koopman dual, the Koopman single sum, and what
+  // the CRC and the identity bits are made of.
+  std::array<std::uint32_t, kLanes> tr{}, tr_step{}, kd{}, kd_step{}, ks{},
+      crc{};
+  std::array<std::uint64_t, kLanes> hash{};
+  std::array<const CellPartial*, kLanes> c1{}, c2{};
+  const bool track1 = g.e1 == g.e2;  // identical-to-p1 is possible
+  for (unsigned l = 0; l < L; ++l) {
+    const DfsPair& s = g.pair[l];
+    const CellPartial& c = (p1 ? s.c1 : s.c2)[idx];
+    std::uint32_t ta = mod<65535>(c.inet), tb = 0, tstep = 0;  // Internet
+    if (m != 65535) {
+      const alg::FletcherPair& fp = m == 255 ? c.f255 : c.f256;
+      ta = reduce(fp.a);
+      tb = reduce(fp.b + (atm::kCellPayload * d0 + s.eom_len) * fp.a);
+      tstep = reduce(atm::kCellPayload * fp.a);
+    }
+    std::uint32_t ka = mod<km>(c.kd.a);
+    std::uint32_t kb =
+        mod<km>(c.kd.b + kKoopmanBlocksPerCell * (d0 + 1) * c.kd.a);
+    std::uint32_t kstep = mod<km>(kKoopmanBlocksPerCell * c.kd.a);
+    std::uint32_t ksum = mod<alg::kKoopmanSingleMod>(c.ks);
+    if (p1) {
+      ta = neg_mod(ta, m);
+      tb = neg_mod(tb, m);
+      tstep = neg_mod(tstep, m);
+      ka = neg_mod(ka, km);
+      kb = neg_mod(kb, km);
+      kstep = neg_mod(kstep, km);
+      ksum = neg_mod(ksum, alg::kKoopmanSingleMod);
+    }
+    tr[l] = ta | tb << 16;
+    tr_step[l] = tstep << 16;
+    kd[l] = ka | kb << 16;
+    kd_step[l] = kstep << 16;
+    ks[l] = ksum;
+    crc[l] = c.crc;
+    hash[l] = c.hash;
+    c1[l] = s.c1;
+    c2[l] = s.c2;
+  }
+  const auto vec = [](const auto& a) {
+    return by_lane<L>([&](unsigned l) { return a[l]; });
+  };
+  u32x4 vtr = vec(tr), vkd = vec(kd);
+  const u32x4 vks = vec(ks);
+  // A B ladder adds its step to the high half alone, so only that half
+  // can wrap: AddHalves' test on it, without the low half's.
+  const auto ladder = [&](const auto& step, std::uint32_t mod) {
+    const u32x4 y = vec(step);
+    const i32x4 max = reinterpret_cast<i32x4>(mod - (y >> 16) - 1);
+    return [=](u32x4 x) {
+      const i32x4 wraps = reinterpret_cast<i32x4>(x >> 16) > max;
+      return x + y - (reinterpret_cast<u32x4>(wraps) & (mod << 16));
+    };
+  };
+  const auto step_tr = ladder(tr_step, m);
+  const auto step_kd = ladder(kd_step, km);
+  // Raw pointers: a flag store may alias anything t or g reach.
+  std::uint32_t *ttr = t.tr.data(), *tcrc = t.crc.data(), *tkd = t.kd.data(),
+                *tks = t.ks.data();
+  std::uint8_t* tfl = t.flags.data();
+  const alg::CrcCombiner* comb = &suffix_comb(d0);
+  for (unsigned pos = hi; pos >= lo; --pos, ++comb) {
+    const std::uint32_t e = (idx * g.e2 + pos) * L;
+    std::memcpy(ttr + e, &vtr, L * sizeof(std::uint32_t));
+    std::memcpy(tkd + e, &vkd, L * sizeof(std::uint32_t));
+    std::memcpy(tks + e, &vks, L * sizeof(std::uint32_t));
+    for (unsigned l = 0; l < L; ++l) {
+      tcrc[e + l] = comb->advance(crc[l]);
+      tfl[e + l] = static_cast<std::uint8_t>(
+          kHdr2 | (track1 && hash[l] == c1[l][pos].hash ? kEq1 : 0) |
+          (hash[l] == c2[l][pos].hash ? kEq2 : 0));
+    }
+    vtr = step_tr(vtr);
+    vkd = step_kd(vkd);
+  }
+}
+
+/// Fill the group's term tables: every position each cell can occupy.
+/// p2's cell idx sits at distance r (position e2-1-r) below the r kept
+/// cells above it; p1's cell idx at position t+1 above the t below it.
+template <unsigned L>
+void build_group_terms(DfsGroup& g, ResidueSoA& t1, ResidueSoA& t2) {
+  const unsigned e1 = g.e1, e2 = g.e2;
+  t2.reserve_slots(std::size_t{e2} * e2 * L);
+  for (unsigned idx = 0; idx < e2; ++idx)
+    cell_terms<L>(g, idx, std::max(idx, 1u), e2 - 1, false, t2);
+  t1.reserve_slots(std::size_t{e1} * e2 * L);
+  for (unsigned idx = 1; idx < e1; ++idx)
+    cell_terms<L>(g, idx, 1, std::min(idx, e2 - 1), true, t1);
+  g.t1 = &t1;
+  g.t2 = &t2;
+}
+
 /// The one step every level is grown by: dst[at + i] = src[from + i]
 /// plus the term, for elements i < n, in each family's ring, with flags
 /// (flags & keep) | set. Each lane adds its own pair's term, entry `ix`
-/// of that pair's `table`; at, from and n are multiples of L. A dead
+/// of `terms` (keep is its flags; set is kHdr2 for p2's header cell in
+/// every lane, else 0); at, from and n are multiples of L. A dead
 /// Koopman family (kNeverMatches) is copied, not added, in its own
 /// lanes. Whole u32x4 vectors are read and written, so a range's tail
 /// touches up to three elements past it: it writes garbage only where
@@ -561,22 +604,17 @@ class AddSingle {
 template <unsigned L>
 inline void extend(const DfsGroup& g, ResidueSoA& dst, std::uint32_t at,
                    const ResidueSoA& src, std::uint32_t from, std::uint32_t n,
-                   const Term* DfsPair::*table, std::uint32_t ix) {
-  const auto term = [&](auto field) {
-    return by_lane<L>(
-        [&](unsigned l) { return field((g.pair[l].*table)[ix]); });
+                   const ResidueSoA& terms, std::uint32_t ix,
+                   std::uint8_t set) {
+  const std::uint32_t e = ix * L;
+  const auto term = [&](const std::vector<std::uint32_t>& v) {
+    return by_lane<L>([&](unsigned l) { return v[e + l]; });
   };
-  const AddHalves add_tr(term([](const Term& t) { return t.r.tr; }), g.tr_mod,
-                         ~u32x4{});
-  const AddHalves add_kd(term([](const Term& t) { return t.r.kd; }),
-                         alg::kKoopmanDualMod, g.kd_live);
-  const AddSingle add_ks(term([](const Term& t) { return t.r.ks; }),
-                         g.ks_live);
-  const u32x4 crc_t = term([](const Term& t) { return t.r.crc; });
-  const std::uint32_t keep =
-      lane_bytes(term([](const Term& t) { return t.keep; }));
-  const std::uint32_t set =
-      lane_bytes(term([](const Term& t) { return t.set; }));
+  const AddHalves add_tr(term(terms.tr), g.tr_mod, ~u32x4{});
+  const AddHalves add_kd(term(terms.kd), alg::kKoopmanDualMod, g.kd_live);
+  const AddSingle add_ks(term(terms.ks), g.ks_live);
+  const u32x4 crc_t = term(terms.crc);
+  const std::uint32_t keep = flag_lanes<L>(terms.flags.data() + e);
   const std::uint32_t *str = src.tr.data() + from,
                       *scrc = src.crc.data() + from,
                       *skd = src.kd.data() + from, *sks = src.ks.data() + from;
@@ -596,7 +634,7 @@ inline void extend(const DfsGroup& g, ResidueSoA& dst, std::uint32_t at,
     crc ^= crc_t;
     kd = add_kd(kd);
     ks = add_ks(ks);
-    fl = (fl & keep) | set;
+    fl = (fl & keep) | set * 0x01010101u;
     std::memcpy(dtr + i, &tr, sizeof tr);
     std::memcpy(dcrc + i, &crc, sizeof crc);
     std::memcpy(dkd + i, &kd, sizeof kd);
@@ -606,11 +644,11 @@ inline void extend(const DfsGroup& g, ResidueSoA& dst, std::uint32_t at,
 }
 
 /// Per-thread scratch of the DFS, reused by every group whatever its
-/// L: one pair of term tables per lane, and one-lane copies of a
-/// pair's suffixes and nodes for the joins of a block where it hit.
+/// L: the group's term tables, and one-lane copies of a pair's suffixes
+/// and nodes for the joins of a block where it hit.
 struct DfsScratch {
-  std::array<std::vector<Term>, kLanes> t1, t2;
-  ResidueSoA pool, level, next, stack, stage, lane_suffixes, lane_nodes;
+  ResidueSoA t1, t2, pool, level, next, stack, stage, lane_suffixes,
+      lane_nodes;
 };
 thread_local DfsScratch dfs_scratch;
 
@@ -794,8 +832,8 @@ void build_pool(const DfsGroup& g, ResidueSoA& pool,
     std::uint32_t at = begin[r + 1];
     for (unsigned idx = pos + 1; idx-- > 0;) {
       const std::uint32_t n = kBinom[e2 - 1 - idx][r];
-      extend<L>(g, pool, at * L, pool, begin[r] * L, n * L, &DfsPair::t2,
-                idx * e2 + pos);
+      extend<L>(g, pool, at * L, pool, begin[r] * L, n * L, *g.t2,
+                idx * e2 + pos, idx == 0 ? kHdr2 : 0);
       at += n;
     }
   }
@@ -839,15 +877,16 @@ class Regrow {
     // cannot reach `need`.
     for (int idx = from; idx + 1 >= static_cast<int>(need_ - r); --idx) {
       const std::uint32_t ix = static_cast<unsigned>(idx) * g_.e2 + pos;
+      const std::uint8_t set = idx == 0 ? kHdr2 : 0;
 #ifndef OBS_DISABLE
       ++*g_.dfs_nodes;  // cold path: counted per edge
 #endif
       if (r + 1 < need_) {
-        extend<1>(g_, stack_, r + 1, stack_, r, 1, &DfsPair::t2, ix);
+        extend<1>(g_, stack_, r + 1, stack_, r, 1, *g_.t2, ix, set);
         grow(idx - 1, r + 1);
         continue;
       }
-      extend<1>(g_, stage_, staged_++, stack_, r, 1, &DfsPair::t2, ix);
+      extend<1>(g_, stage_, staged_++, stack_, r, 1, *g_.t2, ix, set);
       hdr2_ += idx == 0 ? 1 : 0;
       if (staged_ == kExactChunk) flush();
     }
@@ -911,8 +950,8 @@ void walk_levels(const DfsGroup& g, bool pooled, DfsScratch& w) {
     std::uint32_t at = 0;
     for (unsigned idx = t + 1; idx < g.e1; ++idx) {
       const std::uint32_t n = kBinom[idx - 1][t];
-      extend<L>(g, *next, at * L, *cur, 0, n * L, &DfsPair::t1,
-                idx * g.e2 + t + 1);
+      extend<L>(g, *next, at * L, *cur, 0, n * L, *g.t1,
+                idx * g.e2 + t + 1, 0);
       at += n;
     }
 #ifndef OBS_DISABLE
@@ -940,11 +979,10 @@ void run_dfs(DfsPair* pairs, bool pooled, SpliceStats& st,
   g.ks_live = live(&DfsPair::ks_live);
   g.st = &st;
   g.dfs_nodes = dfs_nodes;
+  build_group_terms<L>(g, w.t1, w.t2);
   w.level.reserve_slots(L);
-  for (unsigned l = 0; l < L; ++l) {
-    build_terms(pairs[l], w.t1[l], w.t2[l]);
+  for (unsigned l = 0; l < L; ++l)
     w.level.put(l, pairs[l].need, pairs[l].ident);
-  }
   walk_levels<L>(g, pooled, w);
 }
 
@@ -1102,10 +1140,8 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.e1 = static_cast<unsigned>(e1);
   fs.e2 = static_cast<unsigned>(n2 - 1);
   fs.eom_len = p2.tp.eom_len;
-  fs.fletcher = cfg.transport != alg::Algorithm::kInternet;
-  fs.mod255 = ctx.mod255;
-  fs.track1 = n1 == n2;
-  fs.tr_mod = !fs.fletcher ? 65535 : ctx.mod255 ? 255 : 256;
+  const bool fletcher = cfg.transport != alg::Algorithm::kInternet;
+  fs.tr_mod = !fletcher ? 65535 : ctx.mod255 ? 255 : 256;
   // Targets are p2's whole-PDU values — the splice carries p2's
   // trailer — and a Koopman target outside its ring is never met.
   constexpr std::uint64_t kd_mod = alg::kKoopmanDualMod;
@@ -1117,7 +1153,7 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   // constants being p1's mandatory first cell at position 0 and p2's
   // EOM cell.
   Residues& need = fs.need;
-  if (!fs.fletcher) {
+  if (!fletcher) {
     // The content sum's residue mod 65535 that passes: the stored
     // field itself, or its negation when the field holds the
     // complement. Canonicalising first keeps the ones-complement ±0
@@ -1161,7 +1197,7 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   need.ks = fs.ks_live
                 ? mod_sub<ks_mod>(p2.ks_pdu, p1.cells[0].ks + p2.eom_ks)
                 : kNeverMatches;
-  const bool ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
+  const bool ident1_base = n1 == n2 && p2.eom_cov_hash == p1.eom_cov_hash;
   const bool ident2_head = p1.cells[0].hash == p2.cells[0].hash;
   fs.ident = static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
                                        (ident2_head ? kEq2 : 0));

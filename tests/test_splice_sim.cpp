@@ -1195,6 +1195,39 @@ TEST(SpliceSim, InterleavedRunEqualsPerPair) {
     expect_runs_match(cfg, {mixed}, {}, name + " mixed shapes");
   }
 
+  // One shape, mixed lengths: three packets at each of 256-, 250- and
+  // 244-byte segments (296-, 290- and 284-byte PDUs, all 7 cells), then
+  // three at 238 (6 cells). A length change is caught by the header
+  // checks, so the equal-length pairs reach the DFS, and the first
+  // chunk's group of four holds two 256-byte and two 250-byte pairs:
+  // lanes whose eom_len, and so whose Fletcher B terms, differ.
+  for (const alg::Algorithm transport :
+       {alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+        alg::Algorithm::kFletcher256}) {
+    for (const net::ChecksumPlacement placement :
+         {net::ChecksumPlacement::kHeader, net::ChecksumPlacement::kTrailer}) {
+      const net::FlowConfig flow = flow_with(transport, placement);
+      SpliceRunConfig cfg;
+      cfg.flow = flow;
+      std::vector<SimPacket> lengths;
+      for (const std::size_t segment : {256u, 250u, 244u, 238u}) {
+        const Bytes b = gmon(segment, 3 * segment);
+        for (SimPacket& p :
+             packetize_file(flow_at(flow, segment), ByteView(b)))
+          lengths.push_back(std::move(p));
+      }
+      ASSERT_EQ(lengths.size(), 12u);
+      for (std::size_t i = 0; i < lengths.size(); ++i)
+        ASSERT_EQ(lengths[i].pdu.num_cells(), i < 9 ? 7u : 6u) << i;
+      ASSERT_NE(lengths[0].tp.eom_len, lengths[3].tp.eom_len);
+      const bool header = placement == net::ChecksumPlacement::kHeader;
+      expect_runs_match(cfg, {lengths}, {},
+                        std::string(alg::name(transport)) +
+                            (header ? " header" : " trailer") +
+                            " mixed lengths");
+    }
+  }
+
   // Crafted groups on 8 full segments and a runt, 7 pairs of 7 cells
   // through the DFS in lanes 0-3, then 0-1, then 0.
   const net::FlowConfig trailer = flow_with(alg::Algorithm::kFletcher255,
