@@ -131,8 +131,9 @@ void for_each_splice(std::size_t n1, std::size_t n2, F&& fn) {
   }
 }
 
-/// Materialise the spliced PDU's bytes (slow path and tests).
-util::Bytes materialize_splice(const CpcsPdu& p1, const CpcsPdu& p2,
+/// Materialise the spliced PDU's bytes (slow path and tests) from the
+/// two PDUs' bytes, each a whole number of cells.
+util::Bytes materialize_splice(util::ByteView p1, util::ByteView p2,
                                const SpliceSpec& s);
 
 }  // namespace cksum::atm

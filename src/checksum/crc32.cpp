@@ -69,4 +69,22 @@ CrcCombiner::CrcCombiner(std::size_t len_b) noexcept {
   }
 }
 
+CrcCombiner::CrcCombiner(const CrcCombiner& first,
+                         const CrcCombiner& then) noexcept {
+  for (std::size_t t = 0; t < 8; ++t)
+    for (std::size_t nib = 0; nib < 16; ++nib)
+      nibble_[t][nib] = then.advance(first.nibble_[t][nib]);
+}
+
+std::vector<CrcCombiner> combiner_ladder(std::size_t first, std::size_t step,
+                                         std::size_t count) {
+  std::vector<CrcCombiner> v;
+  if (count == 0) return v;
+  v.reserve(count);
+  const CrcCombiner by_step(step);
+  v.emplace_back(first);
+  while (v.size() < count) v.push_back(CrcCombiner(v.back(), by_step));
+  return v;
+}
+
 }  // namespace cksum::alg

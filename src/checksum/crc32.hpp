@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "util/bytes.hpp"
 
@@ -63,6 +64,11 @@ class CrcCombiner {
  public:
   explicit CrcCombiner(std::size_t len_b) noexcept;
 
+  /// Advance by `first`'s length, then by `then`'s: each table entry is
+  /// then.advance(first's entry), exact because advance is linear.
+  /// Costs 128 advances instead of an exponentiation ladder.
+  CrcCombiner(const CrcCombiner& first, const CrcCombiner& then) noexcept;
+
   /// Advance a finalised CRC through |B| zero bytes — the linear map
   /// underlying combine(). Exposed separately because the splice DFS
   /// decomposes a splice CRC into an XOR of independently-advanced
@@ -85,5 +91,11 @@ class CrcCombiner {
  private:
   std::uint32_t nibble_[8][16];
 };
+
+/// Combiners for `count` lengths first + d·step (d < count), each
+/// composed from the one before with a `step` combiner: two
+/// exponentiation ladders in all instead of `count`.
+std::vector<CrcCombiner> combiner_ladder(std::size_t first, std::size_t step,
+                                         std::size_t count);
 
 }  // namespace cksum::alg

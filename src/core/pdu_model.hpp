@@ -123,6 +123,21 @@ struct PacketPartials {
 static_assert(sizeof(PacketPartials) == 104);
 static_assert(std::has_unique_object_representations_v<PacketPartials>);
 
+/// A packet as the splice evaluator reads it, without owning any of
+/// it: its partials, and spans of its cell partials (EOM cell last),
+/// its header verdicts and its PDU bytes. A corpus store's views point
+/// into its mapping; SimPacket::view() points into the packet, which
+/// must outlive the view.
+struct PacketView {
+  const PacketPartials* partials = nullptr;
+  std::span<const CellPartial> cells;
+  std::span<const std::uint8_t> hdr_ok_self;  ///< as SimPacket's
+  util::ByteView pdu;  ///< cells.size() whole cells
+
+  /// view->field reads the packet's partials.
+  const PacketPartials* operator->() const noexcept { return partials; }
+};
+
 /// A packet prepared for splice evaluation.
 struct SimPacket : PacketPartials {
   atm::CpcsPdu pdu;
@@ -133,6 +148,10 @@ struct SimPacket : PacketPartials {
   /// of re-running the (IP-parse + checksum) checks once per pair;
   /// unequal-length pairs recompute against the partner's length.
   std::vector<std::uint8_t> hdr_ok_self;
+
+  PacketView view() const noexcept {
+    return {this, cells, hdr_ok_self, pdu.bytes()};
+  }
 };
 
 /// Partial sums of each whole 48-byte cell of `cells` into `out`

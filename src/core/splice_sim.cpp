@@ -132,24 +132,20 @@ class SpliceObsFlush {
 /// Zeros-operator advancing a finalised CRC past everything that
 /// follows a non-EOM cell at distance `d` cell slots from the last
 /// non-EOM position: d full cells plus the EOM cell's 44 CRC-covered
-/// bytes. One table per distance, built once per process — a splice
+/// bytes. One table per distance, built once per process, each
+/// composed from the one before with the one-cell operator — a splice
 /// CRC is then the XOR of per-cell advanced CRCs (the operator is
 /// linear), independent of which other cells the splice keeps.
 const alg::CrcCombiner& suffix_comb(std::size_t d) {
-  static const std::vector<alg::CrcCombiner> cache = [] {
-    std::vector<alg::CrcCombiner> v;
-    v.reserve(atm::kMaxSpliceCells);
-    for (std::size_t i = 0; i < atm::kMaxSpliceCells; ++i)
-      v.emplace_back(44 + i * atm::kCellPayload);
-    return v;
-  }();
+  static const std::vector<alg::CrcCombiner> cache =
+      alg::combiner_ladder(44, atm::kCellPayload, atm::kMaxSpliceCells);
   return cache[d];
 }
 
 struct PairContext {
   const net::PacketConfig* cfg = nullptr;
-  const SimPacket* p1 = nullptr;
-  const SimPacket* p2 = nullptr;
+  const PacketView* p1 = nullptr;
+  const PacketView* p2 = nullptr;
   bool mod255 = false;
   bool header_placement = true;
   /// Per p1 non-EOM cell: would these 48 bytes pass the header checks
@@ -160,32 +156,38 @@ struct PairContext {
 /// hdr_ok for the pair: reuse p1's precomputed self-check when the
 /// lengths (and check flavour) match, else compute into `scratch`.
 const std::uint8_t* pair_hdr_ok(const net::PacketConfig& cfg,
-                                const SimPacket& p1, const SimPacket& p2,
+                                const PacketView& p1, const PacketView& p2,
                                 std::vector<std::uint8_t>& scratch) {
   const bool require_ipck = cfg.fill_ip_header && !cfg.legacy95_headers;
-  const std::size_t n1 = p1.pdu.num_cells();
-  if (p1.total_len == p2.total_len && p1.hdr_ok_self.size() == n1 - 1 &&
-      p1.hdr_require_ipck == require_ipck &&
-      p1.hdr_legacy95 == cfg.legacy95_headers) {
+  const std::size_t n1 = p1.cells.size();
+  if (p1->total_len == p2->total_len && p1.hdr_ok_self.size() == n1 - 1 &&
+      p1->hdr_require_ipck == require_ipck &&
+      p1->hdr_legacy95 == cfg.legacy95_headers) {
     return p1.hdr_ok_self.data();
   }
   scratch.resize(n1 - 1);
   for (std::size_t i = 0; i + 1 < n1; ++i) {
-    scratch[i] = net::check_headers(p1.pdu.cell(i), p2.total_len, require_ipck,
-                                    cfg.legacy95_headers) == net::HeaderCheck::kOk
+    scratch[i] = net::check_headers(
+                     p1.pdu.subspan(i * atm::kCellPayload, atm::kCellPayload),
+                     p2->total_len, require_ipck, cfg.legacy95_headers) ==
+                         net::HeaderCheck::kOk
                      ? 1
                      : 0;
   }
   return scratch.data();
 }
 
+/// The byte-level oracle behind evaluate_splice_reference, on views.
+SpliceOutcome splice_outcome(const net::PacketConfig& cfg, const PacketView& p1,
+                             const PacketView& p2,
+                             const atm::SpliceSpec& splice);
+
 /// Materialise one splice and classify it through the byte-level
 /// oracle — for splices the partial sums cannot express.
 void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
                SpliceStats& st) {
   ++st.slow_path;
-  const SpliceOutcome o =
-      evaluate_splice_reference(*ctx.cfg, *ctx.p1, *ctx.p2, s);
+  const SpliceOutcome o = splice_outcome(*ctx.cfg, *ctx.p1, *ctx.p2, s);
   if (o.caught_by_header) {
     ++st.caught_by_header;
     return;
@@ -1008,8 +1010,8 @@ const ShapeCounts& shape_counts(std::size_t n1, std::size_t n2) {
   return c;
 }
 
-PairContext make_pair_context(const net::PacketConfig& cfg, const SimPacket& p1,
-                              const SimPacket& p2,
+PairContext make_pair_context(const net::PacketConfig& cfg,
+                              const PacketView& p1, const PacketView& p2,
                               std::vector<std::uint8_t>& hdr_scratch) {
   PairContext ctx;
   ctx.cfg = &cfg;
@@ -1021,12 +1023,9 @@ PairContext make_pair_context(const net::PacketConfig& cfg, const SimPacket& p1,
   return ctx;
 }
 
-}  // namespace
-
-SpliceOutcome evaluate_splice_reference(const net::PacketConfig& cfg,
-                                        const SimPacket& p1,
-                                        const SimPacket& p2,
-                                        const atm::SpliceSpec& splice) {
+SpliceOutcome splice_outcome(const net::PacketConfig& cfg, const PacketView& p1,
+                             const PacketView& p2,
+                             const atm::SpliceSpec& splice) {
   SpliceOutcome out;
   const util::Bytes bytes = atm::materialize_splice(p1.pdu, p2.pdu, splice);
   const atm::Aal5Trailer trailer = atm::parse_trailer(util::ByteView(bytes));
@@ -1052,10 +1051,10 @@ SpliceOutcome evaluate_splice_reference(const net::PacketConfig& cfg,
   } else if (len >= net::kTrailerCheckLen) {
     skip_at = len - net::kTrailerCheckLen;
   }
-  const auto datagram_equal = [&](const SimPacket& p) {
-    if (p.total_len != len) return false;
+  const auto datagram_equal = [&](const PacketView& p) {
+    if (p->total_len != len) return false;
     const util::ByteView a(bytes.data(), len);
-    const util::ByteView b = p.pdu.bytes().first(len);
+    const util::ByteView b = p.pdu.first(len);
     for (std::size_t i = 0; i < len; ++i) {
       if (i == skip_at) {
         ++i;  // skip both check bytes
@@ -1073,9 +1072,18 @@ SpliceOutcome evaluate_splice_reference(const net::PacketConfig& cfg,
   // splice reproduces packet 2's stored-in-our-model sums (the splice
   // carries p2's trailer, so p2's whole-PDU values are the targets).
   const util::ByteView kcov(bytes.data(), bytes.size() - 4);
-  out.koopman_dual_pass = alg::kern::koopman_dual(kcov) == p2.kd_pdu;
-  out.koopman_single_pass = alg::kern::koopman_single(kcov) == p2.ks_pdu;
+  out.koopman_dual_pass = alg::kern::koopman_dual(kcov) == p2->kd_pdu;
+  out.koopman_single_pass = alg::kern::koopman_single(kcov) == p2->ks_pdu;
   return out;
+}
+
+}  // namespace
+
+SpliceOutcome evaluate_splice_reference(const net::PacketConfig& cfg,
+                                        const SimPacket& p1,
+                                        const SimPacket& p2,
+                                        const atm::SpliceSpec& splice) {
+  return splice_outcome(cfg, p1.view(), p2.view(), splice);
 }
 
 void SpliceStats::merge(const SpliceStats& o) {
@@ -1089,11 +1097,11 @@ namespace {
 /// splices, the subtrees its header gate bulk-counts and the slow path.
 /// Returns true, with `fs` holding the pair's DFS constants and root,
 /// when the DFS subtree of p1's header cell is left to evaluate.
-bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
-                  const SimPacket& p2, SpliceStats& stats, DfsPair& fs) {
+bool prepare_pair(const net::PacketConfig& cfg, const PacketView& p1,
+                  const PacketView& p2, SpliceStats& stats, DfsPair& fs) {
   ++stats.pairs;
-  const std::size_t n1 = p1.pdu.num_cells();
-  const std::size_t n2 = p2.pdu.num_cells();
+  const std::size_t n1 = p1.cells.size();
+  const std::size_t n2 = p2.cells.size();
   if (n1 < 2 || n2 < 1) return false;
 
   const ShapeCounts& counts = shape_counts(n1, n2);
@@ -1104,7 +1112,7 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   std::vector<std::uint8_t> hdr_scratch;
   const PairContext ctx = make_pair_context(cfg, p1, p2, hdr_scratch);
 
-  if (!p2.fast_path_ok) {
+  if (!p2->fast_path_ok) {
     atm::for_each_splice(
         n1, n2, [&](const atm::SpliceSpec& s) { eval_slow(ctx, s, stats); });
     return false;
@@ -1139,15 +1147,15 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.c2 = p2.cells.data();
   fs.e1 = static_cast<unsigned>(e1);
   fs.e2 = static_cast<unsigned>(n2 - 1);
-  fs.eom_len = p2.tp.eom_len;
+  fs.eom_len = p2->tp.eom_len;
   const bool fletcher = cfg.transport != alg::Algorithm::kInternet;
   fs.tr_mod = !fletcher ? 65535 : ctx.mod255 ? 255 : 256;
   // Targets are p2's whole-PDU values — the splice carries p2's
   // trailer — and a Koopman target outside its ring is never met.
   constexpr std::uint64_t kd_mod = alg::kKoopmanDualMod;
   constexpr std::uint64_t ks_mod = alg::kKoopmanSingleMod;
-  fs.kd_live = p2.kd_pdu.a < kd_mod && p2.kd_pdu.b < kd_mod;
-  fs.ks_live = p2.ks_pdu < ks_mod;
+  fs.kd_live = p2->kd_pdu.a < kd_mod && p2->kd_pdu.b < kd_mod;
+  fs.ks_live = p2->ks_pdu < ks_mod;
 
   // The root node needs target - const from the suffix, the pair
   // constants being p1's mandatory first cell at position 0 and p2's
@@ -1159,16 +1167,17 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
     // complement. Canonicalising first keeps the ones-complement ±0
     // exact.
     const std::uint16_t stored_canon = alg::ones_canonical(
-        ctx.header_placement ? p1.tp.stored : p2.tp.stored);
+        ctx.header_placement ? p1->tp.stored : p2->tp.stored);
     const std::uint32_t inet_target =
         cfg.invert_checksum ? (65535u - stored_canon) % 65535u : stored_canon;
     need.tr =
         mod_sub<65535>(inet_target, static_cast<std::uint64_t>(
-                                        p1.tp.head_sum) + p2.tp.eom_sum);
+                                        p1->tp.head_sum) + p2->tp.eom_sum);
   } else {
     const alg::FletcherPair& hf =
-        ctx.mod255 ? p1.tp.head_f255 : p1.tp.head_f256;
-    const alg::FletcherPair& ef = ctx.mod255 ? p2.tp.eom_f255 : p2.tp.eom_f256;
+        ctx.mod255 ? p1->tp.head_f255 : p1->tp.head_f256;
+    const alg::FletcherPair& ef =
+        ctx.mod255 ? p2->tp.eom_f255 : p2->tp.eom_f256;
     const std::uint64_t a = static_cast<std::uint64_t>(hf.a) + ef.a;
     const std::uint64_t b =
         static_cast<std::uint64_t>(hf.b) + ef.b +
@@ -1178,26 +1187,26 @@ bool prepare_pair(const net::PacketConfig& cfg, const SimPacket& p1,
     need.tr = ctx.mod255 ? mod_sub<255>(0, a) | mod_sub<255>(0, b) << 16
                          : mod_sub<256>(0, a) | mod_sub<256>(0, b) << 16;
   }
-  need.crc = p2.stored_crc ^ p2.crc_head44 ^
+  need.crc = p2->stored_crc ^ p2->crc_head44 ^
              suffix_comb(fs.e2 - 1).advance(p1.cells[0].crc);
   // Koopman constants: p1's mandatory first cell (6*e2 blocks follow
   // it) plus p2's EOM fragment (nothing follows).
   if (fs.kd_live) {
-    const std::uint64_t a = p1.cells[0].kd.a + p2.eom_kd.a;
+    const std::uint64_t a = p1.cells[0].kd.a + p2->eom_kd.a;
     const std::uint64_t b =
         static_cast<std::uint64_t>(p1.cells[0].kd.b) +
         kKoopmanBlocksPerCell * static_cast<std::uint64_t>(fs.e2) *
             p1.cells[0].kd.a +
-        p2.eom_kd.b;
-    need.kd = mod_sub<kd_mod>(p2.kd_pdu.a, a) |
-              mod_sub<kd_mod>(p2.kd_pdu.b, b) << 16;
+        p2->eom_kd.b;
+    need.kd = mod_sub<kd_mod>(p2->kd_pdu.a, a) |
+              mod_sub<kd_mod>(p2->kd_pdu.b, b) << 16;
   } else {
     need.kd = kNeverMatches;
   }
   need.ks = fs.ks_live
-                ? mod_sub<ks_mod>(p2.ks_pdu, p1.cells[0].ks + p2.eom_ks)
+                ? mod_sub<ks_mod>(p2->ks_pdu, p1.cells[0].ks + p2->eom_ks)
                 : kNeverMatches;
-  const bool ident1_base = n1 == n2 && p2.eom_cov_hash == p1.eom_cov_hash;
+  const bool ident1_base = n1 == n2 && p2->eom_cov_hash == p1->eom_cov_hash;
   const bool ident2_head = p1.cells[0].hash == p2.cells[0].hash;
   fs.ident = static_cast<std::uint8_t>((ident1_base ? kEq1 : 0) |
                                        (ident2_head ? kEq2 : 0));
@@ -1210,7 +1219,7 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
                    const SimPacket& p2, SpliceStats& stats) {
   SpliceObsFlush obs_flush(stats);
   DfsPair fs;
-  if (prepare_pair(cfg, p1, p2, stats, fs))
+  if (prepare_pair(cfg, p1.view(), p2.view(), stats, fs))
     run_dfs<1>(&fs, fs.e2 <= kMaxPooledSuffixCells, stats,
                &obs_flush.dfs_nodes);
 }
@@ -1219,7 +1228,7 @@ void evaluate_pair_unpooled(const net::PacketConfig& cfg, const SimPacket& p1,
                             const SimPacket& p2, SpliceStats& stats) {
   SpliceObsFlush obs_flush(stats);
   DfsPair fs;
-  if (prepare_pair(cfg, p1, p2, stats, fs))
+  if (prepare_pair(cfg, p1.view(), p2.view(), stats, fs))
     run_dfs<1>(&fs, false, stats, &obs_flush.dfs_nodes);
 }
 
@@ -1235,7 +1244,7 @@ constexpr std::size_t kPairChunk = 8;
 /// the queue is grown in groups of kLanes, then 2, then 1 pairs: a
 /// group is only ever as wide as the pairs it has.
 void evaluate_chunk(const net::PacketConfig& cfg,
-                    const std::vector<SimPacket>& pkts, std::size_t lo,
+                    std::span<const PacketView> pkts, std::size_t lo,
                     std::size_t hi, SpliceStats& st) {
   SpliceObsFlush obs_flush(st);
   std::array<DfsPair, kPairChunk> queue;
@@ -1261,24 +1270,35 @@ void evaluate_chunk(const net::PacketConfig& cfg,
   }
 }
 
+/// One file's packets as a run holds them: the views it evaluates, and
+/// the packets they point into when the loader packetised them (a
+/// corpus store's views point into its mapping). Moving it keeps every
+/// view valid.
+struct FilePackets {
+  std::vector<SimPacket> owned;
+  std::vector<PacketView> views;
+};
+
 /// Compress (optionally) and packetize one file — shared by the
 /// sequential and work-stealing paths.
-std::vector<SimPacket> prepare_file(const SpliceRunConfig& cfg,
-                                    util::ByteView file) {
+FilePackets prepare_file(const SpliceRunConfig& cfg, util::ByteView file) {
   obs::ScopedTimer timer(smx().packetize_ns);
   util::Bytes compressed;
   if (cfg.compress_files) {
     compressed = compress::lzw_compress(file);
     file = util::ByteView(compressed);
   }
-  return packetize_file(cfg.flow, file);
+  FilePackets f{packetize_file(cfg.flow, file), {}};
+  f.views.reserve(f.owned.size());
+  for (const SimPacket& p : f.owned) f.views.push_back(p.view());
+  return f;
 }
 
 /// One whole file into `st`: count it and its packets, then evaluate
 /// every adjacent pair, a chunk at a time — shared by run_file and the
 /// sequential path.
-void splice_file(const SpliceRunConfig& cfg,
-                 const std::vector<SimPacket>& pkts, SpliceStats& st) {
+void splice_file(const SpliceRunConfig& cfg, std::span<const PacketView> pkts,
+                 SpliceStats& st) {
   st.files += 1;
   st.packets += pkts.size();
   const SpliceMetrics& mx = smx();
@@ -1296,7 +1316,7 @@ void register_splice_metrics() { (void)smx(); }
 
 SpliceStats run_file(const SpliceRunConfig& cfg, util::ByteView file) {
   SpliceStats st;
-  splice_file(cfg, prepare_file(cfg, file), st);
+  splice_file(cfg, prepare_file(cfg, file).views, st);
   return st;
 }
 
@@ -1310,8 +1330,8 @@ SpliceStats run_filesystem(const SpliceRunConfig& cfg,
 namespace {
 
 /// The scheduler behind every corpus source. `load(i)` produces file
-/// i's SimPackets — by packetising its bytes (generated for a fsgen
-/// source, read for a directory), by memcpy reconstruction for a
+/// i's FilePackets — by packetising its bytes (generated for a fsgen
+/// source, read for a directory), as views into the mapping for a
 /// corpus store — or nullopt for a file to skip uncounted, and the
 /// rest of the machinery (sequential loop or pair-granular work
 /// stealing) is source-agnostic. Every SpliceStats counter is
@@ -1328,8 +1348,8 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
   if (threads <= 1 || nfiles == 0) {
     SpliceStats st;
     for (std::size_t i = begin; i < end; ++i)
-      if (const std::optional<std::vector<SimPacket>> pkts = load(i))
-        splice_file(cfg, *pkts, st);
+      if (const std::optional<FilePackets> pkts = load(i))
+        splice_file(cfg, pkts->views, st);
     return st;
   }
 
@@ -1338,7 +1358,7 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
   // fixed chunks that any idle worker can steal, so one large file no
   // longer serialises the run.
   struct FileWork {
-    std::vector<SimPacket> pkts;
+    FilePackets pkts;
     std::atomic<std::size_t> next_pair{0};
     std::size_t pair_count = 0;
     unsigned owner = 0;  ///< worker that packetized it (steal counting)
@@ -1375,7 +1395,7 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
           mx.sched_chunks.add(1);
           if (fw->owner != t) mx.sched_steals.add(1);
           obs::ScopedTimer timer(mx.chunk_ns);
-          evaluate_chunk(cfg.flow.packet, fw->pkts, lo, hi, st);
+          evaluate_chunk(cfg.flow.packet, fw->pkts.views, lo, hi, st);
         }
         continue;
       }
@@ -1387,17 +1407,18 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
       packetizing.fetch_add(1);
       const std::size_t i = next_file.fetch_add(1);
       if (i < end) {
-        if (std::optional<std::vector<SimPacket>> pkts = load(i)) {
+        if (std::optional<FilePackets> pkts = load(i)) {
           auto work = std::make_shared<FileWork>();
           work->pkts = std::move(*pkts);
           work->owner = t;
+          const std::size_t n = work->pkts.views.size();
           st.files += 1;
-          st.packets += work->pkts.size();
+          st.packets += n;
           mx.sched_files.add(1);
           mx.files.add(1);
-          mx.packets.add(work->pkts.size());
-          if (work->pkts.size() >= 2) {
-            work->pair_count = work->pkts.size() - 1;
+          mx.packets.add(n);
+          if (n >= 2) {
+            work->pair_count = n - 1;
             mx.sched_open_files.add(1);
             std::lock_guard<std::mutex> lock(mu);
             open.push_back(std::move(work));
@@ -1441,7 +1462,7 @@ SpliceStats run_bytes_range(const SpliceRunConfig& cfg,
                             std::size_t end) {
   return run_range_impl(
       cfg,
-      [&](std::size_t i) -> std::optional<std::vector<SimPacket>> {
+      [&](std::size_t i) -> std::optional<FilePackets> {
         const std::optional<util::Bytes> file = file_bytes(i);
         if (!file) return std::nullopt;
         return prepare_file(cfg, util::ByteView(*file));
@@ -1456,16 +1477,16 @@ SpliceStats run_corpus_range(const SpliceRunConfig& cfg,
   begin = std::min(begin, end);
   // Advisory readahead over exactly the SoA slices this range touches:
   // a dist worker streams each lease shard from a cold page cache, so
-  // asking for the pages up front overlaps I/O with reconstruction.
+  // asking for the pages up front overlaps I/O with evaluation.
   corpus.advise_will_need(begin, end);
   return run_range_impl(
       cfg,
       [&](std::size_t i) {
-        // The reconstruction cost lands in the same timing histogram
-        // as packetisation so the two sources are directly comparable
-        // in exported manifests.
+        // Taking the views lands in the same timing histogram as
+        // packetisation so the two sources are directly comparable in
+        // exported manifests.
         obs::ScopedTimer timer(smx().packetize_ns);
-        return std::optional(corpus.file_packets(i));
+        return std::optional(FilePackets{{}, corpus.file_views(i)});
       },
       begin, end);
 }

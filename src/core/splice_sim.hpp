@@ -220,7 +220,8 @@ SpliceStats run_bytes_range(const SpliceRunConfig& cfg,
                             const FileBytes& file_bytes, std::size_t begin,
                             std::size_t end);
 
-/// A corpus store's packets are reconstructed, not re-packetised, so
+/// A corpus store's packets are read as views into its mapping
+/// (CorpusReader::file_views), not re-packetised or copied, so
 /// cfg.flow MUST be the store's recorded flow (SpliceCorpus::run_config
 /// takes it from the store) and compress_files is ignored. `end` is
 /// clamped to the file count. Bitwise identical to run_filesystem over

@@ -354,7 +354,7 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   r->hdr_ok_ = sect[3];
   r->pdu_bytes_ = sect[4];
 
-  // Packet and file indexes: every range in bounds, so file_packets
+  // Packet and file indexes: every range in bounds, so file_views
   // can run unchecked.
   const std::uint64_t hdr_ok_size = sect_size[3];
   for (std::uint64_t p = 0; p < hdr.packets; ++p) {
@@ -408,26 +408,34 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
   return r;
 }
 
-std::vector<core::SimPacket> CorpusReader::file_packets(std::size_t i) const {
-  std::vector<core::SimPacket> out;
+std::vector<core::PacketView> CorpusReader::file_views(std::size_t i) const {
+  std::vector<core::PacketView> out;
   if (i >= info_.files) return out;
   const CorpusFileRec& fr = files_[i];
   out.reserve(fr.packet_count);
   for (std::uint64_t p = fr.packet_begin; p < fr.packet_begin + fr.packet_count;
        ++p) {
     const StoredPacket& r = packets_[p];
-    core::SimPacket sp;
-    static_cast<core::PacketPartials&>(sp) = r.partials;
-    const std::size_t pdu_len =
-        static_cast<std::size_t>(r.cell_count) * atm::kCellPayload;
-    sp.pdu = *atm::CpcsPdu::from_bytes(
-        util::Bytes(pdu_bytes_ + r.pdu_offset,
-                    pdu_bytes_ + r.pdu_offset + pdu_len));
-    sp.cells.assign(cells_ + r.cell_begin,
-                    cells_ + r.cell_begin + r.cell_count);
-    sp.hdr_ok_self.assign(hdr_ok_ + r.hdr_begin,
-                          hdr_ok_ + r.hdr_begin + (r.cell_count - 1));
-    out.push_back(std::move(sp));
+    out.push_back({&r.partials,
+                   {cells_ + r.cell_begin, r.cell_count},
+                   {hdr_ok_ + r.hdr_begin, r.cell_count - 1},
+                   {pdu_bytes_ + r.pdu_offset,
+                    std::size_t{r.cell_count} * atm::kCellPayload}});
+  }
+  return out;
+}
+
+std::vector<core::SimPacket> CorpusReader::file_packets(std::size_t i) const {
+  const std::vector<core::PacketView> views = file_views(i);
+  std::vector<core::SimPacket> out;
+  out.reserve(views.size());
+  for (const core::PacketView& v : views) {
+    core::SimPacket& sp = out.emplace_back();
+    static_cast<core::PacketPartials&>(sp) = *v.partials;
+    sp.pdu =
+        *atm::CpcsPdu::from_bytes(util::Bytes(v.pdu.begin(), v.pdu.end()));
+    sp.cells.assign(v.cells.begin(), v.cells.end());
+    sp.hdr_ok_self.assign(v.hdr_ok_self.begin(), v.hdr_ok_self.end());
   }
   return out;
 }

@@ -8,7 +8,7 @@
 // — each packet's core::PacketPartials and core::CellPartial records
 // as they are, header-check verdicts, and the raw PDU bytes the slow
 // path materialises from — in a single mmap-able arena, so workers
-// stream shards at memcpy speed instead of checksum speed.
+// evaluate shards straight from the mapping instead of re-checksumming.
 //
 // On-disk layout (native-endian, the endian tag rejects foreign
 // files):
@@ -123,7 +123,7 @@ bool build_corpus(const CorpusBuildParams& params,
 
 /// Read side: mmaps the file, validates magic/version/endianness/
 /// CRCs/section bounds/alignment and every packet index once, then
-/// serves packets by memcpy-reconstruction. Thread-safe after open()
+/// serves packets as views into the mapping. Thread-safe after open()
 /// (all reads are const over the mapping).
 class CorpusReader {
  public:
@@ -140,10 +140,16 @@ class CorpusReader {
     return static_cast<std::size_t>(info_.files);
   }
 
-  /// Reconstruct file i's packets, bitwise-equal to
-  /// packetize_file(params.flow, <file bytes>) on the original data
-  /// (asserted by tests/test_corpus_store.cpp for every registry
-  /// checksum). No checksum is recomputed.
+  /// File i's packets as views into the mapping, nothing copied: what
+  /// core::run_corpus_range evaluates. Each view holds what the
+  /// packet's SimPacket from packetize_file(params.flow, <file bytes>)
+  /// holds on the original data (asserted by tests/test_corpus_store.cpp).
+  /// Valid while this reader lives.
+  std::vector<core::PacketView> file_views(std::size_t i) const;
+
+  /// File i's packets copied out of file_views(i) into SimPackets,
+  /// bitwise-equal to packetize_file(params.flow, <file bytes>) on the
+  /// original data. No checksum is recomputed.
   std::vector<core::SimPacket> file_packets(std::size_t i) const;
 
   /// Ask the kernel to prefetch the byte ranges files [begin, end)

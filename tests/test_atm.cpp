@@ -182,7 +182,7 @@ TEST(Splice, MaterializeStructure) {
   s.mask2 = 0b110010;  // p2 cells 1, 4, 5
   s.k1 = 2;
   s.k2 = 3;
-  const Bytes out = materialize_splice(p1, p2, s);
+  const Bytes out = materialize_splice(p1.bytes(), p2.bytes(), s);
   ASSERT_EQ(out.size(), 6 * kCellPayload);
   auto cell_at = [&](std::size_t i) {
     return ByteView(out).subspan(i * kCellPayload, kCellPayload);
@@ -210,7 +210,7 @@ TEST(Splice, IdentitySpliceReproducesPacket2Tail) {
   s.mask2 = 0b011111;  // p2 cells 0..4
   s.k1 = 1;
   s.k2 = 5;
-  const Bytes out = materialize_splice(p1, p2, s);
+  const Bytes out = materialize_splice(p1.bytes(), p2.bytes(), s);
   // Positions 1..6 equal p2 cells 0..5... position 6 is the EOM (p2
   // cell 6).
   EXPECT_TRUE(std::equal(out.begin() + 48, out.end() - 48,

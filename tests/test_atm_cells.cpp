@@ -150,7 +150,7 @@ TEST(Reassembler, ExhaustiveDropPatternsMatchSpliceEnumerator) {
   // All splices the enumerator lists, keyed by the fused PDU's bytes.
   std::set<Bytes> enumerated;
   for_each_splice(4, 4, [&](const SpliceSpec& s) {
-    enumerated.insert(materialize_splice(p1, p2, s));
+    enumerated.insert(materialize_splice(p1.bytes(), p2.bytes(), s));
   });
   EXPECT_EQ(enumerated.size(), splice_count(4, 4));
 

@@ -4,6 +4,7 @@
 // — for every transport checksum in the registry, both placements, and
 // compressed transfers — and a corrupted store must be rejected at
 // open() with an explicit reason, never by faulting.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -133,6 +134,15 @@ TEST(CorpusStore, RoundTripEveryTransportAndPlacement) {
       EXPECT_EQ(cfg.flow.packet.placement, pl);
       const core::SpliceStats streamed =
           corpus.run_range(cfg, 0, corpus.file_count());
+      // The sequential loop too: every thread count gives one result,
+      // and the oracle splices of the slow path are materialised from
+      // PDU bytes viewed in the mapping.
+      core::SpliceRunConfig one = cfg;
+      one.threads = 1;
+      const core::SpliceStats sequential =
+          corpus.run_range(one, 0, corpus.file_count());
+      EXPECT_TRUE(sequential == streamed);
+      EXPECT_GT(sequential.slow_path, 0u);
       // A store keeps packets, not file bytes: the cell-statistics
       // pass refuses it, from any of its threads.
       EXPECT_THROW(core::collect_cell_stats(corpus, {}, 2), std::logic_error);
@@ -219,6 +229,23 @@ TEST(CorpusStore, PacketReconstructionBitwise) {
       EXPECT_TRUE(g.cells == w.cells)
           << "cell partials, file " << i << " packet " << p;
       EXPECT_EQ(g.hdr_ok_self, w.hdr_ok_self);
+    }
+    // The views the run path reads hold the same records, in place.
+    const std::vector<core::PacketView> views = rd->file_views(i);
+    ASSERT_EQ(views.size(), want.size()) << "file " << i;
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      const core::SimPacket& w = want[p];
+      const core::PacketView& v = views[p];
+      const util::ByteView wb = w.pdu.bytes();
+      ASSERT_EQ(v.pdu.size(), wb.size());
+      EXPECT_EQ(std::memcmp(v.pdu.data(), wb.data(), wb.size()), 0)
+          << "viewed pdu bytes, file " << i << " packet " << p;
+      EXPECT_TRUE(*v.partials == static_cast<const core::PacketPartials&>(w))
+          << "viewed packet partials, file " << i << " packet " << p;
+      EXPECT_TRUE(std::ranges::equal(v.cells, w.cells))
+          << "viewed cell partials, file " << i << " packet " << p;
+      EXPECT_TRUE(std::ranges::equal(v.hdr_ok_self, w.hdr_ok_self))
+          << "viewed header verdicts, file " << i << " packet " << p;
     }
   }
   std::remove(path.c_str());

@@ -3,6 +3,7 @@
 // depends on.
 #include <gtest/gtest.h>
 
+#include "atm/splice.hpp"
 #include "checksum/crc32.hpp"
 #include "checksum/generic_crc.hpp"
 #include "checksum/kernels/kernel.hpp"
@@ -100,6 +101,26 @@ TEST(Crc32Combine, FoldingCellsMatchesWholeBuffer) {
   }
   crc = c44.combine(crc, crc32(ByteView(data).subspan(48 * 6, 44)));
   EXPECT_EQ(crc, crc32(ByteView(data)));
+}
+
+TEST(Crc32Combine, ComposedCombinerMatchesDirect) {
+  // The splice DFS's suffix tables: the EOM cell's 44 covered bytes
+  // plus d whole cells, each composed from the one before.
+  const std::vector<CrcCombiner> ladder =
+      combiner_ladder(44, atm::kCellPayload, atm::kMaxSpliceCells);
+  ASSERT_EQ(ladder.size(), atm::kMaxSpliceCells);
+  util::Rng rng(11);
+  for (std::size_t d = 0; d < ladder.size(); ++d) {
+    const CrcCombiner direct(44 + atm::kCellPayload * d);
+    for (int b = 0; b < 32; ++b) {
+      EXPECT_EQ(ladder[d].advance(1u << b), direct.advance(1u << b))
+          << "distance " << d << ", unit vector " << b;
+    }
+    for (int i = 0; i < 200; ++i) {
+      const auto x = static_cast<std::uint32_t>(rng.next());
+      EXPECT_EQ(ladder[d].advance(x), direct.advance(x)) << "distance " << d;
+    }
+  }
 }
 
 TEST(Crc32, DetectsAllSingleBitErrorsInACell) {

@@ -789,8 +789,8 @@ TEST(FastVsReference, OutOfRingKoopmanTargetsNeverMatch) {
             deepest = s;
         });
     ASSERT_TRUE(deepest.has_value()) << "pair " << i;
-    const Bytes bytes = atm::materialize_splice(p1.pdu, pkts[i + 1].pdu,
-                                                *deepest);
+    const Bytes bytes = atm::materialize_splice(
+        p1.pdu.bytes(), pkts[i + 1].pdu.bytes(), *deepest);
     const ByteView kcov(bytes.data(), bytes.size() - 4);
     const alg::KoopmanDualPair kd = alg::kern::koopman_dual(kcov);
     const std::uint64_t ks = alg::kern::koopman_single(kcov);
@@ -1258,7 +1258,8 @@ TEST(SpliceSim, InterleavedRunEqualsPerPair) {
               pick = s;
           });
       ASSERT_TRUE(pick.has_value()) << "pair " << pair;
-      const Bytes b = atm::materialize_splice(p1.pdu, p2.pdu, *pick);
+      const Bytes b =
+          atm::materialize_splice(p1.pdu.bytes(), p2.pdu.bytes(), *pick);
       const ByteView kcov(b.data(), b.size() - 4);
       const bool out = pair == 0 || pair == 5;
       const alg::KoopmanDualPair kd = alg::kern::koopman_dual(kcov);

@@ -10,7 +10,8 @@
 //                                          cell-checksum distribution
 //
 // splice options (dist takes only --scale, --segment, --threads and
-// --quick):
+// --quick; splice --corpus takes none of the first four, a store runs
+// the flow it was built with):
 //   --transport tcp|f255|f256   transport checksum   (default tcp)
 //   --trailer                   trailer placement    (default header)
 //   --scale <x>                 profile scale        (default 1.0)
@@ -182,6 +183,9 @@ struct CommonOpts {
   net::PacketConfig pkt;
   double scale = 1.0;
   std::size_t segment = 256;
+  // Whether each flow-shaping option was given: a store pins its own.
+  bool scale_set = false, segment_set = false, transport_set = false,
+       trailer_set = false;
   unsigned threads = 0;  // 0 = all hardware threads
   bool verbose = false;  // evaluator internals (path mix, pair count)
   bool json = false;     // machine-readable report on stdout
@@ -198,8 +202,8 @@ struct CommonOpts {
 /// The options of splice beyond the corpus source.
 std::vector<tools::Opt> splice_options(CommonOpts& o) {
   return {{"--threads", &o.threads},
-          {"--trailer", &o.pkt.placement},
-          {"--transport", &o.pkt.transport},
+          {"--trailer", &o.pkt.placement, 10, &o.trailer_set},
+          {"--transport", &o.pkt.transport, 10, &o.transport_set},
           {"--verbose", &o.verbose},
           {"--json", &o.json},
           {"--progress", &o.progress},
@@ -217,15 +221,14 @@ std::vector<tools::Opt> splice_options(CommonOpts& o) {
 bool parse_common(std::span<const std::string> args, CommonOpts& o,
                   std::vector<tools::Opt> extra) {
   bool quick = false;
-  bool scale_set = false;
   std::vector<tools::Opt> table = {
       {"--profile", &o.profile},
       {"--manifest", &o.manifest},
       {"--dir", &o.dir},
       {"--corpus", &o.corpus},
       {"--from-pcap", &o.from_pcap},
-      {"--scale", &o.scale, 10, &scale_set},
-      {"--segment", &o.segment},
+      {"--scale", &o.scale, 10, &o.scale_set},
+      {"--segment", &o.segment, 10, &o.segment_set},
       {"--quick", &quick}};
   table.insert(table.end(), extra.begin(), extra.end());
   if (!tools::parse_options(args, table, "cksumlab")) return false;
@@ -241,7 +244,7 @@ bool parse_common(std::span<const std::string> args, CommonOpts& o,
   if (quick && sources == 0) {
     // CI shorthand: a corpus small enough for smoke jobs.
     o.profile = "nsc05";
-    if (!scale_set) o.scale = 0.1;
+    if (!o.scale_set) o.scale = 0.1;
     sources = 1;
   }
   return sources == 1;  // exactly one corpus source
@@ -648,6 +651,22 @@ int cmd_splice(const std::vector<std::string>& args) {
                  "cksumlab: splice does not read captures directly; seal one "
                  "first with `corpus build --from-pcap`, then --corpus\n");
     return 2;
+  }
+  if (!o.corpus.empty()) {
+    // A store runs the flow it was built with (docs/CORPUS.md).
+    const std::pair<const char*, bool> flow_opts[] = {
+        {"--transport", o.transport_set},
+        {"--trailer", o.trailer_set},
+        {"--segment", o.segment_set},
+        {"--scale", o.scale_set}};
+    for (const auto& [name, given] : flow_opts) {
+      if (!given) continue;
+      std::fprintf(stderr,
+                   "cksumlab: option '%s' does not apply to splice --corpus: "
+                   "a store runs the flow it was built with\n",
+                   name);
+      return 2;
+    }
   }
 
   // Register every metric family up front so exported manifests carry
