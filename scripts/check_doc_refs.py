@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the docs name only benchmarks, bench binaries and CLI
-verbs that exist.
+"""Check that the docs name only benchmarks, bench binaries, CLI verbs
+and files that exist.
 
 Usage: check_doc_refs.py [REPO_ROOT]
 
@@ -17,6 +17,10 @@ points nowhere:
   * `cksumlab <verb>` and `faultlab <verb>` inside code (inline spans
     and fenced blocks) must be a verb that the tool's main() dispatches
     in tools/<tool>.cpp.
+  * A relative Markdown link `[text](target)` outside code must resolve,
+    from the linking file's directory, to a file or directory (any
+    `#anchor` is ignored; links with a scheme and bare anchors are not
+    checked).
 
 Prints one `file:line: name: reason` per problem and exits 1 if there
 are any, 0 otherwise.
@@ -30,6 +34,8 @@ import sys
 BM_RE = re.compile(r"\bBM_[A-Za-z0-9_]+")
 BENCH_RE = re.compile(r"\bbench_[a-z0-9_]+(?:\.[a-z]+)?")
 VERB_RE = re.compile(r"\b(cksumlab|faultlab)[ \t]+([a-z][a-z0-9-]*)")
+LINK_RE = re.compile(r"\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 SOURCE_EXTS = {".cpp", ".hpp", ".py", ".sh"}
 
 
@@ -56,6 +62,18 @@ def code_spans(text):
         else:
             for span in re.findall(r"`([^`]+)`", line):
                 yield n, span
+
+
+def link_targets(text):
+    """(line number, target) pairs: each Markdown link target outside
+    fenced blocks and inline code spans."""
+    fenced = False
+    for n, line in enumerate(text.splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            for target in LINK_RE.findall(re.sub(r"`[^`]*`", "", line)):
+                yield n, target
 
 
 def main():
@@ -119,6 +137,14 @@ def main():
                 if verb not in verbs[tool]:
                     problems.append(f"{rel}:{n}: {tool} {verb}: not a verb "
                                     f"tools/{tool}.cpp dispatches")
+        for n, target in link_targets(text):
+            path = target.split("#", 1)[0]
+            if not path or SCHEME_RE.match(path):
+                continue
+            checked += 1
+            base = root if path.startswith("/") else os.path.dirname(doc)
+            if not os.path.exists(os.path.join(base, path.lstrip("/"))):
+                problems.append(f"{rel}:{n}: {target}: links to no file")
 
     for p in problems:
         print(p)

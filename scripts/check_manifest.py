@@ -4,7 +4,6 @@
 Usage: check_manifest.py MANIFEST [--require-family FAM]...
                          [--require-kernel [NAME]]
                          [--require-dist]
-                         [--require-storage]
                          [--require-trace]
                          [--diff-deterministic OTHER]
 
@@ -29,14 +28,6 @@ corpus), and — the accounting check — every deterministic
 counter in the top-level metrics must equal the sum of the per-worker
 contributions recorded in "dist.per_worker[].metrics". A shard merged
 twice (or dropped) breaks that equality.
-
---require-storage fails unless the manifest carries the "storage"
-member that `faultlab storage` writes: the commit-block miss-rate
-frontier, one row per (checksum, block size, fault class) cell
-(docs/STORAGE.md). Each row must name a known fault class, keep the
-outcome accounting identity trials == benign + detected + undetected,
-and report a miss rate in [0, 1]; the run-level violation counter must
-be zero.
 
 --diff-deterministic OTHER fails if any deterministic-tagged metric
 (or the report, if both manifests carry one) differs from OTHER's.
@@ -149,7 +140,7 @@ def check_kernel(doc, want):
     return []
 
 
-DIST_JOB_STATES = {"done", "cancelled", "aborted", "running"}
+DIST_JOB_STATES = {"done", "aborted", "running"}
 
 
 def check_dist_job(job, who, manifest_path):
@@ -178,8 +169,8 @@ def check_dist_job(job, who, manifest_path):
         problems.append(f"{who}: 'complete' missing or not a bool")
     elif state == "done" and not complete:
         problems.append(f"{who}: state is 'done' but complete is false")
-    elif state in ("cancelled", "aborted") and complete:
-        problems.append(f"{who}: state is {state!r} but complete is true")
+    elif state == "aborted" and complete:
+        problems.append(f"{who}: state is 'aborted' but complete is true")
 
     job_metrics = job.get("metrics")
     if not isinstance(job_metrics, dict):
@@ -256,7 +247,7 @@ def check_dist_job(job, who, manifest_path):
 
     # Per-job accounting identity: the job's counters are exactly the
     # sum of the accepted per-worker contributions — for every job,
-    # including cancelled ones (stale results must not leak in).
+    # aborted ones too (stale results must not leak in).
     for mname in set(sums) | set(job_metrics):
         job_v = job_metrics.get(mname, 0)
         worker_v = sums.get(mname, 0)
@@ -295,8 +286,7 @@ def check_dist(doc, manifest_path):
                 agg[mname] = agg.get(mname, 0) + mv
 
     # Aggregate accounting identity: each deterministic counter in the
-    # document metrics equals the sum over all jobs (cancelled jobs
-    # included — their accepted shards were merged before the cancel).
+    # document metrics equals the sum over all jobs.
     metrics = doc.get("metrics") if isinstance(doc.get("metrics"), dict) else {}
     for name, m in metrics.items():
         if not isinstance(m, dict) or m.get("tag") != "deterministic":
@@ -313,85 +303,6 @@ def check_dist(doc, manifest_path):
         if name not in metrics:
             problems.append(f"per-job metric {name!r} absent from the "
                             "aggregate metrics")
-    return problems
-
-
-STORAGE_FAULTS = {"torn", "misdirected", "lost", "corrupt"}
-STORAGE_COUNTERS = ("trials", "benign", "detected", "undetected",
-                    "run_heavy_trials", "run_heavy_scored",
-                    "run_heavy_undetected")
-
-
-def check_storage(doc):
-    """Problems with the manifest's storage frontier record, [] when
-    clean. See docs/STORAGE.md for the "storage" member's shape."""
-    st = doc.get("storage") if isinstance(doc, dict) else None
-    if not isinstance(st, dict):
-        return ["no 'storage' member — manifest was not produced by "
-                "`faultlab storage`"]
-    problems = []
-    for key in ("seed", "trials", "undetected", "violations"):
-        v = st.get(key)
-        if not isinstance(v, int) or v < 0:
-            problems.append(f"storage.{key}: missing or not a non-negative "
-                            f"integer: {v!r}")
-    if st.get("violations", 0) != 0:
-        problems.append(f"storage.violations is {st.get('violations')!r} — "
-                        "a sealed block failed its own verification")
-    rows = st.get("rows")
-    if not isinstance(rows, list) or not rows:
-        problems.append("storage.rows missing or empty")
-        rows = []
-    total_trials = total_undetected = 0
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            problems.append(f"storage.rows[{i}]: not an object")
-            continue
-        who = (f"storage.rows[{i}] ({row.get('key')!r}/{row.get('fault')!r}"
-               f"@{row.get('block_size')!r})")
-        for key in ("algorithm", "key"):
-            if not isinstance(row.get(key), str) or not row[key]:
-                problems.append(f"{who}: '{key}' missing or empty")
-        if row.get("fault") not in STORAGE_FAULTS:
-            problems.append(f"{who}: unknown fault class "
-                            f"{row.get('fault')!r}")
-        bs = row.get("block_size")
-        if not isinstance(bs, int) or bs <= 0 or bs % 512 != 0:
-            problems.append(f"{who}: block_size {bs!r} not a positive "
-                            "multiple of 512")
-        for key in STORAGE_COUNTERS:
-            v = row.get(key)
-            if not isinstance(v, int) or v < 0:
-                problems.append(f"{who}: bad {key} {v!r}")
-        mr = row.get("miss_rate")
-        if not isinstance(mr, (int, float)) or not 0 <= mr <= 1:
-            problems.append(f"{who}: miss_rate {mr!r} not in [0, 1]")
-        # The outcome accounting identity: every trial scored exactly
-        # one way, and the run-heavy slice is a subset of the whole.
-        counts = {k: row.get(k) for k in STORAGE_COUNTERS}
-        if all(isinstance(v, int) for v in counts.values()):
-            if (counts["trials"] != counts["benign"] + counts["detected"]
-                    + counts["undetected"]):
-                problems.append(f"{who}: benign + detected + undetected != "
-                                "trials")
-            if counts["run_heavy_trials"] > counts["trials"]:
-                problems.append(f"{who}: run_heavy_trials exceeds trials")
-            if counts["run_heavy_scored"] > counts["run_heavy_trials"]:
-                problems.append(f"{who}: run_heavy_scored exceeds "
-                                "run_heavy_trials")
-            if counts["run_heavy_undetected"] > counts["run_heavy_scored"]:
-                problems.append(f"{who}: run_heavy_undetected exceeds "
-                                "run_heavy_scored")
-            total_trials += counts["trials"]
-            total_undetected += counts["undetected"]
-    if (isinstance(st.get("trials"), int) and not problems
-            and st["trials"] != total_trials):
-        problems.append(f"storage.trials {st['trials']} != sum of row "
-                        f"trials {total_trials}")
-    if (isinstance(st.get("undetected"), int) and not problems
-            and st["undetected"] != total_undetected):
-        problems.append(f"storage.undetected {st['undetected']} != sum of "
-                        f"row undetected {total_undetected}")
     return problems
 
 
@@ -502,9 +413,6 @@ def main():
     ap.add_argument("--require-dist", action="store_true",
                     help="require a complete distributed-run record "
                          "whose per-worker sums match the aggregate")
-    ap.add_argument("--require-storage", action="store_true",
-                    help="require a well-formed storage frontier record "
-                         "(faultlab storage --metrics-out)")
     ap.add_argument("--require-trace", action="store_true",
                     help="require a well-formed trace-ingest record "
                          "(cksumlab trace --metrics-out)")
@@ -524,8 +432,6 @@ def main():
     problems += check_kernel(doc, args.require_kernel)
     if args.require_dist:
         problems += check_dist(doc, args.manifest)
-    if args.require_storage:
-        problems += check_storage(doc)
     if args.require_trace:
         problems += check_trace(doc)
     if args.diff_deterministic:

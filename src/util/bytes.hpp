@@ -48,12 +48,6 @@ constexpr void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-/// Store a 64-bit value big-endian.
-constexpr void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
-  store_be32(p, static_cast<std::uint32_t>(v >> 32));
-  store_be32(p + 4, static_cast<std::uint32_t>(v));
-}
-
 /// Checked subspan: asserts the range is inside `data`.
 inline ByteView slice(ByteView data, std::size_t offset, std::size_t len) {
   assert(offset <= data.size() && len <= data.size() - offset);

@@ -11,7 +11,9 @@
 //     message;
 //   * short pieces at every source offset, and the all-zero /
 //     all-ones / class-zero-wrap planes at every alignment phase.
-// Set CKSUM_KERNEL_LONG=1 for the widened soak sweep.
+// Set CKSUM_KERNEL_LONG=1 for the widened soak sweep. Beside the
+// sweeps, every available implementation must catch every single-bit
+// error on plain buffers.
 //
 // The dispatch switch itself is also pinned down: what `best` and
 // `scalar` resolve to, the CKSUM_KERNEL environment override (so a CI
@@ -281,6 +283,43 @@ TEST_P(PerImpl, OffsetsAndTails) {
 INSTANTIATE_TEST_SUITE_P(AllImpls, PerImpl,
                          ::testing::Range<std::size_t>(0, pairs().size()),
                          pair_param_name);
+
+TEST(Kernels, EverySingleBitFlipIsDetected) {
+  // A one-bit error is a delta of ±2^k in one byte, word or 64-bit
+  // block: never 0 mod 255, 256, 65535, 65521 or the prime 2^32 - 5,
+  // and CRC-32's generator has more than one term. So every algorithm
+  // must change value, in every output variant, on every available
+  // implementation. Odd lengths and lengths off a multiple of 8 put
+  // the flip in a padded word or a Koopman tail block.
+  struct Case {
+    std::size_t len;
+    std::size_t bit_step;  ///< flip every bit_step-th bit
+  };
+  const Case cases[] = {{1, 1},   {2, 1},   {3, 1},    {7, 1},   {8, 1},
+                        {9, 1},   {15, 1},  {17, 1},   {63, 1},  {64, 1},
+                        {255, 1}, {257, 1}, {1021, 1}, {4096, 61}};
+  for (const Pair& p : pairs()) {
+    with_list(p.alg, [&](const auto& list) {
+      const auto& impl = list.impls[p.index];
+      if (!impl.available()) return;
+      for (const Case& c : cases) {
+        Bytes data = testgen::random_bytes(testgen::kConformanceSeed ^ c.len,
+                                           c.len);
+        const auto clean = outputs(list.alg, impl.fn, ByteView(data));
+        for (std::size_t bit = 0; bit < 8 * c.len; bit += c.bit_step) {
+          const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+          data[bit / 8] ^= mask;
+          const auto hit = outputs(list.alg, impl.fn, ByteView(data));
+          data[bit / 8] ^= mask;
+          ASSERT_EQ(hit.size(), clean.size());
+          for (std::size_t v = 0; v < clean.size(); ++v)
+            EXPECT_NE(hit[v], clean[v]) << p.name << " len=" << c.len
+                                        << " bit=" << bit << " variant=" << v;
+        }
+      }
+    });
+  }
+}
 
 TEST(KernelCombineProperty, FletcherMod255EdgeCases) {
   // When |Y| is a multiple of 255 the y_len·A(X) term of the combine

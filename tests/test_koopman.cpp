@@ -1,7 +1,8 @@
 // Koopman modular checksums: pinned vectors, the block-aligned combine
-// algebra, streaming equivalence, and the structural properties the
-// storage frontier leans on (prime moduli, position sensitivity of the
-// dual sum, position independence of the single sum).
+// algebra, streaming equivalence, and the structural properties that
+// set the two sums apart from Fletcher in the splice results (prime
+// moduli, position sensitivity of the dual sum, position independence
+// of the single sum).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,8 +54,8 @@ TEST(Koopman, PinnedVectors) {
 TEST(Koopman, AllOnesBlocks) {
   // 2^64-1 ≡ 15^4-1 = 50624 (mod 65521) and ≡ 5^2-1 = 24 (mod 2^32-5):
   // the all-ones block is NOT an aliasing class under either prime
-  // modulus, unlike 0xFF bytes under Fletcher-255 — the property the
-  // storage frontier's pathology table demonstrates.
+  // modulus, unlike 0xFF bytes under Fletcher-255, whose run pathology
+  // (EXPERIMENTS.md §5.5) the Koopman sums therefore do not share.
   const Bytes ones8(8, 0xFF);
   const Bytes ones16(16, 0xFF);
   EXPECT_EQ(koopman_dual_value(koopman_dual_naive(ByteView(ones8))),

@@ -14,7 +14,8 @@
 // the flow it was built with):
 //   --transport tcp|f255|f256   transport checksum   (default tcp)
 //   --trailer                   trailer placement    (default header)
-//   --scale <x>                 profile scale        (default 1.0)
+//   --scale <x>                 profile scale, --profile or --quick
+//                               only                 (default 1.0)
 //   --segment <bytes>           TCP segment size     (default 256)
 //   --threads <n>               worker threads; 0 = all cores (default)
 //   --verbose                   evaluator internals (splice: path mix)
@@ -25,8 +26,8 @@
 //   --progress                  force the live one-line ticker on stderr
 //                               (on by default when stderr is a tty and
 //                               telemetry export is active)
-//   --quick                     CI shorthand: nsc05 profile at scale 0.1
-//                               when no corpus source is given
+//   --quick                     CI shorthand: nsc05 profile at scale 0.1;
+//                               a corpus source, so given alone
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -241,7 +242,22 @@ bool parse_common(std::span<const std::string> args, CommonOpts& o,
   int sources = (!o.profile.empty() ? 1 : 0) + (!o.dir.empty() ? 1 : 0) +
                 (!o.manifest.empty() ? 1 : 0) + (!o.corpus.empty() ? 1 : 0) +
                 (!o.from_pcap.empty() ? 1 : 0);
-  if (quick && sources == 0) {
+  // Neither option may be dropped silently: --quick names a source of
+  // its own, and only a profile has a scale.
+  if (quick && sources > 0) {
+    std::fprintf(stderr,
+                 "cksumlab: option '--quick' is a corpus source; give it "
+                 "alone, not beside --profile, --manifest, --dir, --corpus "
+                 "or --from-pcap\n");
+    return false;
+  }
+  if (o.scale_set && !quick && o.profile.empty()) {
+    std::fprintf(stderr,
+                 "cksumlab: option '--scale' applies only to --profile or "
+                 "--quick\n");
+    return false;
+  }
+  if (quick) {
     // CI shorthand: a corpus small enough for smoke jobs.
     o.profile = "nsc05";
     if (!o.scale_set) o.scale = 0.1;
@@ -657,8 +673,7 @@ int cmd_splice(const std::vector<std::string>& args) {
     const std::pair<const char*, bool> flow_opts[] = {
         {"--transport", o.transport_set},
         {"--trailer", o.trailer_set},
-        {"--segment", o.segment_set},
-        {"--scale", o.scale_set}};
+        {"--segment", o.segment_set}};
     for (const auto& [name, given] : flow_opts) {
       if (!given) continue;
       std::fprintf(stderr,

@@ -11,9 +11,6 @@
 //                                  worker mid-lease, and assert the
 //                                  merged report still equals the
 //                                  single-process run bit for bit
-//   faultlab storage [options]     storage frontier: which checksums
-//                                  leak which commit-block faults
-//                                  (docs/STORAGE.md)
 //
 // options:
 //   --seed <n>        master seed                    (default 0xC0FFEE)
@@ -51,7 +48,6 @@
 #include "faults/channel.hpp"
 #include "faults/soak.hpp"
 #include "kernel_cli.hpp"
-#include "storage/frontier.hpp"
 
 using namespace cksum;
 
@@ -68,22 +64,18 @@ int usage() {
       "       faultlab distkill [--workers n] [--profile p]\n"
       "                         [--scale x] [--shard-files n] [--quick]\n"
       "                         [--verbose] [--metrics-out p]\n"
-      "       faultlab storage [--seed n] [--trials n] [--threads n]\n"
-      "                        [--quick] [--json] [--metrics-out p]\n"
-      "                        [--progress] [--quiet]\n"
       "all accept --kernel best|scalar|list\n"
       "(or the CKSUM_KERNEL environment variable) to pick the checksum\n"
       "kernels; `list` prints every algorithm's implementations\n");
   return 2;
 }
 
-/// What a soak or frontier prints and exports, beside its config.
+/// What a soak prints and exports, beside its config.
 struct RunFlags {
   std::string repro_file;
   std::string metrics_out;
   bool progress = false;
   bool quiet = false;
-  bool json = false;
 };
 
 void print_totals(const faults::ScenarioResult& t) {
@@ -198,116 +190,6 @@ int cmd_soak(const std::vector<std::string>& args, bool replay) {
   // Scenario corpora are seed-derived.
   return manifest.finish(replay ? "faultlab replay" : "faultlab soak",
                          "fsgen-random", cfg.seed, 1)
-             ? rc
-             : 1;
-}
-
-std::string storage_ticker_line(const obs::Snapshot& snap, double elapsed) {
-  char buf[160];
-  std::snprintf(
-      buf, sizeof buf,
-      "storage: %llu trials  %llu detected  %llu undetected  "
-      "%llu violations  %.1fs",
-      static_cast<unsigned long long>(snap.value("storage.trials")),
-      static_cast<unsigned long long>(snap.value("storage.detected")),
-      static_cast<unsigned long long>(snap.value("storage.undetected")),
-      static_cast<unsigned long long>(snap.value("storage.violations")),
-      elapsed);
-  return buf;
-}
-
-/// The paper's question asked of commit blocks: which checksums leak
-/// which storage faults, on real file contents (docs/STORAGE.md).
-int storage_frontier(const storage::FrontierConfig& cfg, const RunFlags& f,
-                     std::string& rows) {
-  const storage::FrontierResult res = storage::run_frontier(cfg);
-
-  bool failed = res.violations != 0;
-  std::string detail =
-      failed ? std::to_string(res.violations) + " accounting violations"
-             : std::string();
-  for (const storage::CellResult& c : res.cells) {
-    if (c.trials != c.benign + c.detected + c.undetected && !failed) {
-      failed = true;
-      detail = std::string(storage::name(c.alg)) + "/" +
-               std::string(storage::name(c.fault)) +
-               ": outcome counts do not sum to trials";
-    }
-  }
-
-  if (!f.quiet) {
-    core::TextTable t({"block", "fault", "check", "trials", "benign", "det",
-                       "undet", "miss", "runheavy miss"});
-    std::size_t last_block = 0;
-    for (const storage::CellResult& c : res.cells) {
-      if (last_block != 0 && c.block_size != last_block) t.add_separator();
-      last_block = c.block_size;
-      t.add_row({std::to_string(c.block_size),
-                 std::string(storage::name(c.fault)),
-                 std::string(storage::name(c.alg)), core::fmt_count(c.trials),
-                 core::fmt_count(c.benign), core::fmt_count(c.detected),
-                 core::fmt_count(c.undetected),
-                 core::fmt_pct(c.undetected, c.scored()),
-                 core::fmt_pct(c.run_heavy_undetected, c.run_heavy_scored)});
-    }
-    t.print(std::cout);
-    std::printf("\n");
-    // The headline: the paper's Fletcher run pathology, relocated to
-    // torn commit blocks. On 0x00/0xFF-heavy payloads a tear swaps
-    // content the ones'-complement sums cannot see.
-    std::printf("torn-write pathology, run-heavy slice (undetected/scored):\n");
-    for (const storage::CellResult& c : res.cells) {
-      if (c.fault != storage::FaultClass::kTorn) continue;
-      std::printf("  %-8s %6zu B: %s (%llu/%llu)\n",
-                  std::string(storage::name(c.alg)).c_str(), c.block_size,
-                  core::fmt_pct(c.run_heavy_undetected, c.run_heavy_scored)
-                      .c_str(),
-                  static_cast<unsigned long long>(c.run_heavy_undetected),
-                  static_cast<unsigned long long>(c.run_heavy_scored));
-    }
-    std::printf("\n");
-  }
-
-  rows = storage::frontier_json(cfg, res);
-  if (f.json) std::printf("%s\n", rows.c_str());
-
-  std::printf("storage frontier: %zu cells, %llu trials, %llu undetected: "
-              "%s\n",
-              res.cells.size(),
-              static_cast<unsigned long long>(res.trials_total),
-              static_cast<unsigned long long>(res.undetected_total),
-              failed ? "ACCOUNTING VIOLATED" : "accounting held");
-  if (failed) {
-    std::printf("  %s\n", detail.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-int cmd_storage(const std::vector<std::string>& args) {
-  storage::FrontierConfig cfg;
-  std::size_t trials = 0;  // per cell, both block sizes (0 = defaults)
-  RunFlags f;
-  if (!tools::parse_options(args,
-                            {{"--seed", &cfg.seed, 0},
-                             {"--trials", &trials},
-                             {"--threads", &cfg.threads},
-                             {"--quick", &cfg.quick},
-                             {"--json", &f.json},
-                             {"--metrics-out", &f.metrics_out},
-                             {"--progress", &f.progress},
-                             {"--quiet", &f.quiet}},
-                            "faultlab"))
-    return usage();
-  cfg.trials = {trials, trials};
-  storage::register_storage_metrics();
-  alg::kern::register_kernel_metrics();
-  tools::RunManifest manifest(f.metrics_out, f.progress, storage_ticker_line);
-  std::string rows;
-  const int rc = storage_frontier(cfg, f, rows);
-  // Payload pairs are seed-derived.
-  return manifest.finish("faultlab storage", "fsgen-storage", cfg.seed,
-                         cfg.threads, ", \"storage\": " + rows)
              ? rc
              : 1;
 }
@@ -455,7 +337,6 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "soak" || cmd == "replay")
       return cmd_soak(args, cmd == "replay");
-    if (cmd == "storage") return cmd_storage(args);
     if (cmd == "distkill") return cmd_distkill(args);
     if (cmd == "distworker") {
       // Hidden: one worker of a distkill drill (or of `cksumlab splice
