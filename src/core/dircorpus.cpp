@@ -1,10 +1,9 @@
 #include "core/dircorpus.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <thread>
+
+#include "util/parallel.hpp"
 
 namespace cksum::core {
 
@@ -106,27 +105,12 @@ std::optional<util::Bytes> SpliceCorpus::file_bytes(std::size_t i) const {
 CellStatsCollector collect_cell_stats(const SpliceCorpus& corpus,
                                       CellStatsConfig cfg, unsigned threads) {
   const std::size_t n = corpus.file_count();
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = static_cast<unsigned>(std::clamp<std::size_t>(n, 1, threads));
-
-  std::vector<CellStatsCollector> partial(threads, CellStatsCollector(cfg));
-  std::vector<std::exception_ptr> errors(threads);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&](unsigned t) {
-    try {
-      for (std::size_t i; (i = next.fetch_add(1)) < n;)
-        if (const std::optional<util::Bytes> file = corpus.file_bytes(i))
-          partial[t].add_file(util::ByteView(*file));
-    } catch (...) {
-      errors[t] = std::current_exception();
-      next = n;  // stop the other workers
-    }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-  for (auto& th : pool) th.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+  std::vector<CellStatsCollector> partial(util::pool_threads(n, threads),
+                                          CellStatsCollector(cfg));
+  util::for_each_index(n, threads, [&](unsigned t, std::size_t i) {
+    if (const std::optional<util::Bytes> file = corpus.file_bytes(i))
+      partial[t].add_file(util::ByteView(*file));
+  });
 
   CellStatsCollector collector(std::move(cfg));
   for (const auto& p : partial) collector.merge(p);

@@ -5,13 +5,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "checksum/kernels/kernel.hpp"
 #include "compress/lzw.hpp"
 #include "obs/registry.hpp"
+#include "util/parallel.hpp"
 
 namespace cksum::fsgen {
 
@@ -71,75 +75,181 @@ void fail(std::string* error, std::string why) {
 // Writer.
 // ---------------------------------------------------------------------------
 
-/// The sections of a store under construction. Every build source
-/// (synthetic filesystem, capture-ingested SimPackets) flattens
-/// through the same add_file, so the sealed bytes are identical for
-/// identical packets regardless of where they came from.
-struct FlatCorpus {
-  std::vector<CorpusFileRec> files;
-  std::vector<StoredPacket> packets;
-  std::vector<core::CellPartial> cells;
-  std::vector<std::uint8_t> hdr_ok, pdu_bytes;
+/// The store file under construction. A zero header holds the place of
+/// the real one, which finish() writes last, so a build cut short
+/// leaves a file that open() rejects: empty, or with a zero header,
+/// which is "bad magic". Every record goes from its SimPacket to the
+/// file through one copy, into a staging buffer that is folded into
+/// the seal CRC and written when full. The stream is unbuffered and
+/// the stage holds the placeholder header too, so the file goes out
+/// in whole 1 MiB writes at 1 MiB offsets: the page cache keeps a file
+/// in folios no larger than the writes that made it, and a run that
+/// maps small folios takes more page faults (docs/PERF.md, "Corpus
+/// build").
+class StoreFile {
+ public:
+  explicit StoreFile(const std::string& path)
+      : stage_(kStageBytes), f_(std::fopen(path.c_str(), "wb")) {
+    ok_ = f_ != nullptr && std::setvbuf(f_, nullptr, _IONBF, 0) == 0;
+    std::memset(stage_.data(), 0, sizeof(CorpusHeader));
+    used_ = crc_begin_ = sizeof(CorpusHeader);
+  }
+  ~StoreFile() {
+    if (f_ != nullptr) std::fclose(f_);
+  }
+  StoreFile(const StoreFile&) = delete;
+  StoreFile& operator=(const StoreFile&) = delete;
 
-  void add_file(const std::vector<core::SimPacket>& pkts) {
-    files.push_back({packets.size(), pkts.size()});
-    for (const core::SimPacket& sp : pkts) {
-      packets.push_back({cells.size(), hdr_ok.size(), pdu_bytes.size(),
-                         static_cast<std::uint32_t>(sp.cells.size()), 0, sp});
-      cells.insert(cells.end(), sp.cells.begin(), sp.cells.end());
-      hdr_ok.insert(hdr_ok.end(), sp.hdr_ok_self.begin(),
-                    sp.hdr_ok_self.end());
-      const util::ByteView pb = sp.pdu.bytes();
-      pdu_bytes.insert(pdu_bytes.end(), pb.begin(), pb.end());
+  bool is_open() const noexcept { return f_ != nullptr; }
+
+  void put(const void* p, std::size_t n) {
+    stage(static_cast<const std::uint8_t*>(p), n);
+  }
+  /// Every element of a contiguous container, as it is in memory.
+  template <class C>
+  void put_all(const C& c) {
+    put(std::data(c), std::size(c) * sizeof(*std::data(c)));
+  }
+  /// Zeros up to file offset `off`: a section's start, or the end.
+  void pad_to(std::uint64_t off) { stage(nullptr, off - pos_); }
+
+  /// Writes what is staged; the CRC of the whole body so far.
+  std::uint32_t seal() {
+    if (used_ != 0 && ok_) {
+      crc_ = alg::kern::crc32(crc_, util::ByteView(stage_.data() + crc_begin_,
+                                                   used_ - crc_begin_));
+      ok_ = std::fwrite(stage_.data(), used_, 1, f_) == 1;
+    }
+    used_ = crc_begin_ = 0;
+    return crc_;
+  }
+
+  /// After seal(): writes `hdr` at offset 0 and closes the file. False
+  /// if any write, the seek or the close failed.
+  bool finish(const CorpusHeader& hdr) {
+    bool ok = ok_ && used_ == 0 && std::fseek(f_, 0, SEEK_SET) == 0 &&
+              std::fwrite(&hdr, sizeof(hdr), 1, f_) == 1;
+    ok = std::fclose(std::exchange(f_, nullptr)) == 0 && ok;
+    return ok;
+  }
+
+ private:
+  static constexpr std::size_t kStageBytes = std::size_t{1} << 20;
+
+  /// n bytes from src, or n zeros when src is null.
+  void stage(const std::uint8_t* src, std::uint64_t n) {
+    pos_ += n;
+    while (n != 0) {
+      const std::size_t k = static_cast<std::size_t>(
+          std::min<std::uint64_t>(n, stage_.size() - used_));
+      if (src != nullptr) {
+        std::memcpy(stage_.data() + used_, src, k);
+        src += k;
+      } else {
+        std::memset(stage_.data() + used_, 0, k);
+      }
+      used_ += k;
+      n -= k;
+      if (used_ == stage_.size()) seal();
     }
   }
+
+  util::Bytes stage_;
+  std::size_t used_ = 0;
+  std::size_t crc_begin_ = 0;  ///< the staged header is outside the seal
+  std::FILE* f_;
+  bool ok_ = false;
+  std::uint64_t pos_ = sizeof(CorpusHeader);  ///< file offset of the next byte
+  std::uint32_t crc_ = 0;                     ///< of the bytes written so far
 };
 
-bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
+template <class Fn>
+void for_each_packet(const std::vector<std::vector<core::SimPacket>>& files,
+                     Fn fn) {
+  for (const auto& pkts : files)
+    for (const core::SimPacket& sp : pkts) fn(sp);
+}
+
+}  // namespace
+
+bool build_corpus(const CorpusBuildParams& params, const Filesystem& fs,
+                  const std::string& path, std::string* error) {
+  // Generate and packetise the files on every hardware thread, each
+  // into its own slot, then seal them in file order.
+  std::vector<std::vector<core::SimPacket>> files(fs.file_count());
+  util::for_each_index(files.size(), 0, [&](unsigned, std::size_t i) {
+    util::Bytes data = fs.file(i);
+    if (params.compress) data = compress::lzw_compress(util::ByteView(data));
+    files[i] = core::packetize_file(params.flow, util::ByteView(data));
+  });
+  return build_corpus(params, files, path, error);
+}
+
+bool build_corpus(const CorpusBuildParams& params,
+                  const std::vector<std::vector<core::SimPacket>>& files,
                   const std::string& path, std::string* error) {
   if (params.profile.size() > sizeof(CorpusHeader{}.profile)) {
     fail(error, "profile name too long (max 64 bytes)");
     return false;
   }
-  const auto& [files, packets, cells, hdr_ok, pdu_bytes] = flat;
 
-  // Layout: header, section table, then each section 64-byte aligned.
-  struct Sect {
-    CorpusSection kind;
-    const void* data;
-    std::uint64_t size;
-  };
-  const Sect sects[kSectionCount] = {
-      {CorpusSection::kFiles, files.data(), files.size() * sizeof(files[0])},
-      {CorpusSection::kPackets, packets.data(),
-       packets.size() * sizeof(packets[0])},
-      {CorpusSection::kCells, cells.data(), cells.size() * sizeof(cells[0])},
-      {CorpusSection::kHdrOk, hdr_ok.data(), hdr_ok.size()},
-      {CorpusSection::kPduBytes, pdu_bytes.data(), pdu_bytes.size()},
-  };
-
-  const std::uint64_t table_off = sizeof(CorpusHeader);
-  const std::uint64_t table_end =
-      table_off + kSectionCount * sizeof(CorpusSectionRec);
+  // Layout: header, section table, then each section (kinds 1..5 in
+  // file order) 64-byte aligned and zero padded, the last one too.
+  std::uint64_t packets = 0, cells = 0, hdr_ok = 0, pdu_bytes = 0;
+  for_each_packet(files, [&](const core::SimPacket& sp) {
+    ++packets;
+    cells += sp.cells.size();
+    hdr_ok += sp.hdr_ok_self.size();
+    pdu_bytes += sp.pdu.bytes().size();
+  });
+  const std::uint64_t sizes[kSectionCount] = {
+      files.size() * sizeof(CorpusFileRec), packets * sizeof(StoredPacket),
+      cells * sizeof(core::CellPartial), hdr_ok, pdu_bytes};
   CorpusSectionRec table[kSectionCount];
-  std::uint64_t off = align_up(table_end);
+  std::uint64_t off = align_up(sizeof(CorpusHeader) + sizeof(table));
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
-    table[s] = {static_cast<std::uint32_t>(sects[s].kind), 0, off,
-                sects[s].size};
-    off = align_up(off + sects[s].size);
+    table[s] = {s + 1, 0, off, sizes[s]};
+    off = align_up(off + sizes[s]);
   }
   const std::uint64_t total = off;
 
-  // Assemble the body (everything after the header) so the seal CRC
-  // is one pass, then fill the header last.
-  util::Bytes body(total - sizeof(CorpusHeader), 0);
-  std::memcpy(body.data(), table, sizeof(table));
-  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
-    if (sects[s].size != 0) {
-      std::memcpy(body.data() + (table[s].offset - sizeof(CorpusHeader)),
-                  sects[s].data, sects[s].size);
-    }
+  StoreFile out(path);
+  if (!out.is_open()) {
+    fail(error, "cannot open output file " + path);
+    return false;
   }
+  // Each section straight from the packets, in file order.
+  out.put(table, sizeof(table));
+  out.pad_to(table[0].offset);
+  std::uint64_t packet_begin = 0;
+  for (const auto& pkts : files) {
+    const CorpusFileRec rec{packet_begin, pkts.size()};
+    out.put(&rec, sizeof(rec));
+    packet_begin += pkts.size();
+  }
+  out.pad_to(table[1].offset);
+  std::uint64_t cell_begin = 0, hdr_begin = 0, pdu_offset = 0;
+  for_each_packet(files, [&](const core::SimPacket& sp) {
+    const StoredPacket rec{cell_begin, hdr_begin, pdu_offset,
+                           static_cast<std::uint32_t>(sp.cells.size()), 0,
+                           sp};
+    out.put(&rec, sizeof(rec));
+    cell_begin += sp.cells.size();
+    hdr_begin += sp.hdr_ok_self.size();
+    pdu_offset += sp.pdu.bytes().size();
+  });
+  out.pad_to(table[2].offset);
+  for_each_packet(files,
+                  [&](const core::SimPacket& sp) { out.put_all(sp.cells); });
+  out.pad_to(table[3].offset);
+  for_each_packet(files, [&](const core::SimPacket& sp) {
+    out.put_all(sp.hdr_ok_self);
+  });
+  out.pad_to(table[4].offset);
+  for_each_packet(files, [&](const core::SimPacket& sp) {
+    out.put_all(sp.pdu.bytes());
+  });
+  out.pad_to(total);
 
   CorpusHeader hdr;
   std::memset(&hdr, 0, sizeof(hdr));
@@ -149,8 +259,8 @@ bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
   hdr.total_size = total;
   hdr.section_count = kSectionCount;
   hdr.files = files.size();
-  hdr.packets = packets.size();
-  hdr.cells = cells.size();
+  hdr.packets = packets;
+  hdr.cells = cells;
   hdr.scale_bits = std::bit_cast<std::uint64_t>(params.scale);
   hdr.segment_size = static_cast<std::uint32_t>(params.flow.segment_size);
   hdr.initial_seq = params.flow.initial_seq;
@@ -168,50 +278,16 @@ bool write_corpus(const CorpusBuildParams& params, const FlatCorpus& flat,
   hdr.window = params.flow.packet.window;
   hdr.profile_len = static_cast<std::uint16_t>(params.profile.size());
   std::memcpy(hdr.profile, params.profile.data(), params.profile.size());
-  hdr.seal_crc = crc_of(body.data(), body.size());
+  hdr.seal_crc = out.seal();
   hdr.header_crc = 0;
   hdr.header_crc = crc_of(&hdr, sizeof(hdr));
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    fail(error, "cannot open output file " + path);
-    return false;
-  }
-  const bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1 &&
-                  (body.empty() ||
-                   std::fwrite(body.data(), body.size(), 1, f) == 1) &&
-                  std::fclose(f) == 0;
-  if (!ok) {
+  if (!out.finish(hdr)) {
     fail(error, "write failed for " + path);
     std::remove(path.c_str());
     return false;
   }
   return true;
-}
-
-}  // namespace
-
-bool build_corpus(const CorpusBuildParams& params, const Filesystem& fs,
-                  const std::string& path, std::string* error) {
-  // Gather: run the packetiser once over every file and flatten the
-  // results into the sections.
-  FlatCorpus flat;
-  flat.files.reserve(fs.file_count());
-  for (std::size_t i = 0; i < fs.file_count(); ++i) {
-    util::Bytes data = fs.file(i);
-    if (params.compress) data = compress::lzw_compress(util::ByteView(data));
-    flat.add_file(core::packetize_file(params.flow, util::ByteView(data)));
-  }
-  return write_corpus(params, flat, path, error);
-}
-
-bool build_corpus(const CorpusBuildParams& params,
-                  const std::vector<std::vector<core::SimPacket>>& files,
-                  const std::string& path, std::string* error) {
-  FlatCorpus flat;
-  flat.files.reserve(files.size());
-  for (const auto& pkts : files) flat.add_file(pkts);
-  return write_corpus(params, flat, path, error);
 }
 
 // ---------------------------------------------------------------------------

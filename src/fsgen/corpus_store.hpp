@@ -106,17 +106,21 @@ struct CorpusInfo {
   CorpusBuildParams params;
 };
 
-/// Packetise every file of `fs` under `params` and write the sealed
-/// store to `path`. Returns false with a reason in *error (the
-/// partial output file is removed).
+/// Packetise every file of `fs` under `params`, on every hardware
+/// thread, and seal them in file order into `path` through the
+/// overload below: the same bytes at any thread count. Returns false
+/// with a reason in *error (the partial output file is removed); an
+/// exception thrown while packetising is rethrown here.
 bool build_corpus(const CorpusBuildParams& params, const Filesystem& fs,
                   const std::string& path, std::string* error);
 
-/// Seal already-packetised files — the corpus-from-capture path
-/// (src/trace/ingest.hpp feeds this). `files` must be grouped exactly
-/// as packetize_file would have produced them under params.flow;
-/// params.compress is recorded but no compression happens here (a
-/// capture carries post-compression bytes already).
+/// Seal already-packetised files — the one store writer, and the
+/// corpus-from-capture path (src/trace/ingest.hpp feeds this). Each
+/// section is streamed from the packets through a 1 MiB buffer that
+/// carries the seal CRC; the header goes in last. `files` must be
+/// grouped exactly as packetize_file would have produced them under
+/// params.flow; params.compress is recorded but no compression happens
+/// here (a capture carries post-compression bytes already).
 bool build_corpus(const CorpusBuildParams& params,
                   const std::vector<std::vector<core::SimPacket>>& files,
                   const std::string& path, std::string* error);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "checksum/kernels/kernel.hpp"
+#include "compress/lzw.hpp"
 #include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
@@ -175,6 +176,65 @@ TEST(CorpusStore, CompressedRoundTrip) {
   const fsgen::Filesystem fs(fsgen::profile("nsc05"), 0.05);
   expect_stats_identical(streamed, core::run_filesystem(ref, fs), flow);
   std::remove(path.c_str());
+}
+
+TEST(CorpusStore, ParallelBuildEqualsSerialSeal) {
+  // The Filesystem overload packetises on every hardware thread; its
+  // store must be, byte for byte, the one the pre-packetised overload
+  // seals from the same files packetised one at a time, in file order.
+  struct Case {
+    alg::Algorithm transport;
+    net::ChecksumPlacement placement;
+    bool compress;
+    std::size_t segment;
+  };
+  std::vector<Case> cases;
+  for (const alg::Algorithm tr :
+       {alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+        alg::Algorithm::kFletcher256})
+    for (const net::ChecksumPlacement pl :
+         {net::ChecksumPlacement::kHeader, net::ChecksumPlacement::kTrailer})
+      cases.push_back({tr, pl, false, 256});
+  cases.push_back({alg::Algorithm::kInternet, net::ChecksumPlacement::kHeader,
+                   true, 256});
+  cases.push_back({alg::Algorithm::kInternet, net::ChecksumPlacement::kHeader,
+                   false, 512});
+
+  const fsgen::Filesystem fs(fsgen::profile("nsc05"), 0.05);
+  for (const Case& c : cases) {
+    fsgen::CorpusBuildParams params;
+    params.profile = "nsc05";
+    params.scale = 0.05;
+    params.flow = core::paper_flow_config();
+    params.flow.packet.transport = c.transport;
+    params.flow.packet.placement = c.placement;
+    params.flow.segment_size = c.segment;
+    params.compress = c.compress;
+    const std::string what = std::string(alg::name(c.transport)) +
+                             (c.placement == net::ChecksumPlacement::kTrailer
+                                  ? " trailer"
+                                  : " header") +
+                             (c.compress ? " lzw" : "") + " segment " +
+                             std::to_string(c.segment);
+
+    std::vector<std::vector<core::SimPacket>> files;
+    for (std::size_t i = 0; i < fs.file_count(); ++i) {
+      util::Bytes data = fs.file(i);
+      if (c.compress) data = compress::lzw_compress(util::ByteView(data));
+      files.push_back(core::packetize_file(params.flow, util::ByteView(data)));
+    }
+    std::string err;
+    ASSERT_TRUE(fsgen::build_corpus(params, fs, "tcs_par.ckcorp", &err))
+        << what << ": " << err;
+    ASSERT_TRUE(fsgen::build_corpus(params, files, "tcs_ser.ckcorp", &err))
+        << what << ": " << err;
+    const util::Bytes parallel = read_all("tcs_par.ckcorp");
+    const util::Bytes serial = read_all("tcs_ser.ckcorp");
+    EXPECT_GT(serial.size(), kHeaderSize) << what;
+    EXPECT_TRUE(parallel == serial) << what;
+    std::remove("tcs_par.ckcorp");
+    std::remove("tcs_ser.ckcorp");
+  }
 }
 
 TEST(CorpusStore, RangeDecompositionMatchesWholeRun) {

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <string_view>
 
 #include "checksum/fletcher.hpp"
 #include "checksum/fletcher32.hpp"
 #include "checksum/kernels/kernel.hpp"
+#include "core/experiments.hpp"
+#include "fsgen/corpus_store.hpp"
 #include "fsgen/generator.hpp"
 #include "fsgen/profile.hpp"
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
 
 namespace cksum::fsgen {
@@ -60,19 +64,8 @@ TEST(Goldens, ProfileCompositionPinned) {
     h = util::combine_hash(h, fs.spec(i).seed);
     h = util::combine_hash(h, fs.spec(i).size);
   }
-  // Pin the composite (value recorded from the current implementation).
-  const std::uint64_t expected = [] {
-    const Filesystem ref(profile("sics.se:/opt"), 1.0);
-    std::uint64_t r = 0;
-    for (std::size_t i = 0; i < 10; ++i) {
-      r = util::combine_hash(r, static_cast<std::uint64_t>(ref.spec(i).kind));
-      r = util::combine_hash(r, ref.spec(i).seed);
-      r = util::combine_hash(r, ref.spec(i).size);
-    }
-    return r;
-  }();
-  // Self-consistency (construction is deterministic)...
-  EXPECT_EQ(h, expected);
+  // Pin the composite (value recorded when this golden was written).
+  EXPECT_EQ(h, 0xaf0d129d58bbdfb7ULL) << std::hex << "0x" << h;
   // ...and the quota shape: /opt must actually contain its pathological
   // minority kinds at scale 1.
   std::size_t gmon = 0, wordproc = 0, hexps = 0;
@@ -84,6 +77,47 @@ TEST(Goldens, ProfileCompositionPinned) {
   EXPECT_GE(gmon, 3u);
   EXPECT_GE(wordproc, 2u);
   EXPECT_GE(hexps, 1u);
+}
+
+TEST(Goldens, CorpusStoreBytesPinned) {
+  // Every byte of a sealed store: records, padding, section table and
+  // both CRCs. The store format is versioned, so a change here is
+  // either a reproducibility regression or needs a kCorpusVersion bump.
+  struct StoreGolden {
+    const char* what;
+    alg::Algorithm transport;
+    net::ChecksumPlacement placement;
+    bool compress;
+    std::uint64_t hash;
+  };
+  const StoreGolden goldens[] = {
+      {"tcp header", alg::Algorithm::kInternet, net::ChecksumPlacement::kHeader,
+       false, 0xb4bbea7093ba0186ULL},
+      {"f255 trailer", alg::Algorithm::kFletcher255,
+       net::ChecksumPlacement::kTrailer, false, 0xffea606f23c733caULL},
+      {"tcp header, compressed", alg::Algorithm::kInternet,
+       net::ChecksumPlacement::kHeader, true, 0x7dd026a5d718d602ULL},
+  };
+  const Filesystem fs(profile("nsc05"), 0.05);
+  for (const StoreGolden& g : goldens) {
+    CorpusBuildParams params;
+    params.profile = "nsc05";
+    params.scale = 0.05;
+    params.flow = core::paper_flow_config();
+    params.flow.packet.transport = g.transport;
+    params.flow.packet.placement = g.placement;
+    params.compress = g.compress;
+    const std::string path = "golden_store.ckcorp";
+    std::string err;
+    ASSERT_TRUE(build_corpus(params, fs, path, &err)) << g.what << ": " << err;
+    const std::optional<util::Bytes> bytes =
+        util::read_file(path, std::size_t{64} << 20);
+    std::remove(path.c_str());
+    ASSERT_TRUE(bytes.has_value()) << g.what;
+    const std::uint64_t h = util::hash64(util::ByteView(*bytes));
+    EXPECT_EQ(h, g.hash) << g.what << ": store bytes changed, now 0x"
+                         << std::hex << h;
+  }
 }
 
 }  // namespace
