@@ -235,7 +235,8 @@ void register_families() {
       reg.counter(prefix + ".bytes", obs::Tag::kScheduling);
     });
     set_availability_gauges(reg);
-    reg.add_snapshot_source({collect_pending, reset_pending});
+    reg.add_snapshot_source(
+        {collect_pending, reset_pending, obs::Tag::kScheduling});
     return true;
   }();
   (void)once;

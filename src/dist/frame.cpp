@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -169,10 +170,19 @@ bool FrameChannel::send_locked(MsgType type, util::ByteView payload) {
 }
 
 bool FrameChannel::read_exact(std::uint8_t* data, std::size_t len,
-                              int timeout_ms) {
+                              std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
   while (len > 0) {
+    // Poll for the time left, rounded up; past the deadline a poll of
+    // 0 still takes bytes already queued.
+    int wait_ms = -1;
+    if (deadline != Clock::time_point::max())
+      wait_ms = static_cast<int>(std::max<std::int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                          Clock::now())
+                 .count()));
     pollfd pfd{fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, timeout_ms);
+    const int pr = ::poll(&pfd, 1, wait_ms);
     if (pr < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -225,9 +235,13 @@ bool FrameChannel::handle_nack(std::uint32_t resume_seq) {
 
 bool FrameChannel::recv(Frame* out, int timeout_ms) {
   if (fd_ < 0) return false;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      timeout_ms < 0 ? Clock::time_point::max()
+                     : Clock::now() + std::chrono::milliseconds(timeout_ms);
   std::uint8_t hdr[kFrameHeaderLen];
   for (;;) {
-    if (!read_exact(hdr, sizeof hdr, timeout_ms)) return false;
+    if (!read_exact(hdr, sizeof hdr, deadline)) return false;
     MsgType type;
     std::uint32_t seq = 0;
     std::uint32_t payload_len = 0;
@@ -240,10 +254,10 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
     }
     util::Bytes body(kFrameHeaderLen + payload_len);
     std::memcpy(body.data(), hdr, kFrameHeaderLen);
-    if (!read_exact(body.data() + kFrameHeaderLen, payload_len, timeout_ms))
+    if (!read_exact(body.data() + kFrameHeaderLen, payload_len, deadline))
       return false;
     std::uint8_t crc_buf[kFrameTrailerLen];
-    if (!read_exact(crc_buf, sizeof crc_buf, timeout_ms)) return false;
+    if (!read_exact(crc_buf, sizeof crc_buf, deadline)) return false;
     if (!frame_crc_ok(util::ByteView(body.data(), body.size()),
                       get_le32(crc_buf))) {
       {

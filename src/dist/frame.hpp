@@ -18,6 +18,7 @@
 // lease-reassignment path.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -104,10 +105,12 @@ class FrameChannel {
   /// unusable (peer gone, or a prior unrecoverable error).
   bool send(MsgType type, util::ByteView payload);
 
-  /// Next in-order frame. `timeout_ms` bounds the wait for a complete
-  /// frame (-1 = block indefinitely). Returns false on EOF, timeout,
-  /// or unrecoverable protocol error — the caller treats all three as
-  /// a dead peer.
+  /// Next in-order frame. `timeout_ms` bounds the whole call: one
+  /// deadline covers every read of the frame (and of any NACK or
+  /// replay duplicate handled on the way), so a peer that trickles
+  /// bytes cannot stretch it (-1 = block indefinitely). Returns false
+  /// on EOF, timeout, or unrecoverable protocol error — the caller
+  /// treats all three as a dead peer.
   bool recv(Frame* out, int timeout_ms = -1);
 
   /// Test hook: XOR a byte of the next sent frame's payload after the
@@ -137,7 +140,10 @@ class FrameChannel {
  private:
   bool send_locked(MsgType type, util::ByteView payload);
   bool write_all(const std::uint8_t* data, std::size_t len);
-  bool read_exact(std::uint8_t* data, std::size_t len, int timeout_ms);
+  /// Read `len` bytes, polling for what is left of `deadline`
+  /// (time_point::max() = no deadline).
+  bool read_exact(std::uint8_t* data, std::size_t len,
+                  std::chrono::steady_clock::time_point deadline);
   bool send_nack();
   bool handle_nack(std::uint32_t resume_seq);
 

@@ -12,6 +12,7 @@ LeaseTable::LeaseTable(std::size_t nfiles, std::size_t shard_files) {
     s.end = std::min(nfiles, begin + shard_files);
     shards_.push_back(s);
   }
+  pending_ = shards_.size();
 }
 
 std::optional<std::size_t> LeaseTable::acquire(std::uint64_t worker,
@@ -24,6 +25,7 @@ std::optional<std::size_t> LeaseTable::acquire(std::uint64_t worker,
     s.holder = worker;
     s.deadline = deadline;
     s.grants++;
+    pending_--;
     return i;
   }
   return std::nullopt;
@@ -60,6 +62,7 @@ std::size_t LeaseTable::expire(std::uint64_t now) {
       n++;
     }
   }
+  pending_ += n;
   return n;
 }
 
@@ -71,6 +74,7 @@ std::size_t LeaseTable::revoke_worker(std::uint64_t worker) {
       n++;
     }
   }
+  pending_ += n;
   return n;
 }
 

@@ -74,12 +74,15 @@ class LeaseTable {
 
   bool complete() const { return done_ == shards_.size(); }
   std::size_t done_count() const { return done_; }
+  /// Shards waiting for a grant (never granted, expired or revoked).
+  std::size_t pending_count() const { return pending_; }
   /// Shards granted more than once — the reassignment count.
   std::size_t reassigned_count() const;
 
  private:
   std::vector<Shard> shards_;
   std::size_t done_ = 0;
+  std::size_t pending_ = 0;
 };
 
 }  // namespace cksum::dist

@@ -282,6 +282,8 @@ void register_dist_metrics() {
   reg.counter("dist.results_accepted", obs::Tag::kScheduling);
   reg.counter("dist.results_stale", obs::Tag::kScheduling);
   reg.counter("dist.heartbeats", obs::Tag::kScheduling);
+  // Worker side: from sending a result to holding the next grant.
+  reg.histogram("dist.lease_wait_ns", obs::Tag::kTiming);
 }
 
 }  // namespace cksum::dist

@@ -118,9 +118,11 @@ bool decode_stats(util::ByteView in, std::size_t* offset,
                   core::SpliceStats* out);
 
 /// Idempotently register the dist.* metric family (frame traffic,
-/// lease lifecycle, worker roster) with obs::Registry::global(). All
-/// kScheduling: shard placement and wire traffic depend on timing,
-/// never on the corpus. Names are documented in docs/OBSERVABILITY.md.
+/// lease lifecycle, worker roster, the worker's lease wait) with
+/// obs::Registry::global(). Counters are kScheduling, the wait
+/// histogram kTiming: shard placement and wire traffic depend on
+/// timing, never on the corpus. Names are documented in
+/// docs/OBSERVABILITY.md.
 void register_dist_metrics();
 
 }  // namespace cksum::dist

@@ -74,6 +74,11 @@ ServiceMetrics service_metrics() {
 /// The wire id of the one job a service runs.
 constexpr std::uint64_t kJobId = 1;
 
+/// Leases a connection may hold once one of its results has been
+/// accepted: the one its worker evaluates and the next, queued in its
+/// socket, so the worker never waits on the service between leases.
+constexpr std::size_t kLeaseWindow = 2;
+
 }  // namespace
 
 std::string_view name(JobState s) noexcept {
@@ -119,6 +124,12 @@ std::string JobReport::json() const {
   return out;
 }
 
+/// A lease granted on a connection whose result has not come back.
+struct HeldLease {
+  std::size_t shard = 0;
+  std::uint64_t epoch = 0;
+};
+
 /// One worker connection and its service-side state.
 struct SConn {
   std::unique_ptr<FrameChannel> ch;
@@ -127,8 +138,10 @@ struct SConn {
   bool config_sent = false;  ///< JobConfig precedes the first grant
   std::uint64_t worker_id = 0;
   std::uint64_t pid = 0;
-  bool has_shard = false;
-  std::size_t shard = 0;
+  bool accepted_one = false;  ///< a result of this connection's merged
+  /// Unanswered grants in grant order: the worker answers them in that
+  /// order, so the front is the lease it is evaluating.
+  std::vector<HeldLease> leases;
 };
 
 struct JobService::Impl {
@@ -255,7 +268,8 @@ void JobService::loop() {
     if (lost && c.greeted && !c.shutting_down) {
       if (running()) im.table.revoke_worker(c.worker_id);
       im.met.lost.add(1);
-      emit(ServiceEvent::Kind::kWorkerLost, c, c.has_shard ? c.shard : 0);
+      emit(ServiceEvent::Kind::kWorkerLost, c,
+           c.leases.empty() ? 0 : c.leases.front().shard);
     }
     if (c.greeted) im.greeted--;
     im.conns.erase(im.conns.begin() + static_cast<std::ptrdiff_t>(i));
@@ -279,32 +293,51 @@ void JobService::loop() {
     c.shutting_down = true;
   };
 
-  // Grant the next pending shard to an idle greeted connection. The
-  // start barrier is a one-shot latch: once the expected pool has
-  // checked in it stays open, so a worker death mid-run never re-arms
-  // it (which would starve the survivors until their recv timeout).
+  // Fill a greeted connection's lease window with pending shards: one
+  // lease until its first result is accepted (so a worker that dies or
+  // cannot open the corpus strands one lease), kLeaseWindow after. A
+  // lease is queued behind a running one only while the pending shards
+  // outnumber the greeted connections: at the tail each worker holds one
+  // lease, as with no window, so none idles while another still has a
+  // shard queued. A grant counts against the window until its result
+  // arrives, even once expired, so a hung worker is not handed its own
+  // lost shards. The start barrier is a one-shot latch: once the
+  // expected pool has checked in it stays open, so a worker death
+  // mid-run never re-arms it (which would starve the survivors until
+  // their recv timeout).
   auto try_grant = [&](SConn& c) {
-    if (!c.greeted || c.has_shard || c.shutting_down || !running()) return;
+    if (!c.greeted || c.shutting_down || !running()) return;
     if (im.greeted >= cfg_.expected_workers) im.started = true;
     if (!im.started) return;
-    const auto idx =
-        im.table.acquire(c.worker_id, now_ms() + cfg_.lease_timeout_ms);
-    if (!idx) return;
-    const Shard& s = im.table.shard(*idx);
-    if (s.grants > 1) {
-      im.met.reassigned.add(1);
-      emit(ServiceEvent::Kind::kLeaseReassigned, c, *idx);
+    const std::size_t window = c.accepted_one ? kLeaseWindow : 1;
+    while (c.leases.size() < window) {
+      if (!c.leases.empty() && im.table.pending_count() <= im.greeted) return;
+      const auto idx =
+          im.table.acquire(c.worker_id, now_ms() + cfg_.lease_timeout_ms);
+      if (!idx) return;
+      const Shard& s = im.table.shard(*idx);
+      if (s.grants > 1) {
+        im.met.reassigned.add(1);
+        emit(ServiceEvent::Kind::kLeaseReassigned, c, *idx);
+      }
+      im.met.granted.add(1);
+      if (!c.config_sent) {
+        c.ch->send(MsgType::kJobConfig,
+                   encode(JobConfigMsg{kJobId, im.spec.name, im.spec.run}));
+        c.config_sent = true;
+      }
+      c.ch->send(MsgType::kLeaseGrant,
+                 encode(LeaseGrantMsg{*idx, s.epoch, s.begin, s.end, kJobId}));
+      c.leases.push_back({*idx, s.epoch});
     }
-    im.met.granted.add(1);
-    if (!c.config_sent) {
-      c.ch->send(MsgType::kJobConfig,
-                 encode(JobConfigMsg{kJobId, im.spec.name, im.spec.run}));
-      c.config_sent = true;
-    }
-    c.ch->send(MsgType::kLeaseGrant,
-               encode(LeaseGrantMsg{*idx, s.epoch, s.begin, s.end, kJobId}));
-    c.has_shard = true;
-    c.shard = *idx;
+  };
+
+  // Push every lease `c` holds to `deadline`: the queued lease's clock
+  // follows the running one, so it cannot expire while its worker is
+  // alive and making progress.
+  auto extend_held = [&](const SConn& c, std::uint64_t deadline) {
+    for (const HeldLease& l : c.leases)
+      im.table.extend(l.shard, l.epoch, c.worker_id, deadline);
   };
 
   std::vector<epoll_event> events(32);
@@ -395,9 +428,10 @@ void JobService::loop() {
           const auto m = decode_heartbeat(util::ByteView(f.payload));
           if (m) {
             im.met.heartbeats.add(1);
+            // A worker heartbeats the lease it runs, the front of
+            // c.leases; the queued lease's clock follows it.
             if (m->job == kJobId && running())
-              im.table.extend(m->shard, m->epoch, c.worker_id,
-                              now_ms() + cfg_.lease_timeout_ms);
+              extend_held(c, now_ms() + cfg_.lease_timeout_ms);
           }
           break;
         }
@@ -407,7 +441,11 @@ void JobService::loop() {
             drop_conn(ci, true);
             break;
           }
-          c.has_shard = false;
+          const auto held = std::find_if(
+              c.leases.begin(), c.leases.end(), [&](const HeldLease& l) {
+                return l.shard == m->shard && l.epoch == m->epoch;
+              });
+          if (held != c.leases.end()) c.leases.erase(held);
           // A result for another job id, or after the job ended, is
           // discarded exactly like a stale epoch.
           if (m->job != kJobId || !running() ||
@@ -418,6 +456,9 @@ void JobService::loop() {
             break;
           }
           im.rep.report.stats.merge(m->stats);
+          c.accepted_one = true;
+          // The queued lease starts running now: restart its clock.
+          extend_held(c, now_ms() + cfg_.lease_timeout_ms);
           DistReport::WorkerInfo& w = worker_info(c);
           w.shards_accepted++;
           obs::Registry& reg = obs::Registry::global();

@@ -211,7 +211,12 @@ int run_worker(const WorkerOptions& opts) {
   };
 
   obs::Registry& reg = obs::Registry::global();
-  const auto start = std::chrono::steady_clock::now();
+  const obs::Histogram lease_wait =
+      reg.histogram("dist.lease_wait_ns", obs::Tag::kTiming);
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  // When the last result went out; the epoch until the first one has.
+  Clock::time_point result_sent{};
   HeartbeatPump pump(ch, opts.worker_id);
 
   Frame f;
@@ -230,17 +235,25 @@ int run_worker(const WorkerOptions& opts) {
         if (!g) return 1;
         // A grant before the JobConfig, or for another job: a bug.
         if (!job || g->job != job->id) return 1;
+        if (result_sent != Clock::time_point{})
+          lease_wait.observe(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - result_sent)
+                  .count()));
         pump.begin_lease(HeartbeatMsg{g->shard, g->epoch, g->job},
                          job->heartbeat_ms);
-        const obs::Snapshot before = reg.snapshot();
+        // Only deterministic counters travel, so only they are taken.
+        const obs::Snapshot before = reg.snapshot(obs::Tag::kDeterministic);
         LeaseResultMsg res;
         res.shard = g->shard;
         res.epoch = g->epoch;
         res.job = g->job;
         res.stats = job->corpus->run_range(job->run, g->begin, g->end);
-        res.deltas = obs::counter_deltas(before, reg.snapshot());
+        res.deltas = obs::counter_deltas(
+            before, reg.snapshot(obs::Tag::kDeterministic));
         pump.end_lease();
         if (!ch.send(MsgType::kLeaseResult, encode(res))) return 1;
+        result_sent = Clock::now();
         break;
       }
       case MsgType::kShutdown: {
@@ -250,9 +263,7 @@ int run_worker(const WorkerOptions& opts) {
           info.tool = opts.tool;
           info.seed = 0;
           info.wall_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
+              std::chrono::duration<double>(Clock::now() - start).count();
           info.extra_json = alg::kern::kernel_manifest_json() +
                             ", \"worker\": " + std::to_string(opts.worker_id);
           describe_job(job, &info);

@@ -130,7 +130,7 @@ Histogram Registry::histogram(std::string_view metric_name, Tag tag) {
   return {};
 }
 
-Snapshot Registry::snapshot() const {
+Snapshot Registry::snapshot(std::optional<Tag> only) const {
   // Collect external contributions before taking the lock: collect
   // callbacks own their own synchronisation and must stay free to
   // touch this registry-adjacent state without ordering against mu_.
@@ -141,6 +141,7 @@ Snapshot Registry::snapshot() const {
   }
   std::vector<std::pair<std::string, std::uint64_t>> extra;
   for (const SnapshotSource& s : sources) {
+    if (only && s.tag != *only) continue;
     auto part = s.collect();
     extra.insert(extra.end(), part.begin(), part.end());
   }
@@ -154,6 +155,8 @@ Snapshot Registry::snapshot() const {
     return total;
   };
   for (const MetricDef& d : defs_) {
+    if (only && (d.kind != Kind::kCounter || d.tag != *only))
+      continue;
     MetricValue v;
     v.name = d.name;
     v.kind = d.kind;

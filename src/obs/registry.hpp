@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -93,10 +94,13 @@ class Registry;
 /// totals must be monotone so snapshot timing stays irrelevant, and
 /// names must already be registered (unknown names are ignored).
 /// `reset` must re-baseline the source so subsequent collects start
-/// from zero again; Registry::reset() invokes it.
+/// from zero again; Registry::reset() invokes it. `tag` is the tag of
+/// the counters the source feeds: a snapshot of one tag runs only the
+/// sources of that tag.
 struct SnapshotSource {
   std::vector<std::pair<std::string, std::uint64_t>> (*collect)() = nullptr;
   void (*reset)() = nullptr;
+  Tag tag = Tag::kDeterministic;
 };
 
 /// Monotonic event counter. Default-constructed (or budget-overflow)
@@ -161,8 +165,11 @@ class Registry {
   /// Aggregate every metric across every shard. Safe to call while
   /// other threads record; counters already summed are exact, and the
   /// result is independent of snapshot timing relative to other
-  /// snapshots (sums are monotone and associative).
-  Snapshot snapshot() const;
+  /// snapshots (sums are monotone and associative). Given a tag, only
+  /// the counters with that tag, merging only the snapshot sources of
+  /// that tag: no gauges, no histogram buckets, no other tag's sources
+  /// (two such snapshots bracket each distributed worker's lease).
+  Snapshot snapshot(std::optional<Tag> only = std::nullopt) const;
 
   /// Zero every slot of every shard and re-baseline every snapshot
   /// source. Metric definitions and handles stay valid. Test-only:

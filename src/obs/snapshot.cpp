@@ -69,11 +69,19 @@ std::string metrics_json(const Snapshot& snap) {
 std::vector<CounterDelta> counter_deltas(const Snapshot& before,
                                          const Snapshot& after) {
   std::vector<CounterDelta> out;
-  for (const MetricValue& m : after.metrics) {
+  for (std::size_t i = 0; i < after.metrics.size(); ++i) {
+    const MetricValue& m = after.metrics[i];
     if (m.kind != Kind::kCounter || m.tag != Tag::kDeterministic) continue;
-    std::uint64_t prev = 0;
-    if (const MetricValue* b = before.find(m.name); b != nullptr)
-      prev = b->value;
+    // Registration is append-only, so a later snapshot of a registry
+    // (with the same tag filter) extends an earlier one: the same index
+    // names the same metric. Only snapshots that do not line up pay
+    // for a search by name.
+    const MetricValue* b = nullptr;
+    if (i < before.metrics.size() && before.metrics[i].name == m.name)
+      b = &before.metrics[i];
+    else
+      b = before.find(m.name);
+    const std::uint64_t prev = b != nullptr ? b->value : 0;
     if (m.value > prev) out.push_back({m.name, m.value - prev});
   }
   return out;

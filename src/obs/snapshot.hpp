@@ -66,6 +66,8 @@ struct CounterDelta {
 /// (name, after - before) for every deterministic-tagged counter that
 /// grew between the two snapshots, in `after`'s registration order.
 /// Counters absent from `before` contribute their full `after` value.
+/// Both snapshots may be full or both filtered to kDeterministic
+/// (Registry::snapshot(Tag::kDeterministic)); the result is the same.
 /// This is the delta-export primitive the distributed worker uses to
 /// attribute one lease's contribution: the coordinator adds accepted
 /// deltas into its own registry, so the aggregate manifest's

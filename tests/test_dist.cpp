@@ -6,12 +6,18 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <atomic>
+#include <chrono>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dircorpus.hpp"
 #include "core/experiments.hpp"
 #include "core/splice_sim.hpp"
 #include "dist/frame.hpp"
@@ -113,6 +119,35 @@ TEST(DistFrame, CorruptedFrameRecoveredByNackResend) {
 
   EXPECT_GE(b.stats().crc_rejects, 1u);
   EXPECT_GE(a.stats().resends, 1u);
+}
+
+/// The timeout bounds the whole frame: a peer that sends a header and
+/// then trickles the payload a byte at a time, each byte well inside
+/// the timeout, must not hold recv past it.
+TEST(DistFrame, RecvTimeoutBoundsWholeFrame) {
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  FrameChannel b(fds[1]);
+  const util::Bytes payload(100, 0x5a);
+  const util::Bytes wire =
+      dist::encode_frame(MsgType::kHeartbeat, 0, util::ByteView(payload));
+
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    ::send(fds[0], wire.data(), dist::kFrameHeaderLen, MSG_NOSIGNAL);
+    for (std::size_t i = 0; i < 10 && !done.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      ::send(fds[0], wire.data() + dist::kFrameHeaderLen + i, 1, MSG_NOSIGNAL);
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  dist::Frame f;
+  EXPECT_FALSE(b.recv(&f, 1000));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  done.store(true);
+  trickle.join();
+  ::close(fds[0]);
+  EXPECT_LT(waited, std::chrono::milliseconds(1500));
 }
 
 TEST(DistFrame, SerialOrderSoundAcrossWrap) {
@@ -330,7 +365,59 @@ TEST(DistLease, CompletionCountsEveryShardOnce) {
   EXPECT_FALSE(t.acquire(7, 2000).has_value());
 }
 
+TEST(DistLease, PendingCountFollowsEveryTransition) {
+  LeaseTable t(5, 1);  // five shards
+  EXPECT_EQ(t.pending_count(), 5u);
+  const auto a = t.acquire(1, 100);
+  const auto b = t.acquire(2, 100);
+  const auto c = t.acquire(2, 500);
+  ASSERT_TRUE(a && b && c);
+  EXPECT_EQ(t.pending_count(), 2u);
+  EXPECT_EQ(t.deliver(*a, t.shard(*a).epoch, 1), DeliverOutcome::kAccepted);
+  EXPECT_EQ(t.pending_count(), 2u);  // done is not pending
+  EXPECT_EQ(t.expire(200), 1u);      // b
+  EXPECT_EQ(t.pending_count(), 3u);
+  EXPECT_EQ(t.revoke_worker(2), 1u);  // c; b is pending already
+  EXPECT_EQ(t.pending_count(), 4u);
+  EXPECT_EQ(t.deliver(*a, t.shard(*a).epoch, 1), DeliverOutcome::kDuplicate);
+  EXPECT_EQ(t.pending_count(), 4u);
+}
+
 // --- Delta export ---------------------------------------------------
+
+/// The worker brackets each lease with deterministic-only snapshots;
+/// their deltas must equal those of full snapshots, including for a
+/// counter registered between the two.
+TEST(DistDeltas, TagFilteredPairMatchesFullPair) {
+  obs::Registry reg;
+  obs::Counter det = reg.counter("fam.det", obs::Tag::kDeterministic);
+  obs::Counter sched = reg.counter("fam.sched", obs::Tag::kScheduling);
+  obs::Histogram wait = reg.histogram("fam.wait_ns", obs::Tag::kTiming);
+  reg.counter("fam.idle", obs::Tag::kDeterministic);
+  det.add(5);
+  sched.add(2);
+  wait.observe(40);
+  const obs::Snapshot full_before = reg.snapshot();
+  const obs::Snapshot det_before = reg.snapshot(obs::Tag::kDeterministic);
+  det.add(37);
+  sched.add(100);
+  wait.observe(7);
+  reg.counter("fam.late", obs::Tag::kDeterministic).add(4);
+  const obs::Snapshot det_after = reg.snapshot(obs::Tag::kDeterministic);
+  const auto full = obs::counter_deltas(full_before, reg.snapshot());
+  EXPECT_EQ(obs::counter_deltas(det_before, det_after), full);
+  // Mixed pairs line up by name instead of by index.
+  EXPECT_EQ(obs::counter_deltas(full_before, det_after), full);
+#ifndef OBS_DISABLE
+  ASSERT_EQ(full.size(), 2u);
+  EXPECT_EQ(full[0], (obs::CounterDelta{"fam.det", 37}));
+  EXPECT_EQ(full[1], (obs::CounterDelta{"fam.late", 4}));
+  std::vector<std::string> names;
+  for (const obs::MetricValue& m : det_after.metrics) names.push_back(m.name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"fam.det", "fam.idle", "fam.late"}));
+#endif
+}
 
 TEST(DistDeltas, CounterDeltasCaptureDeterministicGrowthOnly) {
   obs::Registry reg;
@@ -413,6 +500,110 @@ core::SpliceStats profile_oracle(double scale) {
   cfg.threads = 1;
   return core::run_filesystem(cfg,
                               fsgen::Filesystem(fsgen::profile("nsc05"), scale));
+}
+
+/// Each shard's true result, as a worker evaluates it, for a job made
+/// by profile_job(_, scale, shard_files).
+std::vector<core::SpliceStats> shard_oracles(double scale,
+                                             std::size_t shard_files) {
+  const core::SpliceCorpus corpus(
+      core::CorpusSource{core::CorpusKind::kProfile, "nsc05", scale});
+  core::SpliceRunConfig cfg;
+  cfg.flow = core::paper_flow_config();
+  cfg.threads = 1;
+  cfg = corpus.run_config(cfg);
+  const LeaseTable table(corpus.file_count(), shard_files);
+  std::vector<core::SpliceStats> out;
+  for (std::size_t i = 0; i < table.shard_count(); ++i)
+    out.push_back(
+        corpus.run_range(cfg, table.shard(i).begin, table.shard(i).end));
+  return out;
+}
+
+/// A scripted worker: a connected channel that has said Hello.
+std::unique_ptr<FrameChannel> scripted_client(std::uint16_t port,
+                                              std::uint64_t worker_id) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return nullptr;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  auto ch = std::make_unique<FrameChannel>(fd);  // closes fd
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
+    return nullptr;
+  dist::HelloMsg hello;
+  hello.worker_id = worker_id;
+  if (!ch->send(MsgType::kHello, dist::encode(hello))) return nullptr;
+  return ch;
+}
+
+/// The next frame, which must be a grant; nullopt (and a test failure)
+/// otherwise.
+std::optional<dist::LeaseGrantMsg> next_grant(FrameChannel& ch,
+                                              int timeout_ms = 10000) {
+  dist::Frame f;
+  if (!ch.recv(&f, timeout_ms)) {
+    ADD_FAILURE() << "no frame within " << timeout_ms << " ms";
+    return std::nullopt;
+  }
+  if (f.type != MsgType::kLeaseGrant) {
+    ADD_FAILURE() << "expected a grant, got type "
+                  << static_cast<int>(f.type);
+    return std::nullopt;
+  }
+  return dist::decode_lease_grant(util::ByteView(f.payload));
+}
+
+bool deliver(FrameChannel& ch, const dist::LeaseGrantMsg& g,
+             const core::SpliceStats& stats) {
+  dist::LeaseResultMsg res;
+  res.shard = g.shard;
+  res.epoch = g.epoch;
+  res.job = g.job;
+  res.stats = stats;
+  return ch.send(MsgType::kLeaseResult, dist::encode(res));
+}
+
+/// Read until the service's Shutdown, answered with a Goodbye, or a
+/// grant, answered by hanging up (so a wrong grant cannot stall the
+/// job). Returns whether a grant came.
+bool granted_before_shutdown(FrameChannel& ch) {
+  dist::Frame f;
+  while (ch.recv(&f, 10000)) {
+    if (f.type == MsgType::kShutdown) {
+      ch.send(MsgType::kGoodbye, dist::encode(dist::GoodbyeMsg{}));
+      return false;
+    }
+    if (f.type == MsgType::kLeaseGrant) {
+      ch.close();
+      return true;
+    }
+  }
+  ADD_FAILURE() << "neither a Shutdown nor a grant within 10 s";
+  return false;
+}
+
+/// Answer every grant with its shard's true result until the service's
+/// Shutdown, answered with a Goodbye. Returns the grants answered, or
+/// -1 (and a test failure) if a frame does not come within 10 s.
+int answer_until_shutdown(FrameChannel& ch,
+                          const std::vector<core::SpliceStats>& truth) {
+  int answered = 0;
+  dist::Frame f;
+  while (ch.recv(&f, 10000)) {
+    if (f.type == MsgType::kShutdown) {
+      ch.send(MsgType::kGoodbye, dist::encode(dist::GoodbyeMsg{}));
+      return answered;
+    }
+    if (f.type != MsgType::kLeaseGrant) continue;
+    const auto g = dist::decode_lease_grant(util::ByteView(f.payload));
+    if (!g || g->shard >= truth.size() || !deliver(ch, *g, truth[g->shard]))
+      break;
+    answered++;
+  }
+  ADD_FAILURE() << "no Shutdown after " << answered << " answered grants";
+  return -1;
 }
 
 std::thread worker_thread(std::uint16_t port, std::uint64_t id, int* rc) {
@@ -504,6 +695,166 @@ TEST(DistJobService, DroppedLeaseIsReassigned) {
   EXPECT_EQ(rep.report.stats, profile_oracle(0.04));
   ASSERT_EQ(rep.report.workers.size(), 1u);  // the dropped client merged none
   EXPECT_EQ(rep.report.workers[0].worker_id, 1u);
+}
+
+/// The lease window: a connection holds one lease until its first
+/// result is accepted, then two — the one its worker runs and the next,
+/// queued behind it. A client that hangs up holding both loses both,
+/// and a real worker re-runs them.
+TEST(DistJobService, SecondLeaseFollowsFirstResult) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 60000;  // revocation, not expiry, frees the leases
+  dist::JobService svc(sc, profile_job("window", 0.08, 1));
+  const std::vector<core::SpliceStats> truth = shard_oracles(0.08, 1);
+  ASSERT_EQ(truth.size(), 5u);  // a queued lease needs two more pending
+
+  {
+    const auto ch = scripted_client(svc.port(), 99);
+    ASSERT_NE(ch, nullptr);
+    dist::Frame f;
+    ASSERT_TRUE(ch->recv(&f, 10000));
+    ASSERT_EQ(f.type, MsgType::kJobConfig);
+    const auto g0 = next_grant(*ch);
+    ASSERT_TRUE(g0.has_value());
+    EXPECT_FALSE(ch->recv(&f, 200)) << "a second lease before any result";
+    ASSERT_LT(g0->shard, truth.size());
+    ASSERT_TRUE(deliver(*ch, *g0, truth[g0->shard]));
+    const auto g1 = next_grant(*ch);
+    const auto g2 = next_grant(*ch);
+    ASSERT_TRUE(g1.has_value() && g2.has_value());
+    EXPECT_NE(g1->shard, g0->shard);
+    EXPECT_NE(g2->shard, g1->shard);
+  }  // hang up holding both
+
+  int rc = -1;
+  std::thread w = worker_thread(svc.port(), 1, &rc);
+  const dist::JobReport rep = svc.wait();
+  w.join();
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_EQ(rep.report.reassigned, 2u);
+  EXPECT_EQ(rep.report.stale_results, 0u);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.08));
+  ASSERT_EQ(rep.report.workers.size(), 2u);
+  EXPECT_EQ(rep.report.workers[0].worker_id, 99u);
+  EXPECT_EQ(rep.report.workers[0].shards_accepted, 1u);
+}
+
+/// The queued lease's clock follows the running one: heartbeats for
+/// the running lease alone keep both alive well past the lease
+/// timeout, and both results are then accepted.
+TEST(DistJobService, QueuedLeaseFollowsHeartbeats) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 300;
+  sc.idle_abort_ms = 2000;  // a broken window aborts instead of hanging
+  dist::JobService svc(sc, profile_job("queued", 0.08, 1));
+  const std::vector<core::SpliceStats> truth = shard_oracles(0.08, 1);
+  ASSERT_EQ(truth.size(), 5u);
+
+  int rest = -1;
+  {
+    const auto ch = scripted_client(svc.port(), 99);
+    ASSERT_NE(ch, nullptr);
+    dist::Frame f;
+    ASSERT_TRUE(ch->recv(&f, 10000));
+    ASSERT_EQ(f.type, MsgType::kJobConfig);
+    const auto g0 = next_grant(*ch);
+    ASSERT_TRUE(g0.has_value());
+    ASSERT_TRUE(deliver(*ch, *g0, truth[g0->shard]));
+    const auto running = next_grant(*ch);
+    const auto queued = next_grant(*ch);
+    ASSERT_TRUE(running.has_value() && queued.has_value());
+    for (int i = 0; i < 18; ++i) {  // 900 ms, three lease timeouts
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ASSERT_TRUE(ch->send(MsgType::kHeartbeat,
+                           dist::encode(dist::HeartbeatMsg{
+                               running->shard, running->epoch, running->job})));
+    }
+    ASSERT_TRUE(deliver(*ch, *running, truth[running->shard]));
+    ASSERT_TRUE(deliver(*ch, *queued, truth[queued->shard]));
+    rest = answer_until_shutdown(*ch, truth);
+  }
+
+  const dist::JobReport rep = svc.wait();
+  EXPECT_EQ(rest, 2);  // the two shards never granted before
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_EQ(rep.report.reassigned, 0u);
+  EXPECT_EQ(rep.report.stale_results, 0u);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.08));
+}
+
+/// A lease is queued only while the pending shards outnumber the
+/// greeted connections: at the tail a worker holds one lease at a
+/// time, as with no window, so none idles while another still has a
+/// shard queued.
+TEST(DistJobService, TailLeasesAreNotQueued) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 60000;
+  sc.idle_abort_ms = 5000;  // a missing grant aborts instead of hanging
+  dist::JobService svc(sc, profile_job("tail", 0.08, 1));
+  const std::vector<core::SpliceStats> truth = shard_oracles(0.08, 1);
+  ASSERT_EQ(truth.size(), 5u);
+
+  int rest = -1;
+  {
+    const auto ch = scripted_client(svc.port(), 99);
+    ASSERT_NE(ch, nullptr);
+    dist::Frame f;
+    ASSERT_TRUE(ch->recv(&f, 10000));
+    ASSERT_EQ(f.type, MsgType::kJobConfig);
+    const auto g0 = next_grant(*ch);
+    ASSERT_TRUE(g0.has_value());
+    ASSERT_TRUE(deliver(*ch, *g0, truth[g0->shard]));
+    const auto g1 = next_grant(*ch);
+    const auto g2 = next_grant(*ch);  // queued: three shards pending
+    ASSERT_TRUE(g1.has_value() && g2.has_value());
+    ASSERT_TRUE(deliver(*ch, *g1, truth[g1->shard]));
+    const auto g3 = next_grant(*ch);  // queued: two pending, one worker
+    ASSERT_TRUE(g3.has_value());
+    ASSERT_TRUE(deliver(*ch, *g2, truth[g2->shard]));
+    EXPECT_FALSE(ch->recv(&f, 200))
+        << "a lease queued with one shard pending for one worker";
+    ASSERT_TRUE(deliver(*ch, *g3, truth[g3->shard]));
+    rest = answer_until_shutdown(*ch, truth);
+  }
+
+  const dist::JobReport rep = svc.wait();
+  EXPECT_EQ(rest, 1);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_EQ(rep.report.reassigned, 0u);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.08));
+}
+
+/// A grant fills its slot until the worker answers it, even once it
+/// has expired: a worker that hangs holding its lease is never handed
+/// more (not even its own lost shard back), so the shard goes to a
+/// live worker and the job ends.
+TEST(DistJobService, HungWorkerIsNotRegranted) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 200;
+  dist::JobSpec spec = profile_job("hung", 0.04, 1);
+  spec.run.heartbeat_ms = 50;  // the live worker keeps its leases
+  dist::JobService svc(sc, spec);
+
+  const auto ch = scripted_client(svc.port(), 99);
+  ASSERT_NE(ch, nullptr);
+  dist::Frame f;
+  ASSERT_TRUE(ch->recv(&f, 10000));
+  ASSERT_EQ(f.type, MsgType::kJobConfig);
+  ASSERT_TRUE(next_grant(*ch).has_value());
+  bool regranted = false;
+  std::thread hung([&] { regranted = granted_before_shutdown(*ch); });
+
+  int rc = -1;
+  std::thread w = worker_thread(svc.port(), 1, &rc);
+  const dist::JobReport rep = svc.wait();
+  w.join();
+  hung.join();
+  EXPECT_EQ(rc, 0);
+  EXPECT_FALSE(regranted);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_GE(rep.report.reassigned, 1u);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.04));
 }
 
 /// The manifest record renders every member in one pass, in the
