@@ -148,8 +148,9 @@ struct JobService::Impl {
   mutable std::mutex mu;
   std::condition_variable cv;
   std::function<void(const ServiceEvent&)> hook;
+  bool has_job = false;  ///< start() has handed the job over
   JobSpec spec;
-  LeaseTable table;
+  LeaseTable table{0, 1};
   JobReport rep;
   std::vector<std::unique_ptr<SConn>> conns;
   std::size_t greeted = 0;  ///< connections past Hello
@@ -161,9 +162,12 @@ struct JobService::Impl {
   bool stop = false;
   ServiceMetrics met;
 
-  Impl(JobSpec s, std::size_t shard_files)
-      : spec(std::move(s)), table(spec.nfiles, shard_files) {
-    rep.job = kJobId;
+  Impl() { rep.job = kJobId; }
+
+  void set_job(JobSpec s, std::size_t shard_files) {
+    spec = std::move(s);
+    table = LeaseTable(spec.nfiles, shard_files);
+    has_job = true;
     rep.name = spec.name;
     rep.report.shards = table.shard_count();
     if (table.complete()) {  // nothing to lease: done at once
@@ -173,10 +177,9 @@ struct JobService::Impl {
   }
 };
 
-JobService::JobService(ServiceConfig cfg, JobSpec job) : cfg_(cfg) {
+JobService::JobService(ServiceConfig cfg) : cfg_(cfg) {
   register_dist_metrics();
-  const std::size_t shard_files = job_shard_files(job, cfg_.expected_workers);
-  impl_ = std::make_unique<Impl>(std::move(job), shard_files);
+  impl_ = std::make_unique<Impl>();
   impl_->met = service_metrics();
   impl_->last_activity = now_ms();
 
@@ -211,17 +214,37 @@ JobService::JobService(ServiceConfig cfg, JobSpec job) : cfg_(cfg) {
   thread_ = std::thread([this] { loop(); });
 }
 
+JobService::JobService(ServiceConfig cfg, JobSpec job) : JobService(cfg) {
+  start(std::move(job));
+}
+
 JobService::~JobService() {
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     impl_->stop = true;
   }
-  const char b = 1;
-  (void)!::write(wake_wr_, &b, 1);
+  wake();
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   ::close(wake_rd_);
   ::close(wake_wr_);
+}
+
+void JobService::start(JobSpec job) {
+  const std::size_t shard_files = job_shard_files(job, cfg_.expected_workers);
+  {
+    std::lock_guard<std::mutex> lk(impl_->mu);
+    if (impl_->has_job)
+      throw std::logic_error("dist: JobService::start called twice");
+    impl_->set_job(std::move(job), shard_files);
+    impl_->last_activity = now_ms();
+  }
+  wake();
+}
+
+void JobService::wake() const {
+  const char b = 1;
+  (void)!::write(wake_wr_, &b, 1);
 }
 
 void JobService::set_event_hook(std::function<void(const ServiceEvent&)> hook) {
@@ -261,7 +284,9 @@ void JobService::loop() {
     if (im.hook) im.hook(ServiceEvent{kind, c.worker_id, c.pid, shard});
   };
 
-  auto running = [&] { return im.rep.state == JobState::kRunning; };
+  auto running = [&] {
+    return im.has_job && im.rep.state == JobState::kRunning;
+  };
 
   auto drop_conn = [&](std::size_t i, bool lost) {
     SConn& c = *im.conns[i];
@@ -352,7 +377,7 @@ void JobService::loop() {
 
     // Once the job is terminal, shut the pool down and wait (bounded)
     // for Goodbyes.
-    if (!running() && !im.drained) {
+    if (im.has_job && !running() && !im.drained) {
       if (!im.shutdown_sent) {
         im.shutdown_sent = true;
         im.shutdown_deadline = now_ms() + 5000;

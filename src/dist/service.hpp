@@ -1,7 +1,7 @@
 // The distributed splice service (docs/DIST.md).
 //
 // One epoll-driven thread owns the listening socket and the worker
-// connections of exactly one job, given at construction: an
+// connections of exactly one job, handed over by start(): an
 // epoch-guarded lease table, heartbeats and lease expiry, revocation
 // on connection loss, a deterministic bitwise merge and at-most-once
 // accounting across worker loss. `cksumlab splice --serve` and
@@ -110,10 +110,13 @@ struct ServiceEvent {
 
 class JobService {
  public:
-  /// Binds, listens, and starts the service thread on `job`
-  /// immediately (throws std::runtime_error on bind failure) so port()
-  /// is valid before workers are spawned. The job's id is 1; a job
-  /// with no shards is done at once.
+  /// Binds, listens, and starts the service thread with no job yet
+  /// (throws std::runtime_error on bind failure), so port() is valid
+  /// and workers can be spawned while the caller still opens and
+  /// verifies the corpus the job needs. Workers that connect meanwhile
+  /// are greeted and wait for start().
+  explicit JobService(ServiceConfig cfg);
+  /// JobService(cfg), then start(job).
   JobService(ServiceConfig cfg, JobSpec job);
   /// Stops the loop and closes every connection.
   ~JobService();
@@ -122,12 +125,19 @@ class JobService {
 
   std::uint16_t port() const noexcept { return port_; }
 
+  /// Hand over the one job (throws std::logic_error on a second call):
+  /// grants, each connection's first preceded by the job's JobConfig,
+  /// begin once the start barrier opens. The job's id is 1; a job with
+  /// no shards is done at once.
+  void start(JobSpec job);
+
   /// Must be set before any worker connects (not synchronised with
   /// the loop beyond the service mutex).
   void set_event_hook(std::function<void(const ServiceEvent&)> hook);
 
   /// Block until the job leaves kRunning and the worker pool has shut
   /// down (Goodbyes collected, or a 5 s bound); returns the report.
+  /// Call only after start().
   JobReport wait();
 
   /// The manifest's "dist" member: a JSON array holding the job's
@@ -137,6 +147,7 @@ class JobService {
  private:
   struct Impl;
   void loop();
+  void wake() const;  ///< interrupt the loop's epoll_wait
 
   ServiceConfig cfg_;
   std::uint16_t port_ = 0;

@@ -180,8 +180,9 @@ int run_worker(const WorkerOptions& opts) {
   hello.pid = static_cast<std::uint64_t>(::getpid());
   if (!ch.send(MsgType::kHello, encode(hello))) return 1;
 
-  // The job, set by the JobConfig the service sends before the first
-  // lease it grants this connection.
+  // The job, set by the JobConfig the service sends right before the
+  // first lease it grants this connection: once the serving process
+  // has opened and verified the corpus and the start barrier is open.
   std::optional<WorkerJob> job;
   auto set_job = [&](const JobConfigMsg& m) -> bool {
     WorkerJob j;
@@ -221,9 +222,12 @@ int run_worker(const WorkerOptions& opts) {
 
   Frame f;
   while (true) {
-    // Generous wait: the service may hold grants back until the whole
-    // fleet has connected (the start barrier).
-    if (!ch.recv(&f, 60000)) return 1;
+    // Until the JobConfig, wait without a bound: the serving process
+    // spawns its workers before it verifies the corpus, which takes as
+    // long as the store is large (a service that dies still closes the
+    // socket). After it, a generous bound: a lost service or a hung
+    // lease stream must not keep the worker forever.
+    if (!ch.recv(&f, job ? 60000 : -1)) return 1;
     switch (f.type) {
       case MsgType::kJobConfig: {
         const auto m = decode_job_config(util::ByteView(f.payload));

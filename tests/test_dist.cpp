@@ -83,6 +83,18 @@ TEST(DistFrame, PayloadCorruptionFailsCrc) {
       util::ByteView(wire.data(), wire.size() - 4), stored));
 }
 
+/// Run `ch`'s receive side, which answers the peer's NACKs with
+/// replays, in short slices until `done` (the peer holds every frame)
+/// or 10 s have passed (the peer failed an assertion). A NACK is one
+/// small write on a socketpair, so a slice never ends inside one.
+void pump_until(FrameChannel& ch, const std::atomic<bool>& done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  dist::Frame f;
+  while (!done.load() && std::chrono::steady_clock::now() < give_up)
+    ch.recv(&f, 5);
+}
+
 /// A corrupted frame over a real socketpair is NACKed and replayed;
 /// the receiver sees every message intact and in order.
 TEST(DistFrame, CorruptedFrameRecoveredByNackResend) {
@@ -93,6 +105,7 @@ TEST(DistFrame, CorruptedFrameRecoveredByNackResend) {
 
   // Receiver thread: b must see three intact frames despite the
   // corruption of the second. b's recv also services a's NACK traffic.
+  std::atomic<bool> received{false};
   std::thread rx([&] {
     for (std::uint32_t i = 0; i < 3; ++i) {
       dist::Frame f;
@@ -101,6 +114,7 @@ TEST(DistFrame, CorruptedFrameRecoveredByNackResend) {
       ASSERT_EQ(f.payload.size(), 1u);
       EXPECT_EQ(f.payload[0], static_cast<std::uint8_t>(i));
     }
+    received.store(true);
   });
 
   const auto send_one = [&](std::uint8_t i) {
@@ -112,9 +126,8 @@ TEST(DistFrame, CorruptedFrameRecoveredByNackResend) {
   send_one(1);
   send_one(2);
   // a must observe and answer b's NACK: pump its receive side until
-  // the replay happened (recv times out once traffic drains).
-  dist::Frame f;
-  a.recv(&f, 1000);
+  // the receiver holds every frame.
+  pump_until(a, received);
   rx.join();
 
   EXPECT_GE(b.stats().crc_rejects, 1u);
@@ -175,6 +188,7 @@ TEST(DistFrame, NackRecoveryAcrossSeqWraparound) {
   b.preset_sequences_for_test(/*send_seq=*/0, /*recv_next=*/0xfffffffeu);
 
   constexpr std::uint32_t kFrames = 6;  // seqs 0xfffffffe .. 0x00000003
+  std::atomic<bool> received{false};
   std::thread rx([&] {
     for (std::uint32_t i = 0; i < kFrames; ++i) {
       dist::Frame f;
@@ -184,6 +198,7 @@ TEST(DistFrame, NackRecoveryAcrossSeqWraparound) {
       EXPECT_EQ(f.payload[0], static_cast<std::uint8_t>(i));
       EXPECT_EQ(f.seq, static_cast<std::uint32_t>(0xfffffffeu + i));
     }
+    received.store(true);
   });
 
   for (std::uint32_t i = 0; i < kFrames; ++i) {
@@ -191,8 +206,7 @@ TEST(DistFrame, NackRecoveryAcrossSeqWraparound) {
     const util::Bytes payload = {static_cast<std::uint8_t>(i)};
     ASSERT_TRUE(a.send(MsgType::kHeartbeat, util::ByteView(payload)));
   }
-  dist::Frame f;
-  a.recv(&f, 1000);  // pump a's receive side so it services b's NACK
+  pump_until(a, received);  // so a services b's NACK
   rx.join();
 
   EXPECT_GE(b.stats().crc_rejects, 1u);
@@ -695,6 +709,43 @@ TEST(DistJobService, DroppedLeaseIsReassigned) {
   EXPECT_EQ(rep.report.stats, profile_oracle(0.04));
   ASSERT_EQ(rep.report.workers.size(), 1u);  // the dropped client merged none
   EXPECT_EQ(rep.report.workers[0].worker_id, 1u);
+}
+
+/// A service bound before its job (the serving CLI spawns its workers
+/// while it still verifies the corpus) greets a worker and holds it;
+/// start() then sends it the JobConfig and its first lease.
+TEST(DistJobService, HelloBeforeStartWaitsForTheJob) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 60000;
+  dist::JobService svc(sc);
+
+  const auto ch = scripted_client(svc.port(), 1);
+  ASSERT_NE(ch, nullptr);
+  dist::Frame f;
+  EXPECT_FALSE(ch->recv(&f, 200)) << "a frame before the job was handed over";
+
+  svc.start(profile_job("late", 0.04, 1));
+  ASSERT_TRUE(ch->recv(&f, 10000));
+  ASSERT_EQ(f.type, MsgType::kJobConfig);
+  const auto g = next_grant(*ch);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->job, 1u);
+  EXPECT_THROW(svc.start(profile_job("again", 0.04, 1)), std::logic_error);
+}
+
+/// A Hello that arrives once the job is terminal gets a Shutdown, never
+/// a JobConfig.
+TEST(DistJobService, NoJobConfigAfterTheJobEnds) {
+  dist::JobSpec empty = profile_job("ended", 0.04);
+  empty.nfiles = 0;  // done at once
+  dist::JobService svc({}, empty);
+  EXPECT_EQ(svc.wait().state, dist::JobState::kDone);
+
+  const auto ch = scripted_client(svc.port(), 1);
+  ASSERT_NE(ch, nullptr);
+  dist::Frame f;
+  ASSERT_TRUE(ch->recv(&f, 10000));
+  EXPECT_EQ(f.type, MsgType::kShutdown);
 }
 
 /// The lease window: a connection holds one lease until its first

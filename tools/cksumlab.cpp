@@ -558,66 +558,42 @@ core::CorpusSource corpus_source(const CommonOpts& o) {
   return src;
 }
 
-/// Serving side of `cksumlab splice --serve`: serve the corpus as the
-/// job of a JobService, self-spawn `--workers` worker processes
-/// (0 = externally started), and wait for the merge. On success `st`
-/// and `dist_json` hold the merged stats and the manifest's "dist"
-/// member.
-int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
-                    const std::string& name, const core::SpliceRunConfig& cfg,
-                    std::size_t nfiles, core::SpliceStats& st,
-                    std::string& dist_json) {
-  dist::JobSpec spec;
-  dist::ConfigMsg& run = spec.run;
-  run.corpus_kind = src.kind;
-  run.corpus = src.corpus;
-  run.scale = src.scale;
-  run.segment = cfg.flow.segment_size;
-  run.transport = static_cast<std::uint8_t>(cfg.flow.packet.transport);
-  run.trailer = cfg.flow.packet.placement == net::ChecksumPlacement::kTrailer;
-  spec.nfiles = nfiles;
-  spec.name = name;
-  spec.shard_files = o.shard_files;
-  // Split the machine across the fleet unless --threads pinned it.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  run.threads =
-      o.threads != 0 ? o.threads
-                     : std::max(1u, o.workers != 0 ? hw / o.workers : hw);
-
-  dist::ServiceConfig sc;
-  sc.port = o.port;
-  sc.expected_workers = o.workers;
-  sc.lease_timeout_ms = o.lease_timeout_ms;
-  dist::JobService svc(sc, std::move(spec));
-  if (o.verbose) {
-    svc.set_event_hook([](const dist::ServiceEvent& ev) {
-      const char* what = "";
-      switch (ev.kind) {
-        case dist::ServiceEvent::Kind::kWorkerConnected: what = "connected"; break;
-        case dist::ServiceEvent::Kind::kResultAccepted: what = "result"; break;
-        case dist::ServiceEvent::Kind::kLeaseReassigned: what = "reassigned"; break;
-        case dist::ServiceEvent::Kind::kWorkerLost: what = "lost"; break;
-        case dist::ServiceEvent::Kind::kJobDone: what = "finished"; break;
-      }
-      std::fprintf(stderr, "dist: worker %llu (pid %llu) %s shard %zu\n",
-                   static_cast<unsigned long long>(ev.worker_id),
-                   static_cast<unsigned long long>(ev.pid), what, ev.shard);
-    });
-  }
-
-  std::vector<pid_t> pids;
-  if (o.workers > 0) {
-    const std::string exe = dist::self_exe_path();
-    if (exe.empty()) {
-      std::fprintf(stderr, "cksumlab: cannot locate own executable\n");
-      return 1;
+/// Serving side of `cksumlab splice --serve`: a JobService bound and,
+/// with --workers, its worker processes spawned before the corpus is
+/// opened, so the fleet starts up and connects while the coordinator
+/// verifies the store; run() then hands over the job and waits for the
+/// merge. Unwound before run() has reaped its workers (the corpus
+/// failed to open, or a later worker failed to spawn), it kills and
+/// reaps every worker it spawned.
+class ServeFleet {
+ public:
+  /// Throws std::runtime_error if the service cannot bind or a worker
+  /// cannot be spawned.
+  explicit ServeFleet(const CommonOpts& o) : o_(o), svc_(service_config(o)) {
+    if (o.verbose) {
+      svc_.set_event_hook([](const dist::ServiceEvent& ev) {
+        const char* what = "";
+        switch (ev.kind) {
+          case dist::ServiceEvent::Kind::kWorkerConnected: what = "connected"; break;
+          case dist::ServiceEvent::Kind::kResultAccepted: what = "result"; break;
+          case dist::ServiceEvent::Kind::kLeaseReassigned: what = "reassigned"; break;
+          case dist::ServiceEvent::Kind::kWorkerLost: what = "lost"; break;
+          case dist::ServiceEvent::Kind::kJobDone: what = "finished"; break;
+        }
+        std::fprintf(stderr, "dist: worker %llu (pid %llu) %s shard %zu\n",
+                     static_cast<unsigned long long>(ev.worker_id),
+                     static_cast<unsigned long long>(ev.pid), what, ev.shard);
+      });
     }
+    if (o.workers == 0) return;
+    const std::string exe = dist::self_exe_path();
+    if (exe.empty()) throw std::runtime_error("cannot locate own executable");
     for (unsigned i = 0; i < o.workers; ++i) {
       std::vector<std::string> argv = {
           exe,
           "splice",
           "--connect",
-          "127.0.0.1:" + std::to_string(svc.port()),
+          "127.0.0.1:" + std::to_string(svc_.port()),
           "--worker-id",
           std::to_string(i + 1),
           "--kernel",
@@ -628,31 +604,84 @@ int run_distributed(const CommonOpts& o, const core::CorpusSource& src,
                        ".json");
       }
       const pid_t pid = dist::spawn_process(argv);
-      if (pid < 0) {
-        std::fprintf(stderr, "cksumlab: cannot spawn worker %u\n", i + 1);
-        return 1;
-      }
-      pids.push_back(pid);
+      if (pid < 0)
+        throw std::runtime_error("cannot spawn worker " +
+                                 std::to_string(i + 1));
+      workers_.pids.push_back(pid);
     }
-  } else {
-    std::fprintf(stderr, "cksumlab: serving on 127.0.0.1:%u, waiting for "
-                         "workers (--connect)\n",
-                 svc.port());
   }
 
-  const dist::JobReport rep = svc.wait();
-  for (const pid_t pid : pids) dist::wait_process(pid);
-  if (rep.state != dist::JobState::kDone) {
-    std::fprintf(stderr,
-                 "cksumlab: distributed run aborted incomplete "
-                 "(%zu shards, %zu reassigned)\n",
-                 rep.report.shards, rep.report.reassigned);
-    return 1;
+  /// Serve `src`, opened and run-configured as `cfg` over `nfiles`
+  /// files, to the fleet (external --connect workers when --workers is
+  /// 0). On success `st` and `dist_json` hold the merged stats and the
+  /// manifest's "dist" member.
+  int run(const core::CorpusSource& src, const std::string& name,
+          const core::SpliceRunConfig& cfg, std::size_t nfiles,
+          core::SpliceStats& st, std::string& dist_json) {
+    dist::JobSpec spec;
+    dist::ConfigMsg& run = spec.run;
+    run.corpus_kind = src.kind;
+    run.corpus = src.corpus;
+    run.scale = src.scale;
+    run.segment = cfg.flow.segment_size;
+    run.transport = static_cast<std::uint8_t>(cfg.flow.packet.transport);
+    run.trailer =
+        cfg.flow.packet.placement == net::ChecksumPlacement::kTrailer;
+    spec.nfiles = nfiles;
+    spec.name = name;
+    spec.shard_files = o_.shard_files;
+    // Split the machine across the fleet unless --threads pinned it.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    run.threads =
+        o_.threads != 0 ? o_.threads
+                        : std::max(1u, o_.workers != 0 ? hw / o_.workers : hw);
+    svc_.start(std::move(spec));
+    if (o_.workers == 0)
+      std::fprintf(stderr,
+                   "cksumlab: serving on 127.0.0.1:%u, waiting for workers "
+                   "(--connect)\n",
+                   svc_.port());
+
+    const dist::JobReport rep = svc_.wait();
+    for (const pid_t pid : workers_.pids) dist::wait_process(pid);
+    workers_.pids.clear();
+    if (rep.state != dist::JobState::kDone) {
+      std::fprintf(stderr,
+                   "cksumlab: distributed run aborted incomplete "
+                   "(%zu shards, %zu reassigned)\n",
+                   rep.report.shards, rep.report.reassigned);
+      return 1;
+    }
+    st = rep.report.stats;
+    dist_json = svc_.jobs_json();
+    return 0;
   }
-  st = rep.report.stats;
-  dist_json = svc.jobs_json();
-  return 0;
-}
+
+ private:
+  static dist::ServiceConfig service_config(const CommonOpts& o) {
+    dist::ServiceConfig sc;
+    sc.port = o.port;
+    sc.expected_workers = o.workers;
+    sc.lease_timeout_ms = o.lease_timeout_ms;
+    return sc;
+  }
+
+  /// Spawned and not yet reaped; killed and reaped when destroyed.
+  struct Children {
+    std::vector<pid_t> pids;
+    Children() = default;
+    Children(const Children&) = delete;
+    Children& operator=(const Children&) = delete;
+    ~Children() {
+      for (const pid_t pid : pids) dist::kill_process(pid);
+      for (const pid_t pid : pids) dist::wait_process(pid);
+    }
+  };
+
+  const CommonOpts& o_;
+  dist::JobService svc_;
+  Children workers_;  // after svc_: the workers die before the service
+};
 
 int cmd_splice(const std::vector<std::string>& args) {
   if (std::find(args.begin(), args.end(), "--connect") != args.end()) {
@@ -694,6 +723,11 @@ int cmd_splice(const std::vector<std::string>& args) {
 
   const core::CorpusSource src = corpus_source(o);
   const std::string corpus_name = o.manifest.empty() ? src.corpus : o.manifest;
+  // A serve run's workers start up while the corpus below is opened and
+  // verified (a store's header, seal and sections); they get the job
+  // only once it is.
+  std::optional<ServeFleet> fleet;
+  if (o.serve) fleet.emplace(o);
   const core::SpliceCorpus corpus(src);
   core::SpliceRunConfig requested;
   requested.flow = core::paper_flow_config();
@@ -709,9 +743,9 @@ int cmd_splice(const std::vector<std::string>& args) {
 
   core::SpliceStats st;
   std::string dist_json;  // "dist" manifest member for --serve runs
-  if (o.serve) {
-    const int rc = run_distributed(o, src, corpus_name, cfg,
-                                   corpus.file_count(), st, dist_json);
+  if (fleet) {
+    const int rc =
+        fleet->run(src, corpus_name, cfg, corpus.file_count(), st, dist_json);
     if (rc != 0) return rc;
   } else {
     st = corpus.run_range(cfg, 0, corpus.file_count());
