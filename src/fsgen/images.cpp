@@ -32,7 +32,7 @@ util::Bytes generate_pbm_image(util::Rng& rng, std::size_t approx_size) {
   // 8-bit binary greymap header, like the paper's graph files.
   const std::size_t width = 256u << rng.below(2);  // 256 or 512
   const std::size_t height = std::max<std::size_t>(
-      8, (approx_size - 32) / width);
+      8, approx_size > 32 ? (approx_size - 32) / width : 0);
   std::string header = "P5\n# rtt plot\n" + std::to_string(width) + " " +
                        std::to_string(height) + "\n255\n";
   append_str(out, header);

@@ -210,6 +210,35 @@ TEST(WeightedTable, BoundaryDrawsMatchSequentialSubtraction) {
     }
   }
   EXPECT_GT(on_boundary, 100);  // draws exactly on a boundary occurred
+
+  // Boundaries on, and within 3 ulps of, the guide's bucket edges. A
+  // 4-entry table has 64 buckets (16 per entry), so with a unit total
+  // edge k is exactly k/64. Each bucket a boundary touches must scan:
+  // one taken for boundary-free picks the guide's index for every draw
+  // on the boundary's far side, and 2·10^4 draws put ~300 in each
+  // bucket. Consecutive boundaries stay within a factor of two and the
+  // last one at or above 1/2, so every weight, and the running sums
+  // that rebuild the boundaries, are exact (Sterbenz).
+  const int edge_sets[][3] = {
+      {8, 16, 32}, {12, 24, 33}, {17, 32, 63}, {20, 31, 48}};
+  std::uint64_t seed = 1000;
+  for (const auto& edges : edge_sets) {
+    for (int ulps = -3; ulps <= 3; ++ulps) {
+      std::vector<double> w;
+      double prev = 0.0;
+      for (const int k : edges) {
+        double c = k / 64.0;
+        for (int j = 0; j < std::abs(ulps); ++j)
+          c = std::nextafter(c, ulps > 0 ? 2.0 : 0.0);
+        w.push_back(c - prev);
+        ASSERT_EQ(prev + w.back(), c);
+        prev = c;
+      }
+      w.push_back(1.0 - prev);
+      ASSERT_EQ(prev + w.back(), 1.0);
+      expect_matches_sequential(util::WeightedTable(w), ++seed, 20000);
+    }
+  }
 }
 
 TEST(Rng, ChildStreamsIndependentOfConsumption) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <string_view>
 
@@ -25,32 +26,87 @@
 namespace cksum::fsgen {
 namespace {
 
+/// Every generator at three seeds and four sizes: under any structural
+/// unit (1 byte), under one cell (47), a page (4096) and a file past
+/// 64 KiB (70001). pbm-image has no smaller image than 8 rows, so its
+/// 1- and 47-byte files are that image.
+constexpr std::uint64_t kGoldenSeeds[] = {1, 7, 0xdeadbeef};
+constexpr std::size_t kGoldenSizes[] = {1, 47, 4096, 70001};
+
 struct Golden {
   FileKind kind;
-  std::uint64_t hash;
+  std::uint64_t hash[std::size(kGoldenSeeds) * std::size(kGoldenSizes)];
 };
 
 constexpr Golden kGenerators[] = {
-    {FileKind::kText, 0xbd9c2f34226b8f76ULL},
-    {FileKind::kCSource, 0x6a322ddc7d8ef3f6ULL},
-    {FileKind::kExecutable, 0x75ddd513ccabcb99ULL},
-    {FileKind::kGmonProfile, 0xda192566b41bda8cULL},
-    {FileKind::kPbmImage, 0xf5bb27a3467881edULL},
-    {FileKind::kHexPostscript, 0x2bcb2de1d319cb7dULL},
-    {FileKind::kBinhex, 0x73383ae4763d8beeULL},
-    {FileKind::kWordProcessor, 0x7c6b9ed4624e48a9ULL},
-    {FileKind::kRandom, 0xa3bece718fc84922ULL},
-    {FileKind::kTarArchive, 0x899ae9d2f01dbb0bULL},
-    {FileKind::kMailSpool, 0x17ee022ec5e342e6ULL},
+    {FileKind::kText,
+     {0xf8932bbe6182cafcULL, 0xbcca78b35a0972caULL, 0xbd9c2f34226b8f76ULL,
+      0x2246b633f7dc7ed1ULL, 0x4a2afc1c8a84a788ULL, 0x1334491202764585ULL,
+      0x96389bf2f94015a4ULL, 0x6fc542b01754bd37ULL, 0x757a15602f31048dULL,
+      0xa8c2699148ea2b43ULL, 0xef0c3227a901fdb7ULL, 0x56dc00f48d3bdff9ULL}},
+    {FileKind::kCSource,
+     {0x8435dbab735db1fbULL, 0x8435dbab735db1fbULL, 0x6a322ddc7d8ef3f6ULL,
+      0xa80d256c26977203ULL, 0x071de347355ecb91ULL, 0x071de347355ecb91ULL,
+      0x9b53112afe39fec7ULL, 0x29f51082c5205079ULL, 0xee4c8ea91de2d9c1ULL,
+      0xee4c8ea91de2d9c1ULL, 0x3688d6c20f8b5467ULL, 0xd8a857250bb79822ULL}},
+    {FileKind::kExecutable,
+     {0xac4df23dc45cac9aULL, 0xac4df23dc45cac9aULL, 0x75ddd513ccabcb99ULL,
+      0x649d7ee295f0fa44ULL, 0xac4df23dc45cac9aULL, 0xac4df23dc45cac9aULL,
+      0x89bf59a1fb1f540cULL, 0x22dbda171120a780ULL, 0xac4df23dc45cac9aULL,
+      0xac4df23dc45cac9aULL, 0xe509ac9d785beef4ULL, 0x58533990e70f15feULL}},
+    {FileKind::kGmonProfile,
+     {0x5b7ebef441074a2bULL, 0x913e3b0be2c88548ULL, 0xda192566b41bda8cULL,
+      0x7be9dfe95f3d9f88ULL, 0x5b7ebef441074a2bULL, 0xf027b1ed490eeb7cULL,
+      0x3e417623ed913345ULL, 0x210e90f3ed4d1406ULL, 0x5b7ebef441074a2bULL,
+      0xcee6a92274204d2eULL, 0x6e99dd9cf2a158c2ULL, 0x050e2aa295a516b1ULL}},
+    {FileKind::kPbmImage,
+     {0xf5bb27a3467881edULL, 0xf5bb27a3467881edULL, 0xf5bb27a3467881edULL,
+      0xf1da687e665568c9ULL, 0x22253a6d575a80d2ULL, 0x22253a6d575a80d2ULL,
+      0x22253a6d575a80d2ULL, 0x6db0d9b3c524b57cULL, 0xa56aa992ef096124ULL,
+      0xa56aa992ef096124ULL, 0xa56aa992ef096124ULL, 0xc0e6ca1868126602ULL}},
+    {FileKind::kHexPostscript,
+     {0xd84c5a2d8515fbf5ULL, 0xd84c5a2d8515fbf5ULL, 0x2bcb2de1d319cb7dULL,
+      0x682766de0a3eaad1ULL, 0xd84c5a2d8515fbf5ULL, 0xd84c5a2d8515fbf5ULL,
+      0x1bb464fabdaa2463ULL, 0x907ba3d6b4b23391ULL, 0xd84c5a2d8515fbf5ULL,
+      0xd84c5a2d8515fbf5ULL, 0x0d50bdf85aab5db3ULL, 0x07187e0382966fbcULL}},
+    {FileKind::kBinhex,
+     {0x0d764a4ef6471ad7ULL, 0x0d764a4ef6471ad7ULL, 0x73383ae4763d8beeULL,
+      0x0756db93ae91b3adULL, 0x0d764a4ef6471ad7ULL, 0x0d764a4ef6471ad7ULL,
+      0xa8df6fb3c91f6f86ULL, 0x932351b0c4dffa4bULL, 0x0d764a4ef6471ad7ULL,
+      0x0d764a4ef6471ad7ULL, 0x85f100462b30766fULL, 0x14381043d28b5719ULL}},
+    {FileKind::kWordProcessor,
+     {0xa2b6ba0df335478eULL, 0xa2b6ba0df335478eULL, 0x7c6b9ed4624e48a9ULL,
+      0xc42477e47db57743ULL, 0xa2b6ba0df335478eULL, 0xa2b6ba0df335478eULL,
+      0x6a9f9dfef9645cb9ULL, 0xb8d264683c0099cfULL, 0xa2b6ba0df335478eULL,
+      0xa2b6ba0df335478eULL, 0x4de69280af61f139ULL, 0xb24aff59aeacbbc5ULL}},
+    {FileKind::kRandom,
+     {0xabd01fff84f4c188ULL, 0xd056d96abc735bdeULL, 0xa3bece718fc84922ULL,
+      0x4e907ba32df41c36ULL, 0xa13506ae2984bd25ULL, 0x188dd055741f5bc4ULL,
+      0xf9a764172e5c34d9ULL, 0x7d6ce85e242922dfULL, 0x6fac2e3c5d4de6fbULL,
+      0xc13be83ce4b3a42aULL, 0xe7ff15f33a9e990bULL, 0xe5f6121e064ed77dULL}},
+    {FileKind::kTarArchive,
+     {0x2f18bd96acc9d122ULL, 0x2f18bd96acc9d122ULL, 0x899ae9d2f01dbb0bULL,
+      0x7dcb975a327627beULL, 0x2f18bd96acc9d122ULL, 0x2f18bd96acc9d122ULL,
+      0x37419acb3b48806fULL, 0xb4ef4c528d90ec94ULL, 0x2f18bd96acc9d122ULL,
+      0x2f18bd96acc9d122ULL, 0xe1adce0f64b82b9fULL, 0xdaf6e5eaa4dbb33fULL}},
+    {FileKind::kMailSpool,
+     {0x41fc9ae571f588b4ULL, 0x41fc9ae571f588b4ULL, 0x17ee022ec5e342e6ULL,
+      0xf2cb637fc000a815ULL, 0x1bf576da0ff5801aULL, 0x1bf576da0ff5801aULL,
+      0xc42bf05bceb00c7dULL, 0x6b1e16a5c37fba02ULL, 0x9846ac16d880f50bULL,
+      0x9846ac16d880f50bULL, 0x0c526bda45e27047ULL, 0x4d82db419ef3a3d9ULL}},
 };
 
 TEST(Goldens, GeneratorContentPinned) {
   for (const Golden& g : kGenerators) {
-    const util::Bytes f = generate_file(g.kind, 1, 4096);
-    EXPECT_EQ(util::hash64(util::ByteView(f)), g.hash)
-        << name(g.kind)
-        << ": generator output changed — if intentional, update the "
-           "golden and re-run the benches (EXPERIMENTS.md numbers moved)";
+    std::size_t at = 0;
+    for (const std::uint64_t seed : kGoldenSeeds)
+      for (const std::size_t size : kGoldenSizes) {
+        const util::Bytes f = generate_file(g.kind, seed, size);
+        EXPECT_EQ(util::hash64(util::ByteView(f)), g.hash[at++])
+            << name(g.kind) << " seed " << seed << " size " << size
+            << ": generator output changed — if intentional, update the "
+               "golden and re-run the benches (EXPERIMENTS.md numbers moved)";
+      }
   }
 }
 
