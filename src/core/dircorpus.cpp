@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/timer.hpp"
 #include "util/parallel.hpp"
 
 namespace cksum::core {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// sched.file_bytes_ns: one file's bytes made (generated, or read for
+/// a directory), once per SpliceCorpus::file_bytes call.
+obs::Histogram file_bytes_ns() {
+  static const obs::Histogram h = obs::Registry::global().histogram(
+      "sched.file_bytes_ns", obs::Tag::kTiming);
+  return h;
+}
+
+}  // namespace
 
 std::vector<fs::path> list_corpus_files(const fs::path& root,
                                         const DirLimits& limits) {
@@ -60,6 +73,7 @@ std::optional<fsgen::Filesystem> open_filesystem(const CorpusSource& src) {
 
 SpliceCorpus::SpliceCorpus(const CorpusSource& src)
     : fs_(open_filesystem(src)) {
+  (void)file_bytes_ns();  // manifests carry it from the open on
   if (src.kind == CorpusKind::kDirectory) {
     files_ = list_corpus_files(src.corpus);
   } else if (src.kind == CorpusKind::kCorpusFile) {
@@ -93,9 +107,10 @@ SpliceStats SpliceCorpus::run_range(const SpliceRunConfig& cfg,
 }
 
 std::optional<util::Bytes> SpliceCorpus::file_bytes(std::size_t i) const {
-  if (fs_) return fs_->file(i);
   if (store_)
     throw std::logic_error("a corpus store keeps packets, not file bytes");
+  obs::ScopedTimer timer(file_bytes_ns());
+  if (fs_) return fs_->file(i);
   std::optional<util::Bytes> file =
       util::read_file(files_[i].string(), DirLimits{}.max_file_bytes);
   if (file && file->empty()) return std::nullopt;

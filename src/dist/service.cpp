@@ -149,6 +149,7 @@ struct JobService::Impl {
   std::condition_variable cv;
   std::function<void(const ServiceEvent&)> hook;
   bool has_job = false;  ///< start() has handed the job over
+  std::uint64_t start_ms = 0;  ///< when it did
   JobSpec spec;
   LeaseTable table{0, 1};
   JobReport rep;
@@ -237,7 +238,7 @@ void JobService::start(JobSpec job) {
     if (impl_->has_job)
       throw std::logic_error("dist: JobService::start called twice");
     impl_->set_job(std::move(job), shard_files);
-    impl_->last_activity = now_ms();
+    impl_->start_ms = impl_->last_activity = now_ms();
   }
   wake();
 }
@@ -329,10 +330,15 @@ void JobService::loop() {
   // lost shards. The start barrier is a one-shot latch: once the
   // expected pool has checked in it stays open, so a worker death
   // mid-run never re-arms it (which would starve the survivors until
-  // their recv timeout).
+  // their recv timeout). It also opens once a lease timeout has passed
+  // since start(), for whoever has said Hello by then: a worker lost
+  // before its Hello would otherwise hold the others, which wait for
+  // their JobConfig without a bound, until the run is interrupted.
   auto try_grant = [&](SConn& c) {
     if (!c.greeted || c.shutting_down || !running()) return;
-    if (im.greeted >= cfg_.expected_workers) im.started = true;
+    if (im.greeted >= cfg_.expected_workers ||
+        now_ms() - im.start_ms >= cfg_.lease_timeout_ms)
+      im.started = true;
     if (!im.started) return;
     const std::size_t window = c.accepted_one ? kLeaseWindow : 1;
     while (c.leases.size() < window) {

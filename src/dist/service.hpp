@@ -85,7 +85,9 @@ struct ServiceConfig {
   std::uint16_t port = 0;  ///< listen port; 0 = ephemeral
   /// Hold every grant until this many workers have said Hello — the
   /// start barrier that lets the fault drills kill a worker that
-  /// provably holds a lease. 0 = off.
+  /// provably holds a lease. 0 = off. The barrier also opens, for the
+  /// workers greeted by then, once lease_timeout_ms has passed since
+  /// start(), so a worker lost before its Hello cannot stall the rest.
   unsigned expected_workers = 0;
   std::uint64_t lease_timeout_ms = 15000;
   /// Abort the job when no worker is connected and none has arrived

@@ -10,7 +10,7 @@
 // cells in real files.
 #include <algorithm>
 #include <array>
-#include <string>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -142,95 +142,151 @@ constexpr WeightedWord kWords[] = {
     {"language", 0.2}, {"among", 0.2},
 };
 
-}  // namespace
+/// Every word fits one 8-byte copy.
+constexpr std::size_t kMaxWord = 8;
+static_assert([] {
+  for (const WeightedWord& w : kWords)
+    if (w.word.empty() || w.word.size() > kMaxWord) return false;
+  return true;
+}());
 
-const util::WeightedTable& text_word_table() {
-  static const util::WeightedTable table = [] {
-    std::vector<double> w;
-    w.reserve(std::size(kWords));
-    for (const auto& entry : kWords) w.push_back(entry.weight);
-    return util::WeightedTable(w);
+/// A sentence is 4..14 words, each followed by at most a comma and a
+/// space (the last by its end mark instead).
+constexpr std::size_t kMaxWords = 14;
+constexpr std::size_t kMaxSentence = kMaxWords * (kMaxWord + 2);
+
+/// The word table: draw weights, and each word zero-padded to 8 bytes.
+struct Words {
+  util::WeightedTable table;
+  std::array<std::array<char, kMaxWord>, std::size(kWords)> padded{};
+  std::array<std::uint8_t, std::size(kWords)> len{};
+};
+
+const Words& words() {
+  static const Words w = [] {
+    std::vector<double> weights;
+    weights.reserve(std::size(kWords));
+    for (const auto& entry : kWords) weights.push_back(entry.weight);
+    Words out{util::WeightedTable(weights)};
+    for (std::size_t i = 0; i < std::size(kWords); ++i) {
+      std::copy(kWords[i].word.begin(), kWords[i].word.end(),
+                out.padded[i].begin());
+      out.len[i] = static_cast<std::uint8_t>(kWords[i].word.size());
+    }
+    return out;
   }();
-  return table;
+  return w;
 }
 
-util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
-  const util::WeightedTable& table = text_word_table();
+/// One sentence as emitted, with the length of each space-separated
+/// token (a word with its comma or end mark), so wrapping it needs no
+/// scan. kMaxSentence holds the longest sentence and the last word's
+/// 8-byte copy.
+struct Sentence {
+  std::array<char, kMaxSentence> text;
+  std::array<std::uint8_t, kMaxWords> token;
+  std::uint8_t len;
+  std::uint8_t words;
+};
 
-  util::Bytes out;
-  out.reserve(approx_size + 128);
+/// Builds a new sentence into `s`: the draws, in order, of the
+/// sentence the generator has always made.
+void build_sentence(util::Rng& rng, const Words& w, Sentence& s) {
+  const std::size_t n = static_cast<std::size_t>(rng.between(4, 14));
+  char* p = s.text.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = w.table.pick(rng);
+    char* const start = p;
+    std::memcpy(p, w.padded[k].data(), kMaxWord);
+    if (i == 0) p[0] = static_cast<char>(p[0] - 'a' + 'A');
+    p += w.len[k];
+    if (i + 2 < n && rng.chance(0.07)) *p++ = ',';
+    s.token[i] = static_cast<std::uint8_t>(p - start);
+    *p++ = ' ';
+  }
+  // The end mark takes the last space, and belongs to the last token.
+  p[-1] = rng.chance(0.1) ? '?' : '.';
+  s.token[n - 1] += 1;
+  s.len = static_cast<std::uint8_t>(p - s.text.data());
+  s.words = static_cast<std::uint8_t>(n);
+}
+
+}  // namespace
+
+const util::WeightedTable& text_word_table() { return words().table; }
+
+util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
+  const Words& w = words();
+
+  // A sentence starts only below approx_size, and adds at most a
+  // separator, itself and a paragraph break.
+  util::Bytes out(approx_size + 1 + kMaxSentence + 2);
+  std::uint8_t* const o = out.data();
+  std::size_t pos = 0;
+  std::size_t line_len = 0;
 
   // Remember recent sentences for verbatim repetition (quotes,
   // boilerplate, repeated headings — a strong locality source).
-  std::vector<std::string> recent;
-  std::string sentence;
-  std::size_t line_len = 0;
+  // recent[] indexes the slots; a new sentence is built in the spare
+  // slot, which then joins recent[] (taking the place of the one it
+  // replaces, which becomes the spare), so no sentence is copied.
+  constexpr std::size_t kRecent = 32;
+  std::array<Sentence, kRecent + 1> slots;
+  std::array<std::uint8_t, kRecent> recent;
+  std::size_t nrecent = 0;
+  std::uint8_t spare = 0;
 
-  auto newline = [&] {
-    out.push_back('\n');
-    line_len = 0;
-  };
-
-  while (out.size() < approx_size) {
+  while (pos < approx_size) {
     // Paragraph of 2..7 sentences.
     const std::size_t sentences = static_cast<std::size_t>(rng.between(2, 7));
-    for (std::size_t s = 0; s < sentences && out.size() < approx_size; ++s) {
-      if (!recent.empty() && rng.chance(0.08)) {
+    for (std::size_t s = 0; s < sentences && pos < approx_size; ++s) {
+      std::size_t at;
+      if (nrecent > 0 && rng.chance(0.08)) {
         // Repeat an earlier sentence verbatim.
-        sentence = recent[rng.below(recent.size())];
+        at = recent[rng.below(nrecent)];
       } else {
-        sentence.clear();
-        const std::size_t words = static_cast<std::size_t>(rng.between(4, 14));
-        for (std::size_t w = 0; w < words; ++w) {
-          const std::string_view word = kWords[table.pick(rng)].word;
-          if (w == 0) {
-            sentence += static_cast<char>(word[0] - 'a' + 'A');
-            sentence.append(word.substr(1));
-          } else {
-            sentence += ' ';
-            sentence.append(word);
-          }
-          if (w + 2 < words && rng.chance(0.07)) sentence += ',';
-        }
-        sentence += rng.chance(0.1) ? '?' : '.';
-        if (recent.size() < 32) {
-          recent.push_back(sentence);
+        build_sentence(rng, w, slots[spare]);
+        at = spare;
+        if (nrecent < kRecent) {
+          recent[nrecent++] = spare;
+          spare = static_cast<std::uint8_t>(nrecent);
         } else {
-          recent[rng.below(recent.size())] = sentence;
+          std::swap(recent[rng.below(nrecent)], spare);
         }
       }
+      const Sentence& sentence = slots[at];
       // Wrap at ~70 columns like formatted prose: a word follows a
       // space when it fits on the line, else starts the next line. The
       // sentence goes out in one copy; the spaces where a line breaks
       // then become newlines.
-      const std::size_t first = std::min(sentence.find(' '), sentence.size());
+      const std::size_t first = sentence.token[0];
       if (line_len > 0 && line_len + first + 1 > 70) {
-        newline();
+        o[pos++] = '\n';
+        line_len = 0;
       } else if (line_len > 0) {
-        out.push_back(' ');
+        o[pos++] = ' ';
         ++line_len;
       }
-      const std::size_t base = out.size();
-      const auto* bytes =
-          reinterpret_cast<const std::uint8_t*>(sentence.data());
-      out.insert(out.end(), bytes, bytes + sentence.size());
+      std::memcpy(o + pos, sentence.text.data(), sentence.len);
+      std::size_t space = pos + first;
       line_len += first;
-      for (std::size_t wpos = first + 1; wpos < sentence.size();) {
-        const std::size_t wend =
-            std::min(sentence.find(' ', wpos), sentence.size());
-        const std::size_t wlen = wend - wpos;
+      for (std::size_t i = 1; i < sentence.words; ++i) {
+        const std::size_t wlen = sentence.token[i];
         if (line_len + wlen + 1 > 70) {
-          out[base + wpos - 1] = '\n';
+          o[space] = '\n';
           line_len = wlen;
         } else {
           line_len += wlen + 1;
         }
-        wpos = wend + 1;
+        space += wlen + 1;
       }
+      pos += sentence.len;
     }
-    newline();
-    newline();
+    o[pos++] = '\n';
+    o[pos++] = '\n';
+    line_len = 0;
   }
+  out.resize(pos);
   return out;
 }
 

@@ -15,50 +15,6 @@ Rng::Rng(std::uint64_t seed) noexcept : seed_(seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
-double Rng::uniform01() noexcept {
-  // 53 top bits -> [0,1) with full double granularity.
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
-}
-
 void Rng::fill(std::span<std::uint8_t> out) noexcept {
   std::size_t i = 0;
   while (i + 8 <= out.size()) {
@@ -90,6 +46,8 @@ Rng Rng::child(std::uint64_t stream_id) const noexcept {
 
 WeightedTable::WeightedTable(std::span<const double> weights)
     : weights_(weights.begin(), weights.end()) {
+  if (weights_.size() > std::size_t{kScan})
+    throw std::invalid_argument("WeightedTable: more than 32768 weights");
   cumulative_.reserve(weights_.size());
   for (double w : weights_) {
     if (!(w >= 0.0))
@@ -99,26 +57,45 @@ WeightedTable::WeightedTable(std::span<const double> weights)
   }
   margin_ = 1e-9 * total_;
   if (total_ <= 0.0) return;
-  // Four buckets per entry: a pick rarely scans past its guide.
-  guide_.resize(std::bit_ceil(4 * weights_.size()));
-  guide_scale_ = static_cast<double>(guide_.size()) / total_;
+  // Sixteen buckets per entry: most hold no boundary.
+  const std::size_t buckets = std::bit_ceil(16 * weights_.size());
+  guide_.resize(buckets);
+  guide_scale_ = static_cast<double>(buckets) / total_;
+  const auto bucket_of = [&](double x) {
+    return std::min(static_cast<std::size_t>(x * guide_scale_), buckets - 1);
+  };
+  // The least draw in bucket b or above: b / guide_scale_ rounded, then
+  // walked to the exact double, so [first_in(b), first_in(b + 1)) is
+  // every x that pick() sends to bucket b.
+  const auto first_in = [&](std::size_t b) {
+    double x = static_cast<double>(b) / guide_scale_;
+    while (x > 0.0 && bucket_of(std::nextafter(x, 0.0)) >= b)
+      x = std::nextafter(x, 0.0);
+    while (bucket_of(x) < b) x = std::nextafter(x, total_);
+    return x;
+  };
+  const std::size_t n = cumulative_.size();
   std::size_t i = 0;
-  for (std::size_t b = 0; b < guide_.size(); ++b) {
-    const double lo = static_cast<double>(b) / guide_scale_;
-    while (i < cumulative_.size() && cumulative_[i] <= lo) ++i;
-    guide_[b] = static_cast<std::uint32_t>(i);
+  double lo = 0.0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    // x never exceeds the total: uniform01() < 1.
+    const double next = b + 1 < buckets ? first_in(b + 1) : total_;
+    const double hi = b + 1 < buckets ? std::nextafter(next, 0.0) : total_;
+    while (i < n && cumulative_[i] <= lo) ++i;
+    // Every x in [lo, hi] picks i, with no boundary within the margin:
+    // the checks pick_scan makes, at the two extreme draws.
+    const bool free = lo <= hi && i < n && cumulative_[i] - hi >= margin_ &&
+                      (i == 0 || lo - cumulative_[i - 1] >= margin_);
+    guide_[b] = static_cast<std::uint16_t>(free ? i : (i | kScan));
+    lo = next;
   }
 }
 
-std::size_t WeightedTable::pick(Rng& rng) const noexcept {
-  if (total_ <= 0.0) return 0;
-  const double x = rng.uniform01() * total_;
+std::size_t WeightedTable::pick_scan(double x, std::size_t i) const noexcept {
   // First i with x < cumulative_[i]: the index exact arithmetic picks.
   // The guide is only a starting point; both scans make the result
   // exact whatever rounding put x in its bucket.
   const std::size_t n = cumulative_.size();
-  std::size_t i = guide_[std::min(static_cast<std::size_t>(x * guide_scale_),
-                                  guide_.size() - 1)];
   while (i > 0 && cumulative_[i - 1] > x) --i;
   while (i < n && cumulative_[i] <= x) ++i;
   const bool near_upper = i == n || cumulative_[i] - x < margin_;

@@ -7,7 +7,9 @@
 // library's unspecified engine implementations.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -38,21 +40,56 @@ class Rng {
 
   explicit Rng(std::uint64_t seed) noexcept;
 
+  // The draws every generator makes per byte or per word are inline:
+  // a call per draw costs as much as the draw.
+
   /// Uniform 64-bit value.
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses Lemire's
   /// multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept;
+  std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept {
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    return lo + static_cast<std::int64_t>(below(span));
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform01() noexcept;
+  /// Uniform double in [0, 1): the top 53 bits, full double granularity.
+  double uniform01() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool chance(double p) noexcept;
+  bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Fill a buffer with uniform bytes.
   void fill(std::span<std::uint8_t> out) noexcept;
@@ -82,34 +119,54 @@ class Rng {
 /// pick() returns exactly what sequential subtraction returns — draw
 /// x = uniform01() * total, subtract the weights in order, stop at the
 /// first index that takes x below zero — but finds the index in the
-/// cumulative sums instead: a guide table of buckets over [0, total)
-/// (indexed search, Chen & Asau 1974) starts within a step or two of
-/// the first cumulative sum above x. The two can disagree only when x
-/// lies within the accumulated rounding error of a cumulative boundary
-/// (at most ~n ulps of the total). A draw closer than 1e-9 × total to
-/// a boundary runs the sequential subtraction itself, so for any table
-/// of fewer than ~10^6 entries the index, and the generator's state
+/// cumulative sums instead. The two can disagree only when x lies
+/// within the accumulated rounding error of a cumulative boundary (at
+/// most ~n ulps of the total), so a draw closer than 1e-9 × total to a
+/// boundary runs the sequential subtraction itself: for a table of
+/// fewer than ~10^6 entries the index, and the generator's state
 /// afterwards, are identical to it.
+///
+/// A guide table of 16 buckets per entry over [0, total) (indexed
+/// search, Chen & Asau 1974) locates x. Each bucket records whether a
+/// cumulative boundary lies within that 1e-9 × total margin of the
+/// draws that land in it. A boundary-free bucket holds the one index
+/// every such draw picks and returns it with no scan; any other bucket
+/// holds a starting point within a step or two of the first
+/// cumulative sum above x, and scans from it. On the text generator's
+/// word table ~94% of buckets are boundary-free.
 class WeightedTable {
  public:
-  /// Throws std::invalid_argument on a negative or NaN weight.
+  /// Throws std::invalid_argument on a negative or NaN weight, and on
+  /// more than 32768 weights.
   explicit WeightedTable(std::span<const double> weights);
 
   /// One uniform01() draw; all-zero (or empty) weights pick index 0
   /// without drawing.
-  std::size_t pick(Rng& rng) const noexcept;
+  std::size_t pick(Rng& rng) const noexcept {
+    if (total_ <= 0.0) return 0;
+    const double x = rng.uniform01() * total_;
+    const std::uint16_t g = guide_[std::min(
+        static_cast<std::size_t>(x * guide_scale_), guide_.size() - 1)];
+    return (g & kScan) != 0 ? pick_scan(x, g & ~kScan) : g;
+  }
 
   std::span<const double> weights() const noexcept { return weights_; }
 
  private:
+  /// Guide flag: a boundary lies near the bucket, so scan from here.
+  static constexpr std::uint16_t kScan = 0x8000;
+
+  std::size_t pick_scan(double x, std::size_t i) const noexcept;
   std::size_t pick_sequential(double x) const noexcept;
 
   std::vector<double> weights_;
   std::vector<double> cumulative_;  ///< [i] = w0 + ... + wi, summed in order
   double total_ = 0.0;
   double margin_ = 0.0;  ///< 1e-9 * total_
-  /// guide_[b]: first i with cumulative_[i] > b * total_ / guide_.size().
-  std::vector<std::uint32_t> guide_;
+  /// guide_[b]: for the draws x in bucket b (x * guide_scale_ truncates
+  /// to b), the index they all pick, or kScan | the first i with
+  /// cumulative_[i] above the least of them.
+  std::vector<std::uint16_t> guide_;
   double guide_scale_ = 0.0;  ///< guide_.size() / total_
 };
 

@@ -908,6 +908,43 @@ TEST(DistJobService, HungWorkerIsNotRegranted) {
   EXPECT_EQ(rep.report.stats, profile_oracle(0.04));
 }
 
+/// A worker lost before it says Hello must not hold the start barrier
+/// shut: once a lease timeout has passed since start(), the workers
+/// greeted by then get their JobConfig and grants. Here two are
+/// expected and one never connects; the other must be granted within
+/// the bound, and finishes the job alone.
+TEST(DistJobService, BarrierOpensAfterLeaseTimeout) {
+  const std::vector<core::SpliceStats> truth = shard_oracles(0.08, 1);
+  dist::ServiceConfig sc;
+  sc.expected_workers = 2;
+  sc.lease_timeout_ms = 300;
+  sc.idle_abort_ms = 5000;  // a missing grant aborts instead of hanging
+  const auto t0 = std::chrono::steady_clock::now();
+  dist::JobService svc(sc, profile_job("lonely", 0.08, 1));
+
+  int answered = -1;
+  {
+    const auto ch = scripted_client(svc.port(), 99);
+    ASSERT_NE(ch, nullptr);
+    dist::Frame f;
+    ASSERT_TRUE(ch->recv(&f, 3000))
+        << "no JobConfig within 10 lease timeouts of start()";
+    ASSERT_EQ(f.type, MsgType::kJobConfig);
+    const auto g = next_grant(*ch, 3000);
+    ASSERT_TRUE(g.has_value());
+    EXPECT_GE(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(250))
+        << "the barrier opened for one of two workers before the timeout";
+    ASSERT_TRUE(deliver(*ch, *g, truth[g->shard]));
+    answered = answer_until_shutdown(*ch, truth);
+  }
+
+  const dist::JobReport rep = svc.wait();
+  EXPECT_EQ(answered, static_cast<int>(truth.size()) - 1);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_EQ(rep.report.stats, profile_oracle(0.08));
+}
+
 /// The manifest record renders every member in one pass, in the
 /// documented order (docs/DIST.md), with the job's metrics summed over
 /// its workers.

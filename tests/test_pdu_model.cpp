@@ -2,6 +2,7 @@
 // the corresponding whole-message quantity computed directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,76 @@ TEST(PduModel, PacketPartialsMatchWholePduComputation) {
       for (std::size_t i = 0; i < sp.cells.size(); ++i)
         ASSERT_EQ(sp.cells[i], reference_cell(sp.pdu.cell(i))) << sel;
     }
+  }
+}
+
+TEST(PduModel, PacketizeFileMatchesPerPacket) {
+  // packetize_file runs the fused pass over a file's cells four at a
+  // time across packet boundaries; make_sim_packet runs it over one
+  // packet. Files of every length from 1 to 320 bytes plus a few
+  // longer ones put every remainder of the four lanes at the file's
+  // end, the last segment at every length up to a 256-byte segment's,
+  // and runts (datagrams that end before their EOM cell: 1..7-byte
+  // segments) in every configuration.
+  const KernelSelectionGuard guard;
+  Bytes content(2 * 4096);
+  util::Rng rng(0xF11E);
+  for (std::size_t n = 0; n < content.size();) {
+    const std::uint64_t pick = rng.below(3);
+    const std::size_t run =
+        std::min(rng.run_length(0.95, 200), content.size() - n);
+    for (std::size_t i = 0; i < run; ++i)
+      content[n + i] = static_cast<std::uint8_t>(
+          pick == 0 ? 0x00 : pick == 1 ? 0xFF : rng.next());
+    n += run;
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 1; len <= 320; ++len) lengths.push_back(len);
+  for (const std::size_t len : {1499u, 4096u, 6001u, 8192u})
+    lengths.push_back(len);
+
+  for (const char* sel : {"best", "scalar"}) {
+    ASSERT_TRUE(alg::kern::select_kernel(sel));
+    for (const auto placement :
+         {net::ChecksumPlacement::kHeader, net::ChecksumPlacement::kTrailer})
+      for (const auto transport :
+           {alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+            alg::Algorithm::kFletcher256})
+        for (const std::size_t segment : {64u, 250u, 256u, 512u}) {
+          net::FlowConfig flow;
+          flow.packet.placement = placement;
+          flow.packet.transport = transport;
+          flow.segment_size = segment;
+          bool remainder_seen[4] = {};
+          for (const std::size_t len : lengths) {
+            const ByteView file = ByteView(content).first(len);
+            std::vector<SimPacket> want;
+            net::for_each_segment(flow, file, [&](const net::Packet& p) {
+              want.push_back(make_sim_packet(flow.packet, p));
+            });
+            const std::vector<SimPacket> got = packetize_file(flow, file);
+            ASSERT_EQ(got.size(), want.size());
+            std::size_t cells = 0;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              const std::string where =
+                  std::string(sel) + ": segment " + std::to_string(segment) +
+                  " file " + std::to_string(len) + " packet " +
+                  std::to_string(i);
+              ASSERT_EQ(static_cast<const PacketPartials&>(got[i]),
+                        static_cast<const PacketPartials&>(want[i]))
+                  << where;
+              ASSERT_EQ(got[i].cells, want[i].cells) << where;
+              ASSERT_EQ(got[i].hdr_ok_self, want[i].hdr_ok_self) << where;
+              ASSERT_TRUE(std::ranges::equal(got[i].pdu.bytes(),
+                                             want[i].pdu.bytes()))
+                  << where;
+              cells += got[i].cells.size();
+            }
+            remainder_seen[cells % 4] = true;
+          }
+          for (int r = 0; r < 4; ++r)
+            EXPECT_TRUE(remainder_seen[r]) << "segment " << segment;
+        }
   }
 }
 
