@@ -3,8 +3,9 @@
 // Every entry of the per-algorithm implementation lists in kernel.cpp
 // is declared here, once; the conformance harness reaches them through
 // those lists, and everything else should go through the dispatched
-// entry points in kernel.hpp. The one exception is crc32_step8 at the
-// end, which core's fused per-cell pass runs itself.
+// entry points in kernel.hpp. The exceptions are crc32_step8 at the
+// end and the byte table of kCrc32Tables, which core's fused per-cell
+// pass runs itself.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +81,7 @@ extern const Crc32Tables kCrc32Tables;
 
 /// One slicing-by-8 step: the (pre-conditioned) CRC register `c`
 /// advanced over the 8 bytes at `p`. slicing_crc32's loop body, shared
-/// with core::make_sim_packet's fused per-cell pass.
+/// with the packetiser's fused per-cell pass (core/pdu_model.cpp).
 inline std::uint32_t crc32_step8(std::uint32_t c,
                                  const std::uint8_t* p) noexcept {
   const auto& tb = kCrc32Tables;

@@ -171,9 +171,9 @@ void register_kernel_metrics();
 
 /// Count `calls` calls of `alg` covering `bytes` bytes in all, exactly
 /// as that many dispatched calls would. For code that computes an
-/// algorithm inline instead of dispatching (core::make_sim_packet's
-/// fused per-cell pass), so the kernel.<alg>.* counters read the same
-/// whichever path ran.
+/// algorithm inline instead of dispatching (the packetiser's fused
+/// per-cell pass, core/pdu_model.cpp), so the kernel.<alg>.* counters
+/// read the same whichever path ran.
 void count_calls(Alg alg, std::uint64_t calls, std::uint64_t bytes) noexcept;
 
 // --- Dispatched entry points (the hot callers' interface) -----------

@@ -196,18 +196,19 @@ bool scalar_selected() noexcept {
 }
 
 /// Runs fused_cell_partials over a stream of cells four at a time,
-/// whichever packets they belong to, and hands each tapped cell to
-/// `done(tag, tap)` once its group is through. Cells are passed with
-/// add(cell, out, tag); a null tag asks for no tap.
-template <typename Tag, typename Done>
+/// whichever packets they belong to. add(cell, out, eom_of) queues a
+/// cell; for a packet's EOM cell, eom_of is the packet, handed to
+/// `done(packet, tap)` once the cell's group is through (every earlier
+/// cell of the packet is done by then).
+template <typename Done>
 class CellBatch {
  public:
   explicit CellBatch(Done done) : done_(std::move(done)) {}
 
-  void add(const std::uint8_t* cell, CellPartial* out, Tag* tag) {
+  void add(const std::uint8_t* cell, CellPartial* out, SimPacket* eom_of) {
     cell_[n_] = cell;
     out_[n_] = out;
-    tag_[n_] = tag;
+    eom_of_[n_] = eom_of;
     if (++n_ == kLanes) {
       run<kLanes>(0);
       n_ = 0;
@@ -228,14 +229,14 @@ class CellBatch {
     CellTap tap[L];
     fused_cell_partials<L>(&cell_[at], &out_[at], tap);
     for (std::size_t k = 0; k < L; ++k)
-      if (tag_[at + k] != nullptr) done_(*tag_[at + k], tap[k]);
+      if (eom_of_[at + k] != nullptr) done_(*eom_of_[at + k], tap[k]);
     cells_ += L;
   }
 
   Done done_;
   const std::uint8_t* cell_[kLanes] = {};
   CellPartial* out_[kLanes] = {};
-  Tag* tag_[kLanes] = {};
+  SimPacket* eom_of_[kLanes] = {};
   std::size_t n_ = 0;
   std::uint64_t cells_ = 0;
 };
@@ -486,7 +487,7 @@ void packet_sums(const net::PacketConfig& cfg, std::span<SimPacket> pkts) {
     tapped_packet_sums(cfg, sp, tap, calls);
     whole_packet_sums(cfg, sp);
   };
-  CellBatch<SimPacket, decltype(eom_done)> batch(eom_done);
+  CellBatch<decltype(eom_done)> batch(eom_done);
   for (SimPacket& sp : pkts) {
     const std::uint8_t* cell = sp.pdu.bytes().data();
     const std::size_t n = sp.cells.size();
@@ -506,8 +507,8 @@ void cell_partials(util::ByteView cells, std::span<CellPartial> out) noexcept {
       out[i] = dispatched_cell_partial(cells.subspan(i * kCell, kCell));
     return;
   }
-  const auto no_tap = [](int&, const CellTap&) {};
-  CellBatch<int, decltype(no_tap)> batch(no_tap);
+  const auto no_packet = [](SimPacket&, const CellTap&) {};
+  CellBatch<decltype(no_packet)> batch(no_packet);
   for (std::size_t i = 0; i < out.size(); ++i)
     batch.add(cells.data() + i * kCell, &out[i], nullptr);
   batch.flush();

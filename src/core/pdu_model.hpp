@@ -162,11 +162,17 @@ struct SimPacket : PacketPartials {
 /// cell for each algorithm (two for fletcher: mod 255 and mod 256).
 void cell_partials(util::ByteView cells, std::span<CellPartial> out) noexcept;
 
-/// Build a SimPacket (frame the datagram in AAL5, compute partials).
+/// Build a SimPacket (frame the datagram in AAL5, compute partials):
+/// packetize_file's code over one packet, field for field the same.
 SimPacket make_sim_packet(const net::PacketConfig& cfg,
                           const net::Packet& pkt);
 
-/// Packetize a whole file into SimPackets.
+/// Packetize a whole file into SimPackets. Every segment is framed
+/// first; then, unless the `scalar` selection is active, one fused
+/// pass runs over all the file's cells four at a time across packet
+/// boundaries, and each packet's own sums are read off its EOM cell's
+/// pass. kernel.<alg>.* counts what per-cell and per-packet dispatch
+/// would.
 std::vector<SimPacket> packetize_file(const net::FlowConfig& cfg,
                                       util::ByteView file);
 

@@ -192,7 +192,7 @@ struct Sentence {
 /// Builds a new sentence into `s`: the draws, in order, of the
 /// sentence the generator has always made.
 void build_sentence(util::Rng& rng, const Words& w, Sentence& s) {
-  const std::size_t n = static_cast<std::size_t>(rng.between(4, 14));
+  const std::size_t n = static_cast<std::size_t>(rng.between(4, kMaxWords));
   char* p = s.text.data();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t k = w.table.pick(rng);
