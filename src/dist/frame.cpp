@@ -169,12 +169,31 @@ bool FrameChannel::send_locked(MsgType type, util::ByteView payload) {
   return true;
 }
 
-bool FrameChannel::read_exact(std::uint8_t* data, std::size_t len,
-                              std::chrono::steady_clock::time_point deadline) {
+bool FrameChannel::buffer_at_least(
+    std::size_t len, std::chrono::steady_clock::time_point deadline) {
   using Clock = std::chrono::steady_clock;
-  while (len > 0) {
-    // Poll for the time left, rounded up; past the deadline a poll of
-    // 0 still takes bytes already queued.
+  if (rend_ - rpos_ >= len) return true;
+  if (rbuf_.size() - rpos_ < len) {
+    // Move the unconsumed tail to the front; grow only for a frame
+    // larger than the buffer.
+    const std::size_t have = rend_ - rpos_;
+    if (have != 0) std::memmove(rbuf_.data(), rbuf_.data() + rpos_, have);
+    rpos_ = 0;
+    rend_ = have;
+    if (rbuf_.size() < len) rbuf_.resize(std::max(len, kReadBuffer));
+  }
+  while (rend_ - rpos_ < len) {
+    const ssize_t n = ::recv(fd_, rbuf_.data() + rend_, rbuf_.size() - rend_,
+                             MSG_DONTWAIT);
+    if (n > 0) {
+      rend_ += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n == 0) return false;  // EOF
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    // Nothing queued: poll for the time left, rounded up (0 once the
+    // deadline has passed, which is then a timeout).
     int wait_ms = -1;
     if (deadline != Clock::time_point::max())
       wait_ms = static_cast<int>(std::max<std::int64_t>(
@@ -188,16 +207,19 @@ bool FrameChannel::read_exact(std::uint8_t* data, std::size_t len,
       return false;
     }
     if (pr == 0) return false;  // timeout
-    const ssize_t n = ::recv(fd_, data, len, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // EOF
-    data += n;
-    len -= static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool FrameChannel::frame_buffered() const noexcept {
+  const std::size_t have = rend_ - rpos_;
+  if (have < kFrameHeaderLen) return false;
+  MsgType type;
+  std::uint32_t seq = 0;
+  std::uint32_t payload_len = 0;
+  if (!decode_frame_header(rbuf_.data() + rpos_, &type, &seq, &payload_len))
+    return true;  // recv() reports the lost framing at once
+  return have >= kFrameHeaderLen + payload_len + kFrameTrailerLen;
 }
 
 bool FrameChannel::send_nack() {
@@ -239,27 +261,28 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
   const Clock::time_point deadline =
       timeout_ms < 0 ? Clock::time_point::max()
                      : Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::uint8_t hdr[kFrameHeaderLen];
   for (;;) {
-    if (!read_exact(hdr, sizeof hdr, deadline)) return false;
+    if (!buffer_at_least(kFrameHeaderLen, deadline)) return false;
     MsgType type;
     std::uint32_t seq = 0;
     std::uint32_t payload_len = 0;
-    if (!decode_frame_header(hdr, &type, &seq, &payload_len)) {
+    if (!decode_frame_header(rbuf_.data() + rpos_, &type, &seq,
+                             &payload_len)) {
       // Corrupted header: the length field can no longer be trusted,
       // so framing is lost. Abort; the service's lease layer
       // re-runs whatever this connection was carrying.
       broken_ = true;
       return false;
     }
-    util::Bytes body(kFrameHeaderLen + payload_len);
-    std::memcpy(body.data(), hdr, kFrameHeaderLen);
-    if (!read_exact(body.data() + kFrameHeaderLen, payload_len, deadline))
-      return false;
-    std::uint8_t crc_buf[kFrameTrailerLen];
-    if (!read_exact(crc_buf, sizeof crc_buf, deadline)) return false;
-    if (!frame_crc_ok(util::ByteView(body.data(), body.size()),
-                      get_le32(crc_buf))) {
+    const std::size_t body_len = kFrameHeaderLen + payload_len;
+    if (!buffer_at_least(body_len + kFrameTrailerLen, deadline)) return false;
+    // The frame is consumed here; `body` stays valid until the next
+    // buffer_at_least.
+    const std::uint8_t* body = rbuf_.data() + rpos_;
+    rpos_ += body_len + kFrameTrailerLen;
+    if (rpos_ == rend_) rpos_ = rend_ = 0;
+    if (!frame_crc_ok(util::ByteView(body, body_len),
+                      get_le32(body + body_len))) {
       {
         std::lock_guard<std::mutex> lk(send_mu_);
         stats_.crc_rejects++;
@@ -276,7 +299,7 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
       stats_.frames_received++;
     }
     frame_metrics().received.add(1);
-    frame_metrics().bytes_received.add(body.size() + kFrameTrailerLen);
+    frame_metrics().bytes_received.add(body_len + kFrameTrailerLen);
     if (type == MsgType::kNack) {
       // Control frame for our send side; never surfaces to the caller.
       // NACKs ride outside the peer's data sequence only in effect —
@@ -286,7 +309,7 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
         return false;
       }
       if (seq == recv_next_) recv_next_ = seq + 1;
-      if (!handle_nack(get_le32(body.data() + kFrameHeaderLen))) {
+      if (!handle_nack(get_le32(body + kFrameHeaderLen))) {
         broken_ = true;
         return false;
       }
@@ -312,7 +335,7 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
     recv_next_ = seq + 1;
     out->type = type;
     out->seq = seq;
-    out->payload.assign(body.begin() + kFrameHeaderLen, body.end());
+    out->payload.assign(body + kFrameHeaderLen, body + body_len);
     return true;
   }
 }

@@ -89,6 +89,12 @@ bool frame_crc_ok(util::ByteView header_and_payload, std::uint32_t stored);
 /// incoming NACKs by replaying from the send buffer — callers only
 /// ever see intact, in-order frames. Frame/byte/reject counts are
 /// recorded in the dist.* metric family.
+///
+/// recv() reads through a small per-channel buffer: one non-blocking
+/// recv(2) takes whatever the socket holds, often several frames, and
+/// poll(2) runs only when nothing is queued. A caller driven by
+/// readiness (epoll) must therefore drain frame_buffered() before it
+/// waits again: bytes already in the buffer raise no event.
 class FrameChannel {
  public:
   /// Takes ownership of the connected socket fd.
@@ -112,6 +118,10 @@ class FrameChannel {
   /// on EOF, timeout, or unrecoverable protocol error — the caller
   /// treats all three as a dead peer.
   bool recv(Frame* out, int timeout_ms = -1);
+
+  /// True when the read buffer holds a whole frame (or a header that
+  /// cannot decode), so the next recv() needs no byte from the socket.
+  bool frame_buffered() const noexcept;
 
   /// Test hook: XOR a byte of the next sent frame's payload after the
   /// CRC is computed, so the receiver sees a checksum failure exactly
@@ -140,10 +150,11 @@ class FrameChannel {
  private:
   bool send_locked(MsgType type, util::ByteView payload);
   bool write_all(const std::uint8_t* data, std::size_t len);
-  /// Read `len` bytes, polling for what is left of `deadline`
-  /// (time_point::max() = no deadline).
-  bool read_exact(std::uint8_t* data, std::size_t len,
-                  std::chrono::steady_clock::time_point deadline);
+  /// Make the read buffer hold at least `len` unconsumed bytes,
+  /// polling for what is left of `deadline` (time_point::max() = no
+  /// deadline) only when the socket has nothing queued.
+  bool buffer_at_least(std::size_t len,
+                       std::chrono::steady_clock::time_point deadline);
   bool send_nack();
   bool handle_nack(std::uint32_t resume_seq);
 
@@ -153,12 +164,18 @@ class FrameChannel {
   /// Total NACK/replay events tolerated per connection before giving
   /// up (guards against a corruption livelock).
   static constexpr unsigned kNackBudget = 32;
+  /// Initial read buffer: every control frame and a typical lease
+  /// result fit; it grows only for a larger frame.
+  static constexpr std::size_t kReadBuffer = 4096;
 
   int fd_ = -1;
   mutable std::mutex send_mu_;
   std::uint32_t send_seq_ = 0;  ///< seq assigned to the next sent frame
   std::deque<std::pair<std::uint32_t, util::Bytes>> sent_;
   std::uint32_t recv_next_ = 0;  ///< seq expected from the peer
+  util::Bytes rbuf_;  ///< read buffer; [rpos_, rend_) not yet consumed
+  std::size_t rpos_ = 0;
+  std::size_t rend_ = 0;
   unsigned nacks_left_ = kNackBudget;
   bool corrupt_next_ = false;
   bool broken_ = false;

@@ -48,10 +48,13 @@ struct ConfigMsg {
   bool compress = false;
   std::uint32_t threads = 1;   ///< evaluator threads inside the worker
   std::uint32_t heartbeat_ms = 1000;
+
+  bool operator==(const ConfigMsg&) const = default;
 };
 
 /// service -> worker: a named job's run configuration, sent once per
-/// (connection, job) right before the first lease for that job.
+/// connection: at its Hello when the service already knows the
+/// configuration, else right before its first lease.
 struct JobConfigMsg {
   std::uint64_t job = 0;
   std::string name;  ///< job name; the worker's sub-manifest corpus

@@ -135,7 +135,7 @@ struct SConn {
   std::unique_ptr<FrameChannel> ch;
   bool greeted = false;  ///< Hello received
   bool shutting_down = false;
-  bool config_sent = false;  ///< JobConfig precedes the first grant
+  bool config_sent = false;  ///< JobConfig sent (before any grant)
   std::uint64_t worker_id = 0;
   std::uint64_t pid = 0;
   bool accepted_one = false;  ///< a result of this connection's merged
@@ -148,6 +148,7 @@ struct JobService::Impl {
   mutable std::mutex mu;
   std::condition_variable cv;
   std::function<void(const ServiceEvent&)> hook;
+  bool has_config = false;  ///< spec.name and spec.run are known
   bool has_job = false;  ///< start() has handed the job over
   std::uint64_t start_ms = 0;  ///< when it did
   JobSpec spec;
@@ -166,9 +167,14 @@ struct JobService::Impl {
   Impl() { rep.job = kJobId; }
 
   void set_job(JobSpec s, std::size_t shard_files) {
+    if (has_job)
+      throw std::logic_error("dist: JobService::start called twice");
+    if (has_config && (s.name != spec.name || !(s.run == spec.run)))
+      throw std::logic_error(
+          "dist: JobService::start's job differs from the configured one");
     spec = std::move(s);
     table = LeaseTable(spec.nfiles, shard_files);
-    has_job = true;
+    has_config = has_job = true;
     rep.name = spec.name;
     rep.report.shards = table.shard_count();
     if (table.complete()) {  // nothing to lease: done at once
@@ -235,10 +241,21 @@ void JobService::start(JobSpec job) {
   const std::size_t shard_files = job_shard_files(job, cfg_.expected_workers);
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
-    if (impl_->has_job)
-      throw std::logic_error("dist: JobService::start called twice");
     impl_->set_job(std::move(job), shard_files);
     impl_->start_ms = impl_->last_activity = now_ms();
+  }
+  wake();
+}
+
+void JobService::configure(std::string name, ConfigMsg run) {
+  {
+    std::lock_guard<std::mutex> lk(impl_->mu);
+    if (impl_->has_config)
+      throw std::logic_error(
+          "dist: JobService::configure called twice or after start");
+    impl_->spec.name = std::move(name);
+    impl_->spec.run = std::move(run);
+    impl_->has_config = true;
   }
   wake();
 }
@@ -319,6 +336,19 @@ void JobService::loop() {
     c.shutting_down = true;
   };
 
+  // The one place a JobConfig goes out: once per greeted connection,
+  // as soon as the configuration is known (at the Hello when
+  // configure() came first, else when start() hands the job over), and
+  // never once the job is terminal, when a Hello gets only Shutdown.
+  auto send_config = [&](SConn& c) {
+    if (c.config_sent || !c.greeted || c.shutting_down || !im.has_config ||
+        (im.has_job && !running()))
+      return;
+    c.ch->send(MsgType::kJobConfig,
+               encode(JobConfigMsg{kJobId, im.spec.name, im.spec.run}));
+    c.config_sent = true;
+  };
+
   // Fill a greeted connection's lease window with pending shards: one
   // lease until its first result is accepted (so a worker that dies or
   // cannot open the corpus strands one lease), kLeaseWindow after. A
@@ -335,7 +365,7 @@ void JobService::loop() {
   // before its Hello would otherwise hold the others, which wait for
   // their JobConfig without a bound, until the run is interrupted.
   auto try_grant = [&](SConn& c) {
-    if (!c.greeted || c.shutting_down || !running()) return;
+    if (!c.config_sent || c.shutting_down || !running()) return;
     if (im.greeted >= cfg_.expected_workers ||
         now_ms() - im.start_ms >= cfg_.lease_timeout_ms)
       im.started = true;
@@ -352,11 +382,6 @@ void JobService::loop() {
         emit(ServiceEvent::Kind::kLeaseReassigned, c, *idx);
       }
       im.met.granted.add(1);
-      if (!c.config_sent) {
-        c.ch->send(MsgType::kJobConfig,
-                   encode(JobConfigMsg{kJobId, im.spec.name, im.spec.run}));
-        c.config_sent = true;
-      }
       c.ch->send(MsgType::kLeaseGrant,
                  encode(LeaseGrantMsg{*idx, s.epoch, s.begin, s.end, kJobId}));
       c.leases.push_back({*idx, s.epoch});
@@ -369,6 +394,99 @@ void JobService::loop() {
   auto extend_held = [&](const SConn& c, std::uint64_t deadline) {
     for (const HeldLease& l : c.leases)
       im.table.extend(l.shard, l.epoch, c.worker_id, deadline);
+  };
+
+  // Act on one frame from connection `ci`; false once the frame has
+  // dropped the connection.
+  auto handle = [&](std::size_t ci, const Frame& f) -> bool {
+    SConn& c = *im.conns[ci];
+    switch (f.type) {
+      case MsgType::kHello: {
+        const auto m = decode_hello(util::ByteView(f.payload));
+        if (!m || m->proto != kProtocolVersion) {
+          drop_conn(ci, false);
+          return false;
+        }
+        c.worker_id = m->worker_id;
+        c.pid = m->pid;
+        c.greeted = true;
+        im.greeted++;
+        im.met.connected.add(1);
+        emit(ServiceEvent::Kind::kWorkerConnected, c, 0);
+        if (im.shutdown_sent) shut_down(c);
+        break;
+      }
+      case MsgType::kHeartbeat: {
+        const auto m = decode_heartbeat(util::ByteView(f.payload));
+        if (m) {
+          im.met.heartbeats.add(1);
+          // A worker heartbeats the lease it runs, the front of
+          // c.leases; the queued lease's clock follows it.
+          if (m->job == kJobId && running())
+            extend_held(c, now_ms() + cfg_.lease_timeout_ms);
+        }
+        break;
+      }
+      case MsgType::kLeaseResult: {
+        const auto m = decode_lease_result(util::ByteView(f.payload));
+        if (!m) {
+          drop_conn(ci, true);
+          return false;
+        }
+        const auto held = std::find_if(
+            c.leases.begin(), c.leases.end(), [&](const HeldLease& l) {
+              return l.shard == m->shard && l.epoch == m->epoch;
+            });
+        if (held != c.leases.end()) c.leases.erase(held);
+        // A result for another job id, or after the job ended, is
+        // discarded exactly like a stale epoch.
+        if (m->job != kJobId || !running() ||
+            im.table.deliver(m->shard, m->epoch, c.worker_id) !=
+                DeliverOutcome::kAccepted) {
+          im.met.stale.add(1);
+          im.rep.report.stale_results++;
+          break;
+        }
+        im.rep.report.stats.merge(m->stats);
+        c.accepted_one = true;
+        // The queued lease starts running now: restart its clock.
+        extend_held(c, now_ms() + cfg_.lease_timeout_ms);
+        DistReport::WorkerInfo& w = worker_info(c);
+        w.shards_accepted++;
+        obs::Registry& reg = obs::Registry::global();
+        for (const obs::CounterDelta& d : m->deltas) {
+          // Replay the worker's deterministic growth: the service
+          // aggregate equals the single-process run, and the job's
+          // per-worker decomposition carries each worker's share
+          // (the accounting identity).
+          reg.counter(d.name, obs::Tag::kDeterministic).add(d.delta);
+          w.metrics[d.name] += d.delta;
+        }
+        im.met.accepted.add(1);
+        emit(ServiceEvent::Kind::kResultAccepted, c, m->shard);
+        if (im.table.complete()) {
+          end_job(JobState::kDone);
+          emit(ServiceEvent::Kind::kJobDone, c, 0);
+        }
+        break;
+      }
+      case MsgType::kGoodbye: {
+        const auto m = decode_goodbye(util::ByteView(f.payload));
+        if (m && c.greeted) {
+          for (auto& w : im.rep.report.workers) {
+            if (w.worker_id != c.worker_id) continue;
+            w.clean_exit = true;
+            w.manifest = m->manifest_path;
+          }
+        }
+        drop_conn(ci, false);
+        return false;
+      }
+      default:
+        drop_conn(ci, true);
+        return false;
+    }
+    return true;
   };
 
   std::vector<epoll_event> events(32);
@@ -433,102 +551,23 @@ void JobService::loop() {
         }
       if (ci == im.conns.size()) continue;  // already dropped
       SConn& c = *im.conns[ci];
+      // Level-triggered epoll cannot see frames already in the
+      // channel's read buffer: act on every whole buffered frame now.
       Frame f;
-      if (!c.ch->recv(&f, 2000)) {
-        drop_conn(ci, true);
-        continue;
-      }
-      im.last_activity = now_ms();
-      switch (f.type) {
-        case MsgType::kHello: {
-          const auto m = decode_hello(util::ByteView(f.payload));
-          if (!m || m->proto != kProtocolVersion) {
-            drop_conn(ci, false);
-            break;
-          }
-          c.worker_id = m->worker_id;
-          c.pid = m->pid;
-          c.greeted = true;
-          im.greeted++;
-          im.met.connected.add(1);
-          emit(ServiceEvent::Kind::kWorkerConnected, c, 0);
-          if (im.shutdown_sent) shut_down(c);
-          break;
-        }
-        case MsgType::kHeartbeat: {
-          const auto m = decode_heartbeat(util::ByteView(f.payload));
-          if (m) {
-            im.met.heartbeats.add(1);
-            // A worker heartbeats the lease it runs, the front of
-            // c.leases; the queued lease's clock follows it.
-            if (m->job == kJobId && running())
-              extend_held(c, now_ms() + cfg_.lease_timeout_ms);
-          }
-          break;
-        }
-        case MsgType::kLeaseResult: {
-          const auto m = decode_lease_result(util::ByteView(f.payload));
-          if (!m) {
-            drop_conn(ci, true);
-            break;
-          }
-          const auto held = std::find_if(
-              c.leases.begin(), c.leases.end(), [&](const HeldLease& l) {
-                return l.shard == m->shard && l.epoch == m->epoch;
-              });
-          if (held != c.leases.end()) c.leases.erase(held);
-          // A result for another job id, or after the job ended, is
-          // discarded exactly like a stale epoch.
-          if (m->job != kJobId || !running() ||
-              im.table.deliver(m->shard, m->epoch, c.worker_id) !=
-                  DeliverOutcome::kAccepted) {
-            im.met.stale.add(1);
-            im.rep.report.stale_results++;
-            break;
-          }
-          im.rep.report.stats.merge(m->stats);
-          c.accepted_one = true;
-          // The queued lease starts running now: restart its clock.
-          extend_held(c, now_ms() + cfg_.lease_timeout_ms);
-          DistReport::WorkerInfo& w = worker_info(c);
-          w.shards_accepted++;
-          obs::Registry& reg = obs::Registry::global();
-          for (const obs::CounterDelta& d : m->deltas) {
-            // Replay the worker's deterministic growth: the service
-            // aggregate equals the single-process run, and the job's
-            // per-worker decomposition carries each worker's share
-            // (the accounting identity).
-            reg.counter(d.name, obs::Tag::kDeterministic).add(d.delta);
-            w.metrics[d.name] += d.delta;
-          }
-          im.met.accepted.add(1);
-          emit(ServiceEvent::Kind::kResultAccepted, c, m->shard);
-          if (im.table.complete()) {
-            end_job(JobState::kDone);
-            emit(ServiceEvent::Kind::kJobDone, c, 0);
-          }
-          break;
-        }
-        case MsgType::kGoodbye: {
-          const auto m = decode_goodbye(util::ByteView(f.payload));
-          if (m && c.greeted) {
-            for (auto& w : im.rep.report.workers) {
-              if (w.worker_id != c.worker_id) continue;
-              w.clean_exit = true;
-              w.manifest = m->manifest_path;
-            }
-          }
-          drop_conn(ci, false);
-          break;
-        }
-        default:
+      do {
+        if (!c.ch->recv(&f, 2000)) {
           drop_conn(ci, true);
           break;
-      }
+        }
+        im.last_activity = now_ms();
+      } while (handle(ci, f) && c.ch->frame_buffered());
     }
 
     if (running()) im.table.expire(now_ms());
-    for (auto& c : im.conns) try_grant(*c);
+    for (auto& c : im.conns) {
+      send_config(*c);
+      try_grant(*c);
+    }
   }
 
   ::close(ep);

@@ -10,8 +10,9 @@
 // The job is handed over in-process; the TCP side speaks only the
 // worker protocol. Workers stay separate processes so each one's
 // deterministic-counter deltas isolate its own evaluation work; a
-// worker learns the job's configuration from a JobConfig frame before
-// its first lease.
+// worker learns the job's configuration from a JobConfig frame, sent at
+// its Hello once the service knows the configuration, and always
+// before its first lease.
 #pragma once
 
 #include <cstdint>
@@ -127,10 +128,18 @@ class JobService {
 
   std::uint16_t port() const noexcept { return port_; }
 
+  /// Announce the job's name and run configuration before start():
+  /// every greeted connection gets its JobConfig at once, so workers
+  /// open the corpus while the caller still verifies its own. Grants
+  /// still wait for start(), whose job must carry the same name and
+  /// run (throws std::logic_error otherwise, or when called twice or
+  /// after start()).
+  void configure(std::string name, ConfigMsg run);
+
   /// Hand over the one job (throws std::logic_error on a second call):
-  /// grants, each connection's first preceded by the job's JobConfig,
-  /// begin once the start barrier opens. The job's id is 1; a job with
-  /// no shards is done at once.
+  /// grants, each connection's first preceded by the job's JobConfig
+  /// unless configure() has sent it, begin once the start barrier
+  /// opens. The job's id is 1; a job with no shards is done at once.
   void start(JobSpec job);
 
   /// Must be set before any worker connects (not synchronised with

@@ -59,78 +59,6 @@ int connect_service(const std::string& host, std::uint16_t port,
   return -1;
 }
 
-/// Heartbeats for the lease under evaluation, sent from a side thread
-/// while the main thread is busy inside the evaluator. The first one
-/// goes out one (jittered) period after the lease begins; the period
-/// comes from the lease's job.
-class HeartbeatPump {
- public:
-  HeartbeatPump(FrameChannel& ch, std::uint64_t seed)
-      : ch_(ch), jitter_(util::Rng(seed).child(0xBEA7)) {
-    thread_ = std::thread([this] { loop(); });
-  }
-  ~HeartbeatPump() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  void begin_lease(const HeartbeatMsg& hb, std::uint32_t interval_ms) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      hb_ = hb;
-      interval_ms_ = std::max(50u, interval_ms);
-      active_ = true;
-      ++lease_;
-    }
-    cv_.notify_all();
-  }
-  void end_lease() {
-    std::lock_guard<std::mutex> lk(mu_);
-    active_ = false;
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-      if (!active_) {
-        cv_.wait(lk);
-        continue;
-      }
-      // Uniform in [0.75, 1.25] of the nominal interval (mean exactly
-      // the interval, so lease-expiry math is unchanged) to keep a
-      // worker fleet's heartbeats from arriving in synchronized waves.
-      const std::uint64_t wait = interval_ms_ - interval_ms_ / 4 +
-                                 jitter_.below(interval_ms_ / 2 + 1);
-      const std::uint64_t lease = lease_;
-      // A new lease restarts the period.
-      if (cv_.wait_for(lk, std::chrono::milliseconds(wait),
-                       [&] { return stop_ || lease_ != lease; }))
-        continue;
-      if (!active_) continue;
-      const HeartbeatMsg hb = hb_;
-      lk.unlock();
-      ch_.send(MsgType::kHeartbeat, encode(hb));
-      lk.lock();
-    }
-  }
-
-  FrameChannel& ch_;
-  util::Rng jitter_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool stop_ = false;
-  bool active_ = false;
-  std::uint64_t lease_ = 0;  ///< bumped by every begin_lease
-  std::uint32_t interval_ms_ = 0;
-  HeartbeatMsg hb_;
-};
-
 /// The job's worker-side state.
 struct WorkerJob {
   std::uint64_t id = 0;
@@ -157,6 +85,68 @@ void describe_job(const std::optional<WorkerJob>& job, obs::RunInfo* info) {
 
 }  // namespace
 
+HeartbeatPump::HeartbeatPump(FrameChannel& ch, std::uint64_t seed)
+    : ch_(ch),
+      jitter_(util::Rng(seed).child(0xBEA7)),
+      thread_([this] { loop(); }) {}
+
+HeartbeatPump::~HeartbeatPump() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+}
+
+HeartbeatPump::Clock::duration HeartbeatPump::jittered_period() {
+  return std::chrono::milliseconds(interval_ms_ - interval_ms_ / 4 +
+                                   jitter_.below(interval_ms_ / 2 + 1));
+}
+
+void HeartbeatPump::begin_lease(const HeartbeatMsg& hb,
+                                std::uint32_t interval_ms) {
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    hb_ = hb;
+    interval_ms_ = std::max(50u, interval_ms);
+    active_ = true;
+    due_ = Clock::now() + jittered_period();
+    wake = idle_;
+  }
+  if (wake) cv_.notify_one();
+}
+
+void HeartbeatPump::end_lease() {
+  std::lock_guard<std::mutex> lk(mu_);
+  active_ = false;
+}
+
+void HeartbeatPump::loop() {
+  std::unique_lock<std::mutex> lk(mu_);
+  while (!stop_) {
+    if (!active_) {
+      idle_ = true;
+      cv_.wait(lk);
+      idle_ = false;
+      continue;
+    }
+    // Woken early, or by the due time of a lease that has since ended:
+    // sleep on until the running lease's own due time.
+    const Clock::time_point due = due_;
+    if (Clock::now() < due) {
+      cv_.wait_until(lk, due);
+      continue;
+    }
+    const HeartbeatMsg hb = hb_;
+    due_ = Clock::now() + jittered_period();
+    lk.unlock();
+    ch_.send(MsgType::kHeartbeat, encode(hb));
+    lk.lock();
+  }
+}
+
 int run_worker(const WorkerOptions& opts) {
   // Same up-front family registration as a single-process run, so the
   // delta snapshots and the sub-manifest carry complete families.
@@ -180,9 +170,10 @@ int run_worker(const WorkerOptions& opts) {
   hello.pid = static_cast<std::uint64_t>(::getpid());
   if (!ch.send(MsgType::kHello, encode(hello))) return 1;
 
-  // The job, set by the JobConfig the service sends right before the
-  // first lease it grants this connection: once the serving process
-  // has opened and verified the corpus and the start barrier is open.
+  // The job, set by the JobConfig the service sends at the Hello when
+  // it already knows the job's configuration (the serving process
+  // still verifies the corpus meanwhile), else right before the first
+  // lease it grants this connection.
   std::optional<WorkerJob> job;
   auto set_job = [&](const JobConfigMsg& m) -> bool {
     WorkerJob j;
@@ -221,13 +212,14 @@ int run_worker(const WorkerOptions& opts) {
   HeartbeatPump pump(ch, opts.worker_id);
 
   Frame f;
+  bool granted = false;
   while (true) {
-    // Until the JobConfig, wait without a bound: the serving process
+    // Until the first grant, wait without a bound: the serving process
     // spawns its workers before it verifies the corpus, which takes as
     // long as the store is large (a service that dies still closes the
     // socket). After it, a generous bound: a lost service or a hung
     // lease stream must not keep the worker forever.
-    if (!ch.recv(&f, job ? 60000 : -1)) return 1;
+    if (!ch.recv(&f, granted ? 60000 : -1)) return 1;
     switch (f.type) {
       case MsgType::kJobConfig: {
         const auto m = decode_job_config(util::ByteView(f.payload));
@@ -239,6 +231,7 @@ int run_worker(const WorkerOptions& opts) {
         if (!g) return 1;
         // A grant before the JobConfig, or for another job: a bug.
         if (!job || g->job != job->id) return 1;
+        granted = true;
         if (result_sent != Clock::time_point{})
           lease_wait.observe(static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(

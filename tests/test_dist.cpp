@@ -163,6 +163,64 @@ TEST(DistFrame, RecvTimeoutBoundsWholeFrame) {
   EXPECT_LT(waited, std::chrono::milliseconds(1500));
 }
 
+/// Frames that arrive together are read together: after the first
+/// recv() the second frame sits whole in the channel's buffer, so a
+/// readiness-driven caller knows to take it before it waits again, and
+/// recv() delivers it with no byte left on the socket.
+TEST(DistFrame, FramesReadTogetherStayBuffered) {
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  FrameChannel b(fds[1]);
+  const util::Bytes p0 = {7};
+  const util::Bytes p1 = {8, 9};
+  util::Bytes wire =
+      dist::encode_frame(MsgType::kHeartbeat, 0, util::ByteView(p0));
+  const util::Bytes second =
+      dist::encode_frame(MsgType::kGoodbye, 1, util::ByteView(p1));
+  wire.insert(wire.end(), second.begin(), second.end());
+  ASSERT_EQ(::send(fds[0], wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+
+  EXPECT_FALSE(b.frame_buffered());
+  dist::Frame f;
+  ASSERT_TRUE(b.recv(&f, 1000));
+  EXPECT_EQ(f.type, MsgType::kHeartbeat);
+  EXPECT_EQ(f.payload, p0);
+  EXPECT_TRUE(b.frame_buffered());
+  ASSERT_TRUE(b.recv(&f, 0));
+  EXPECT_EQ(f.type, MsgType::kGoodbye);
+  EXPECT_EQ(f.payload, p1);
+  EXPECT_FALSE(b.frame_buffered());
+  ::close(fds[0]);
+}
+
+/// A frame larger than the read buffer grows it and arrives intact,
+/// as do the small frames around it.
+TEST(DistFrame, LargeFrameGrowsTheReadBuffer) {
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  FrameChannel a(fds[0]);
+  FrameChannel b(fds[1]);
+  util::Bytes big(40000);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  const util::Bytes small = {1, 2, 3};
+  std::thread tx([&] {
+    EXPECT_TRUE(a.send(MsgType::kHeartbeat, util::ByteView(small)));
+    EXPECT_TRUE(a.send(MsgType::kLeaseResult, util::ByteView(big)));
+    EXPECT_TRUE(a.send(MsgType::kHeartbeat, util::ByteView(small)));
+  });
+  dist::Frame f;
+  ASSERT_TRUE(b.recv(&f, 5000));
+  EXPECT_EQ(f.payload, small);
+  ASSERT_TRUE(b.recv(&f, 5000));
+  EXPECT_EQ(f.type, MsgType::kLeaseResult);
+  EXPECT_EQ(f.payload, big);
+  ASSERT_TRUE(b.recv(&f, 5000));
+  EXPECT_EQ(f.payload, small);
+  tx.join();
+}
+
 TEST(DistFrame, SerialOrderSoundAcrossWrap) {
   EXPECT_TRUE(dist::seq_before(0xfffffffeu, 0xffffffffu));
   EXPECT_TRUE(dist::seq_before(0xffffffffu, 0u));  // across the wrap
@@ -748,6 +806,93 @@ TEST(DistJobService, NoJobConfigAfterTheJobEnds) {
   EXPECT_EQ(f.type, MsgType::kShutdown);
 }
 
+/// A service that knows the job's configuration before start() (the
+/// serving CLI, which builds it before it verifies the corpus) answers
+/// a Hello with the JobConfig at once, so the worker can open the
+/// corpus meanwhile; no grant comes until start(), whose job must be
+/// the configured one.
+TEST(DistJobService, ConfiguredServiceSendsJobConfigAtHello) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 60000;
+  dist::JobService svc(sc);
+  const dist::JobSpec spec = profile_job("early", 0.04, 1);
+  svc.configure(spec.name, spec.run);
+
+  const auto ch = scripted_client(svc.port(), 1);
+  ASSERT_NE(ch, nullptr);
+  dist::Frame f;
+  ASSERT_TRUE(ch->recv(&f, 10000));
+  ASSERT_EQ(f.type, MsgType::kJobConfig);
+  const auto m = dist::decode_job_config(util::ByteView(f.payload));
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->job, 1u);
+  EXPECT_EQ(m->name, "early");
+  EXPECT_EQ(m->run, spec.run);
+  EXPECT_FALSE(ch->recv(&f, 200)) << "a frame before start()";
+
+  dist::JobSpec other = spec;
+  other.run.segment = 512;
+  EXPECT_THROW(svc.start(other), std::logic_error);
+  EXPECT_THROW(svc.configure(spec.name, spec.run), std::logic_error);
+  EXPECT_FALSE(ch->recv(&f, 100)) << "a frame after a refused start()";
+
+  svc.start(spec);
+  const auto g = next_grant(*ch);  // no second JobConfig
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->job, 1u);
+}
+
+/// Two frames written in one send land in the service's read buffer
+/// together, and epoll reports the socket once. The service must act
+/// on both (here a Heartbeat, then the job's only result, which ends
+/// the job) before it waits for the next readiness event.
+TEST(DistJobService, ActsOnEveryFrameOfOneRead) {
+  dist::ServiceConfig sc;
+  sc.lease_timeout_ms = 60000;
+  sc.idle_abort_ms = 60000;
+  dist::JobSpec spec = profile_job("batched", 0.04, 1);
+  spec.nfiles = 1;  // one shard: its result ends the job
+  dist::JobService svc(sc, spec);
+
+  const auto ch = scripted_client(svc.port(), 5);  // Hello is seq 0
+  ASSERT_NE(ch, nullptr);
+  dist::Frame f;
+  ASSERT_TRUE(ch->recv(&f, 10000));
+  ASSERT_EQ(f.type, MsgType::kJobConfig);
+  const auto g = next_grant(*ch);
+  ASSERT_TRUE(g.has_value());
+
+  core::SpliceStats stats;
+  stats.files = 1;
+  stats.pairs = 42;
+  dist::LeaseResultMsg res;
+  res.shard = g->shard;
+  res.epoch = g->epoch;
+  res.job = g->job;
+  res.stats = stats;
+  util::Bytes wire = dist::encode_frame(
+      MsgType::kHeartbeat, 1,
+      util::ByteView(dist::encode(
+          dist::HeartbeatMsg{g->shard, g->epoch, g->job})));
+  const util::Bytes result =
+      dist::encode_frame(MsgType::kLeaseResult, 2,
+                         util::ByteView(dist::encode(res)));
+  wire.insert(wire.end(), result.begin(), result.end());
+  ASSERT_EQ(::send(ch->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+
+  ASSERT_TRUE(ch->recv(&f, 3000))
+      << "the result sent behind a Heartbeat was never acted on";
+  EXPECT_EQ(f.type, MsgType::kShutdown);
+  ch->close();  // our send sequence is past the channel's: no Goodbye
+
+  const dist::JobReport rep = svc.wait();
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_EQ(rep.report.stats, stats);
+  ASSERT_EQ(rep.report.workers.size(), 1u);
+  EXPECT_EQ(rep.report.workers[0].shards_accepted, 1u);
+}
+
 /// The lease window: a connection holds one lease until its first
 /// result is accepted, then two — the one its worker runs and the next,
 /// queued behind it. A client that hangs up holding both loses both,
@@ -1032,6 +1177,57 @@ TEST(DistJobService, WorkerSubManifestNamesItsJob) {
   EXPECT_NE(doc.find("\"jobs\": [{\"job\": 1, \"name\": \"named-job\"}]"),
             std::string::npos)
       << doc;
+}
+
+// --- Worker heartbeat pump -------------------------------------------
+
+/// A lease that outlives its heartbeat period gets heartbeats, none
+/// sooner than 0.75 period after that lease began, even when it begins
+/// while the pump still sleeps towards the previous lease's due time:
+/// the pump re-reads the lease when it wakes instead of beating then.
+TEST(DistHeartbeatPump, FirstBeatOnePeriodAfterItsLease) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kPeriod = std::chrono::milliseconds(100);
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  FrameChannel a(fds[0]);
+  FrameChannel b(fds[1]);
+
+  std::vector<std::pair<Clock::duration, dist::HeartbeatMsg>> beats;
+  {
+    dist::HeartbeatPump pump(a, 7);
+    const Clock::time_point first = Clock::now();
+    // The first lease runs long enough for the pump to start waiting
+    // for its beat, due 75-125 ms after it began; the pump still waits
+    // when the second lease begins.
+    pump.begin_lease({1, 1, 1}, kPeriod.count());
+    std::this_thread::sleep_until(first + std::chrono::milliseconds(20));
+    pump.end_lease();
+    std::this_thread::sleep_until(first + std::chrono::milliseconds(60));
+    const Clock::time_point second = Clock::now();
+    pump.begin_lease({2, 1, 1}, kPeriod.count());
+    const Clock::time_point end = second + 4 * kPeriod;
+    dist::Frame f;
+    for (Clock::time_point now = second; now < end; now = Clock::now()) {
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(end - now).count();
+      if (!b.recv(&f, static_cast<int>(left))) break;
+      ASSERT_EQ(f.type, MsgType::kHeartbeat);
+      const auto hb = dist::decode_heartbeat(util::ByteView(f.payload));
+      ASSERT_TRUE(hb.has_value());
+      beats.emplace_back(Clock::now() - second, *hb);
+    }
+    pump.end_lease();
+  }
+
+  ASSERT_FALSE(beats.empty()) << "a lease of four periods got no heartbeat";
+  for (const auto& [at, hb] : beats) {
+    EXPECT_EQ(hb.shard, 2u) << "a heartbeat for a lease that had ended";
+    EXPECT_GE(at, kPeriod * 3 / 4)
+        << "a heartbeat "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(at).count()
+        << " ms after its lease began";
+  }
 }
 
 }  // namespace

@@ -558,18 +558,21 @@ core::CorpusSource corpus_source(const CommonOpts& o) {
   return src;
 }
 
-/// Serving side of `cksumlab splice --serve`: a JobService bound and,
-/// with --workers, its worker processes spawned before the corpus is
-/// opened, so the fleet starts up and connects while the coordinator
-/// verifies the store; run() then hands over the job and waits for the
-/// merge. Unwound before run() has reaped its workers (the corpus
+/// Serving side of `cksumlab splice --serve`: a JobService bound and
+/// configured with the job's run, and with --workers its worker
+/// processes spawned, all before the corpus is opened. The workers
+/// connect, take their JobConfig at Hello and open the corpus while the
+/// coordinator verifies it; run() then hands over the job and waits for
+/// the merge. Unwound before run() has reaped its workers (the corpus
 /// failed to open, or a later worker failed to spawn), it kills and
 /// reaps every worker it spawned.
 class ServeFleet {
  public:
-  /// Throws std::runtime_error if the service cannot bind or a worker
-  /// cannot be spawned.
-  explicit ServeFleet(const CommonOpts& o) : o_(o), svc_(service_config(o)) {
+  /// Serve `src` as the job `name`. Throws std::runtime_error if the
+  /// service cannot bind or a worker cannot be spawned.
+  ServeFleet(const CommonOpts& o, const core::CorpusSource& src,
+             const std::string& name)
+      : o_(o), svc_(service_config(o)) {
     if (o.verbose) {
       svc_.set_event_hook([](const dist::ServiceEvent& ev) {
         const char* what = "";
@@ -585,6 +588,24 @@ class ServeFleet {
                      static_cast<unsigned long long>(ev.pid), what, ev.shard);
       });
     }
+    // The requested flow: a store's own flow comes from each worker's
+    // open, as SpliceCorpus::run_config gives it in-process.
+    dist::ConfigMsg run;
+    run.corpus_kind = src.kind;
+    run.corpus = src.corpus;
+    run.scale = src.scale;
+    run.segment = o.segment;
+    run.transport = static_cast<std::uint8_t>(o.pkt.transport);
+    run.trailer = o.pkt.placement == net::ChecksumPlacement::kTrailer;
+    // Split the machine across the fleet unless --threads pinned it.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    run.threads = o.threads != 0
+                      ? o.threads
+                      : std::max(1u, o.workers != 0 ? hw / o.workers : hw);
+    job_.name = name;
+    job_.run = run;
+    job_.shard_files = o.shard_files;
+    svc_.configure(name, std::move(run));
     if (o.workers == 0) return;
     const std::string exe = dist::self_exe_path();
     if (exe.empty()) throw std::runtime_error("cannot locate own executable");
@@ -611,31 +632,12 @@ class ServeFleet {
     }
   }
 
-  /// Serve `src`, opened and run-configured as `cfg` over `nfiles`
-  /// files, to the fleet (external --connect workers when --workers is
-  /// 0). On success `st` and `dist_json` hold the merged stats and the
-  /// manifest's "dist" member.
-  int run(const core::CorpusSource& src, const std::string& name,
-          const core::SpliceRunConfig& cfg, std::size_t nfiles,
-          core::SpliceStats& st, std::string& dist_json) {
-    dist::JobSpec spec;
-    dist::ConfigMsg& run = spec.run;
-    run.corpus_kind = src.kind;
-    run.corpus = src.corpus;
-    run.scale = src.scale;
-    run.segment = cfg.flow.segment_size;
-    run.transport = static_cast<std::uint8_t>(cfg.flow.packet.transport);
-    run.trailer =
-        cfg.flow.packet.placement == net::ChecksumPlacement::kTrailer;
-    spec.nfiles = nfiles;
-    spec.name = name;
-    spec.shard_files = o_.shard_files;
-    // Split the machine across the fleet unless --threads pinned it.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    run.threads =
-        o_.threads != 0 ? o_.threads
-                        : std::max(1u, o_.workers != 0 ? hw / o_.workers : hw);
-    svc_.start(std::move(spec));
+  /// Serve the verified corpus's `nfiles` files to the fleet (external
+  /// --connect workers when --workers is 0). On success `st` and
+  /// `dist_json` hold the merged stats and the manifest's "dist" member.
+  int run(std::size_t nfiles, core::SpliceStats& st, std::string& dist_json) {
+    job_.nfiles = nfiles;
+    svc_.start(std::move(job_));
     if (o_.workers == 0)
       std::fprintf(stderr,
                    "cksumlab: serving on 127.0.0.1:%u, waiting for workers "
@@ -680,6 +682,7 @@ class ServeFleet {
 
   const CommonOpts& o_;
   dist::JobService svc_;
+  dist::JobSpec job_;  // all but nfiles, known before the corpus opens
   Children workers_;  // after svc_: the workers die before the service
 };
 
@@ -723,11 +726,11 @@ int cmd_splice(const std::vector<std::string>& args) {
 
   const core::CorpusSource src = corpus_source(o);
   const std::string corpus_name = o.manifest.empty() ? src.corpus : o.manifest;
-  // A serve run's workers start up while the corpus below is opened and
-  // verified (a store's header, seal and sections); they get the job
-  // only once it is.
+  // A serve run's workers start up and open the corpus themselves while
+  // the one below is opened and verified (a store's header, seal and
+  // sections); they get their first lease only once it is.
   std::optional<ServeFleet> fleet;
-  if (o.serve) fleet.emplace(o);
+  if (o.serve) fleet.emplace(o, src, corpus_name);
   const core::SpliceCorpus corpus(src);
   core::SpliceRunConfig requested;
   requested.flow = core::paper_flow_config();
@@ -744,8 +747,7 @@ int cmd_splice(const std::vector<std::string>& args) {
   core::SpliceStats st;
   std::string dist_json;  // "dist" manifest member for --serve runs
   if (fleet) {
-    const int rc =
-        fleet->run(src, corpus_name, cfg, corpus.file_count(), st, dist_json);
+    const int rc = fleet->run(corpus.file_count(), st, dist_json);
     if (rc != 0) return rc;
   } else {
     st = corpus.run_range(cfg, 0, corpus.file_count());
