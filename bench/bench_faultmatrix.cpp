@@ -1,7 +1,8 @@
 // Detection rate per fault class x check code — the paper's Table 4-6
-// apparatus extended from AAL5 splices to the full fault taxonomy the
-// faults::FaultyChannel injects (bursts, duplication, reordering,
-// deletion, truncation, splices, cross-stream misdelivery).
+// apparatus extended from AAL5 splices to the faults a link can do to
+// a message: bit bursts (core::apply_burst), and whole-cell
+// duplication, reordering, deletion, truncation, splices and
+// cross-stream misdelivery.
 //
 // For each trial a fresh random message is corrupted by one fault of
 // the class; a fault is "detected" by a check code when the code's
@@ -13,8 +14,8 @@
 // check.
 //
 // Cell-level rows operate on 48-byte blocks of the message, mirroring
-// what the corresponding channel fault does to a cell stream once the
-// payloads are concatenated by the reassembler.
+// what the corresponding fault does to a cell stream once the payloads
+// are concatenated by the reassembler.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -107,7 +108,7 @@ int main() {
   t.add_separator();
 
   // --- Cell-level rows. Each fault rearranges whole 48-byte blocks,
-  // exactly what the corresponding channel fault does to the
+  // exactly what the corresponding link fault does to the
   // reassembled byte stream. A second independent message provides the
   // foreign cells for splice/misdelivery. ---
   enum class CellFault { kDuplicate, kReorder, kDelete, kTruncate,

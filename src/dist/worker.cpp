@@ -22,7 +22,6 @@
 #include "core/splice_sim.hpp"
 #include "dist/frame.hpp"
 #include "dist/protocol.hpp"
-#include "faults/channel.hpp"
 #include "obs/snapshot.hpp"
 #include "util/rng.hpp"
 
@@ -151,7 +150,6 @@ int run_worker(const WorkerOptions& opts) {
   // Same up-front family registration as a single-process run, so the
   // delta snapshots and the sub-manifest carry complete families.
   core::register_splice_metrics();
-  faults::register_fault_metrics();
   atm::register_atm_metrics();
   alg::kern::register_kernel_metrics();
   register_dist_metrics();

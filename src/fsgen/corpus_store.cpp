@@ -384,6 +384,24 @@ std::unique_ptr<CorpusReader> CorpusReader::open(const std::string& path,
     return nullptr;
   }
 
+  // Counts first: one that cannot fit the file could wrap the size
+  // products below back to a real section's size.
+  const struct {
+    std::uint64_t count;
+    std::size_t record;
+    const char* section;
+  } counts[] = {{hdr.files, sizeof(CorpusFileRec), "files"},
+                {hdr.packets, sizeof(StoredPacket), "packets"},
+                {hdr.cells, sizeof(core::CellPartial), "cells"}};
+  for (const auto& c : counts) {
+    if (c.count > len / c.record) {
+      fail(error, std::string("corrupt ") + c.section + " count: " +
+                      std::to_string(c.count) + " records cannot fit a " +
+                      std::to_string(len) + "-byte file");
+      return nullptr;
+    }
+  }
+
   // Section table: every expected kind exactly once, aligned, in
   // bounds, with a size consistent with the header's counts.
   CorpusSectionRec table[kSectionCount];

@@ -1,13 +1,18 @@
-// AAL5 framing and the splice enumerator.
+// AAL5 framing, the splice enumerator, and the hardened receiver: the
+// demux budget/cap degradation and the safe Pdu::payload() accessor.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "atm/aal5.hpp"
+#include "atm/cell.hpp"
+#include "atm/demux.hpp"
 #include "atm/splice.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace cksum::atm {
@@ -215,6 +220,105 @@ TEST(Splice, IdentitySpliceReproducesPacket2Tail) {
   // cell 6).
   EXPECT_TRUE(std::equal(out.begin() + 48, out.end() - 48,
                          p2.bytes().begin()));
+}
+
+TEST(VcDemux, PendingBudgetShedsNonEomCells) {
+  atm::DemuxLimits limits;
+  limits.max_pending_cells = 10;
+  atm::VcDemux demux(limits);
+  // 40 EOM-less cells on one VC: only the budget's worth may buffer.
+  Cell cell;
+  cell.header.vci = 32;
+  util::Rng rng(21);
+  for (int i = 0; i < 40; ++i) {
+    rng.fill(cell.payload);
+    (void)demux.push(cell);
+    EXPECT_LE(demux.pending_cells(), limits.max_pending_cells);
+  }
+  EXPECT_EQ(demux.pending_cells(), limits.max_pending_cells);
+  EXPECT_EQ(demux.stats().budget_drops, 30u);
+  // An EOM still gets through and drains the channel.
+  cell.header.set_end_of_message(true);
+  const auto out = demux.push(cell);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(demux.pending_cells(), 0u);
+}
+
+TEST(VcDemux, ChannelCapEvictsIdlest) {
+  atm::DemuxLimits limits;
+  limits.max_channels = 4;
+  atm::VcDemux demux(limits);
+  Cell cell;
+  for (std::uint16_t v = 0; v < 6; ++v) {
+    cell.header.vci = static_cast<std::uint16_t>(100 + v);
+    (void)demux.push(cell);
+    EXPECT_LE(demux.channel_count(), limits.max_channels);
+  }
+  EXPECT_EQ(demux.stats().evictions, 2u);
+  // The evicted channels were the least recently used (vci 100, 101):
+  // their buffered cell is gone, so the global pending count reflects
+  // only the four live channels.
+  EXPECT_EQ(demux.pending_cells(), 4u);
+}
+
+TEST(VcDemux, PendingCountStaysConsistent) {
+  // The O(1) pending counter must equal the true sum across channels
+  // under completion, oversize discard, budget shed and eviction.
+  atm::DemuxLimits limits;
+  limits.max_channels = 3;
+  limits.max_pending_cells = 50;
+  atm::VcDemux demux(limits);
+  util::Rng rng(23);
+  std::uint64_t deliveries = 0;
+  for (int i = 0; i < 20000; ++i) {
+    Cell cell;
+    // Mostly three hot VCs (so pending accumulates up to the budget),
+    // with a rare visit from a cold one to force channel eviction.
+    cell.header.vci = static_cast<std::uint16_t>(
+        rng.chance(0.01) ? 35 + rng.below(3) : 32 + rng.below(3));
+    rng.fill(cell.payload);
+    cell.header.set_end_of_message(rng.chance(0.02));
+    if (demux.push(cell)) ++deliveries;
+    ASSERT_LE(demux.pending_cells(), limits.max_pending_cells);
+    if (rng.chance(0.001))
+      demux.reset_channel(0, static_cast<std::uint16_t>(32 + rng.below(6)));
+  }
+  EXPECT_GT(deliveries, 0u);
+  EXPECT_GT(demux.stats().budget_drops, 0u);
+  EXPECT_GT(demux.stats().evictions, 0u);
+}
+
+TEST(ReassemblerPdu, PayloadClampsHostileLengths) {
+  // A trailer claiming more bytes than the buffer holds must not read
+  // out of range, and a failed length check yields an empty payload.
+  atm::Reassembler r;
+  Cell cell;
+  util::Rng rng(29);
+  rng.fill(cell.payload);
+  // Claim length 0xFFFF in a 1-cell PDU.
+  util::store_be16(cell.payload.data() + atm::kCellPayload - 6, 0xFFFF);
+  cell.header.set_end_of_message(true);
+  const auto done = r.push(cell);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_FALSE(done->length_ok);
+  EXPECT_TRUE(done->payload().empty());
+}
+
+TEST(ReassemblerPdu, PayloadIntactForValidPdus) {
+  Bytes payload(777);
+  util::Rng rng(31);
+  rng.fill(payload);
+  atm::Reassembler r;
+  std::optional<atm::Reassembler::Pdu> done;
+  for (const Cell& c :
+       atm::segment_pdu(atm::CpcsPdu::frame(ByteView(payload)), 0, 32))
+    done = r.push(c);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_TRUE(done->length_ok);
+  EXPECT_TRUE(done->crc_ok);
+  const ByteView got = done->payload();
+  ASSERT_EQ(got.size(), payload.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), payload.begin()));
 }
 
 }  // namespace

@@ -457,5 +457,36 @@ TEST_F(CorpusStoreCorruption, CorruptPacketIndexRejected) {
   EXPECT_NE(err.find("packet"), std::string::npos) << err;
 }
 
+TEST_F(CorpusStoreCorruption, CountOverflowRejected) {
+  // Raising files by 2^60 (16-byte records), packets by 2^61 (136) or
+  // cells by 2^62 (48) leaves count x record size, mod 2^64, at the
+  // real section size, so only a check of the count against the file
+  // size rejects them. The cells case also points the first packet's
+  // cell_begin past its section, which the raised count lets through
+  // the packet index check to a read outside the mapping.
+  const struct {
+    std::size_t off;
+    int shift;
+    const char* section;
+  } cases[] = {{40, 60, "files"}, {48, 61, "packets"}, {56, 62, "cells"}};
+  const std::size_t table_off = kSectionTableOff + 24;  // slot 1: kPackets
+  std::uint64_t pkt_off = 0;
+  std::memcpy(&pkt_off, pristine_.data() + table_off + 8, sizeof pkt_off);
+  for (const auto& c : cases) {
+    util::Bytes m = pristine_;
+    std::uint64_t count = 0;
+    std::memcpy(&count, m.data() + c.off, sizeof count);
+    const std::uint64_t past_section = count + 1000;
+    count += std::uint64_t{1} << c.shift;
+    std::memcpy(m.data() + c.off, &count, sizeof count);
+    if (std::strcmp(c.section, "cells") == 0)
+      std::memcpy(m.data() + pkt_off, &past_section, sizeof past_section);
+    reseal(m);
+    const std::string err = expect_rejected(m, c.section);
+    EXPECT_NE(err.find(std::string(c.section) + " count"), std::string::npos)
+        << err;
+  }
+}
+
 }  // namespace
 }  // namespace cksum

@@ -50,7 +50,6 @@
 #include "dist/frame.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
-#include "faults/channel.hpp"
 #include "fsgen/corpus_store.hpp"
 #include "stats/uniformity.hpp"
 #include "trace/ingest.hpp"
@@ -203,14 +202,14 @@ struct CommonOpts {
 /// The options of splice beyond the corpus source.
 std::vector<tools::Opt> splice_options(CommonOpts& o) {
   return {{"--threads", &o.threads},
-          {"--trailer", &o.pkt.placement, 10, &o.trailer_set},
-          {"--transport", &o.pkt.transport, 10, &o.transport_set},
+          {"--trailer", &o.pkt.placement, &o.trailer_set},
+          {"--transport", &o.pkt.transport, &o.transport_set},
           {"--verbose", &o.verbose},
           {"--json", &o.json},
           {"--progress", &o.progress},
           {"--metrics-out", &o.metrics_out},
           {"--serve", &o.serve},
-          {"--workers", &o.workers, 10, &o.serve},
+          {"--workers", &o.workers, &o.serve},
           {"--port", &o.port},
           {"--lease-timeout", &o.lease_timeout_ms},
           {"--shard-files", &o.shard_files}};
@@ -228,8 +227,8 @@ bool parse_common(std::span<const std::string> args, CommonOpts& o,
       {"--dir", &o.dir},
       {"--corpus", &o.corpus},
       {"--from-pcap", &o.from_pcap},
-      {"--scale", &o.scale, 10, &o.scale_set},
-      {"--segment", &o.segment, 10, &o.segment_set},
+      {"--scale", &o.scale, &o.scale_set},
+      {"--segment", &o.segment, &o.segment_set},
       {"--quick", &quick}};
   table.insert(table.end(), extra.begin(), extra.end());
   if (!tools::parse_options(args, table, "cksumlab")) return false;
@@ -719,7 +718,6 @@ int cmd_splice(const std::vector<std::string>& args) {
   // Register every metric family up front so exported manifests carry
   // complete (if zero-valued) families, not just the ones touched.
   core::register_splice_metrics();
-  faults::register_fault_metrics();
   atm::register_atm_metrics();
   alg::kern::register_kernel_metrics();
   dist::register_dist_metrics();

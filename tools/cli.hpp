@@ -51,16 +51,13 @@ using Field =
 struct Opt {
   std::string_view name;  ///< "--threads"
   Field field;
-  /// Number base: 0 (C rules: 0x… hex, 0… octal) for seeds and
-  /// scenarios, which reproducer lines print in hex.
-  int base = 10;
   bool* seen = nullptr;  ///< set to true when the option is given
 };
 
 /// `text` as a number of type T, or std::nullopt unless it is one:
-/// digits only (no sign, space or suffix) in `base`, within T's range.
+/// decimal digits only (no sign, space or suffix), within T's range.
 template <typename T>
-std::optional<T> to_number(const std::string& text, int base = 10) {
+std::optional<T> to_number(const std::string& text) {
   const bool digit_first =
       !text.empty() && ((text[0] >= '0' && text[0] <= '9') ||
                         (std::is_floating_point_v<T> && text[0] == '.'));
@@ -73,7 +70,7 @@ std::optional<T> to_number(const std::string& text, int base = 10) {
       return std::nullopt;
     return v;
   } else {
-    const unsigned long long v = std::strtoull(text.c_str(), &end, base);
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
     if (errno == ERANGE || *end != '\0' || v > std::numeric_limits<T>::max())
       return std::nullopt;
     return static_cast<T>(v);
@@ -84,8 +81,8 @@ std::optional<T> to_number(const std::string& text, int base = 10) {
 /// "<tool>: <what> expects a number, got '<text>'" and returns false.
 template <typename T>
 bool read_number(const char* tool, std::string_view what,
-                 const std::string& text, T& out, int base = 10) {
-  const std::optional<T> v = to_number<T>(text, base);
+                 const std::string& text, T& out) {
+  const std::optional<T> v = to_number<T>(text);
   if (!v) {
     std::fprintf(stderr, "%s: %.*s expects a number, got '%s'\n", tool,
                  static_cast<int>(what.size()), what.data(), text.c_str());
@@ -166,7 +163,7 @@ inline bool parse_options(std::span<const std::string> args,
             return true;
           } else if constexpr (std::is_arithmetic_v<T> &&
                                !std::is_same_v<T, bool>) {
-            return read_number(tool, a, v, *field, opt->base);
+            return read_number(tool, a, v, *field);
           } else {
             return false;  // flags were handled above
           }
